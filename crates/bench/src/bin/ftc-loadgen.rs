@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! ftc-loadgen [--quick] [--addr HOST:PORT] [--graph-id ID] [--out PATH]
-//!             [--emit-graph PATH]
-//!             [--mode closed|open] [--conns N] [--depth N] [--pairs N]
-//!             [--rate R] [--duration-ms N]
+//!             [--emit-graph PATH] [--overload] [--chaos] [--chaos-seed N]
 //! ```
 //!
 //! Without `--addr` the loadgen spawns an in-process server over the
@@ -40,11 +38,12 @@
 //!   fault-injection proxy (`--chaos-seed`) while archives are
 //!   blue/green-swapped live; every answer is checked against a BFS
 //!   oracle and the row reports injected faults, retries, reconnects,
-//!   and (required zero) wrong answers.
+//!   and (required zero) wrong answers; any wrong answer fails the run.
 //!
-//! Any of `--mode/--conns/--depth/--pairs/--rate/--duration-ms` replaces
-//! the suite with one custom scenario built from those knobs.
+//! The report is written through [`ftc_bench::report`] and echoed to
+//! stdout.
 
+use ftc_bench::report::{Report, Row};
 use ftc_core::store::{EdgeEncoding, LabelStore};
 use ftc_core::{FtcScheme, Params};
 use ftc_graph::{connectivity, generators, Graph};
@@ -126,6 +125,42 @@ impl Workload {
     fn request_pairs(&self, index: usize, per_request: usize) -> &[(usize, usize)] {
         let start = (index * per_request) % (self.pairs.len() - per_request);
         &self.pairs[start..start + per_request]
+    }
+}
+
+/// An in-process server on a loopback port, run on its own thread.
+struct Loopback {
+    handle: ServerHandle,
+    thread: std::thread::JoinHandle<std::io::Result<()>>,
+}
+
+impl Loopback {
+    /// Serves `service` as `graph_id` from a fresh registry.
+    fn serve(
+        graph_id: &str,
+        service: &ConnectivityService,
+        config: ServerConfig,
+    ) -> Result<Loopback, String> {
+        let registry = Arc::new(ServiceRegistry::new());
+        registry.insert(graph_id.to_string(), service.clone());
+        Loopback::spawn(registry, config)
+    }
+
+    fn spawn(registry: Arc<ServiceRegistry>, config: ServerConfig) -> Result<Loopback, String> {
+        let server = Server::bind(registry, "127.0.0.1:0", config)
+            .map_err(|e| format!("cannot bind loopback: {e}"))?;
+        let handle = server.handle();
+        let thread = std::thread::spawn(move || server.run());
+        Ok(Loopback { handle, thread })
+    }
+
+    /// Drains the server and joins its thread.
+    fn stop(self) -> Result<(), String> {
+        self.handle.shutdown();
+        self.thread
+            .join()
+            .map_err(|_| "server thread panicked")?
+            .map_err(|e| format!("server failed: {e}"))
     }
 }
 
@@ -213,6 +248,7 @@ fn suite(quick: bool) -> Vec<Scenario> {
     ]
 }
 
+#[derive(Default)]
 struct ScenarioResult {
     requests: u64,
     queries: u64,
@@ -414,6 +450,7 @@ fn run_scenario(
 /// Shedding under overdrive: the server is driven past saturation and
 /// must reject the excess with `Overloaded` while the requests it *does*
 /// accept stay fast.
+#[derive(Default)]
 struct OverloadReport {
     /// Closed-loop saturation throughput of the bounded server (req/s).
     saturation_rps: f64,
@@ -510,25 +547,16 @@ fn run_overload_scenario(
     // sets defeat coalescing, so every request is a session build — the
     // expensive regime overload protection exists for.
     let (uncontended, saturation_rps) = {
-        let registry = Arc::new(ServiceRegistry::new());
-        registry.insert(graph_id.to_string(), service.clone());
-        let server = Server::bind(registry, "127.0.0.1:0", ServerConfig::default())
-            .map_err(|e| format!("cannot bind loopback: {e}"))?;
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
+        let server = Loopback::serve(graph_id, service, ServerConfig::default())?;
+        let addr = server.handle.addr();
         let (_, _) = closed_probe(addr, graph_id, workload, 1, probe)?;
         // Server-side service latency (frame receipt to answer): both
         // ends of the comparison use the same clock, so loadgen threads
         // competing with the server for (possibly one) CPU cannot smear
         // the baseline or the overdrive tail.
-        let uncontended = handle.served_latency();
+        let uncontended = server.handle.served_latency();
         let (saturation_rps, _) = closed_probe(addr, graph_id, workload, 2, probe)?;
-        handle.shutdown();
-        thread
-            .join()
-            .map_err(|_| "probe server thread panicked")?
-            .map_err(|e| format!("probe server failed: {e}"))?;
+        server.stop()?;
         (uncontended, saturation_rps)
     };
 
@@ -545,13 +573,8 @@ fn run_overload_scenario(
         request_deadline: Some(uncontended_p99.mul_f64(1.5)),
         ..ServerConfig::default()
     };
-    let registry = Arc::new(ServiceRegistry::new());
-    registry.insert(graph_id.to_string(), service.clone());
-    let server = Server::bind(registry, "127.0.0.1:0", config)
-        .map_err(|e| format!("cannot bind loopback: {e}"))?;
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.run());
+    let server = Loopback::serve(graph_id, service, config)?;
+    let addr = server.handle.addr();
 
     // Overdrive: offer 2× saturation open-loop. Sheds return almost
     // instantly (that is the point), so two connections sustain the
@@ -619,12 +642,8 @@ fn run_overload_scenario(
                 .collect()
         });
 
-    let accepted = handle.served_latency();
-    handle.shutdown();
-    thread
-        .join()
-        .map_err(|_| "overload server thread panicked")?
-        .map_err(|e| format!("overload server failed: {e}"))?;
+    let accepted = server.handle.served_latency();
+    server.stop()?;
 
     let (mut requests, mut ok, mut shed) = (0u64, 0u64, 0u64);
     for r in results {
@@ -658,6 +677,7 @@ fn run_overload_scenario(
 /// Resilient clients vs a deterministic fault injector and live archive
 /// swaps: every answered query is checked against a BFS oracle, so the
 /// row proves not just liveness but correctness under faults.
+#[derive(Default)]
 struct ChaosReport {
     seed: u64,
     requests: u64,
@@ -682,17 +702,13 @@ fn run_chaos_scenario(
 ) -> Result<ChaosReport, String> {
     let registry = Arc::new(ServiceRegistry::new());
     registry.insert(graph_id.to_string(), service.clone());
-    let server = Server::bind(registry.clone(), "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("cannot bind loopback: {e}"))?;
-    let upstream = server.local_addr();
-    let handle = server.handle();
-    let server_thread = std::thread::spawn(move || server.run());
+    let server = Loopback::spawn(registry.clone(), ServerConfig::default())?;
     // Hotter rates than the proxy's defaults: loadgen requests are one
-    // wire chunk each way, so per-chunk rates translate directly to
-    // per-request event probabilities — these make injected faults a
-    // routine part of the run, not a rare tail.
+    // wire frame each way, so per-frame rates are per-request event
+    // probabilities — these make injected faults a routine part of the
+    // run, not a rare tail.
     let mut proxy = ChaosProxy::spawn(
-        upstream,
+        server.handle.addr(),
         ChaosConfig {
             seed,
             reset_per_10k: 100,
@@ -806,11 +822,7 @@ fn run_chaos_scenario(
     });
 
     proxy.shutdown();
-    handle.shutdown();
-    server_thread
-        .join()
-        .map_err(|_| "chaos server thread panicked")?
-        .map_err(|e| format!("chaos server failed: {e}"))?;
+    server.stop()?;
 
     let (mut requests, mut ok, mut failed, mut wrong) = (0u64, 0u64, 0u64, 0u64);
     let mut client = ClientStats::default();
@@ -849,134 +861,97 @@ fn sum_stats(a: ClientStats, b: ClientStats) -> ClientStats {
 // report
 // ---------------------------------------------------------------------------
 
-fn render_json(
+fn net_report(
     mode: &str,
     server: &str,
     workload: &Workload,
     rows: &[(Scenario, ScenarioResult)],
     overload: Option<&OverloadReport>,
     chaos: Option<&ChaosReport>,
-) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
+) -> Report {
     let us = |ns: u64| ns as f64 / 1000.0;
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ftc-perf-net/v1\",\n");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"cores\": {cores},");
-    let _ = writeln!(s, "  \"server\": \"{server}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"random_connected({n}, {m}, seed 7), f = {f}, archive-backed service over loopback TCP; latency per request, open-loop measured from scheduled send\",",
+    let description = format!(
+        "random_connected({n}, {m}, seed 7), f = {f}, archive-backed service over loopback TCP; latency per request, open-loop measured from scheduled send",
         n = workload.graph.n(),
         m = 3 * workload.graph.n(),
         f = workload.f
     );
-    s.push_str("  \"results\": [\n");
-    for (i, (sc, r)) in rows.iter().enumerate() {
+    let header = Row::new()
+        .str("server", server)
+        .str("workload", description);
+    let mut report = Report::new("ftc-perf-net/v1", mode, header);
+    for (sc, r) in rows {
         let (mode_str, depth, rate) = match sc.mode {
             LoopMode::Closed { depth } => ("closed", depth, 0.0),
             LoopMode::Open { rate } => ("open", 1, rate),
         };
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"loop\": \"{mode_str}\", \"conns\": {}, \"depth\": {depth}, \"rate\": {rate:.0}, \"pairs_per_request\": {}, \"requests\": {}, \"queries\": {}, \"requests_per_sec\": {:.1}, \"queries_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}",
-            sc.name,
-            sc.conns,
-            sc.pairs_per_request,
-            r.requests,
-            r.queries,
-            r.requests as f64 / r.elapsed,
-            r.queries as f64 / r.elapsed,
-            us(r.hist.quantile(0.50)),
-            us(r.hist.quantile(0.95)),
-            us(r.hist.quantile(0.99)),
-            us(r.hist.max()),
-        );
-        if let Some((req, coal, batches)) = r.coalesce {
-            let _ = write!(
-                s,
-                ", \"coalesce\": {{\"requests\": {req}, \"coalesced\": {coal}, \"batches\": {batches}}}"
+        let mut row = Row::new()
+            .str("scenario", sc.name)
+            .str("loop", mode_str)
+            .int("conns", sc.conns as u64)
+            .int("depth", depth as u64)
+            .num("rate", rate, 0)
+            .int("pairs_per_request", sc.pairs_per_request as u64)
+            .int("requests", r.requests)
+            .int("queries", r.queries)
+            .num("requests_per_sec", r.requests as f64 / r.elapsed, 1)
+            .num("queries_per_sec", r.queries as f64 / r.elapsed, 1)
+            .num("p50_us", us(r.hist.quantile(0.50)), 1)
+            .num("p95_us", us(r.hist.quantile(0.95)), 1)
+            .num("p99_us", us(r.hist.quantile(0.99)), 1)
+            .num("max_us", us(r.hist.max()), 1);
+        if let Some((requests, coalesced, batches)) = r.coalesce {
+            row = row.obj(
+                "coalesce",
+                Row::new()
+                    .int("requests", requests)
+                    .int("coalesced", coalesced)
+                    .int("batches", batches),
             );
         }
-        s.push('}');
-        let last = i + 1 == rows.len() && overload.is_none() && chaos.is_none();
-        s.push_str(if last { "\n" } else { ",\n" });
+        report.push(row);
     }
     if let Some(o) = overload {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"overload\", \"loop\": \"open\", \"saturation_rps\": {:.1}, \"offered_rps\": {:.1}, \"requests\": {}, \"ok\": {}, \"shed\": {}, \"uncontended_p99_us\": {:.1}, \"accepted_p99_us\": {:.1}, \"p99_ratio\": {:.2}}}",
-            o.saturation_rps,
-            o.offered_rps,
-            o.requests,
-            o.ok,
-            o.shed,
-            o.uncontended_p99_us,
-            o.accepted_p99_us,
-            o.p99_ratio,
+        report.push(
+            Row::new()
+                .str("scenario", "overload")
+                .str("loop", "open")
+                .num("saturation_rps", o.saturation_rps, 1)
+                .num("offered_rps", o.offered_rps, 1)
+                .int("requests", o.requests)
+                .int("ok", o.ok)
+                .int("shed", o.shed)
+                .num("uncontended_p99_us", o.uncontended_p99_us, 1)
+                .num("accepted_p99_us", o.accepted_p99_us, 1)
+                .num("p99_ratio", o.p99_ratio, 2),
         );
-        s.push_str(if chaos.is_none() { "\n" } else { ",\n" });
     }
     if let Some(c) = chaos {
-        let _ = writeln!(
-            s,
-            "    {{\"scenario\": \"chaos\", \"seed\": {}, \"requests\": {}, \"ok\": {}, \"failed\": {}, \"wrong_answers\": {}, \"reconnects\": {}, \"retries\": {}, \"replayed\": {}, \"resets\": {}, \"corrupted_bytes\": {}, \"stalls\": {}, \"swaps\": {}}}",
-            c.seed,
-            c.requests,
-            c.ok,
-            c.failed,
-            c.wrong_answers,
-            c.client.reconnects,
-            c.client.retries,
-            c.client.replayed,
-            c.resets,
-            c.corrupted_bytes,
-            c.stalls,
-            c.swaps,
+        report.push(
+            Row::new()
+                .str("scenario", "chaos")
+                .int("seed", c.seed)
+                .int("requests", c.requests)
+                .int("ok", c.ok)
+                .int("failed", c.failed)
+                .int("wrong_answers", c.wrong_answers)
+                .int("reconnects", c.client.reconnects)
+                .int("retries", c.client.retries)
+                .int("replayed", c.client.replayed)
+                .int("resets", c.resets)
+                .int("corrupted_bytes", c.corrupted_bytes)
+                .int("stalls", c.stalls)
+                .int("swaps", c.swaps),
         );
     }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Minimal structural self-check so CI fails loudly on malformed output
-/// (same shape as `perf_report`'s: schema tag, row count, finiteness,
-/// brace balance — the offline environment has no JSON parser).
-fn validate(json: &str, rows: usize) -> Result<(), String> {
-    if !json.contains("\"schema\": \"ftc-perf-net/v1\"") {
-        return Err("missing schema tag".into());
-    }
-    if json.matches("\"scenario\": ").count() != rows {
-        return Err("result row count mismatch".into());
-    }
-    if json.contains("NaN") || json.contains("inf") {
-        return Err("non-finite measurement".into());
-    }
-    let (mut depth, mut max_depth) = (0i64, 0i64);
-    for b in json.bytes() {
-        match b {
-            b'{' | b'[' => {
-                depth += 1;
-                max_depth = max_depth.max(depth);
-            }
-            b'}' | b']' => depth -= 1,
-            _ => {}
-        }
-    }
-    if depth != 0 || max_depth < 2 {
-        return Err("unbalanced JSON".into());
-    }
-    Ok(())
+    report
 }
 
 // ---------------------------------------------------------------------------
 // main
 // ---------------------------------------------------------------------------
 
-fn usage() -> String {
-    "usage: ftc-loadgen [--quick] [--addr HOST:PORT] [--graph-id ID] [--out PATH] [--emit-graph PATH] [--mode closed|open] [--conns N] [--depth N] [--pairs N] [--rate R] [--duration-ms N] [--overload] [--chaos] [--chaos-seed N]".into()
-}
+const USAGE: &str = "usage: ftc-loadgen [--quick] [--addr HOST:PORT] [--graph-id ID] [--out PATH] [--emit-graph PATH] [--overload] [--chaos] [--chaos-seed N]";
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -985,12 +960,6 @@ fn run() -> Result<(), String> {
     let mut graph_id = "loadgen".to_string();
     let mut out = "BENCH_net.json".to_string();
     let mut emit_graph: Option<String> = None;
-    let mut custom_mode: Option<String> = None;
-    let mut custom_conns: Option<usize> = None;
-    let mut custom_depth: Option<usize> = None;
-    let mut custom_pairs: Option<usize> = None;
-    let mut custom_rate: Option<f64> = None;
-    let mut custom_duration: Option<u64> = None;
     let mut want_overload = false;
     let mut want_chaos = false;
     let mut chaos_seed: u64 = 0xC4A0_5EED;
@@ -1006,20 +975,6 @@ fn run() -> Result<(), String> {
             "--graph-id" => graph_id = value("--graph-id")?,
             "--out" => out = value("--out")?,
             "--emit-graph" => emit_graph = Some(value("--emit-graph")?),
-            "--mode" => custom_mode = Some(value("--mode")?),
-            "--conns" => custom_conns = Some(parse_num(&value("--conns")?, "--conns")?),
-            "--depth" => custom_depth = Some(parse_num(&value("--depth")?, "--depth")?),
-            "--pairs" => custom_pairs = Some(parse_num(&value("--pairs")?, "--pairs")?),
-            "--rate" => {
-                custom_rate = Some(
-                    value("--rate")?
-                        .parse()
-                        .map_err(|_| "--rate expects a number")?,
-                );
-            }
-            "--duration-ms" => {
-                custom_duration = Some(parse_num(&value("--duration-ms")?, "--duration-ms")? as u64)
-            }
             "--overload" => want_overload = true,
             "--chaos" => want_chaos = true,
             "--chaos-seed" => {
@@ -1027,7 +982,7 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--chaos-seed expects an integer")?;
             }
-            _ => return Err(usage()),
+            _ => return Err(USAGE.into()),
         }
     }
 
@@ -1053,36 +1008,6 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // Scenario list: the fixed suite, or one custom scenario if any
-    // shape knob was given.
-    let scenarios = if custom_mode.is_some()
-        || custom_conns.is_some()
-        || custom_depth.is_some()
-        || custom_pairs.is_some()
-        || custom_rate.is_some()
-        || custom_duration.is_some()
-    {
-        let mode = match custom_mode.as_deref() {
-            None | Some("closed") => LoopMode::Closed {
-                depth: custom_depth.unwrap_or(1),
-            },
-            Some("open") => LoopMode::Open {
-                rate: custom_rate.unwrap_or(1000.0),
-            },
-            Some(other) => return Err(format!("unknown --mode '{other}'")),
-        };
-        vec![Scenario {
-            name: "custom",
-            mode,
-            conns: custom_conns.unwrap_or(4),
-            pairs_per_request: custom_pairs.unwrap_or(16),
-            faults: FaultChoice::Rotate,
-            duration: Duration::from_millis(custom_duration.unwrap_or(2000)),
-        }]
-    } else {
-        suite(quick)
-    };
-
     if addr.is_some() && (want_overload || want_chaos) {
         return Err("--overload/--chaos drive their own in-process servers; drop --addr".into());
     }
@@ -1091,12 +1016,12 @@ fn run() -> Result<(), String> {
     // workload archive (same serving path as the standalone binary).
     // The built service is kept for the overload/chaos scenarios, which
     // spawn their own (bounded / chaos-proxied) servers over it.
-    let (target, handle, server_thread, extra_service) = match &addr {
+    let (target, server, extra_service) = match &addr {
         Some(a) => {
             let target: SocketAddr = a
                 .parse()
                 .map_err(|_| format!("--addr expects HOST:PORT, got '{a}'"))?;
-            (target, None, None, None)
+            (target, None, None)
         }
         None => {
             eprintln!(
@@ -1109,30 +1034,21 @@ fn run() -> Result<(), String> {
             let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
             let service =
                 ConnectivityService::from_archive_bytes(blob).map_err(|e| e.to_string())?;
-            let registry = Arc::new(ServiceRegistry::new());
-            registry.insert(graph_id.clone(), service.clone());
-            let server = Server::bind(registry, "127.0.0.1:0", ServerConfig::default())
-                .map_err(|e| format!("cannot bind loopback: {e}"))?;
-            let target = server.local_addr();
-            let handle = server.handle();
-            let thread = std::thread::spawn(move || server.run());
-            (target, Some(handle), Some(thread), Some(service))
+            let server = Loopback::serve(&graph_id, &service, ServerConfig::default())?;
+            (server.handle.addr(), Some(server), Some(service))
         }
     };
 
     let mut rows = Vec::new();
-    for sc in scenarios {
+    for sc in suite(quick) {
         eprintln!("scenario {} …", sc.name);
-        let result = run_scenario(target, &graph_id, &workload, &sc, handle.as_ref())?;
+        let handle = server.as_ref().map(|s| &s.handle);
+        let result = run_scenario(target, &graph_id, &workload, &sc, handle)?;
         rows.push((sc, result));
     }
 
-    if let (Some(handle), Some(thread)) = (handle, server_thread) {
-        handle.shutdown();
-        thread
-            .join()
-            .map_err(|_| "server thread panicked")?
-            .map_err(|e| format!("server failed: {e}"))?;
+    if let Some(server) = server {
+        server.stop()?;
     }
 
     let overload = if want_overload {
@@ -1158,7 +1074,7 @@ fn run() -> Result<(), String> {
     } else {
         "in-process"
     };
-    let json = render_json(
+    let report = net_report(
         mode,
         server,
         &workload,
@@ -1166,70 +1082,15 @@ fn run() -> Result<(), String> {
         overload.as_ref(),
         chaos.as_ref(),
     );
-    let row_count = rows.len() + usize::from(overload.is_some()) + usize::from(chaos.is_some());
-    validate(&json, row_count).map_err(|e| format!("generated report failed validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-
-    for (sc, r) in &rows {
-        println!(
-            "{:<18} {:>9.0} queries/s {:>8.0} req/s   p50 {:>8.1}us  p95 {:>8.1}us  p99 {:>8.1}us",
-            sc.name,
-            r.queries as f64 / r.elapsed,
-            r.requests as f64 / r.elapsed,
-            r.hist.quantile(0.50) as f64 / 1000.0,
-            r.hist.quantile(0.95) as f64 / 1000.0,
-            r.hist.quantile(0.99) as f64 / 1000.0,
-        );
-        if let Some((req, coal, batches)) = r.coalesce {
-            println!(
-                "{:<18} coalesce: {req} requests, {coal} coalesced, {batches} sessions built",
-                ""
-            );
-        }
-    }
-    if let Some(o) = &overload {
-        println!(
-            "{:<18} offered {:.0} req/s (2x saturation {:.0}): {} ok, {} shed; accepted p99 {:.1}us = {:.2}x uncontended p99 {:.1}us",
-            "overload",
-            o.offered_rps,
-            o.saturation_rps,
-            o.ok,
-            o.shed,
-            o.accepted_p99_us,
-            o.p99_ratio,
-            o.uncontended_p99_us,
-        );
-    }
-    if let Some(c) = &chaos {
-        println!(
-            "{:<18} seed {}: {} requests, {} ok, {} failed, {} wrong; {} reconnects, {} retries, {} replayed; injected {} resets, {} corrupted bytes, {} stalls across {} swaps",
-            "chaos",
-            c.seed,
-            c.requests,
-            c.ok,
-            c.failed,
-            c.wrong_answers,
-            c.client.reconnects,
-            c.client.retries,
-            c.client.replayed,
-            c.resets,
-            c.corrupted_bytes,
-            c.stalls,
-            c.swaps,
-        );
-        if c.wrong_answers > 0 {
-            return Err(format!(
-                "{} wrong answers under chaos — correctness violation",
-                c.wrong_answers
-            ));
-        }
-    }
+    print!("{}", report.write(std::path::Path::new(&out))?);
     println!("wrote {out}");
-    Ok(())
-}
-
-fn parse_num(s: &str, what: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("{what} expects an integer"))
+    match chaos {
+        Some(c) if c.wrong_answers > 0 => Err(format!(
+            "{} wrong answers under chaos — correctness violation",
+            c.wrong_answers
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn main() -> ExitCode {
@@ -1239,5 +1100,39 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftc_bench::report::row_shapes;
+
+    /// The committed `BENCH_net.json` rows (the suite, then overload and
+    /// chaos) have exactly the keys, key order, and decimal precision the
+    /// writer emits, so the file stays valid under its schema tag.
+    #[test]
+    fn writer_matches_committed_report() {
+        let result = || ScenarioResult {
+            elapsed: 1.0,
+            coalesce: Some((0, 0, 0)),
+            ..ScenarioResult::default()
+        };
+        let rows: Vec<_> = suite(true).into_iter().map(|sc| (sc, result())).collect();
+        let report = net_report(
+            "full",
+            "in-process",
+            &Workload::new(true),
+            &rows,
+            Some(&OverloadReport::default()),
+            Some(&ChaosReport::default()),
+        );
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+        let committed = std::fs::read_to_string(path).unwrap();
+        assert_eq!(
+            row_shapes(&committed),
+            row_shapes(&report.render().unwrap()),
+            "{path} drifted from its writer"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! `perf_report` — the machine-readable serving + build perf baseline.
 //!
-//! Three arms, three JSON reports:
+//! Four arms, four JSON reports:
 //!
 //! * **Session arm** (`BENCH_session.json`, schema `ftc-perf-session/v1`)
 //!   — the prepare-a-fault-set hot path across a grid of graph sizes,
@@ -38,71 +38,54 @@
 //!   `DurableScheme::recover` round-trip of the on-disk state.
 //!
 //! ```text
-//! perf_report [--quick] [--only-build] [--only-churn] [--out PATH]
-//!             [--out-serve PATH] [--out-build PATH] [--out-churn PATH]
+//! perf_report [--quick] [--only session|serve|build|churn] [--out-dir DIR]
 //! ```
 //!
 //! `--quick` shrinks the grids and the measurement windows so CI can
-//! validate that the binary runs and emits schema-valid JSON without
-//! gating on numbers; `--only-build` runs just the build arm (perf
-//! iteration on the construction pipeline) and `--only-churn` just the
-//! churn arm. The default output paths are `BENCH_session.json`,
-//! `BENCH_serve.json`, `BENCH_build.json`, and `BENCH_churn.json` in
-//! the current directory (the repo root in CI and local use).
+//! check that the binary runs and emits well-formed reports without
+//! gating on numbers; `--only ARM` runs a single arm. Each arm writes
+//! `DIR/BENCH_<arm>.json` (default: the current directory) through
+//! [`ftc_bench::report`] and echoes it to stdout. A churn run whose
+//! recovery round-trip diverges exits nonzero and writes no report.
 
-use ftc_bench::{calibrated_params, Flavor};
+use ftc_bench::report::{Report, Row};
+use ftc_bench::{calibrated_params, median_time, Flavor};
 use ftc_core::compressed::{compress_archive, CompressedStoreView};
 use ftc_core::io::{NoSyncVfs, StdVfs, Vfs};
 use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
-use ftc_core::{FtcScheme, LabelSet, RsVector, SessionScratch};
+use ftc_core::{FtcScheme, QuerySession, SessionScratch, VertexLabelRead};
 use ftc_dyn::{default_journal_path, DurableScheme, DynConfig, DynamicScheme, FsyncPolicy};
-use ftc_graph::{generators, Graph};
+use ftc_graph::generators;
 use ftc_serve::ConnectivityService;
-use std::fmt::Write as _;
+use std::hint::black_box;
+use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One measured grid cell.
+/// One measured session-arm cell.
+#[derive(Default)]
 struct Cell {
     n: usize,
     f: usize,
-    /// `owned`, `archive-full`, or `archive-compact`.
+    /// `owned`, `archive-full`, `archive-compact`, or `archive-compressed`.
     path: &'static str,
     sessions_per_sec: f64,
     ns_per_query: f64,
     ns_per_query_batched: f64,
 }
 
-/// Builds one session per fault set in a loop for `window_ms`, returning
-/// sessions/sec. `build` must construct (and internally recycle) one
-/// session per call.
-fn throughput(window_ms: u64, fsets: usize, mut build: impl FnMut(usize)) -> f64 {
-    for i in 0..fsets {
-        build(i); // warm the scratch
-    }
+/// Mean wall time in ms of one `run`, timed over at least `min_runs`
+/// runs and until `window_ms` has passed.
+fn mean_ms(min_runs: u64, window_ms: u64, mut run: impl FnMut()) -> f64 {
     let t = Instant::now();
-    let mut count = 0u64;
-    while t.elapsed().as_millis() < window_ms as u128 {
-        for i in 0..fsets {
-            build(i);
-            count += 1;
-        }
-    }
-    count as f64 / t.elapsed().as_secs_f64()
-}
-
-/// Times `run` (which must answer `per_call` queries) repeatedly for
-/// `window_ms`, returning ns/query.
-fn query_latency(window_ms: u64, per_call: usize, mut run: impl FnMut()) -> f64 {
-    run(); // warm
-    let t = Instant::now();
-    let mut calls = 0u64;
-    while t.elapsed().as_millis() < window_ms as u128 {
+    let mut runs = 0u64;
+    while runs < min_runs || t.elapsed().as_millis() < u128::from(window_ms) {
         run();
-        calls += 1;
+        runs += 1;
     }
-    t.elapsed().as_nanos() as f64 / (calls as f64 * per_call as f64)
+    t.elapsed().as_secs_f64() * 1000.0 / runs as f64
 }
 
 fn sample_pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
@@ -115,208 +98,168 @@ fn sample_pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure_owned(
-    g: &Graph,
-    l: &LabelSet<RsVector>,
-    f: usize,
-    fsets: &[Vec<usize>],
-    pairs: &[(usize, usize)],
+/// Times one label source: `session_in` prepares a session for a fault
+/// set, and `vpairs` are the sample pairs' vertex labels. Measures
+/// sessions/s, rotating through every fault set for the window, then
+/// ns/query against one prepared session — one query at a time, then as
+/// one batch — for a quarter window each. Every loop is warmed first.
+fn measure_source<F, V: VertexLabelRead + Copy>(
+    faults: &[F],
+    vpairs: &[(V, V)],
     window_ms: u64,
-    out: &mut Vec<Cell>,
-) {
+    session_in: impl Fn(&F, &mut SessionScratch) -> QuerySession,
+) -> [f64; 3] {
     let mut scratch = SessionScratch::new();
-    let sessions_per_sec = throughput(window_ms, fsets.len(), |i| {
-        let s = l
-            .session_in(
-                fsets[i].iter().map(|&e| l.edge_label_by_id(e)),
-                &mut scratch,
-            )
-            .expect("session");
-        scratch.recycle(s);
-    });
-    let session = l
-        .session(fsets[0].iter().map(|&e| l.edge_label_by_id(e)))
-        .expect("session");
-    let ns_per_query = query_latency(window_ms / 4, pairs.len(), || {
-        for &(s, t) in pairs {
-            let _ = std::hint::black_box(session.connected(l.vertex_label(s), l.vertex_label(t)));
+    let mut build_all = || {
+        for f in faults {
+            let s = session_in(f, &mut scratch);
+            scratch.recycle(s);
         }
-    });
-    let vpairs: Vec<_> = pairs
-        .iter()
-        .map(|&(s, t)| (l.vertex_label(s), l.vertex_label(t)))
-        .collect();
+    };
+    let session = session_in(&faults[0], &mut SessionScratch::new());
+    let single = || {
+        for &(s, t) in vpairs {
+            let _ = black_box(session.connected(s, t));
+        }
+    };
     let mut answers = Vec::with_capacity(vpairs.len());
-    let ns_per_query_batched = query_latency(window_ms / 4, pairs.len(), || {
-        session
-            .connected_many(&vpairs, &mut answers)
-            .expect("batch");
-        std::hint::black_box(&answers);
-    });
-    out.push(Cell {
-        n: g.n(),
-        f,
-        path: "owned",
-        sessions_per_sec,
-        ns_per_query,
-        ns_per_query_batched,
-    });
+    let mut batched = || {
+        session.connected_many(vpairs, &mut answers).expect("batch");
+        black_box(&answers);
+    };
+    build_all();
+    single();
+    batched();
+    let ns_per_query = |ms: f64| ms * 1e6 / vpairs.len() as f64;
+    [
+        faults.len() as f64 * 1000.0 / mean_ms(1, window_ms, build_all),
+        ns_per_query(mean_ms(1, window_ms / 4, single)),
+        ns_per_query(mean_ms(1, window_ms / 4, batched)),
+    ]
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure_archive(
-    g: &Graph,
-    l: &LabelSet<RsVector>,
-    f: usize,
-    encoding: EdgeEncoding,
-    fsets: &[Vec<usize>],
-    pairs: &[(usize, usize)],
-    window_ms: u64,
-    out: &mut Vec<Cell>,
-) {
-    let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
-    let fault_pairs: Vec<Vec<(usize, usize)>> = fsets
-        .iter()
-        .map(|fs| fs.iter().map(|&e| endpoint_of[e]).collect())
-        .collect();
-    let blob = LabelStore::to_vec(l, encoding);
-    let view = LabelStoreView::open(&blob).expect("archive");
-    let mut scratch = SessionScratch::new();
-    let sessions_per_sec = throughput(window_ms, fault_pairs.len(), |i| {
-        let s = view
-            .session_in(fault_pairs[i].iter().copied(), &mut scratch)
-            .expect("session");
-        scratch.recycle(s);
-    });
-    let session = view
-        .session(fault_pairs[0].iter().copied())
-        .expect("session");
-    let vpairs: Vec<_> = pairs
-        .iter()
-        .map(|&(s, t)| (view.vertex(s).unwrap(), view.vertex(t).unwrap()))
-        .collect();
-    let ns_per_query = query_latency(window_ms / 4, vpairs.len(), || {
-        for &(s, t) in &vpairs {
-            let _ = std::hint::black_box(session.connected(s, t));
+/// Measures the session arm: every label source over the (n, f) grid.
+fn measure_session(quick: bool) -> Vec<Cell> {
+    let (ns, fs, window_ms): (&[usize], &[usize], u64) = if quick {
+        (&[200], &[4], 60)
+    } else {
+        (&[500, 2000], &[4, 16], 800)
+    };
+    let mut cells = Vec::new();
+    for &n in ns {
+        let g = generators::random_connected(n, 3 * n, 7);
+        let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+        let pairs = sample_pairs(n, 256);
+        for &f in fs {
+            let params = calibrated_params(Flavor::DetEpsNet, f, 4 * f * 11);
+            let scheme = FtcScheme::build(&g, &params).expect("scheme build");
+            let l = scheme.labels();
+            let fsets: Vec<Vec<usize>> = (0..if quick { 4 } else { 16 })
+                .map(|s| generators::random_fault_set(&g, f, s as u64))
+                .collect();
+            let faults: Vec<Vec<(usize, usize)>> = fsets
+                .iter()
+                .map(|fs| fs.iter().map(|&e| endpoint_of[e]).collect())
+                .collect();
+            eprintln!("measuring n={n} f={f} …");
+            let mut cell =
+                |path, [sessions_per_sec, ns_per_query, ns_per_query_batched]: [f64; 3]| {
+                    cells.push(Cell {
+                        n,
+                        f,
+                        path,
+                        sessions_per_sec,
+                        ns_per_query,
+                        ns_per_query_batched,
+                    });
+                };
+            let vpairs: Vec<_> = pairs
+                .iter()
+                .map(|&(s, t)| (l.vertex_label(s), l.vertex_label(t)))
+                .collect();
+            cell(
+                "owned",
+                measure_source(&fsets, &vpairs, window_ms, |f, scratch| {
+                    l.session_in(f.iter().map(|&e| l.edge_label_by_id(e)), scratch)
+                        .expect("session")
+                }),
+            );
+            for (path, encoding) in [
+                ("archive-full", EdgeEncoding::Full),
+                ("archive-compact", EdgeEncoding::Compact),
+            ] {
+                let blob = LabelStore::to_vec(l, encoding);
+                let view = LabelStoreView::open(&blob).expect("archive");
+                let vpairs: Vec<_> = pairs
+                    .iter()
+                    .map(|&(s, t)| (view.vertex(s).unwrap(), view.vertex(t).unwrap()))
+                    .collect();
+                cell(
+                    path,
+                    measure_source(&faults, &vpairs, window_ms, |f, scratch| {
+                        view.session_in(f.iter().copied(), scratch)
+                            .expect("session")
+                    }),
+                );
+            }
+            // The v2 container: sections decoded once into the shared
+            // cache, sessions gathered from the decoded slabs.
+            let blob = LabelStore::to_vec(l, EdgeEncoding::Full);
+            let store = compress_archive(&LabelStoreView::open(&blob).expect("archive"));
+            drop(blob);
+            let view = CompressedStoreView::open(store.into_vec()).expect("compressed archive");
+            let vertex = |v| view.vertex(v).unwrap().unwrap();
+            let vpairs: Vec<_> = pairs.iter().map(|&(s, t)| (vertex(s), vertex(t))).collect();
+            cell(
+                "archive-compressed",
+                measure_source(&faults, &vpairs, window_ms, |f, scratch| {
+                    view.session_in(f.iter().copied(), scratch)
+                        .expect("session")
+                }),
+            );
         }
-    });
-    let mut answers = Vec::with_capacity(vpairs.len());
-    let ns_per_query_batched = query_latency(window_ms / 4, vpairs.len(), || {
-        session
-            .connected_many(&vpairs, &mut answers)
-            .expect("batch");
-        std::hint::black_box(&answers);
-    });
-    out.push(Cell {
-        n: g.n(),
-        f,
-        path: match encoding {
-            EdgeEncoding::Full => "archive-full",
-            EdgeEncoding::Compact => "archive-compact",
-        },
-        sessions_per_sec,
-        ns_per_query,
-        ns_per_query_batched,
-    });
+    }
+    cells
 }
 
-/// Like [`measure_archive`], but against the v2 compressed container
-/// (sections decoded once into the shared cache, sessions gathered from
-/// the decoded slabs) — the "serve straight from the compressed archive"
-/// path.
-#[allow(clippy::too_many_arguments)]
-fn measure_compressed(
-    g: &Graph,
-    l: &LabelSet<RsVector>,
-    f: usize,
-    fsets: &[Vec<usize>],
-    pairs: &[(usize, usize)],
-    window_ms: u64,
-    out: &mut Vec<Cell>,
-) {
-    let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
-    let fault_pairs: Vec<Vec<(usize, usize)>> = fsets
-        .iter()
-        .map(|fs| fs.iter().map(|&e| endpoint_of[e]).collect())
-        .collect();
-    let blob = LabelStore::to_vec(l, EdgeEncoding::Full);
-    let v1 = LabelStoreView::open(&blob).expect("archive");
-    let store = compress_archive(&v1);
-    drop(blob);
-    let view = CompressedStoreView::open(store.into_vec()).expect("compressed archive");
-    let mut scratch = SessionScratch::new();
-    let sessions_per_sec = throughput(window_ms, fault_pairs.len(), |i| {
-        let s = view
-            .session_in(fault_pairs[i].iter().copied(), &mut scratch)
-            .expect("session");
-        scratch.recycle(s);
-    });
-    let session = view
-        .session(fault_pairs[0].iter().copied())
-        .expect("session");
-    let vpairs: Vec<_> = pairs
-        .iter()
-        .map(|&(s, t)| {
-            (
-                view.vertex(s).unwrap().unwrap(),
-                view.vertex(t).unwrap().unwrap(),
-            )
-        })
-        .collect();
-    let ns_per_query = query_latency(window_ms / 4, vpairs.len(), || {
-        for &(s, t) in &vpairs {
-            let _ = std::hint::black_box(session.connected(s, t));
-        }
-    });
-    let mut answers = Vec::with_capacity(vpairs.len());
-    let ns_per_query_batched = query_latency(window_ms / 4, vpairs.len(), || {
-        session
-            .connected_many(&vpairs, &mut answers)
-            .expect("batch");
-        std::hint::black_box(&answers);
-    });
-    out.push(Cell {
-        n: g.n(),
-        f,
-        path: "archive-compressed",
-        sessions_per_sec,
-        ns_per_query,
-        ns_per_query_batched,
-    });
-}
-
-fn render_json(mode: &str, cells: &[Cell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ftc-perf-session/v1\",\n");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    s.push_str("  \"workload\": \"random_connected(n, 3n, seed 7), k = 44f, fault sets of size f, scratch-reused session_in; archive-compressed is the v2 container serving path (lazily decoded sections)\",\n");
+fn session_report(mode: &str, cells: &[Cell]) -> Report {
+    let mut header = Row::new().str(
+        "workload",
+        "random_connected(n, 3n, seed 7), k = 44f, fault sets of size f, scratch-reused session_in; archive-compressed is the v2 container serving path (lazily decoded sections)",
+    );
     if mode == "full" {
         // Historical reference, meaningful only relative to the machine
         // that produced the committed repo-root baseline — quick CI runs
         // on arbitrary runners omit it so artifact readers don't compare
         // against numbers from a different box.
-        s.push_str("  \"baseline_pre_pr\": {\n");
-        s.push_str("    \"note\": \"allocating per-session path before the arena/scratch refactor at n=2000, measured on the reference machine that produced the committed BENCH_session.json; compare ratios, not absolutes, across machines\",\n");
-        s.push_str("    \"sessions_per_sec\": {\"f4\": 1366.0, \"f16\": 240.0}\n");
-        s.push_str("  },\n");
-    }
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"n\": {}, \"f\": {}, \"path\": \"{}\", \"sessions_per_sec\": {:.1}, \"ns_per_query\": {:.1}, \"ns_per_query_batched\": {:.1}}}",
-            c.n, c.f, c.path, c.sessions_per_sec, c.ns_per_query, c.ns_per_query_batched
+        header = header.obj(
+            "baseline_pre_pr",
+            Row::new()
+                .str("note", "allocating per-session path before the arena/scratch refactor at n=2000, measured on the reference machine that produced the committed BENCH_session.json; compare ratios, not absolutes, across machines")
+                .obj(
+                    "sessions_per_sec",
+                    Row::new().num("f4", 1366.0, 1).num("f16", 240.0, 1),
+                ),
         );
-        s.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    let mut report = Report::new("ftc-perf-session/v1", mode, header);
+    for c in cells {
+        report.push(
+            Row::new()
+                .int("n", c.n as u64)
+                .int("f", c.f as u64)
+                .str("path", c.path)
+                .num("sessions_per_sec", c.sessions_per_sec, 1)
+                .num("ns_per_query", c.ns_per_query, 1)
+                .num("ns_per_query_batched", c.ns_per_query_batched, 1),
+        );
+    }
+    report
 }
 
 /// One measured serve-arm cell: aggregate throughput of `threads`
 /// workers hammering one shared service.
+#[derive(Default)]
 struct ServeCell {
     threads: usize,
     queries_per_sec: f64,
@@ -398,34 +341,30 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
     cells
 }
 
-fn render_serve_json(mode: &str, cells: &[ServeCell]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ftc-perf-serve/v1\",\n");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"cores\": {cores},");
-    s.push_str("  \"workload\": \"random_connected(n, 3n, seed 7), f = 4, archive-full ConnectivityService shared across threads, 32 pairs per query call, one session build per call from the lock-free scratch pool\",\n");
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"threads\": {}, \"queries_per_sec\": {:.1}, \"sessions_per_sec\": {:.1}}}",
-            c.threads, c.queries_per_sec, c.sessions_per_sec
+fn serve_report(mode: &str, cells: &[ServeCell]) -> Report {
+    let header = Row::new().str(
+        "workload",
+        "random_connected(n, 3n, seed 7), f = 4, archive-full ConnectivityService shared across threads, 32 pairs per query call, one session build per call from the lock-free scratch pool",
+    );
+    let mut report = Report::new("ftc-perf-serve/v1", mode, header);
+    for c in cells {
+        report.push(
+            Row::new()
+                .int("threads", c.threads as u64)
+                .num("queries_per_sec", c.queries_per_sec, 1)
+                .num("sessions_per_sec", c.sessions_per_sec, 1),
         );
-        s.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    report
 }
 
 /// One measured build-arm cell: graph → servable archive, end to end,
 /// in both container formats, plus cold-open latency for each.
+#[derive(Default)]
 struct BuildCell {
     n: usize,
     f: usize,
     threads: usize,
-    builds_per_sec: f64,
     ms_per_build: f64,
     archive_bytes: usize,
     /// `SchemeBuilder::build_store_compressed` time for the same graph.
@@ -436,17 +375,6 @@ struct BuildCell {
     open_v1_ms: f64,
     /// `compressed::open_path` on the v2 file (O(header), lazy sections).
     open_v2_ms: f64,
-}
-
-/// Mean `compressed::open_path` latency over at least three opens.
-fn open_latency_ms(path: &std::path::Path) -> f64 {
-    let t = Instant::now();
-    let mut count = 0u64;
-    while count < 3 || t.elapsed().as_millis() < 100 {
-        std::hint::black_box(ftc_core::compressed::open_path(path).expect("open"));
-        count += 1;
-    }
-    t.elapsed().as_secs_f64() * 1000.0 / count as f64
 }
 
 /// Measures the streaming build arm: repeated
@@ -481,17 +409,10 @@ fn measure_build(quick: bool) -> Vec<BuildCell> {
         eprintln!("measuring build arm, n={n} f={f} threads={threads} …");
         let g = generators::random_connected(n, extra, 7);
         let params = calibrated_params(Flavor::DetEpsNet, f, 4 * f * 11);
-        let build = || {
-            FtcScheme::builder(&g)
-                .params(&params)
-                .threads(threads)
-                .build_store(EdgeEncoding::Full)
-                .expect("build_store")
-        };
+        let builder = || FtcScheme::builder(&g).params(&params).threads(threads);
+        let build = || builder().build_store(EdgeEncoding::Full).expect("build");
         let build_z = || {
-            FtcScheme::builder(&g)
-                .params(&params)
-                .threads(threads)
+            builder()
                 .build_store_compressed(EdgeEncoding::Full)
                 .expect("build_store_compressed")
         };
@@ -499,37 +420,30 @@ fn measure_build(quick: bool) -> Vec<BuildCell> {
         // open-latency probe files.
         let v1_path = dir.join(format!("n{n}t{threads}.ftc"));
         let v2_path = dir.join(format!("n{n}t{threads}.ftcz"));
-        let (store, _) = build();
-        let archive_bytes = store.as_bytes().len();
-        std::fs::write(&v1_path, store.as_bytes()).expect("write v1");
-        drop(store);
-        let (zstore, _) = build_z();
-        let archive_bytes_compressed = zstore.as_bytes().len();
-        std::fs::write(&v2_path, zstore.as_bytes()).expect("write v2");
-        drop(zstore);
+        let probe = |path: &std::path::Path, bytes: &[u8]| {
+            std::fs::write(path, bytes).expect("write probe file");
+            bytes.len()
+        };
+        let archive_bytes = probe(&v1_path, build().0.as_bytes());
+        let archive_bytes_compressed = probe(&v2_path, build_z().0.as_bytes());
 
         // The big row takes seconds per build; two builds per arm is
         // plenty there, the window fills the small rows.
         let window = if n >= 100_000 { 0 } else { window_ms };
-        let t = Instant::now();
-        let mut count = 0u64;
-        while count < 2 || t.elapsed().as_millis() < window as u128 {
-            std::hint::black_box(build());
-            count += 1;
-        }
-        let secs = t.elapsed().as_secs_f64();
-        let (builds_per_sec, ms_per_build) = (count as f64 / secs, 1000.0 * secs / count as f64);
+        let ms_per_build = mean_ms(2, window, || {
+            black_box(build());
+        });
+        let ms_per_build_compressed = mean_ms(2, window / 2, || {
+            black_box(build_z());
+        });
 
-        let t = Instant::now();
-        let mut zcount = 0u64;
-        while zcount < 2 || t.elapsed().as_millis() < (window / 2) as u128 {
-            std::hint::black_box(build_z());
-            zcount += 1;
-        }
-        let ms_per_build_compressed = 1000.0 * t.elapsed().as_secs_f64() / zcount as f64;
-
-        let open_v1_ms = open_latency_ms(&v1_path);
-        let open_v2_ms = open_latency_ms(&v2_path);
+        // Mean `compressed::open_path` latency over at least three opens.
+        let open_ms = |path| {
+            mean_ms(3, 100, || {
+                black_box(ftc_core::compressed::open_path(path).expect("open"));
+            })
+        };
+        let (open_v1_ms, open_v2_ms) = (open_ms(&v1_path), open_ms(&v2_path));
         let _ = std::fs::remove_file(&v1_path);
         let _ = std::fs::remove_file(&v2_path);
 
@@ -537,7 +451,6 @@ fn measure_build(quick: bool) -> Vec<BuildCell> {
             n,
             f,
             threads,
-            builds_per_sec,
             ms_per_build,
             archive_bytes,
             ms_per_build_compressed,
@@ -550,50 +463,57 @@ fn measure_build(quick: bool) -> Vec<BuildCell> {
     cells
 }
 
-fn render_build_json(mode: &str, cells: &[BuildCell]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ftc-perf-build/v1\",\n");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"cores\": {cores},");
-    s.push_str("  \"workload\": \"random_connected(n, extra, seed 7), k = 44f, SchemeBuilder::build_store(EdgeEncoding::Full) vs build_store_compressed (v2 container): graph -> complete servable archive; n <= 2000 rows use extra = 3n (the session-arm workload), the n >= 20000 rows use extra = n/2 and f = 2; open_*_ms is compressed::open_path on a temp file of each format\",\n");
+fn build_report(mode: &str, cells: &[BuildCell]) -> Report {
+    let mut header = Row::new().str(
+        "workload",
+        "random_connected(n, extra, seed 7), k = 44f, SchemeBuilder::build_store(EdgeEncoding::Full) vs build_store_compressed (v2 container): graph -> complete servable archive; n <= 2000 rows use extra = 3n (the session-arm workload), the n >= 20000 rows use extra = n/2 and f = 2; open_*_ms is compressed::open_path on a temp file of each format",
+    );
     if mode == "full" {
-        // Historical reference, meaningful only relative to the machine
-        // that produced the committed repo-root baseline — quick CI runs
-        // on arbitrary runners omit it so artifact readers don't compare
-        // against numbers from a different box.
-        s.push_str("  \"baseline_pre_pr\": {\n");
-        s.push_str("    \"note\": \"pre-slab allocating path (per-edge payload Vecs, owned-label clone, double-buffered encode): FtcScheme::build + LabelStore::to_vec at n=2000, f=4, threads=1, measured on the reference machine that produced the committed BENCH_build.json; compare ratios, not absolutes, across machines\",\n");
-        s.push_str("    \"n\": 2000, \"f\": 4, \"threads\": 1,\n");
-        s.push_str("    \"builds_per_sec\": 2.65, \"ms_per_build\": 377.7\n");
-        s.push_str("  },\n");
-    }
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"n\": {}, \"f\": {}, \"threads\": {}, \"builds_per_sec\": {:.3}, \"ms_per_build\": {:.1}, \"archive_bytes\": {}, \"ms_per_build_compressed\": {:.1}, \"archive_bytes_compressed\": {}, \"compression_ratio\": {:.2}, \"open_v1_ms\": {:.3}, \"open_v2_ms\": {:.3}}}",
-            c.n,
-            c.f,
-            c.threads,
-            c.builds_per_sec,
-            c.ms_per_build,
-            c.archive_bytes,
-            c.ms_per_build_compressed,
-            c.archive_bytes_compressed,
-            c.archive_bytes as f64 / c.archive_bytes_compressed as f64,
-            c.open_v1_ms,
-            c.open_v2_ms
+        // Historical reference; see `session_report`.
+        header = header.obj(
+            "baseline_pre_pr",
+            Row::new()
+                .str("note", "pre-slab allocating path (per-edge payload Vecs, owned-label clone, double-buffered encode): FtcScheme::build + LabelStore::to_vec at n=2000, f=4, threads=1, measured on the reference machine that produced the committed BENCH_build.json; compare ratios, not absolutes, across machines")
+                .int("n", 2000)
+                .int("f", 4)
+                .int("threads", 1)
+                .num("builds_per_sec", 2.65, 2)
+                .num("ms_per_build", 377.7, 1),
         );
-        s.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    let mut report = Report::new("ftc-perf-build/v1", mode, header);
+    for c in cells {
+        report.push(
+            Row::new()
+                .int("n", c.n as u64)
+                .int("f", c.f as u64)
+                .int("threads", c.threads as u64)
+                .num("builds_per_sec", 1000.0 / c.ms_per_build, 3)
+                .num("ms_per_build", c.ms_per_build, 1)
+                .int("archive_bytes", c.archive_bytes as u64)
+                .num("ms_per_build_compressed", c.ms_per_build_compressed, 1)
+                .int(
+                    "archive_bytes_compressed",
+                    c.archive_bytes_compressed as u64,
+                )
+                .num(
+                    "compression_ratio",
+                    c.archive_bytes as f64 / c.archive_bytes_compressed as f64,
+                    2,
+                )
+                .num("open_v1_ms", c.open_v1_ms, 3)
+                .num("open_v2_ms", c.open_v2_ms, 3),
+        );
+    }
+    report
 }
 
 /// One measured churn-arm cell: single-edge incremental updates against
-/// the from-scratch rebuild they replace, on the same graph.
+/// the from-scratch rebuild they replace, on the same graph. The report
+/// adds `speedup` (`full_rebuild_ms / update_ms`, the headline ratio)
+/// and `durable_speedup_fsync` (`full_rebuild_ms /
+/// durable_update_fsync_ms`, the advantage that survives durability).
+#[derive(Default)]
 struct ChurnCell {
     n: usize,
     m: usize,
@@ -613,8 +533,6 @@ struct ChurnCell {
     update_commit_ms: f64,
     /// Committed archive size.
     archive_bytes: usize,
-    /// `full_rebuild_ms / update_ms` — the headline ratio.
-    speedup: f64,
     /// Median durable update cycle through [`DurableScheme`] with the
     /// `on_commit` policy over the real filesystem: journaled op +
     /// group-commit `fsync` + in-memory servable commit (recycled).
@@ -628,18 +546,31 @@ struct ChurnCell {
     durable_snapshot_fsync_ms: f64,
     /// The same checkpoint over `NoSyncVfs`.
     durable_snapshot_nofsync_ms: f64,
-    /// `full_rebuild_ms / durable_update_fsync_ms` — the incremental
-    /// advantage that survives durability.
-    durable_speedup_fsync: f64,
     /// Edge-set symmetric difference between the live scheme and a
     /// crash-less `DurableScheme::recover` of its on-disk state
     /// (journal suffix included). Must be 0.
     recovery_divergence: usize,
 }
 
+fn as_ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1000.0
+}
+
 fn median_ms(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
+}
+
+/// The churn arm's chord for `round`: a fresh pair of distinct vertices
+/// in the connected graph, so inserting and then deleting it both stay
+/// on the incremental path.
+fn chord(n: usize, round: usize, has_edge: impl Fn(usize, usize) -> bool) -> (usize, usize) {
+    let u = (round * 7919 + 13) % n;
+    let mut v = (round * 104_729 + 31) % n;
+    while u == v || has_edge(u, v) {
+        v = (v + 1) % n;
+    }
+    (u, v)
 }
 
 /// Measures the churn arm: chord inserts/deletes through
@@ -660,22 +591,21 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
     let g = generators::random_connected(n, extra, 4242);
 
     let params = calibrated_params(Flavor::DetEpsNet, f, 4 * f * 11);
-    let mut rebuild_ms = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(
+    let full_rebuild_ms = as_ms(median_time(reps, || {
+        black_box(
             FtcScheme::builder(&g)
                 .params(&params)
                 .build_store(EdgeEncoding::Compact)
                 .expect("build_store"),
         );
-        rebuild_ms.push(t.elapsed().as_secs_f64() * 1000.0);
-    }
-    let full_rebuild_ms = median_ms(rebuild_ms);
+    }));
 
-    let mut cfg = DynConfig::new(f, 24);
-    cfg.seed = 4242;
-    let mut scheme = DynamicScheme::new(&g, cfg).expect("dynamic scheme");
+    let dynamic = || {
+        let mut cfg = DynConfig::new(f, 24);
+        cfg.seed = 4242;
+        DynamicScheme::new(&g, cfg).expect("dynamic scheme")
+    };
+    let mut scheme = dynamic();
     let mut archive_bytes = 0usize;
     let (mut op_ms, mut commit_ms, mut total_ms) = (Vec::new(), Vec::new(), Vec::new());
     let mut update = |scheme: &mut DynamicScheme, insert: bool, u: usize, v: usize| {
@@ -694,7 +624,7 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
         // allocation backs the next commit (the deployment pattern the
         // serving layer's blue/green swap produces once the old
         // generation drains).
-        scheme.recycle(std::hint::black_box(store));
+        scheme.recycle(black_box(store));
         op_ms.push(op);
         commit_ms.push(commit);
         total_ms.push(op + commit);
@@ -704,13 +634,7 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
     let warm = scheme.commit();
     scheme.recycle(warm);
     for round in 0..rounds {
-        // A fresh pair between connected vertices is always a chord:
-        // insert and delete both stay incremental.
-        let u = (round * 7919 + 13) % n;
-        let mut v = (round * 104_729 + 31) % n;
-        while u == v || scheme.has_edge(u, v) {
-            v = (v + 1) % n;
-        }
+        let (u, v) = chord(n, round, |u, v| scheme.has_edge(u, v));
         update(&mut scheme, true, u, v);
         update(&mut scheme, false, u, v);
     }
@@ -740,11 +664,7 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
         d.recycle(warm);
         let mut cycle_ms = Vec::new();
         for round in 0..rounds {
-            let u = (round * 7919 + 13) % n;
-            let mut v = (round * 104_729 + 31) % n;
-            while u == v || d.scheme().has_edge(u, v) {
-                v = (v + 1) % n;
-            }
+            let (u, v) = chord(n, round, |u, v| d.scheme().has_edge(u, v));
             for insert in [true, false] {
                 let t = Instant::now();
                 if insert {
@@ -754,16 +674,13 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
                 }
                 let store = d.commit_store().expect("durable commit_store");
                 cycle_ms.push(t.elapsed().as_secs_f64() * 1000.0);
-                d.recycle(std::hint::black_box(store));
+                d.recycle(black_box(store));
             }
         }
-        let mut snap_ms = Vec::new();
-        for _ in 0..reps {
-            let t = Instant::now();
+        let snap = median_time(reps, || {
             d.commit().expect("durable checkpoint");
-            snap_ms.push(t.elapsed().as_secs_f64() * 1000.0);
-        }
-        (median_ms(cycle_ms), median_ms(snap_ms), d)
+        });
+        (median_ms(cycle_ms), as_ms(snap), d)
     };
 
     let (durable_update_fsync_ms, durable_snapshot_fsync_ms, mut d) =
@@ -773,11 +690,7 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
     // journaled past the checkpoint (synced, no manifest advance), then
     // recover from disk and diff the edge sets. Any divergence means
     // acknowledged ops were lost or invented.
-    let u = (rounds * 7919 + 13) % n;
-    let mut v = (rounds * 104_729 + 31) % n;
-    while u == v || d.scheme().has_edge(u, v) {
-        v = (v + 1) % n;
-    }
+    let (u, v) = chord(n, rounds, |u, v| d.scheme().has_edge(u, v));
     d.insert_edge(u, v).expect("post-checkpoint insert");
     d.sync().expect("group-commit sync");
     let expected: std::collections::BTreeSet<(usize, usize)> = d.scheme().edge_pairs().collect();
@@ -796,12 +709,8 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
     let recovery_divergence = expected.symmetric_difference(&got).count();
     drop(recovered);
 
-    let mut cfg = DynConfig::new(f, 24);
-    cfg.seed = 4242;
-    let nosync_scheme = DynamicScheme::new(&g, cfg).expect("dynamic scheme (nosync arm)");
-    let (durable_update_nofsync_ms, durable_snapshot_nofsync_ms, _d) =
-        durable_arm(Arc::new(NoSyncVfs), nosync_scheme, "nofsync");
-    drop(_d);
+    let (durable_update_nofsync_ms, durable_snapshot_nofsync_ms, _) =
+        durable_arm(Arc::new(NoSyncVfs), dynamic(), "nofsync");
     let _ = std::fs::remove_dir_all(&durable_dir);
 
     let update_ms = median_ms(total_ms);
@@ -816,261 +725,159 @@ fn measure_churn(quick: bool) -> Vec<ChurnCell> {
         update_op_ms: median_ms(op_ms),
         update_commit_ms: median_ms(commit_ms),
         archive_bytes,
-        speedup: full_rebuild_ms / update_ms,
         durable_update_fsync_ms,
         durable_update_nofsync_ms,
         durable_snapshot_fsync_ms,
         durable_snapshot_nofsync_ms,
-        durable_speedup_fsync: full_rebuild_ms / durable_update_fsync_ms,
         recovery_divergence,
     }]
 }
 
-fn render_churn_json(mode: &str, cells: &[ChurnCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ftc-perf-churn/v1\",\n");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    s.push_str("  \"workload\": \"random_connected(n, n/2, seed 4242): median single-edge chord update (insert_edge/delete_edge + commit, double-buffered via recycle) through ftc-dyn (randomized-halving levels, compact rows, k = 24) vs the median calibrated DetEpsNet build_store(Compact) rebuild of the same graph; speedup = full_rebuild_ms / update_ms. durable_* rows run the same cycle through DurableScheme (write-ahead journal, on_commit policy): durable_update = journaled op + group-commit fsync + in-memory servable commit; durable_snapshot = full disk checkpoint (journal sync, atomic archive replace, manifest, journal rotation); the nofsync twins run over a NoSyncVfs to isolate the physical sync cost (for multi-megabyte snapshots the nofsync arm can come out *slower*: skipped fsyncs leave the page cache dirty and later writes absorb the kernel's writeback throttling, while the fsync arm pays the flush eagerly and writes into a clean cache); recovery_divergence = edge-set diff after a DurableScheme::recover round-trip of the on-disk state (must be 0)\",\n");
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"n\": {}, \"m\": {}, \"f\": {}, \"k\": {}, \"levels\": {}, \"full_rebuild_ms\": {:.1}, \"update_ms\": {:.2}, \"update_op_ms\": {:.3}, \"update_commit_ms\": {:.2}, \"archive_bytes\": {}, \"speedup\": {:.1}, \"durable_update_fsync_ms\": {:.2}, \"durable_update_nofsync_ms\": {:.2}, \"durable_snapshot_fsync_ms\": {:.2}, \"durable_snapshot_nofsync_ms\": {:.2}, \"durable_speedup_fsync\": {:.1}, \"recovery_divergence\": {}}}",
-            c.n,
-            c.m,
-            c.f,
-            c.k,
-            c.levels,
-            c.full_rebuild_ms,
-            c.update_ms,
-            c.update_op_ms,
-            c.update_commit_ms,
-            c.archive_bytes,
-            c.speedup,
-            c.durable_update_fsync_ms,
-            c.durable_update_nofsync_ms,
-            c.durable_snapshot_fsync_ms,
-            c.durable_snapshot_nofsync_ms,
-            c.durable_speedup_fsync,
-            c.recovery_divergence
+fn churn_report(mode: &str, cells: &[ChurnCell]) -> Report {
+    let header = Row::new().str(
+        "workload",
+        "random_connected(n, n/2, seed 4242): median single-edge chord update (insert_edge/delete_edge + commit, double-buffered via recycle) through ftc-dyn (randomized-halving levels, compact rows, k = 24) vs the median calibrated DetEpsNet build_store(Compact) rebuild of the same graph; speedup = full_rebuild_ms / update_ms. durable_* rows run the same cycle through DurableScheme (write-ahead journal, on_commit policy): durable_update = journaled op + group-commit fsync + in-memory servable commit; durable_snapshot = full disk checkpoint (journal sync, atomic archive replace, manifest, journal rotation); the nofsync twins run over a NoSyncVfs to isolate the physical sync cost (for multi-megabyte snapshots the nofsync arm can come out *slower*: skipped fsyncs leave the page cache dirty and later writes absorb the kernel's writeback throttling, while the fsync arm pays the flush eagerly and writes into a clean cache); recovery_divergence = edge-set diff after a DurableScheme::recover round-trip of the on-disk state (must be 0)",
+    );
+    let mut report = Report::new("ftc-perf-churn/v1", mode, header);
+    for c in cells {
+        report.push(
+            Row::new()
+                .int("n", c.n as u64)
+                .int("m", c.m as u64)
+                .int("f", c.f as u64)
+                .int("k", c.k as u64)
+                .int("levels", c.levels as u64)
+                .num("full_rebuild_ms", c.full_rebuild_ms, 1)
+                .num("update_ms", c.update_ms, 2)
+                .num("update_op_ms", c.update_op_ms, 3)
+                .num("update_commit_ms", c.update_commit_ms, 2)
+                .int("archive_bytes", c.archive_bytes as u64)
+                .num("speedup", c.full_rebuild_ms / c.update_ms, 1)
+                .num("durable_update_fsync_ms", c.durable_update_fsync_ms, 2)
+                .num("durable_update_nofsync_ms", c.durable_update_nofsync_ms, 2)
+                .num("durable_snapshot_fsync_ms", c.durable_snapshot_fsync_ms, 2)
+                .num(
+                    "durable_snapshot_nofsync_ms",
+                    c.durable_snapshot_nofsync_ms,
+                    2,
+                )
+                .num(
+                    "durable_speedup_fsync",
+                    c.full_rebuild_ms / c.durable_update_fsync_ms,
+                    1,
+                )
+                .int("recovery_divergence", c.recovery_divergence as u64),
         );
-        s.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    report
 }
 
-/// Minimal structural self-check so CI fails loudly on malformed output
-/// (no JSON parser in the offline environment; this pins the invariants
-/// the schema promises).
-fn validate(json: &str, schema: &str, row_key: &str, rows: usize) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{schema}\"")) {
-        return Err("missing schema tag".into());
-    }
-    if json.matches(&format!("\"{row_key}\": ")).count() != rows {
-        return Err("result row count mismatch".into());
-    }
-    if json.contains("NaN") || json.contains("inf") {
-        return Err("non-finite measurement".into());
-    }
-    let (mut depth, mut max_depth) = (0i64, 0i64);
-    for b in json.bytes() {
-        match b {
-            b'{' | b'[' => {
-                depth += 1;
-                max_depth = max_depth.max(depth);
+/// The arms, in run order; each writes `BENCH_<arm>.json`.
+const ARMS: [&str; 4] = ["build", "session", "serve", "churn"];
+
+const USAGE: &str =
+    "usage: perf_report [--quick] [--only session|serve|build|churn] [--out-dir DIR]";
+
+fn run() -> Result<(), String> {
+    let mut quick = false;
+    let mut only: Option<String> = None;
+    let mut out_dir = PathBuf::from(".");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--only" => {
+                only = Some(
+                    args.next()
+                        .filter(|arm| ARMS.contains(&arm.as_str()))
+                        .ok_or(USAGE)?,
+                );
             }
-            b'}' | b']' => depth -= 1,
-            _ => {}
+            "--out-dir" => out_dir = args.next().ok_or(USAGE)?.into(),
+            _ => return Err(USAGE.into()),
         }
     }
-    if depth != 0 || max_depth < 2 {
-        return Err("unbalanced JSON".into());
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let mode = if quick { "quick" } else { "full" };
+
+    for arm in ARMS {
+        if only.as_deref().is_some_and(|o| o != arm) {
+            continue;
+        }
+        let report = match arm {
+            "build" => build_report(mode, &measure_build(quick)),
+            "session" => session_report(mode, &measure_session(quick)),
+            "serve" => serve_report(mode, &measure_serve(quick)),
+            _ => {
+                let cells = measure_churn(quick);
+                // Lost or invented acknowledged ops are a correctness
+                // failure, not a number to record.
+                if let Some(c) = cells.iter().find(|c| c.recovery_divergence != 0) {
+                    return Err(format!(
+                        "recovery diverged from the live edge set by {} edges",
+                        c.recovery_divergence
+                    ));
+                }
+                churn_report(mode, &cells)
+            }
+        };
+        let path = out_dir.join(format!("BENCH_{arm}.json"));
+        print!("{}", report.write(&path)?);
+        println!("wrote {}", path.display());
     }
     Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let only_build = args.iter().any(|a| a == "--only-build");
-    let only_churn = args.iter().any(|a| a == "--only-churn");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_session.json".into());
-    let out_serve_path = args
-        .iter()
-        .position(|a| a == "--out-serve")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    let out_build_path = args
-        .iter()
-        .position(|a| a == "--out-build")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_build.json".into());
-    let out_churn_path = args
-        .iter()
-        .position(|a| a == "--out-churn")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_churn.json".into());
-
-    let mode = if quick { "quick" } else { "full" };
-
-    let run_churn = |mode: &str| {
-        let churn_cells = measure_churn(quick);
-        let churn_json = render_churn_json(mode, &churn_cells);
-        if let Err(e) = validate(
-            &churn_json,
-            "ftc-perf-churn/v1",
-            "full_rebuild_ms",
-            churn_cells.len(),
-        ) {
-            eprintln!("error: generated churn report failed validation: {e}");
-            std::process::exit(1);
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
         }
-        std::fs::write(&out_churn_path, &churn_json).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {out_churn_path}: {e}");
-            std::process::exit(1);
-        });
-        for c in &churn_cells {
-            println!(
-                "churn n={:<6} m={:<6} f={:<3} k={:<3} levels={:<3} rebuild {:>8.1} ms | update {:>7.2} ms (op {:.3} + commit {:.2}) | {:>11} archive bytes | speedup {:.1}x",
-                c.n,
-                c.m,
-                c.f,
-                c.k,
-                c.levels,
-                c.full_rebuild_ms,
-                c.update_ms,
-                c.update_op_ms,
-                c.update_commit_ms,
-                c.archive_bytes,
-                c.speedup
-            );
-            println!(
-                "      durable update {:>7.2} ms fsync / {:>7.2} ms nofsync | snapshot {:>8.2} ms fsync / {:>8.2} ms nofsync | durable speedup {:.1}x | recovery divergence {}",
-                c.durable_update_fsync_ms,
-                c.durable_update_nofsync_ms,
-                c.durable_snapshot_fsync_ms,
-                c.durable_snapshot_nofsync_ms,
-                c.durable_speedup_fsync,
-                c.recovery_divergence
-            );
-        }
-    };
-    if only_churn {
-        run_churn(mode);
-        println!("wrote {out_churn_path}");
-        return;
     }
+}
 
-    let build_cells = measure_build(quick);
-    let build_json = render_build_json(mode, &build_cells);
-    if let Err(e) = validate(
-        &build_json,
-        "ftc-perf-build/v1",
-        "archive_bytes",
-        build_cells.len(),
-    ) {
-        eprintln!("error: generated build report failed validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_build_path, &build_json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_build_path}: {e}");
-        std::process::exit(1);
-    });
-    for c in &build_cells {
-        println!(
-            "build n={:<6} f={:<3} threads={:<2} {:>8.3} builds/s {:>9.1} ms/build {:>11} archive bytes | compressed {:>9.1} ms {:>11} bytes ({:.2}x) | open v1 {:.3} ms, v2 {:.3} ms",
-            c.n,
-            c.f,
-            c.threads,
-            c.builds_per_sec,
-            c.ms_per_build,
-            c.archive_bytes,
-            c.ms_per_build_compressed,
-            c.archive_bytes_compressed,
-            c.archive_bytes as f64 / c.archive_bytes_compressed as f64,
-            c.open_v1_ms,
-            c.open_v2_ms
-        );
-    }
-    if only_build {
-        println!("wrote {out_build_path}");
-        return;
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftc_bench::report::row_shapes;
 
-    let (ns, fs, window_ms): (&[usize], &[usize], u64) = if quick {
-        (&[200], &[4], 60)
-    } else {
-        (&[500, 2000], &[4, 16], 800)
-    };
-
-    let mut cells = Vec::new();
-    for &n in ns {
-        let g = generators::random_connected(n, 3 * n, 7);
-        let pairs = sample_pairs(n, 256);
-        for &f in fs {
-            let params = calibrated_params(Flavor::DetEpsNet, f, 4 * f * 11);
-            let scheme = FtcScheme::build(&g, &params).expect("scheme build");
-            let l = scheme.labels();
-            let fsets: Vec<Vec<usize>> = (0..if quick { 4 } else { 16 })
-                .map(|s| generators::random_fault_set(&g, f, s as u64))
-                .collect();
-            eprintln!("measuring n={n} f={f} …");
-            measure_owned(&g, l, f, &fsets, &pairs, window_ms, &mut cells);
-            for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
-                measure_archive(&g, l, f, encoding, &fsets, &pairs, window_ms, &mut cells);
+    /// Every committed report row has exactly the keys, key order, and
+    /// decimal precision the writer emits, so the files stay valid under
+    /// their schema tags.
+    #[test]
+    fn writer_matches_committed_reports() {
+        let build = BuildCell {
+            ms_per_build: 1.0,
+            archive_bytes_compressed: 1,
+            ..BuildCell::default()
+        };
+        let churn = ChurnCell {
+            update_ms: 1.0,
+            durable_update_fsync_ms: 1.0,
+            ..ChurnCell::default()
+        };
+        for (file, report) in [
+            (
+                "BENCH_session.json",
+                session_report("full", &[Cell::default()]),
+            ),
+            (
+                "BENCH_serve.json",
+                serve_report("full", &[ServeCell::default()]),
+            ),
+            ("BENCH_build.json", build_report("full", &[build])),
+            ("BENCH_churn.json", churn_report("full", &[churn])),
+        ] {
+            let want = row_shapes(&report.render().unwrap()).remove(0);
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let rows = row_shapes(&std::fs::read_to_string(&path).unwrap());
+            assert!(!rows.is_empty(), "{file} has no result rows");
+            for row in rows {
+                assert_eq!(row, want, "{file} drifted from its writer");
             }
-            measure_compressed(&g, l, f, &fsets, &pairs, window_ms, &mut cells);
         }
     }
-
-    let json = render_json(mode, &cells);
-    if let Err(e) = validate(&json, "ftc-perf-session/v1", "path", cells.len()) {
-        eprintln!("error: generated report failed validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-
-    let serve_cells = measure_serve(quick);
-    let serve_json = render_serve_json(mode, &serve_cells);
-    if let Err(e) = validate(
-        &serve_json,
-        "ftc-perf-serve/v1",
-        "threads",
-        serve_cells.len(),
-    ) {
-        eprintln!("error: generated serve report failed validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_serve_path, &serve_json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_serve_path}: {e}");
-        std::process::exit(1);
-    });
-
-    for c in &cells {
-        println!(
-            "n={:<5} f={:<3} {:<16} {:>10.0} sessions/s {:>8.1} ns/query {:>8.1} ns/query(batch)",
-            c.n, c.f, c.path, c.sessions_per_sec, c.ns_per_query, c.ns_per_query_batched
-        );
-    }
-    for c in &serve_cells {
-        println!(
-            "serve threads={:<2} {:>12.0} queries/s {:>10.0} sessions/s",
-            c.threads, c.queries_per_sec, c.sessions_per_sec
-        );
-    }
-    run_churn(mode);
-    println!("wrote {out_path}, {out_serve_path}, {out_build_path}, and {out_churn_path}");
 }

@@ -8,13 +8,20 @@
 //! session preparation (dedup + fragment merge) and the per-query lookup,
 //! reported as separate columns.
 //!
+//! A last table is experiment E11, the Appendix B ablation: adaptive
+//! (prefix) decoding against full-threshold decoding of one syndrome
+//! with `t` true boundary edges under a large threshold `k`.
+//!
 //! Run: `cargo run -p ftc-bench --release --bin table1_query_time`
 
 use ftc_bench::{
     calibrated_params, header, median_time, row, sample_pairs, standard_graph, Flavor,
 };
-use ftc_core::FtcScheme;
+use ftc_codes::ThresholdCodec;
+use ftc_core::{FtcScheme, LabelSet, RsVector};
+use ftc_field::Gf64;
 use ftc_graph::{generators, Graph, RootedTree};
+use std::hint::black_box;
 
 /// Samples (s, t) pairs whose tree path crosses at least one fault — the
 /// queries that exercise the merged-fragment lookup rather than the
@@ -48,6 +55,34 @@ fn nontrivial_pairs(
         }
     }
     out
+}
+
+/// The two decode-cost columns for one fault set, as printed: the
+/// median one-time session build (dedup, validation, fragment merging)
+/// in µs, and the median amortized lookup per query against the prepared
+/// session in ns.
+fn session_costs(
+    l: &LabelSet<RsVector>,
+    fault_ids: &[usize],
+    pairs: &[(usize, usize)],
+) -> [String; 2] {
+    let prepare = || {
+        l.session(fault_ids.iter().map(|&e| l.edge_label_by_id(e)))
+            .expect("session")
+    };
+    let build = median_time(5, || {
+        black_box(prepare());
+    });
+    let session = prepare();
+    let d = median_time(5, || {
+        for &(s, t) in pairs {
+            let _ = black_box(session.connected(l.vertex_label(s), l.vertex_label(t)));
+        }
+    });
+    [
+        format!("{:.1}", build.as_micros() as f64),
+        format!("{:.0}", d.as_nanos() as f64 / pairs.len() as f64),
+    ]
 }
 
 fn main() {
@@ -84,30 +119,13 @@ fn main() {
                 .take(fsz)
                 .collect();
             let pairs = nontrivial_pairs(&g, &tree, &fault_ids, 32, 1000 + fsz as u64);
-            // One-time cost: dedup/validation/fragment merging.
-            let build = median_time(5, || {
-                let session = l
-                    .session(fault_ids.iter().map(|&e| l.edge_label_by_id(e)))
-                    .expect("session");
-                std::hint::black_box(session);
-            });
-            // Amortized cost: lookups against the prepared session.
-            let session = l
-                .session(fault_ids.iter().map(|&e| l.edge_label_by_id(e)))
-                .expect("session");
-            let d = median_time(5, || {
-                for &(s, t) in &pairs {
-                    let _ = std::hint::black_box(
-                        session.connected(l.vertex_label(s), l.vertex_label(t)),
-                    );
-                }
-            });
+            let [build, query] = session_costs(l, &fault_ids, &pairs);
             row(&[
                 flavor.label().into(),
                 "16".into(),
                 fsz.to_string(),
-                format!("{:.1}", build.as_micros() as f64),
-                format!("{:.0}", d.as_nanos() as f64 / pairs.len() as f64),
+                build,
+                query,
             ]);
         }
     }
@@ -126,28 +144,33 @@ fn main() {
             .take(2)
             .collect();
         let pairs = nontrivial_pairs(&g, &tree, &fault_ids, 32, 5);
-        let build = median_time(5, || {
-            let session = l
-                .session(fault_ids.iter().map(|&e| l.edge_label_by_id(e)))
-                .expect("session");
-            std::hint::black_box(session);
-        });
-        let session = l
-            .session(fault_ids.iter().map(|&e| l.edge_label_by_id(e)))
-            .expect("session");
-        let d = median_time(5, || {
-            for &(s, t) in &pairs {
-                let _ =
-                    std::hint::black_box(session.connected(l.vertex_label(s), l.vertex_label(t)));
-            }
-        });
-        row(&[
-            f.to_string(),
-            k.to_string(),
-            format!("{:.1}", build.as_micros() as f64),
-            format!("{:.0}", d.as_nanos() as f64 / pairs.len() as f64),
-        ]);
+        let [build, query] = session_costs(l, &fault_ids, &pairs);
+        row(&[f.to_string(), k.to_string(), build, query]);
     }
     println!("\n(expected: session build tracks |F| — only the XOR/zero-scan of the wider labels");
     println!(" grows with k — while the per-query lookup column stays flat)");
+
+    let k = 256usize;
+    println!("\n## E11: adaptive vs full-threshold decode (Appendix B), k = {k}\n");
+    header(&["t (boundary)", "adaptive (µs)", "full (µs)"]);
+    let codec = ThresholdCodec::new(k);
+    for &t in &[1usize, 2, 4, 8] {
+        let mut syndrome = codec.zero_syndrome();
+        for i in 0..t {
+            codec.accumulate_edge(&mut syndrome, Gf64::new(0x1_0001 * (i as u64 + 1)));
+        }
+        let adaptive = median_time(101, || {
+            black_box(codec.decode_adaptive(&syndrome).expect("decode"));
+        });
+        let full = median_time(101, || {
+            black_box(codec.decode(&syndrome).expect("decode"));
+        });
+        row(&[
+            t.to_string(),
+            format!("{:.1}", adaptive.as_secs_f64() * 1e6),
+            format!("{:.1}", full.as_secs_f64() * 1e6),
+        ]);
+    }
+    println!("\n(expected: adaptive wins for t much smaller than k — it decodes syndrome prefixes");
+    println!(" of doubling threshold — and the gap closes as t grows)");
 }

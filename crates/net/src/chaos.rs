@@ -1,24 +1,28 @@
 //! Deterministic fault injection: a seeded TCP chaos proxy.
 //!
 //! [`ChaosProxy`] sits between a client and a server on loopback and
-//! forwards bytes both ways, injecting three failure modes with
+//! forwards wire frames both ways, injecting three failure modes with
 //! seeded, reproducible dice rolls:
 //!
 //! * **connection resets** — the proxy abruptly closes both sides
 //!   mid-stream, exercising client reconnect + replay;
-//! * **byte corruption** — one forwarded byte is flipped, which the
-//!   frame checksums must surface as a typed `BadFrame` /
+//! * **byte corruption** — one payload byte of a frame is flipped, which
+//!   the frame checksums must surface as a typed `BadFrame` /
 //!   `ChecksumMismatch` error (never a silently wrong answer, never a
 //!   desynced stream);
-//! * **stalls / partial writes** — a chunk is split and delayed,
+//! * **stalls / partial writes** — a frame is split and delayed,
 //!   exercising read timeouts and mid-frame patience.
 //!
-//! Randomness is a hand-rolled [`SplitMix64`] (the dependency tree has
-//! no RNG crate, by design): every connection derives its own stream
-//! from the proxy seed and a connection counter, so a given seed
-//! reproduces the same injection decisions per connection index
-//! regardless of thread scheduling.
+//! The proxy reads each frame whole (its u32 length prefix, then the
+//! payload) and rolls the dice once per frame, so the decisions depend
+//! on the frame sequence only — not on how the kernel happens to chunk
+//! the TCP stream. Randomness is a hand-rolled [`SplitMix64`] (the
+//! dependency tree has no RNG crate, by design): every connection
+//! derives its own stream from the proxy seed and a connection counter,
+//! so a given seed reproduces the same injection decisions per
+//! connection index regardless of thread scheduling.
 
+use crate::proto::MAX_FRAME_BYTES;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,19 +58,19 @@ impl SplitMix64 {
 }
 
 /// Injection rates and shapes of one [`ChaosProxy`]. Rates are per
-/// forwarded chunk, in parts per 10 000.
+/// forwarded frame, in parts per 10 000.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seed for all injection decisions. The same seed and connection
     /// arrival order reproduce the same per-connection decisions.
     pub seed: u64,
-    /// Chance (per chunk) of resetting the connection mid-stream.
+    /// Chance (per frame) of resetting the connection mid-stream.
     pub reset_per_10k: u32,
-    /// Chance (per chunk) of flipping one forwarded byte.
+    /// Chance (per frame) of flipping one payload byte.
     pub corrupt_per_10k: u32,
-    /// Chance (per chunk) of a stalled, split write.
+    /// Chance (per frame) of a stalled, split write.
     pub stall_per_10k: u32,
-    /// How long a stalled chunk pauses between its two halves.
+    /// How long a stalled frame pauses between its two halves.
     pub stall: Duration,
 }
 
@@ -91,7 +95,7 @@ pub struct ChaosStats {
     pub resets: u64,
     /// Bytes flipped in flight.
     pub corrupted_bytes: u64,
-    /// Chunks delivered as a stalled, split write.
+    /// Frames delivered as a stalled, split write.
     pub stalls: u64,
     /// Payload bytes forwarded (both directions).
     pub forwarded_bytes: u64,
@@ -225,8 +229,27 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
     }
 }
 
-/// Forwards one direction of one connection, rolling the injection dice
-/// once per chunk.
+/// Reads until `buf` is full, polling the stop flag between read
+/// timeouts. False on EOF, a socket error, or a stop.
+fn fill(from: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
+    let mut filled = 0;
+    while filled < buf.len() && !stop.load(Ordering::Acquire) {
+        match from.read(&mut buf[filled..]) {
+            Ok(0) => return false,
+            Ok(n) => filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return false,
+        }
+    }
+    filled == buf.len()
+}
+
+/// Forwards one direction of one connection frame by frame, rolling the
+/// injection dice once per frame.
 fn pump(mut from: TcpStream, mut to: TcpStream, mut rng: SplitMix64, shared: &ProxyShared) {
     let cfg = &shared.config;
     let counters = &shared.counters;
@@ -236,53 +259,49 @@ fn pump(mut from: TcpStream, mut to: TcpStream, mut rng: SplitMix64, shared: &Pr
     {
         return;
     }
-    let mut buf = [0u8; 2048];
+    let mut frame = vec![0u8; 4];
     loop {
-        if shared.stop.load(Ordering::Acquire) {
-            let _ = from.shutdown(Shutdown::Both);
-            let _ = to.shutdown(Shutdown::Both);
+        frame.truncate(4);
+        let mut full = fill(&mut from, &mut frame, &shared.stop);
+        if full {
+            // An over-cap prefix is forwarded as a bare frame so the
+            // receiver rejects it at once instead of waiting on bytes.
+            let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
+            let len = if len > MAX_FRAME_BYTES { 0 } else { len };
+            frame.resize(4 + len as usize, 0);
+            full = fill(&mut from, &mut frame[4..], &shared.stop);
+        }
+        if !full {
+            // EOF, a socket error, or a stop: propagate the half-close so
+            // frame boundaries survive (a frame cut short is dropped).
+            let _ = to.shutdown(Shutdown::Write);
             return;
         }
-        let n = match from.read(&mut buf) {
-            Ok(0) => {
-                // Propagate the half-close so frame boundaries survive.
-                let _ = to.shutdown(Shutdown::Write);
-                return;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                let _ = to.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        let chunk = &mut buf[..n];
+        let n = frame.len();
         if rng.chance(cfg.reset_per_10k) {
             counters.resets.fetch_add(1, Ordering::Relaxed);
             let _ = from.shutdown(Shutdown::Both);
             let _ = to.shutdown(Shutdown::Both);
             return;
         }
-        if rng.chance(cfg.corrupt_per_10k) {
-            let at = (rng.next_u64() as usize) % n;
+        // Corruption spares the length prefix: the checksums guard the
+        // payload, and a flipped prefix would only turn into a timeout.
+        if rng.chance(cfg.corrupt_per_10k) && n > 4 {
+            let at = 4 + (rng.next_u64() as usize) % (n - 4);
             // Flip at least one bit, never zero.
             let mask = (rng.next_u64() as u8) | 1;
-            chunk[at] ^= mask;
+            frame[at] ^= mask;
             counters.corrupted_bytes.fetch_add(1, Ordering::Relaxed);
         }
-        let stalled = rng.chance(cfg.stall_per_10k) && n > 1;
-        let write_ok = if stalled {
+        let write_ok = if rng.chance(cfg.stall_per_10k) {
             counters.stalls.fetch_add(1, Ordering::Relaxed);
             let split = 1 + (rng.next_u64() as usize) % (n - 1);
-            to.write_all(&chunk[..split]).is_ok() && {
+            to.write_all(&frame[..split]).is_ok() && {
                 std::thread::sleep(cfg.stall);
-                to.write_all(&chunk[split..]).is_ok()
+                to.write_all(&frame[split..]).is_ok()
             }
         } else {
-            to.write_all(chunk).is_ok()
+            to.write_all(&frame).is_ok()
         };
         if !write_ok {
             let _ = from.shutdown(Shutdown::Both);
@@ -318,11 +337,14 @@ mod tests {
         // With all rates at zero the proxy is a plain byte pipe.
         let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
         let up_addr = upstream.local_addr().unwrap();
+        // One length-prefixed frame: the proxy forwards whole frames.
+        let mut frame = 17u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(b"ping through pipe");
         let echo = std::thread::spawn(move || {
             let (mut s, _) = upstream.accept().unwrap();
-            let mut buf = [0u8; 64];
-            let n = s.read(&mut buf).unwrap();
-            s.write_all(&buf[..n]).unwrap();
+            let mut buf = [0u8; 21];
+            s.read_exact(&mut buf).unwrap();
+            s.write_all(&buf).unwrap();
         });
         let mut proxy = ChaosProxy::spawn(
             up_addr,
@@ -335,10 +357,10 @@ mod tests {
         )
         .unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
-        c.write_all(b"ping through the pipe").unwrap();
+        c.write_all(&frame).unwrap();
         let mut got = [0u8; 21];
         c.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"ping through the pipe");
+        assert_eq!(&got[..], &frame[..]);
         echo.join().unwrap();
         proxy.shutdown();
         let stats = proxy.stats();

@@ -26,8 +26,10 @@
 //!   the [`text`] query-line grammar shared with `ftc-cli serve` and
 //!   the [`histogram`] the loadgen uses for latency quantiles.
 //!
-//! The `ftc-server` and `ftc-loadgen` binaries live in this crate; see
-//! the workspace README for a quickstart.
+//! [`chaos`] is a seeded fault-injecting proxy for robustness tests.
+//! This crate ships the `ftc-server` binary; the `ftc-loadgen` load
+//! generator lives in `ftc-bench`. See the workspace README for a
+//! quickstart.
 
 pub mod chaos;
 pub mod client;

@@ -135,8 +135,9 @@ fn corruption_without_retries_is_a_typed_error_never_a_wrong_answer() {
 }
 
 /// The same seed injects the same faults: two proxies over the same
-/// byte streams report identical corruption decisions. (Connection
-/// arrival order is pinned by running one connection at a time.)
+/// workload report identical injection counters. The proxy rolls its
+/// dice once per frame and the client runs one connection at a time, so
+/// neither TCP chunking nor scheduling can change a decision.
 #[test]
 fn chaos_decisions_are_reproducible_for_a_seed() {
     let g = Graph::torus(3, 4);
@@ -171,22 +172,16 @@ fn chaos_decisions_are_reproducible_for_a_seed() {
             assert_eq!(answers.len(), 1);
         }
         drop(client);
-        let stats = proxy.stats();
+        // Shutdown joins the pumps, so every counter is final.
         proxy.shutdown();
-        stats
+        proxy.stats()
     };
 
     let a = run(42);
     let b = run(42);
     let c = run(43);
-    // Same seed, same workload: identical injection decisions on the
-    // first connection's streams. (Reconnects shift chunking, so only
-    // compare runs whose corruption kept the exchange single-chunked —
-    // the counters still must match exactly for the same seed.)
-    assert_eq!(
-        a.corrupted_bytes, b.corrupted_bytes,
-        "same seed must corrupt identically"
-    );
+    assert!(a.corrupted_bytes > 0, "the workload must see corruption");
+    assert_eq!(a, b, "same seed must inject identically");
     // A different seed is allowed to differ (and with these rates, does
     // not have to) — just confirm the runs completed.
     assert!(c.forwarded_bytes > 0);
