@@ -245,21 +245,6 @@ impl CompressedStoreView {
         Ok(CompressedStoreView::from_parts(V2Buf::Shared(bytes), meta))
     }
 
-    /// Opens a v2 archive file, memory-mapping it when the platform
-    /// allows. Combined with lazy section validation, serving an
-    /// archive never materializes the blob on the heap.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or the same conditions as [`CompressedStoreView::open`].
-    pub fn open_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<CompressedStoreView, StoreOpenError> {
-        let buf = Arc::new(MmapBuf::open(path.as_ref())?);
-        let meta = parse_v2(buf.bytes())?;
-        Ok(CompressedStoreView::from_parts(V2Buf::Mapped(buf), meta))
-    }
-
     fn from_parts(buf: V2Buf, meta: V2Meta) -> CompressedStoreView {
         let decoded = (0..meta.sections.len()).map(|_| OnceLock::new()).collect();
         CompressedStoreView {
@@ -496,6 +481,11 @@ impl CompressedStoreView {
         Ok(None)
     }
 
+    /// The decoded endpoint section (v1's endpoint-index layout).
+    pub(crate) fn endpoint_bytes(&self) -> Result<&[u8], SerialError> {
+        self.section_bytes(SEC_ENDPOINT)
+    }
+
     /// Reassembles edge `e`'s v1-format record from the edge-meta and
     /// level sections — the decode-once gather feeding a session. `None`
     /// when `e` is out of range.
@@ -546,23 +536,17 @@ impl CompressedStoreView {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut gathered = Vec::new();
-        for (u, v) in faults {
+        let gather = |(u, v)| {
             let e = self
                 .edge_id(u, v)
                 .map_err(StoreError::Corrupt)?
                 .ok_or(StoreError::UnknownEdge { u, v })?;
-            gathered.push(
-                self.gather_edge(e)
-                    .map_err(StoreError::Corrupt)?
-                    .expect("edge_id returns in-range IDs"),
-            );
-        }
-        Ok(QuerySession::new_in(
-            self.inner.meta.header,
-            gathered,
-            scratch,
-        )?)
+            Ok(self
+                .gather_edge(e)
+                .map_err(StoreError::Corrupt)?
+                .expect("edge_id returns in-range IDs"))
+        };
+        store::stream_session(self.inner.meta.header, faults, gather, scratch)
     }
 
     /// Like [`CompressedStoreView::session_in`] with a throwaway scratch.
@@ -577,13 +561,12 @@ impl CompressedStoreView {
         self.session_in(faults, &mut SessionScratch::new())
     }
 
-    /// Builds a session for faults named by edge IDs (the serving-layer
-    /// path; callers validate IDs against `0..m` first).
+    /// Builds a session for faults named by edge IDs.
     ///
     /// # Errors
     ///
-    /// [`StoreError::UnknownEdge`] (with the ID in both slots) for an
-    /// out-of-range ID, otherwise as [`CompressedStoreView::session_in`].
+    /// [`StoreError::UnknownEdgeId`] for an ID outside `0..m`, otherwise
+    /// as [`CompressedStoreView::session_in`].
     pub fn session_in_by_ids<I>(
         &self,
         faults: I,
@@ -592,19 +575,12 @@ impl CompressedStoreView {
     where
         I: IntoIterator<Item = usize>,
     {
-        let mut gathered = Vec::new();
-        for e in faults {
-            gathered.push(
-                self.gather_edge(e)
-                    .map_err(StoreError::Corrupt)?
-                    .ok_or(StoreError::UnknownEdge { u: e, v: e })?,
-            );
-        }
-        Ok(QuerySession::new_in(
-            self.inner.meta.header,
-            gathered,
-            scratch,
-        )?)
+        let gather = |id| {
+            self.gather_edge(id)
+                .map_err(StoreError::Corrupt)?
+                .ok_or(StoreError::UnknownEdgeId { id })
+        };
+        store::stream_session(self.inner.meta.header, faults, gather, scratch)
     }
 
     /// Reconstructs the byte-identical v1 archive this container was
@@ -752,7 +728,12 @@ impl CompressedStore {
     }
 }
 
-/// Either archive format behind one open call.
+/// Either archive format behind one read surface: the one place that
+/// decides between v1 and v2. Every method is one two-arm match, so a
+/// serving layer holding an `AnyArchive` never branches on the format.
+/// Fallible reads err only when a lazily validated v2 section turns out
+/// corrupt, and session builds report unknown faults as typed
+/// [`StoreError`]s for both formats.
 #[derive(Clone, Debug)]
 pub enum AnyArchive {
     /// A v1 (uncompressed) archive view.
@@ -762,6 +743,19 @@ pub enum AnyArchive {
 }
 
 impl AnyArchive {
+    /// Opens archive bytes of **either** format, dispatching on the
+    /// version tag: v1 blobs are fully validated, v2 containers open in
+    /// O(header) and validate sections lazily. Errs when the bytes fit
+    /// neither format (unknown versions report `UnsupportedVersion` at
+    /// offset 4).
+    pub fn open(bytes: Arc<[u8]>) -> Result<AnyArchive, SerialError> {
+        if is_v1(&bytes)? {
+            Ok(AnyArchive::V1(LabelStoreView::open_shared(bytes)?))
+        } else {
+            Ok(AnyArchive::V2(CompressedStoreView::open(bytes)?))
+        }
+    }
+
     /// Number of vertex labels.
     pub fn n(&self) -> usize {
         match self {
@@ -794,6 +788,24 @@ impl AnyArchive {
         }
     }
 
+    /// Codec threshold `k`, uniform over all edge labels (0 without
+    /// edges in a v1 archive).
+    pub fn k(&self) -> usize {
+        match self {
+            AnyArchive::V1(v) => v.edge_by_id(0).map_or(0, |e| e.k()),
+            AnyArchive::V2(v) => v.k(),
+        }
+    }
+
+    /// Hierarchy level count, uniform over all edge labels (0 without
+    /// edges in a v1 archive).
+    pub fn levels(&self) -> usize {
+        match self {
+            AnyArchive::V1(v) => v.edge_by_id(0).map_or(0, |e| e.levels()),
+            AnyArchive::V2(v) => v.levels(),
+        }
+    }
+
     /// On-disk archive size in bytes.
     pub fn archive_bytes(&self) -> usize {
         match self {
@@ -801,36 +813,109 @@ impl AnyArchive {
             AnyArchive::V2(v) => v.archive_bytes(),
         }
     }
+
+    /// The label of vertex `v`; `Ok(None)` when `v` is out of range.
+    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view.vertex(v)),
+            AnyArchive::V2(view) => view.vertex(v),
+        }
+    }
+
+    /// The edge ID of the edge joining `u` and `v` (either order);
+    /// `Ok(None)` for pairs the labeling does not contain.
+    pub fn edge_id(&self, u: usize, v: usize) -> Result<Option<usize>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view.edge_id(u, v)),
+            AnyArchive::V2(view) => view.edge_id(u, v),
+        }
+    }
+
+    /// The endpoint index as `(u, v, edge id)` triples, in sorted
+    /// endpoint order.
+    pub fn endpoint_index(
+        &self,
+    ) -> Result<impl ExactSizeIterator<Item = (usize, usize, usize)> + '_, SerialError> {
+        let bytes = match self {
+            AnyArchive::V1(view) => view.endpoint_bytes(),
+            AnyArchive::V2(view) => view.endpoint_bytes()?,
+        };
+        Ok(store::endpoint_entries(bytes))
+    }
+
+    /// Builds a [`QuerySession`] for faults named by endpoint pairs,
+    /// drawing buffers from `scratch`.
+    pub fn session_in<I>(
+        &self,
+        faults: I,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        match self {
+            AnyArchive::V1(view) => view.session_in(faults, scratch),
+            AnyArchive::V2(view) => view.session_in(faults, scratch),
+        }
+    }
+
+    /// Like [`AnyArchive::session_in`], naming faults by edge ID.
+    pub fn session_in_by_ids<I>(
+        &self,
+        faults: I,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        match self {
+            AnyArchive::V1(view) => store::stream_session(
+                view.header(),
+                faults,
+                |id| view.edge_by_id(id).ok_or(StoreError::UnknownEdgeId { id }),
+                scratch,
+            ),
+            AnyArchive::V2(view) => view.session_in_by_ids(faults, scratch),
+        }
+    }
 }
 
-/// Opens an archive file of **either** format, dispatching on the
-/// version tag: v1 archives get a fully validated memory-mapped
-/// [`LabelStoreView`], v2 archives an O(header) [`CompressedStoreView`].
+/// Reads the version tag both archive formats carry after the shared
+/// magic: `true` for v1, `false` for v2, an error for anything else.
+fn is_v1(bytes: &[u8]) -> Result<bool, SerialError> {
+    if bytes.len() < 6 {
+        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+    }
+    if bytes[..4] != store::STORE_MAGIC {
+        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+    }
+    match u16::from_le_bytes([bytes[4], bytes[5]]) {
+        store::STORE_VERSION => Ok(true),
+        STORE_VERSION_V2 => Ok(false),
+        _ => Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4)),
+    }
+}
+
+/// Opens an archive file of **either** format with the
+/// [`AnyArchive::open`] dispatch, memory-mapped where the platform
+/// allows: v1 archives get a fully validated [`LabelStoreView`], v2
+/// archives an O(header) [`CompressedStoreView`].
 ///
 /// # Errors
 ///
 /// [`StoreOpenError::Io`] on filesystem failure;
-/// [`StoreOpenError::Malformed`] when the bytes fit neither format
-/// (unknown versions report `UnsupportedVersion` at offset 4).
+/// [`StoreOpenError::Malformed`] under the same conditions as
+/// [`AnyArchive::open`].
 pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<AnyArchive, StoreOpenError> {
     let buf = Arc::new(MmapBuf::open(path.as_ref())?);
-    let bytes = buf.bytes();
-    if bytes.len() < 6 {
-        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()).into());
-    }
-    if bytes[..4] != store::STORE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0).into());
-    }
-    match u16::from_le_bytes([bytes[4], bytes[5]]) {
-        store::STORE_VERSION => Ok(AnyArchive::V1(LabelStoreView::from_mmap(buf)?)),
-        STORE_VERSION_V2 => {
-            let meta = parse_v2(buf.bytes())?;
-            Ok(AnyArchive::V2(CompressedStoreView::from_parts(
-                V2Buf::Mapped(buf),
-                meta,
-            )))
-        }
-        _ => Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4).into()),
+    if is_v1(buf.bytes())? {
+        Ok(AnyArchive::V1(LabelStoreView::from_mmap(buf)?))
+    } else {
+        let meta = parse_v2(buf.bytes())?;
+        Ok(AnyArchive::V2(CompressedStoreView::from_parts(
+            V2Buf::Mapped(buf),
+            meta,
+        )))
     }
 }
 
@@ -1320,20 +1405,43 @@ mod tests {
     #[test]
     fn unknown_pairs_and_out_of_range_ids_are_typed_errors() {
         let (_, blob) = v1_blob(EdgeEncoding::Compact);
-        let view = compress_archive(&LabelStoreView::open(&blob).unwrap())
-            .view()
-            .unwrap();
-        match view.session([(0, 19)]) {
-            Err(StoreError::UnknownEdge { u: 0, v: 19 }) => {}
-            other => panic!("expected UnknownEdge, got {other:?}"),
+        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap()).into_vec();
+        // Both formats report the same typed errors, and neither panics
+        // on an out-of-range edge ID.
+        for bytes in [blob, v2] {
+            let archive = AnyArchive::open(bytes.into()).unwrap();
+            let mut scratch = SessionScratch::new();
+            match archive.session_in([(0, 1), (0, 19)], &mut scratch) {
+                Err(StoreError::UnknownEdge { u: 0, v: 19 }) => {}
+                other => panic!("expected UnknownEdge, got {other:?}"),
+            }
+            let m = archive.m();
+            match archive.session_in_by_ids([0, m], &mut scratch) {
+                Err(StoreError::UnknownEdgeId { id }) => assert_eq!(id, m),
+                other => panic!("expected UnknownEdgeId, got {other:?}"),
+            }
+            assert!(archive.session_in_by_ids([0, m - 1], &mut scratch).is_ok());
+            assert!(archive.vertex(archive.n()).unwrap().is_none());
+            assert_eq!(archive.edge_id(0, 19).unwrap(), None);
         }
-        let mut scratch = SessionScratch::new();
-        assert!(matches!(
-            view.session_in_by_ids([view.m()], &mut scratch),
-            Err(StoreError::UnknownEdge { .. })
-        ));
-        assert!(view.vertex(view.n()).unwrap().is_none());
-        assert_eq!(view.edge_id(0, 19).unwrap(), None);
+    }
+
+    #[test]
+    fn any_archive_open_dispatches_on_the_version_tag() {
+        let (_, blob) = v1_blob(EdgeEncoding::Full);
+        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap()).into_vec();
+        let v1 = AnyArchive::open(blob.clone().into()).unwrap();
+        let z = AnyArchive::open(v2.into()).unwrap();
+        assert!(matches!(v1, AnyArchive::V1(_)));
+        assert!(matches!(z, AnyArchive::V2(_)));
+        assert_eq!((v1.k(), v1.levels()), (z.k(), z.levels()));
+        assert!(v1.endpoint_index().unwrap().eq(z.endpoint_index().unwrap()));
+        let mut bad = blob;
+        bad[4] = 9;
+        assert_eq!(
+            AnyArchive::open(bad.into()).unwrap_err().kind,
+            SerialErrorKind::UnsupportedVersion
+        );
     }
 
     #[test]

@@ -558,17 +558,19 @@ pub struct EdgeLabel<V> {
 impl<V: OutdetectVector> EdgeLabel<V> {
     /// Size of this edge label in bits (encoded widths).
     pub fn bits(&self) -> usize {
-        // header (f + aux_n + tag) + two ancestry labels + vector
-        32 + 32 + 64 + 2 * AncestryLabel::ENCODED_BITS + self.vec.bits()
+        HEADER_BITS + 2 * AncestryLabel::ENCODED_BITS + self.vec.bits()
     }
 }
 
 impl VertexLabel {
     /// Size of this vertex label in bits (encoded widths).
     pub fn bits(&self) -> usize {
-        32 + 32 + 64 + AncestryLabel::ENCODED_BITS
+        HEADER_BITS + AncestryLabel::ENCODED_BITS
     }
 }
+
+/// Encoded bits of a [`LabelHeader`] (`f` + `aux_n` + `tag`).
+const HEADER_BITS: usize = 32 + 32 + 64;
 
 /// Size accounting of a labeling, reported per Table 1's "label size"
 /// column (experiment E1).
@@ -592,11 +594,40 @@ pub struct SizeReport {
     pub total_bits: usize,
 }
 
+impl SizeReport {
+    /// The size accounting of a labeling whose edge labels all share one
+    /// codec geometry `(k, levels)` — true of every built or archived
+    /// labeling, so the report follows from the shape alone.
+    pub fn uniform(n: usize, m: usize, aux_n: usize, k: usize, levels: usize) -> SizeReport {
+        let vertex_bits = if n == 0 {
+            0
+        } else {
+            HEADER_BITS + AncestryLabel::ENCODED_BITS
+        };
+        // Vectors hold the full 2k syndromes per level, whatever the
+        // archive encoding.
+        let edge_bits = if m == 0 {
+            0
+        } else {
+            HEADER_BITS + 2 * AncestryLabel::ENCODED_BITS + 2 * k * levels * 64
+        };
+        SizeReport {
+            n,
+            m,
+            aux_n,
+            k,
+            levels,
+            vertex_bits,
+            edge_bits,
+            total_bits: n * vertex_bits + m * edge_bits,
+        }
+    }
+}
+
 /// A sorted endpoint-pair → edge-ID index: the same representation the
 /// label archive stores, used in memory too — endpoint lookups are one
-/// binary search (no hashing), archiving writes the entries verbatim,
-/// and reconstituting a [`LabelSet`] from an archive reuses the stored
-/// index without any rebuild.
+/// binary search (no hashing), and archiving writes the entries
+/// verbatim.
 ///
 /// Parallel edges collapse to a single entry per normalized `(u, v)`
 /// pair, resolving to the **largest** edge ID — the semantics the
@@ -631,20 +662,6 @@ impl EndpointIndex {
                 false
             }
         });
-        EndpointIndex { entries }
-    }
-
-    /// Wraps pre-sorted entries (the archive reconstitution path).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the entries are not strictly sorted normalized
-    /// pairs — archive validation guarantees this before reaching here.
-    pub(crate) fn from_sorted_entries(entries: Vec<(u32, u32, u32)>) -> EndpointIndex {
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        debug_assert!(entries.iter().all(|&(u, v, _)| u < v));
         EndpointIndex { entries }
     }
 

@@ -440,20 +440,6 @@ impl<'a> EdgeLabelView<'a> {
         (0..n).map(|i| read_u64_at(self.buf, EDGE_WORDS_OFFSET + 8 * i))
     }
 
-    /// Copies the syndrome words into `dst` — the archive-reconstitution
-    /// path filling a shared payload slab without an owned vector per
-    /// label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() != self.num_words()`.
-    pub(crate) fn copy_words_into(&self, dst: &mut [Gf64]) {
-        assert_eq!(dst.len(), self.num_words(), "mixed vector widths");
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = Gf64::new(read_u64_at(self.buf, EDGE_WORDS_OFFSET + 8 * i));
-        }
-    }
-
     /// Copies the view out into an owned label.
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
         EdgeLabel {
@@ -565,32 +551,6 @@ impl<'a> CompactEdgeLabelView<'a> {
             anc_upper: self.anc_upper(),
             anc_lower: self.anc_lower(),
             vec: self.to_vector(),
-        }
-    }
-
-    /// Expands the half-width syndrome into `dst` (full `2k`-per-level
-    /// layout, `s_{2j} = s_j²`) — the archive-reconstitution path filling
-    /// a shared payload slab without an owned vector per label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() != 2k · levels`.
-    pub(crate) fn expand_words_into(&self, dst: &mut [Gf64]) {
-        let k = self.k();
-        let levels = self.levels();
-        assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
-        for lvl in 0..levels {
-            let lvl_at = EDGE_WORDS_OFFSET + 8 * lvl * k;
-            let out = &mut dst[2 * k * lvl..2 * k * (lvl + 1)];
-            // Odd power sums are stored; even ones are Frobenius squares
-            // (same recurrence as `ftc_codes::compact::expand`, written
-            // in increasing index order so dependencies are ready).
-            for j in 0..k {
-                out[2 * j] = Gf64::new(read_u64_at(self.buf, lvl_at + 8 * j));
-            }
-            for i in (2..=2 * k).step_by(2) {
-                out[i - 1] = out[i / 2 - 1].square();
-            }
         }
     }
 }

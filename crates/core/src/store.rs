@@ -45,9 +45,9 @@
 //! ```
 //!
 //! Version 2 of the container — entropy-coded sections with per-section
-//! checksums and O(header) opening — lives in [`crate::compressed`];
-//! [`LabelStoreView::open_path`] here memory-maps v1 archives so neither
-//! format requires materializing the blob on the heap.
+//! checksums and O(header) opening — lives in [`crate::compressed`],
+//! whose `open_path` memory-maps archives of either format so neither
+//! requires materializing the blob on the heap.
 //!
 //! # Example
 //!
@@ -133,6 +133,11 @@ pub enum StoreError {
         /// Second requested endpoint.
         v: usize,
     },
+    /// A fault was named by an edge ID outside the archive's `0..m`.
+    UnknownEdgeId {
+        /// The requested edge ID.
+        id: usize,
+    },
     /// A vertex argument is outside the archive's `0..n` range.
     VertexOutOfRange {
         /// The requested vertex.
@@ -150,6 +155,9 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::UnknownEdge { u, v } => {
                 write!(f, "no edge {u}–{v} in the archived labeling")
+            }
+            StoreError::UnknownEdgeId { id } => {
+                write!(f, "no edge with ID {id} in the archived labeling")
             }
             StoreError::VertexOutOfRange { v } => {
                 write!(f, "vertex {v} outside the archived labeling")
@@ -292,7 +300,7 @@ enum ArchiveBuf<'a> {
     Borrowed(&'a [u8]),
     /// Shared ownership of the blob ([`LabelStoreView::open_shared`]).
     Shared(Arc<[u8]>),
-    /// A shared memory-mapped file ([`LabelStoreView::open_path`]).
+    /// A shared memory-mapped file ([`crate::compressed::open_path`]).
     Mapped(Arc<crate::mmap::MmapBuf>),
 }
 
@@ -387,6 +395,44 @@ pub(crate) fn u32_at(buf: &[u8], at: usize) -> u32 {
 
 pub(crate) fn u64_at(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+}
+
+/// Decodes an endpoint-index region (12-byte `(u, v, edge id)` records)
+/// into triples.
+pub(crate) fn endpoint_entries(
+    bytes: &[u8],
+) -> impl ExactSizeIterator<Item = (usize, usize, usize)> + '_ {
+    bytes.chunks_exact(ENDPOINT_ENTRY_BYTES).map(|rec| {
+        (
+            u32_at(rec, 0) as usize,
+            u32_at(rec, 4) as usize,
+            u32_at(rec, 8) as usize,
+        )
+    })
+}
+
+/// Streams the fault labels `lookup` resolves into one session build.
+/// The first lookup error stops the stream and is returned after the
+/// fact (the partial build is discarded, its storage kept warm), so with
+/// a warm `scratch` the build allocates nothing `lookup` does not.
+pub(crate) fn stream_session<K, L: EdgeLabelRead<Vector = RsVector>>(
+    header: LabelHeader,
+    keys: impl IntoIterator<Item = K>,
+    mut lookup: impl FnMut(K) -> Result<L, StoreError>,
+    scratch: &mut SessionScratch<RsVector>,
+) -> Result<QuerySession, StoreError> {
+    let mut failed = None;
+    let labels = keys
+        .into_iter()
+        .map_while(|key| lookup(key).map_err(|e| failed = Some(e)).ok());
+    let session = QuerySession::new_in(header, labels, scratch);
+    if let Some(e) = failed {
+        if let Ok(partial) = session {
+            scratch.recycle(partial);
+        }
+        return Err(e);
+    }
+    Ok(session?)
 }
 
 impl<'a> LabelStoreView<'a> {
@@ -533,26 +579,6 @@ impl<'a> LabelStoreView<'a> {
         Ok(view)
     }
 
-    /// Opens an archive file by path, memory-mapping it when the
-    /// platform allows (falling back to reading it into memory). The
-    /// returned view is `'static` and shares the mapping, so cloning is
-    /// O(1) and the file is never materialized on the heap.
-    ///
-    /// This opens **v1** archives; [`crate::compressed::open_path`]
-    /// dispatches on the version tag and handles both formats.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreOpenError::Io`] when the file cannot be read or mapped,
-    /// [`StoreOpenError::Malformed`] under the same conditions as
-    /// [`LabelStoreView::open`].
-    pub fn open_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<LabelStoreView<'static>, StoreOpenError> {
-        let buf = Arc::new(crate::mmap::MmapBuf::open(path.as_ref())?);
-        Ok(LabelStoreView::from_mmap(buf)?)
-    }
-
     /// Opens a v1 view over an already-mapped buffer (shared with the
     /// version-dispatching [`crate::compressed::open_path`]).
     pub(crate) fn from_mmap(
@@ -582,21 +608,6 @@ impl<'a> LabelStoreView<'a> {
             buf: ArchiveBuf::Shared(bytes),
             meta,
         })
-    }
-
-    /// Detaches the view from its borrow: a shared view clones its `Arc`
-    /// (O(1)); a borrowed view copies the blob into a fresh `Arc` once.
-    /// The archive was already validated, so this never re-validates.
-    pub fn to_shared(&self) -> LabelStoreView<'static> {
-        let buf = match &self.buf {
-            ArchiveBuf::Borrowed(b) => ArchiveBuf::Shared(Arc::from(*b)),
-            ArchiveBuf::Shared(a) => ArchiveBuf::Shared(Arc::clone(a)),
-            ArchiveBuf::Mapped(m) => ArchiveBuf::Mapped(Arc::clone(m)),
-        };
-        LabelStoreView {
-            buf,
-            meta: self.meta,
-        }
     }
 
     /// The shared labeling header.
@@ -762,15 +773,13 @@ impl<'a> LabelStoreView<'a> {
     /// Iterates the endpoint index as `(u, v, edge id)` triples, in
     /// sorted endpoint order.
     pub fn endpoint_index(&self) -> impl ExactSizeIterator<Item = (usize, usize, usize)> + '_ {
-        let buf = self.buf.bytes();
-        (0..self.meta.idx_count).map(move |i| {
-            let at = self.meta.endpoint_at + ENDPOINT_ENTRY_BYTES * i;
-            (
-                u32_at(buf, at) as usize,
-                u32_at(buf, at + 4) as usize,
-                u32_at(buf, at + 8) as usize,
-            )
-        })
+        endpoint_entries(self.endpoint_bytes())
+    }
+
+    /// The raw endpoint-index region (the layout v2's endpoint section
+    /// decodes to).
+    pub(crate) fn endpoint_bytes(&self) -> &[u8] {
+        &self.buf.bytes()[self.meta.endpoint_at..self.meta.vertices_at]
     }
 
     /// Opens a [`QuerySession`] for a fault set named by endpoint pairs,
@@ -805,25 +814,12 @@ impl<'a> LabelStoreView<'a> {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        // Stream the endpoint-pair resolution into the session build: an
-        // unknown pair stops the iterator and is reported after the fact
-        // (the partial build is discarded, its storage kept warm).
-        let mut unknown: Option<(usize, usize)> = None;
-        let views = faults.into_iter().map_while(|(u, v)| {
-            let view = self.edge(u, v);
-            if view.is_none() {
-                unknown = Some((u, v));
-            }
-            view
-        });
-        let session = QuerySession::new_in(self.meta.header, views, scratch);
-        if let Some((u, v)) = unknown {
-            if let Ok(partial) = session {
-                scratch.recycle(partial);
-            }
-            return Err(StoreError::UnknownEdge { u, v });
-        }
-        Ok(session?)
+        stream_session(
+            self.meta.header,
+            faults,
+            |(u, v)| self.edge(u, v).ok_or(StoreError::UnknownEdge { u, v }),
+            scratch,
+        )
     }
 
     /// Answers one connectivity query entirely from the archive: a
@@ -850,61 +846,6 @@ impl<'a> LabelStoreView<'a> {
             return Ok(answer);
         }
         Ok(self.session(faults)?.connected(vs, vt)?)
-    }
-
-    /// Decodes the archive back into an owned [`LabelSet`] — the
-    /// reconstitution path for components (like the forbidden-set router)
-    /// that need owned labels without re-running the scheme construction.
-    ///
-    /// The label payloads land in **one** shared slab (each edge label is
-    /// a window into it, exactly as a fresh build produces them), and the
-    /// archive's sorted endpoint index is reused verbatim — no per-edge
-    /// payload allocation, no index rebuild.
-    pub fn to_label_set(&self) -> LabelSet<RsVector> {
-        let (n, m) = (self.meta.n, self.meta.m);
-        let header = self.meta.header;
-        let vertex_labels = (0..n)
-            .map(|v| self.vertex(v).expect("in range").to_label())
-            .collect();
-        // All edge labels share one codec geometry (validated at open).
-        let (k, levels) = self.edge_by_id(0).map_or((0, 0), |e| (e.k(), e.levels()));
-        let window = 2 * k * levels;
-        let mut slab_vec = vec![Gf64::ZERO; m * window];
-        // One pass over the edge records: copy the payload into the slab
-        // and stash the ancestry pair (the slab windows can only be
-        // handed out once the slab is frozen into its `Arc`).
-        let mut ancs = Vec::with_capacity(m);
-        for e in 0..m {
-            let dst = &mut slab_vec[e * window..(e + 1) * window];
-            let view = self.edge_by_id(e).expect("in range");
-            match view {
-                ArchivedEdgeView::Full(v) => v.copy_words_into(dst),
-                ArchivedEdgeView::Compact(v) => v.expand_words_into(dst),
-            }
-            ancs.push((view.anc_upper(), view.anc_lower()));
-        }
-        let slab: Arc<[Gf64]> = slab_vec.into();
-        let edge_labels = ancs
-            .into_iter()
-            .enumerate()
-            .map(|(e, (anc_upper, anc_lower))| EdgeLabel {
-                header,
-                anc_upper,
-                anc_lower,
-                vec: RsVector::from_slab(k, &slab, e * window, window),
-            })
-            .collect();
-        let edge_index = EndpointIndex::from_sorted_entries(
-            self.endpoint_index()
-                .map(|(u, v, e)| (u as u32, v as u32, e as u32))
-                .collect(),
-        );
-        LabelSet {
-            header,
-            vertex_labels,
-            edge_labels,
-            edge_index,
-        }
     }
 }
 
@@ -1398,15 +1339,6 @@ mod tests {
             }
             assert!(view.edge(0, 99).is_none());
             assert!(view.vertex(g.n()).is_none());
-            // Full reconstitution matches the original labels.
-            let restored = view.to_label_set();
-            assert_eq!(restored.header(), l.header());
-            for v in 0..g.n() {
-                assert_eq!(restored.vertex_label(v), l.vertex_label(v));
-            }
-            for e in 0..g.m() {
-                assert_eq!(restored.edge_label_by_id(e), l.edge_label_by_id(e));
-            }
         }
     }
 
@@ -1518,29 +1450,21 @@ mod tests {
         // A shared view is 'static: it owns the blob and survives the
         // buffer it was opened from.
         let shared: LabelStoreView<'static> = LabelStoreView::open_shared(blob.clone()).unwrap();
-        // `to_shared` detaches a *borrowed* view from its buffer.
-        let detached: LabelStoreView<'static> = {
-            let local = blob.clone();
-            let v = LabelStoreView::open(&local).unwrap();
-            v.to_shared()
-        };
         let borrowed = LabelStoreView::open(&blob).unwrap();
-        for view in [&shared, &detached] {
-            assert_eq!(view.n(), borrowed.n());
-            assert_eq!(view.m(), borrowed.m());
-            assert_eq!(view.header(), borrowed.header());
-            for v in 0..view.n() {
-                assert_eq!(
-                    view.vertex(v).unwrap().to_label(),
-                    borrowed.vertex(v).unwrap().to_label()
-                );
-            }
-            let session = view.session([(0, 1), (0, 4)]).unwrap();
+        assert_eq!(shared.n(), borrowed.n());
+        assert_eq!(shared.m(), borrowed.m());
+        assert_eq!(shared.header(), borrowed.header());
+        for v in 0..shared.n() {
             assert_eq!(
-                session.connected(view.vertex(0).unwrap(), view.vertex(7).unwrap()),
-                Ok(true)
+                shared.vertex(v).unwrap().to_label(),
+                borrowed.vertex(v).unwrap().to_label()
             );
         }
+        let session = shared.session([(0, 1), (0, 4)]).unwrap();
+        assert_eq!(
+            session.connected(shared.vertex(0).unwrap(), shared.vertex(7).unwrap()),
+            Ok(true)
+        );
         // Clones share the blob (no copy) and keep answering after the
         // original handle is gone.
         let clone = shared.clone();

@@ -25,6 +25,7 @@
 use crate::journal::{scan_journal, FsyncPolicy, Journal, JournalError, JournalMeta, JournalOp};
 use crate::{DynError, DynStats, DynamicScheme};
 use ftc_compress::checksum64;
+use ftc_core::compressed::AnyArchive;
 use ftc_core::io::{write_atomic, StdVfs, Vfs};
 use ftc_core::serial::SerialError;
 use ftc_core::store::LabelStoreView;
@@ -203,9 +204,10 @@ fn replay(
     seed: u64,
 ) -> Result<(DynamicScheme, RecoverStats), DurableError> {
     let archive_bytes = vfs.read(archive_path)?;
-    let view = LabelStoreView::open(&archive_bytes).map_err(DurableError::Archive)?;
-    let mut scheme = DynamicScheme::from_archive(&view, seed)?;
-    let archive_tag = view.header().tag;
+    let view = LabelStoreView::open_shared(archive_bytes).map_err(DurableError::Archive)?;
+    let archive = AnyArchive::V1(view);
+    let mut scheme = DynamicScheme::from_archive(&archive, seed)?;
+    let archive_tag = archive.header().tag;
 
     let journal_bytes = vfs.read(journal_path)?;
     let scan = scan_journal(&journal_bytes)?;

@@ -90,10 +90,10 @@ pub use journal::{FsyncPolicy, JournalError, JournalErrorKind, JournalOp, Journa
 
 use ftc_codes::ThresholdCodec;
 use ftc_core::ancestry::AncestryLabel;
-use ftc_core::compressed::{compress_archive, CompressedStore};
+use ftc_core::compressed::{compress_archive, AnyArchive, CompressedStore};
 use ftc_core::patch::{assemble_archive_into, EdgeRecordSpec};
-use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
-use ftc_core::LabelHeader;
+use ftc_core::store::{EdgeEncoding, LabelStore};
+use ftc_core::{LabelHeader, SerialError};
 use ftc_field::Gf64;
 use ftc_graph::{Graph, RootedTree};
 use ftc_serve::ConnectivityService;
@@ -161,6 +161,8 @@ pub enum DynError {
     /// `n` is too large for gapped 32-bit preorders (`64·n` must stay
     /// below 2³¹).
     TooLarge,
+    /// An adopted v2 archive's section failed lazy validation.
+    Corrupt(SerialError),
 }
 
 impl fmt::Display for DynError {
@@ -172,6 +174,7 @@ impl fmt::Display for DynError {
             DynError::UnknownEdge(u, v) => write!(f, "no edge ({u}, {v})"),
             DynError::BadConfig(what) => write!(f, "bad config: {what}"),
             DynError::TooLarge => f.write_str("graph too large for gapped 32-bit preorders"),
+            DynError::Corrupt(e) => write!(f, "archive section corrupt: {e}"),
         }
     }
 }
@@ -386,36 +389,38 @@ impl DynamicScheme {
         Ok(scheme)
     }
 
-    /// Re-labels an existing archive into dynamic form: the graph is
-    /// reconstructed from the archive's endpoint index, `f`, `k`, and the
-    /// encoding are taken from the archive, and a fresh dynamic labeling
-    /// is built (the static hierarchy is not reusable incrementally, so
-    /// this pays one full build; all subsequent updates are incremental).
+    /// Re-labels an existing archive of either format into dynamic
+    /// form: the graph is reconstructed from the archive's endpoint
+    /// index, `f`, `k`, and the encoding are taken from the archive, and
+    /// a fresh dynamic labeling is built (the static hierarchy is not
+    /// reusable incrementally, so this pays one full build; all
+    /// subsequent updates are incremental).
     ///
     /// # Errors
     ///
-    /// [`DynError::BadConfig`] for an empty archive, and
+    /// [`DynError::BadConfig`] for an empty archive,
     /// [`DynError::DuplicateEdge`] if the archive holds parallel edges
-    /// (its endpoint index would be pair-ambiguous).
-    pub fn from_archive(view: &LabelStoreView<'_>, seed: u64) -> Result<DynamicScheme, DynError> {
-        let m = view.m();
+    /// (its endpoint index would be pair-ambiguous), and
+    /// [`DynError::Corrupt`] if a v2 endpoint section fails validation.
+    pub fn from_archive(archive: &AnyArchive, seed: u64) -> Result<DynamicScheme, DynError> {
+        let m = archive.m();
         if m == 0 {
             return Err(DynError::BadConfig("archive has no edges"));
         }
-        if view.endpoint_index().len() != m {
+        let index = archive.endpoint_index().map_err(DynError::Corrupt)?;
+        if index.len() != m {
             let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
-            for (u, v, _) in view.endpoint_index() {
+            for (u, v, _) in index {
                 *counts.entry((u, v)).or_default() += 1;
             }
             // The index deduplicates pairs, so some pair occurs twice.
             let (&(u, v), _) = counts.iter().next().expect("non-empty index");
             return Err(DynError::DuplicateEdge(u, v));
         }
-        let k = view.edge_by_id(0).expect("m > 0").k();
-        let pairs: Vec<(usize, usize)> = view.endpoint_index().map(|(u, v, _)| (u, v)).collect();
-        let g = Graph::from_edges(view.n(), &pairs);
-        let mut cfg = DynConfig::new(view.header().f as usize, k);
-        cfg.encoding = view.encoding();
+        let pairs: Vec<(usize, usize)> = index.map(|(u, v, _)| (u, v)).collect();
+        let g = Graph::from_edges(archive.n(), &pairs);
+        let mut cfg = DynConfig::new(archive.header().f as usize, archive.k());
+        cfg.encoding = archive.encoding();
         cfg.seed = seed;
         DynamicScheme::new(&g, cfg)
     }
@@ -924,6 +929,7 @@ impl DynamicScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_core::store::LabelStoreView;
     use ftc_graph::connectivity::ConnectivityOracle;
     use ftc_graph::generators;
 
@@ -1110,10 +1116,18 @@ mod tests {
         let g = generators::random_connected(26, 15, 8);
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Compact);
-        let view = LabelStoreView::open(&blob).unwrap();
-        let mut dyn_scheme = DynamicScheme::from_archive(&view, 42).unwrap();
+        let archive = AnyArchive::open(blob.into()).unwrap();
+        let mut dyn_scheme = DynamicScheme::from_archive(&archive, 42).unwrap();
         assert_eq!(dyn_scheme.m(), g.m());
         assert_eq!(dyn_scheme.encoding(), EdgeEncoding::Compact);
+        // A v2 archive of the same labeling adopts into the same scheme
+        // (same graph, f, k, encoding, seed) without transcoding.
+        let AnyArchive::V1(view) = &archive else {
+            unreachable!("opened from v1 bytes")
+        };
+        let v2 = AnyArchive::open(compress_archive(view).into_vec().into()).unwrap();
+        let mut from_v2 = DynamicScheme::from_archive(&v2, 42).unwrap();
+        assert_eq!(from_v2.commit().as_bytes(), dyn_scheme.commit().as_bytes());
         let (a, b) = (0..26)
             .flat_map(|u| ((u + 1)..26).map(move |v| (u, v)))
             .find(|&(u, v)| !dyn_scheme.has_edge(u, v))

@@ -10,10 +10,13 @@
 //! subdivision vertices contracted back to original edges.
 
 use ftc_core::auxgraph::AuxGraph;
-use ftc_core::store::LabelStoreView;
-use ftc_core::{BuildError, FtcScheme, LabelSet, Params, QueryError, RsVector, SizeReport};
+use ftc_core::compressed::AnyArchive;
+use ftc_core::store::EdgeEncoding;
+use ftc_core::{
+    BuildError, FtcScheme, Params, QueryError, SerialError, SizeReport, VertexLabelRead,
+};
 use ftc_graph::{EdgeId, Graph, RootedTree, VertexId};
-use ftc_serve::{ConnectivityService, ServeError};
+use ftc_serve::{ConnectivityService, ServeError, Served};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -49,6 +52,18 @@ impl From<QueryError> for RouteError {
     }
 }
 
+/// Maps a service error met while routing; routing names faults by edge
+/// ID, so endpoint-pair errors cannot arise.
+fn route_error(e: ServeError) -> RouteError {
+    match e {
+        ServeError::Query(q) => RouteError::Query(q),
+        ServeError::UnknownEdgeId { id } => RouteError::BadEdge(id),
+        ServeError::VertexOutOfRange { v } => RouteError::BadVertex(v),
+        ServeError::Corrupt(e) => RouteError::Corrupt(e),
+        ServeError::UnknownEdge { .. } => unreachable!("routing names faults by edge ID"),
+    }
+}
+
 /// Why a stored label archive could not be attached to a graph
 /// ([`ForbiddenSetRouter::from_store`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,6 +80,8 @@ pub enum RestoreError {
     /// from the supplied graph — the archive was built over a different
     /// graph (or a different edge order).
     LabelingMismatch,
+    /// A v2 archive section failed lazy validation while being checked.
+    Corrupt(SerialError),
 }
 
 impl fmt::Display for RestoreError {
@@ -78,6 +95,7 @@ impl fmt::Display for RestoreError {
             RestoreError::LabelingMismatch => {
                 write!(f, "archived labels do not belong to this graph")
             }
+            RestoreError::Corrupt(e) => write!(f, "archive corrupt: {e}"),
         }
     }
 }
@@ -97,17 +115,16 @@ pub struct TableReport {
 
 /// A forbidden-set router over a fixed graph.
 ///
-/// The labeling lives inside a shared [`ConnectivityService`], so the
-/// router is `Send + Sync`: clone-free concurrent routing works by
-/// sharing `&ForbiddenSetRouter` across threads — every
+/// The labeling lives inside a shared [`ConnectivityService`] as one
+/// label archive, so the router is `Send + Sync`: clone-free concurrent
+/// routing works by sharing `&ForbiddenSetRouter` across threads — every
 /// [`ForbiddenSetRouter::route`] call draws its session scratch from the
 /// service's lock-free pool.
 #[derive(Debug)]
 pub struct ForbiddenSetRouter {
     g: Graph,
     aux: AuxGraph,
-    /// Label-backed connectivity service (always `Backing::Owned`, so
-    /// [`ForbiddenSetRouter::labels`] can hand out the label set).
+    /// The archive-backed connectivity service routes are decoded from.
     service: ConnectivityService,
     size: SizeReport,
     /// pre-order (in `T′`) → auxiliary vertex.
@@ -125,48 +142,61 @@ impl ForbiddenSetRouter {
         Self::with_params(g, &Params::deterministic(f))
     }
 
-    /// Preprocesses with explicit scheme parameters.
+    /// Preprocesses with explicit scheme parameters. The labeling streams
+    /// straight into its archive, so labels are never held twice.
     ///
     /// # Errors
     ///
     /// Propagates [`BuildError`] from the labeling construction.
     pub fn with_params(g: &Graph, params: &Params) -> Result<ForbiddenSetRouter, BuildError> {
         let tree = RootedTree::bfs(g, 0);
-        let scheme = FtcScheme::builder(g).params(params).tree(&tree).build()?;
-        let size = scheme.size_report();
-        Ok(Self::assemble(g, &tree, scheme.into_labels(), size))
+        let (store, diag) = FtcScheme::builder(g)
+            .params(params)
+            .tree(&tree)
+            .build_store(EdgeEncoding::Full)?;
+        let aux = AuxGraph::build(g, &tree);
+        let size = SizeReport::uniform(g.n(), g.m(), aux.aux_n, diag.k, diag.levels);
+        Ok(Self::assemble(
+            g,
+            aux,
+            ConnectivityService::from_store(store),
+            size,
+        ))
     }
 
-    /// Reconstitutes a router from a stored label archive, skipping the
-    /// scheme construction entirely: the hierarchy and outdetect labels
-    /// are decoded from the archive, and only the (cheap, deterministic)
+    /// Reconstitutes a router from a stored label archive of either
+    /// format, skipping the scheme construction entirely: the router
+    /// serves the archive as is, and only the (cheap, deterministic)
     /// spanning-forest/auxiliary-graph structure is rebuilt from `g`.
     ///
     /// # Errors
     ///
     /// [`RestoreError`] if the archive does not label `g` (wrong shape,
-    /// or labels disagreeing with `g`'s spanning structure).
-    pub fn from_store(
-        g: &Graph,
-        store: &LabelStoreView<'_>,
-    ) -> Result<ForbiddenSetRouter, RestoreError> {
-        if store.n() != g.n() || store.m() != g.m() {
+    /// or labels disagreeing with `g`'s spanning structure), or if a v2
+    /// section it reads fails validation.
+    pub fn from_store(g: &Graph, archive: &AnyArchive) -> Result<ForbiddenSetRouter, RestoreError> {
+        if archive.n() != g.n() || archive.m() != g.m() {
             return Err(RestoreError::ShapeMismatch {
                 graph: (g.n(), g.m()),
-                archive: (store.n(), store.m()),
+                archive: (archive.n(), archive.m()),
             });
         }
         let tree = RootedTree::bfs(g, 0);
         let aux = AuxGraph::build(g, &tree);
-        if store.header().aux_n as usize != aux.aux_n {
+        if archive.header().aux_n as usize != aux.aux_n {
             return Err(RestoreError::LabelingMismatch);
         }
-        let labels = store.to_label_set();
         // The archive must carry this graph's labels, not merely one of
         // the same shape: every vertex's ancestry label must match the
         // structure derived from `g`.
-        if (0..g.n()).any(|v| labels.vertex_label(v).anc != aux.anc[v]) {
-            return Err(RestoreError::LabelingMismatch);
+        for v in 0..g.n() {
+            let label = archive
+                .vertex(v)
+                .map_err(RestoreError::Corrupt)?
+                .expect("shape checked");
+            if label.anc() != aux.anc[v] {
+                return Err(RestoreError::LabelingMismatch);
+            }
         }
         // And the archive's edge-ID assignment must match `g`'s edge
         // list, or fault IDs would resolve to the wrong labels: the
@@ -177,38 +207,26 @@ impl ForbiddenSetRouter {
         for (e, u, v) in g.edge_iter() {
             expected.insert((u.min(v), u.max(v)), e);
         }
-        if store.endpoint_index().len() != expected.len()
-            || store
-                .endpoint_index()
-                .any(|(u, v, e)| expected.get(&(u, v)) != Some(&e))
+        let mut index = archive.endpoint_index().map_err(RestoreError::Corrupt)?;
+        if index.len() != expected.len() || index.any(|(u, v, e)| expected.get(&(u, v)) != Some(&e))
         {
             return Err(RestoreError::LabelingMismatch);
         }
-        let (k, levels) = labels
-            .edge_labels()
-            .next()
-            .map_or((0, 0), |e| (e.vec.k(), e.vec.levels()));
-        let size = labels.size_report(k, levels);
-        let mut pre_to_aux = vec![usize::MAX; aux.aux_n];
-        for v in 0..aux.aux_n {
-            pre_to_aux[aux.anc[v].pre as usize] = v;
-        }
-        Ok(ForbiddenSetRouter {
-            g: g.clone(),
+        let size = SizeReport::uniform(g.n(), g.m(), aux.aux_n, archive.k(), archive.levels());
+        Ok(Self::assemble(
+            g,
             aux,
-            service: ConnectivityService::from_labels(labels),
+            ConnectivityService::from_archive(archive.clone()),
             size,
-            pre_to_aux,
-        })
+        ))
     }
 
     fn assemble(
         g: &Graph,
-        tree: &RootedTree,
-        labels: LabelSet<RsVector>,
+        aux: AuxGraph,
+        service: ConnectivityService,
         size: SizeReport,
     ) -> ForbiddenSetRouter {
-        let aux = AuxGraph::build(g, tree);
         let mut pre_to_aux = vec![usize::MAX; aux.aux_n];
         for v in 0..aux.aux_n {
             pre_to_aux[aux.anc[v].pre as usize] = v;
@@ -216,18 +234,10 @@ impl ForbiddenSetRouter {
         ForbiddenSetRouter {
             g: g.clone(),
             aux,
-            service: ConnectivityService::from_labels(labels),
+            service,
             size,
             pre_to_aux,
         }
-    }
-
-    /// The labeling this router queries (the artifact worth archiving
-    /// via [`ftc_core::store::LabelStore`]).
-    pub fn labels(&self) -> &LabelSet<RsVector> {
-        self.service
-            .labels()
-            .expect("router services are label-backed")
     }
 
     /// The shared [`ConnectivityService`] this router queries through —
@@ -270,10 +280,9 @@ impl ForbiddenSetRouter {
         if let Some(&e) = faults.iter().find(|&&e| e >= self.g.m()) {
             return Err(RouteError::BadEdge(e));
         }
-        let l = self.labels();
         // Trivial queries answer before the session's budget enforcement,
         // matching the original decoder's check order.
-        match ftc_core::QuerySession::trivial_answer(l.vertex_label(s), l.vertex_label(t))? {
+        match self.service.trivial_answer(s, t).map_err(route_error)? {
             Some(false) => return Ok(None),
             Some(true) => return Ok(Some(vec![s])),
             None => {}
@@ -283,37 +292,25 @@ impl ForbiddenSetRouter {
         // decomposition is reused below for path expansion. The session's
         // storage comes from — and returns to — the service's pool.
         self.service
-            .with_session_ids(faults, |served| {
-                self.expand_route(served.session(), s, t, faults)
-            })
-            .map_err(|e| match e {
-                ServeError::Query(q) => RouteError::Query(q),
-                ServeError::UnknownEdgeId { id } => RouteError::BadEdge(id),
-                ServeError::VertexOutOfRange { v } => RouteError::BadVertex(v),
-                ServeError::Corrupt(e) => RouteError::Corrupt(e),
-                // Endpoint-pair faults are never used on this path.
-                ServeError::UnknownEdge { .. } => {
-                    unreachable!("routing names faults by edge ID")
-                }
-            })?
+            .with_session_ids(faults, |served| self.expand_route(served, s, t, faults))
+            .map_err(route_error)?
     }
 
     /// Expands a prepared session's certificate into an explicit
     /// fault-avoiding path (the second half of [`ForbiddenSetRouter::route`]).
     fn expand_route(
         &self,
-        session: &ftc_core::QuerySession,
+        served: Served<'_>,
         s: VertexId,
         t: VertexId,
         faults: &[EdgeId],
     ) -> Result<Option<Vec<VertexId>>, RouteError> {
-        let l = self.labels();
-        let Some(cert) = session.certified(l.vertex_label(s), l.vertex_label(t))? else {
+        let Some(cert) = served.certified(s, t).map_err(route_error)? else {
             return Ok(None);
         };
 
         // Fragment multigraph from the certificate edges.
-        let frags = session.fragments();
+        let frags = served.session().fragments();
         let frag_of = |aux_v: VertexId| frags.locate(&self.aux.anc[aux_v]);
         let fs = frag_of(s);
         let ft = frag_of(t);
@@ -446,15 +443,13 @@ impl ForbiddenSetRouter {
     /// the labels of its incident edges (to report/forward failures), and
     /// one ancestry interval per port (tree next-hop routing).
     pub fn table_report(&self) -> TableReport {
-        let l = self.labels();
+        // Port interval for tree routing.
+        const PORT_BITS: usize = 2 * 32;
         let mut total = 0usize;
         let mut max_local = 0usize;
         for v in 0..self.g.n() {
-            let mut bits = l.vertex_label(v).bits();
-            for &e in self.g.incident_edges(v) {
-                bits += l.edge_label_by_id(e).bits();
-                bits += 2 * 32; // port interval for tree routing
-            }
+            let ports = self.g.incident_edges(v).len();
+            let bits = self.size.vertex_bits + ports * (self.size.edge_bits + PORT_BITS);
             total += bits;
             max_local = max_local.max(bits);
         }
@@ -560,23 +555,39 @@ mod tests {
         }
     }
 
+    /// The v1 full-encoding archive of the labeling
+    /// `ForbiddenSetRouter::new(g, f)` serves, built separately.
+    fn v1_archive(g: &Graph, f: usize) -> AnyArchive {
+        let (store, _) = FtcScheme::builder(g)
+            .params(&Params::deterministic(f))
+            .build_store(EdgeEncoding::Full)
+            .unwrap();
+        AnyArchive::open(store.into_vec().into()).unwrap()
+    }
+
     #[test]
     fn reconstituted_router_routes_identically() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
         let g = Graph::torus(4, 4);
         let built = ForbiddenSetRouter::new(&g, 2).unwrap();
-        let blob = LabelStore::to_vec(built.labels(), EdgeEncoding::Compact);
-        let view = LabelStoreView::open(&blob).unwrap();
-        let restored = ForbiddenSetRouter::from_store(&g, &view).unwrap();
-        assert_eq!(restored.size_report(), built.size_report());
-        for faults in [vec![], vec![0usize, 5], vec![3, 9]] {
-            for s in 0..g.n() {
-                for t in 0..g.n() {
-                    assert_eq!(
-                        restored.route(s, t, &faults).unwrap(),
-                        built.route(s, t, &faults).unwrap(),
-                        "({s},{t},{faults:?})"
-                    );
+        let builder = || FtcScheme::builder(&g).params(&Params::deterministic(2));
+        let (v1, _) = builder().build_store(EdgeEncoding::Compact).unwrap();
+        let (v2, _) = builder()
+            .build_store_compressed(EdgeEncoding::Full)
+            .unwrap();
+        for bytes in [v1.into_vec(), v2.into_vec()] {
+            let archive = AnyArchive::open(bytes.into()).unwrap();
+            let restored = ForbiddenSetRouter::from_store(&g, &archive).unwrap();
+            assert_eq!(restored.size_report(), built.size_report());
+            assert_eq!(restored.table_report(), built.table_report());
+            for faults in [vec![], vec![0usize, 5], vec![3, 9]] {
+                for s in 0..g.n() {
+                    for t in 0..g.n() {
+                        assert_eq!(
+                            restored.route(s, t, &faults).unwrap(),
+                            built.route(s, t, &faults).unwrap(),
+                            "({s},{t},{faults:?})"
+                        );
+                    }
                 }
             }
         }
@@ -584,11 +595,8 @@ mod tests {
 
     #[test]
     fn reconstitution_rejects_foreign_archives() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
         let g = Graph::torus(4, 4);
-        let router = ForbiddenSetRouter::new(&g, 2).unwrap();
-        let blob = LabelStore::to_vec(router.labels(), EdgeEncoding::Full);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = v1_archive(&g, 2);
         // Wrong shape.
         let other = Graph::cycle(5);
         assert!(matches!(
@@ -607,14 +615,11 @@ mod tests {
 
     #[test]
     fn reconstitution_rejects_permuted_edge_ids() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
         // Identical edge *set* but a different edge-ID assignment: fault
         // IDs would resolve to the wrong archived labels, so the
         // endpoint-index check must reject the archive.
         let g = ftc_graph::generators::random_connected(10, 6, 0);
-        let router = ForbiddenSetRouter::new(&g, 1).unwrap();
-        let blob = LabelStore::to_vec(router.labels(), EdgeEncoding::Full);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = v1_archive(&g, 1);
         let mut edges: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
         edges.swap(0, 1);
         let permuted = Graph::from_edges(g.n(), &edges);
@@ -680,5 +685,19 @@ mod tests {
         assert_eq!(rep.n, 9);
         assert!(rep.max_local_bits > 0);
         assert!(rep.total_bits >= rep.max_local_bits * 2);
+        // Pinned to the per-label sums over an owned label set: the
+        // accounting from the uniform label geometry must match them.
+        assert_eq!(
+            rep,
+            TableReport {
+                total_bits: 379_872,
+                max_local_bits: 63_200,
+                n: 9
+            }
+        );
+        let size = router.size_report();
+        assert_eq!((size.k, size.levels, size.aux_n), (120, 1, 13));
+        assert_eq!((size.vertex_bits, size.edge_bits), (224, 15_680));
+        assert_eq!(size.total_bits, 190_176);
     }
 }

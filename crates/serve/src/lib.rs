@@ -7,9 +7,11 @@
 //! [`ftc_core::SessionScratch`]); this crate packages it for a process
 //! that serves **many threads and many graphs through a single handle**:
 //!
-//! * [`ConnectivityService`] — `Send + Sync + Clone`; built from an owned
-//!   label set, a label store, an opened view, or raw archive bytes
-//!   (held as `Arc<[u8]>`, so every internal view is `'static`).
+//! * [`ConnectivityService`] — `Send + Sync + Clone`; serves exactly one
+//!   [`ftc_core::compressed::AnyArchive`] (v1 or v2), opened from raw
+//!   archive bytes (held as `Arc<[u8]>`, so every internal view is
+//!   `'static`), an archive file, or a label store — an owned label set
+//!   is archived on the way in.
 //!   [`ConnectivityService::query`] answers a batch of pairs under a
 //!   fault set, internally checking a [`ftc_core::SessionScratch`] out
 //!   of a lock-free pool so concurrent callers keep the zero-allocation
@@ -46,4 +48,4 @@ pub mod registry;
 pub mod service;
 
 pub use registry::{RegistryError, ServiceRegistry};
-pub use service::{Answers, ConnectivityService, ServeError, Served, VertexRef};
+pub use service::{Answers, ConnectivityService, ServeError, Served};

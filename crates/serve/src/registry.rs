@@ -145,9 +145,9 @@ impl ServiceRegistry {
 
     /// Opens a label archive of either format from `path` — v1 blobs
     /// and v2 compressed containers alike, memory-mapped where the
-    /// platform allows — builds the matching service backing, and
-    /// registers it under `id` (replacing any previous registration).
-    /// Returns a handle to the new service.
+    /// platform allows — wraps it in a service, and registers it under
+    /// `id` (replacing any previous registration). Returns a handle to
+    /// the new service.
     ///
     /// # Errors
     ///
@@ -209,6 +209,7 @@ impl ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_core::compressed::AnyArchive;
     use ftc_core::store::{EdgeEncoding, LabelStore};
     use ftc_core::{FtcScheme, Params};
     use ftc_graph::Graph;
@@ -284,13 +285,12 @@ mod tests {
 
         let reg = ServiceRegistry::new();
         let svc = reg.open_path("cycle8", &path).unwrap();
-        assert_eq!(svc.encoding(), Some(EdgeEncoding::Compact));
-        assert!(!svc.is_compressed());
+        assert_eq!(svc.archive().encoding(), EdgeEncoding::Compact);
+        assert!(matches!(svc.archive(), AnyArchive::V1(_)));
         assert!(reg.contains("cycle8"));
         assert!(svc.query(&[(0, 1)], &[(0, 4)]).unwrap().all_connected());
 
-        // A v2 compressed archive opens transparently into a
-        // compressed-backed service.
+        // A v2 compressed archive opens transparently too.
         let v2_path = dir.join("cycle8.ftcz");
         let blob = std::fs::read(&path).unwrap();
         let v1 = ftc_core::store::LabelStoreView::open(&blob).unwrap();
@@ -300,7 +300,7 @@ mod tests {
         )
         .unwrap();
         let zsvc = reg.open_path("cycle8z", &v2_path).unwrap();
-        assert!(zsvc.is_compressed());
+        assert!(matches!(zsvc.archive(), AnyArchive::V2(_)));
         assert_eq!(
             zsvc.query(&[(0, 1)], &[(0, 4)]).unwrap(),
             svc.query(&[(0, 1)], &[(0, 4)]).unwrap()

@@ -2,12 +2,11 @@
 //! number of fault-set queries.
 
 use crate::pool::ScratchPool;
-use ftc_core::compressed::{AnyArchive, CompressedStoreView};
+use ftc_core::compressed::AnyArchive;
 use ftc_core::serial::VertexLabelView;
-use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView, StoreError, StoreOpenError};
+use ftc_core::store::{EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_core::{
     Certificate, LabelHeader, LabelSet, QueryError, QuerySession, RsVector, SerialError,
-    VertexLabel, VertexLabelRead,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ pub enum ServeError {
     /// The underlying session construction or query failed.
     Query(QueryError),
     /// A lazily-validated archive section failed its checksum or decode
-    /// on first touch (compressed backings only).
+    /// on first touch (v2 archives only).
     Corrupt(SerialError),
 }
 
@@ -68,6 +67,7 @@ impl From<StoreError> for ServeError {
     fn from(e: StoreError) -> ServeError {
         match e {
             StoreError::UnknownEdge { u, v } => ServeError::UnknownEdge { u, v },
+            StoreError::UnknownEdgeId { id } => ServeError::UnknownEdgeId { id },
             StoreError::VertexOutOfRange { v } => ServeError::VertexOutOfRange { v },
             StoreError::Query(q) => ServeError::Query(q),
             StoreError::Corrupt(e) => ServeError::Corrupt(e),
@@ -75,147 +75,9 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// A vertex label resolved out of a service — owned-label reference or
-/// zero-copy archive view, behind one [`VertexLabelRead`] implementor.
-#[derive(Clone, Copy, Debug)]
-pub enum VertexRef<'a> {
-    /// A reference into an owned [`LabelSet`].
-    Owned(&'a VertexLabel),
-    /// A zero-copy view into an archive blob.
-    Archived(VertexLabelView<'a>),
-}
-
-impl VertexLabelRead for VertexRef<'_> {
-    fn header(&self) -> LabelHeader {
-        match self {
-            VertexRef::Owned(l) => l.header,
-            VertexRef::Archived(v) => v.header(),
-        }
-    }
-
-    fn anc(&self) -> ftc_core::ancestry::AncestryLabel {
-        match self {
-            VertexRef::Owned(l) => l.anc,
-            VertexRef::Archived(v) => v.anc(),
-        }
-    }
-}
-
-/// What a service holds: an owned label set, a `'static` shared view
-/// over an uncompressed archive blob, or a lazily-decoded view over a
-/// v2 compressed archive.
-#[derive(Debug)]
-enum Backing {
-    Owned(LabelSet<RsVector>),
-    Archive(LabelStoreView<'static>),
-    Compressed(CompressedStoreView),
-}
-
-impl Backing {
-    fn n(&self) -> usize {
-        match self {
-            Backing::Owned(l) => l.n(),
-            Backing::Archive(v) => v.n(),
-            Backing::Compressed(v) => v.n(),
-        }
-    }
-
-    fn m(&self) -> usize {
-        match self {
-            Backing::Owned(l) => l.m(),
-            Backing::Archive(v) => v.m(),
-            Backing::Compressed(v) => v.m(),
-        }
-    }
-
-    fn header(&self) -> LabelHeader {
-        match self {
-            Backing::Owned(l) => l.header(),
-            Backing::Archive(v) => v.header(),
-            Backing::Compressed(v) => v.header(),
-        }
-    }
-
-    fn vertex(&self, v: usize) -> Result<Option<VertexRef<'_>>, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                if v < l.n() {
-                    Ok(Some(VertexRef::Owned(l.vertex_label(v))))
-                } else {
-                    Ok(None)
-                }
-            }
-            Backing::Archive(view) => Ok(view.vertex(v).map(VertexRef::Archived)),
-            Backing::Compressed(view) => Ok(view
-                .vertex(v)
-                .map_err(ServeError::Corrupt)?
-                .map(VertexRef::Archived)),
-        }
-    }
-
-    fn has_edge(&self, u: usize, v: usize) -> Result<bool, ServeError> {
-        match self {
-            Backing::Owned(l) => Ok(l.edge_label(u, v).is_some()),
-            Backing::Archive(view) => Ok(view.edge_id(u, v).is_some()),
-            Backing::Compressed(view) => {
-                Ok(view.edge_id(u, v).map_err(ServeError::Corrupt)?.is_some())
-            }
-        }
-    }
-
-    fn build_session(
-        &self,
-        faults: &[(usize, usize)],
-        scratch: &mut ftc_core::SessionScratch<RsVector>,
-    ) -> Result<QuerySession, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                // Existence was validated eagerly; the unwrap is the
-                // pre-checked lookup repeated.
-                let session = l.session_in(
-                    faults
-                        .iter()
-                        .map(|&(u, v)| l.edge_label(u, v).expect("fault edges validated eagerly")),
-                    scratch,
-                )?;
-                Ok(session)
-            }
-            Backing::Archive(view) => Ok(view.session_in(faults.iter().copied(), scratch)?),
-            Backing::Compressed(view) => Ok(view.session_in(faults.iter().copied(), scratch)?),
-        }
-    }
-
-    fn build_session_ids(
-        &self,
-        faults: &[usize],
-        scratch: &mut ftc_core::SessionScratch<RsVector>,
-    ) -> Result<QuerySession, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                let session =
-                    l.session_in(faults.iter().map(|&e| l.edge_label_by_id(e)), scratch)?;
-                Ok(session)
-            }
-            Backing::Archive(view) => {
-                let session = QuerySession::new_in(
-                    view.header(),
-                    faults
-                        .iter()
-                        .map(|&e| view.edge_by_id(e).expect("fault IDs validated eagerly")),
-                    scratch,
-                )?;
-                Ok(session)
-            }
-            Backing::Compressed(view) => {
-                Ok(view.session_in_by_ids(faults.iter().copied(), scratch)?)
-            }
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
-    backing: Backing,
+    archive: AnyArchive,
     pool: ScratchPool,
 }
 
@@ -267,12 +129,20 @@ impl<'a> IntoIterator for &'a Answers {
     }
 }
 
+/// Resolves vertex `v` out of `archive`, naming it when out of range.
+fn resolve(archive: &AnyArchive, v: usize) -> Result<VertexLabelView<'_>, ServeError> {
+    archive
+        .vertex(v)
+        .map_err(ServeError::Corrupt)?
+        .ok_or(ServeError::VertexOutOfRange { v })
+}
+
 /// A prepared fault set inside [`ConnectivityService::with_session`] /
 /// [`ConnectivityService::with_session_ids`]: the session plus vertex
-/// resolution against the service's backing.
+/// resolution against the service's archive.
 #[derive(Clone, Copy, Debug)]
 pub struct Served<'a> {
-    backing: &'a Backing,
+    archive: &'a AnyArchive,
     session: &'a QuerySession,
 }
 
@@ -283,15 +153,15 @@ impl<'a> Served<'a> {
         self.session
     }
 
-    /// The label of vertex `v`, resolved from the service's backing;
+    /// The label of vertex `v`, resolved from the service's archive;
     /// `Ok(None)` when `v` is out of range.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] if a compressed backing's vertex section
-    /// fails lazy validation.
-    pub fn vertex(&self, v: usize) -> Result<Option<VertexRef<'a>>, ServeError> {
-        self.backing.vertex(v)
+    /// [`ServeError::Corrupt`] if a v2 archive's vertex section fails
+    /// lazy validation.
+    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'a>>, ServeError> {
+        self.archive.vertex(v).map_err(ServeError::Corrupt)
     }
 
     /// Answers one s–t query by vertex ID.
@@ -311,28 +181,23 @@ impl<'a> Served<'a> {
     ///
     /// Same conditions as [`Served::connected`].
     pub fn certified(&self, s: usize, t: usize) -> Result<Option<&'a [(u32, u32)]>, ServeError> {
-        let vs = self
-            .backing
-            .vertex(s)?
-            .ok_or(ServeError::VertexOutOfRange { v: s })?;
-        let vt = self
-            .backing
-            .vertex(t)?
-            .ok_or(ServeError::VertexOutOfRange { v: t })?;
+        let (vs, vt) = (resolve(self.archive, s)?, resolve(self.archive, t)?);
         Ok(self.session.certified(vs, vt)?)
     }
 }
 
 /// A shareable, thread-safe connectivity serving handle.
 ///
-/// Built once from an owned [`LabelSet`], an opened [`LabelStoreView`],
-/// a [`LabelStore`], or raw archive bytes (held as `Arc<[u8]>`, so every
-/// internal view is `'static`), the service is `Send + Sync + Clone`:
-/// clone the handle into as many threads as needed, and every
-/// [`ConnectivityService::query`] call internally checks a
-/// [`ftc_core::SessionScratch`] out of a lock-free pool — concurrent
-/// callers keep the zero-allocation warm session-build path without
-/// managing scratches themselves.
+/// The service holds exactly one [`AnyArchive`] — the artifact the
+/// paper's scheme assigns once and queries forever after — whichever
+/// way it was built: from archive bytes of either format (held as
+/// `Arc<[u8]>`, so every internal view is `'static`), an archive file, a
+/// [`LabelStore`], or an owned [`LabelSet`] archived on the way in. It is
+/// `Send + Sync + Clone`: clone the handle into as many threads as
+/// needed, and every [`ConnectivityService::query`] call internally
+/// checks a [`ftc_core::SessionScratch`] out of a lock-free pool —
+/// concurrent callers keep the zero-allocation warm session-build path
+/// without managing scratches themselves.
 ///
 /// # Example
 ///
@@ -365,27 +230,30 @@ pub struct ConnectivityService {
 }
 
 impl ConnectivityService {
-    fn with_backing(backing: Backing) -> ConnectivityService {
+    /// A service over an opened archive of either format.
+    pub fn from_archive(archive: AnyArchive) -> ConnectivityService {
         let slots = std::thread::available_parallelism()
             .map(|p| p.get() * 2)
             .unwrap_or(8)
             .clamp(4, 64);
         ConnectivityService {
             inner: Arc::new(Inner {
-                backing,
+                archive,
                 pool: ScratchPool::new(slots),
             }),
         }
     }
 
-    /// A service over an owned label set.
+    /// A service over an owned label set, archived once with
+    /// [`EdgeEncoding::Full`].
     pub fn from_labels(labels: LabelSet<RsVector>) -> ConnectivityService {
-        Self::with_backing(Backing::Owned(labels))
+        Self::from_store(LabelStore::archive(&labels, EdgeEncoding::Full))
     }
 
-    /// A service over raw archive bytes: the blob moves into an
-    /// `Arc<[u8]>` and is validated once; every later lookup is
-    /// zero-copy.
+    /// A service over raw archive bytes of either format: the blob moves
+    /// into an `Arc<[u8]>`; a v1 blob is validated once, a v2 container
+    /// in O(header) with sections validated lazily. Every later lookup
+    /// is zero-copy.
     ///
     /// # Errors
     ///
@@ -393,33 +261,17 @@ impl ConnectivityService {
     pub fn from_archive_bytes(
         bytes: impl Into<Arc<[u8]>>,
     ) -> Result<ConnectivityService, SerialError> {
-        Ok(Self::with_backing(Backing::Archive(
-            LabelStoreView::open_shared(bytes)?,
-        )))
+        Ok(Self::from_archive(AnyArchive::open(bytes.into())?))
     }
 
     /// A service over an already-validated [`LabelStore`] (no
     /// re-validation; the blob is shared, not copied).
     pub fn from_store(store: LabelStore) -> ConnectivityService {
-        Self::with_backing(Backing::Archive(store.into_shared_view()))
-    }
-
-    /// A service over an opened [`LabelStoreView`]: a shared view clones
-    /// its `Arc` (O(1)); a borrowed view copies the blob once.
-    pub fn from_view(view: &LabelStoreView<'_>) -> ConnectivityService {
-        Self::with_backing(Backing::Archive(view.to_shared()))
-    }
-
-    /// A service over a v2 compressed archive view: sections decode
-    /// lazily on first touch and stay cached for the service's lifetime.
-    pub fn from_compressed(view: CompressedStoreView) -> ConnectivityService {
-        Self::with_backing(Backing::Compressed(view))
+        Self::from_archive(AnyArchive::V1(store.into_shared_view()))
     }
 
     /// Opens an archive file of either format (memory-mapped where the
-    /// platform allows) and wraps it in a service: v1 archives get the
-    /// fully validated zero-copy backing, v2 archives the lazily-decoded
-    /// compressed backing.
+    /// platform allows) and wraps it in a service.
     ///
     /// # Errors
     ///
@@ -427,47 +279,27 @@ impl ConnectivityService {
     pub fn open_path(
         path: impl AsRef<std::path::Path>,
     ) -> Result<ConnectivityService, StoreOpenError> {
-        Ok(match ftc_core::compressed::open_path(path)? {
-            AnyArchive::V1(view) => Self::with_backing(Backing::Archive(view)),
-            AnyArchive::V2(view) => Self::with_backing(Backing::Compressed(view)),
-        })
+        Ok(Self::from_archive(ftc_core::compressed::open_path(path)?))
+    }
+
+    /// The served archive.
+    pub fn archive(&self) -> &AnyArchive {
+        &self.inner.archive
     }
 
     /// Number of served vertex labels.
     pub fn n(&self) -> usize {
-        self.inner.backing.n()
+        self.inner.archive.n()
     }
 
     /// Number of served edge labels.
     pub fn m(&self) -> usize {
-        self.inner.backing.m()
+        self.inner.archive.m()
     }
 
     /// The shared labeling header (fault budget `f` in `header().f`).
     pub fn header(&self) -> LabelHeader {
-        self.inner.backing.header()
-    }
-
-    /// The archive encoding, when the service is archive-backed.
-    pub fn encoding(&self) -> Option<EdgeEncoding> {
-        match &self.inner.backing {
-            Backing::Owned(_) => None,
-            Backing::Archive(v) => Some(v.encoding()),
-            Backing::Compressed(v) => Some(v.encoding()),
-        }
-    }
-
-    /// `true` when the service serves a v2 compressed archive.
-    pub fn is_compressed(&self) -> bool {
-        matches!(&self.inner.backing, Backing::Compressed(_))
-    }
-
-    /// The owned label set, when the service is label-backed.
-    pub fn labels(&self) -> Option<&LabelSet<RsVector>> {
-        match &self.inner.backing {
-            Backing::Owned(l) => Some(l),
-            Backing::Archive(_) | Backing::Compressed(_) => None,
-        }
+        self.inner.archive.header()
     }
 
     /// Answers a pair without preparing a fault set at all:
@@ -480,16 +312,8 @@ impl ConnectivityService {
     ///
     /// [`ServeError::VertexOutOfRange`] on bad vertex IDs.
     pub fn trivial_answer(&self, s: usize, t: usize) -> Result<Option<bool>, ServeError> {
-        let vs = self
-            .inner
-            .backing
-            .vertex(s)?
-            .ok_or(ServeError::VertexOutOfRange { v: s })?;
-        let vt = self
-            .inner
-            .backing
-            .vertex(t)?
-            .ok_or(ServeError::VertexOutOfRange { v: t })?;
+        let archive = &self.inner.archive;
+        let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
         Ok(QuerySession::trivial_answer(&vs, &vt)?)
     }
 
@@ -537,17 +361,22 @@ impl ConnectivityService {
         pairs: &[(usize, usize)],
         mut extract: impl FnMut(Option<&[(u32, u32)]>) -> R,
     ) -> Result<Vec<R>, ServeError> {
-        let backing = &self.inner.backing;
+        let archive = &self.inner.archive;
+        // The session build would report unknown faults too, but it is
+        // skipped when every pair is trivial.
         for &(u, v) in faults {
-            if !backing.has_edge(u, v)? {
+            if archive
+                .edge_id(u, v)
+                .map_err(ServeError::Corrupt)?
+                .is_none()
+            {
                 return Err(ServeError::UnknownEdge { u, v });
             }
         }
-        let resolve = |v: usize| backing.vertex(v)?.ok_or(ServeError::VertexOutOfRange { v });
         let mut out: Vec<Option<R>> = Vec::with_capacity(pairs.len());
         let mut nontrivial = Vec::new();
         for &(s, t) in pairs {
-            let (vs, vt) = (resolve(s)?, resolve(t)?);
+            let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
             match QuerySession::trivial_answer(&vs, &vt)? {
                 Some(true) => out.push(Some(extract(Some(&[])))),
                 Some(false) => out.push(Some(extract(None))),
@@ -559,11 +388,11 @@ impl ConnectivityService {
         }
         if !nontrivial.is_empty() {
             let mut scratch = self.inner.pool.checkout();
-            let session = match backing.build_session(faults, &mut scratch) {
+            let session = match archive.session_in(faults.iter().copied(), &mut scratch) {
                 Ok(session) => session,
                 Err(e) => {
                     self.inner.pool.put_back(scratch);
-                    return Err(e);
+                    return Err(e.into());
                 }
             };
             let mut answered = nontrivial
@@ -606,13 +435,10 @@ impl ConnectivityService {
         faults: &[(usize, usize)],
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
-        let backing = &self.inner.backing;
-        for &(u, v) in faults {
-            if !backing.has_edge(u, v)? {
-                return Err(ServeError::UnknownEdge { u, v });
-            }
-        }
-        self.run_session(|scratch| backing.build_session(faults, scratch), f)
+        self.run_session(
+            |archive, scratch| archive.session_in(faults.iter().copied(), scratch),
+            f,
+        )
     }
 
     /// Like [`ConnectivityService::with_session`], naming faults by
@@ -628,28 +454,31 @@ impl ConnectivityService {
         faults: &[usize],
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
-        let backing = &self.inner.backing;
-        if let Some(&id) = faults.iter().find(|&&e| e >= backing.m()) {
-            return Err(ServeError::UnknownEdgeId { id });
-        }
-        self.run_session(|scratch| backing.build_session_ids(faults, scratch), f)
+        self.run_session(
+            |archive, scratch| archive.session_in_by_ids(faults.iter().copied(), scratch),
+            f,
+        )
     }
 
     fn run_session<R>(
         &self,
-        build: impl FnOnce(&mut ftc_core::SessionScratch<RsVector>) -> Result<QuerySession, ServeError>,
+        build: impl FnOnce(
+            &AnyArchive,
+            &mut ftc_core::SessionScratch<RsVector>,
+        ) -> Result<QuerySession, StoreError>,
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
+        let archive = &self.inner.archive;
         let mut scratch = self.inner.pool.checkout();
-        let session = match build(&mut scratch) {
+        let session = match build(archive, &mut scratch) {
             Ok(session) => session,
             Err(e) => {
                 self.inner.pool.put_back(scratch);
-                return Err(e);
+                return Err(e.into());
             }
         };
         let r = f(Served {
-            backing: &self.inner.backing,
+            archive,
             session: &session,
         });
         scratch.recycle(session);
@@ -659,12 +488,11 @@ impl ConnectivityService {
 }
 
 // Compile-time guarantees, not vibes: the service contract is
-// `Send + Sync + Clone`, and both backings must stay that way.
+// `Send + Sync + Clone`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_clone<T: Clone>() {}
     assert_send_sync::<ConnectivityService>();
-    assert_send_sync::<Backing>();
     assert_send_sync::<Answers>();
     assert_send_sync::<ServeError>();
     assert_clone::<ConnectivityService>();
@@ -673,7 +501,10 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_core::compressed::compress_archive;
+    use ftc_core::store::LabelStoreView;
     use ftc_core::{FtcScheme, Params};
+    use ftc_graph::connectivity::ConnectivityOracle;
     use ftc_graph::Graph;
 
     fn torus_service(encoding: Option<EdgeEncoding>) -> ConnectivityService {
@@ -688,23 +519,83 @@ mod tests {
         }
     }
 
-    fn torus_service_compressed(enc: EdgeEncoding) -> ConnectivityService {
+    /// The torus labeling as every archive source: {v1, v2} ×
+    /// {Full, Compact}, each opened through `from_archive_bytes`.
+    fn torus_sources() -> (Graph, Vec<(String, ConnectivityService)>) {
         let g = Graph::torus(3, 4);
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
-        let blob = LabelStore::to_vec(scheme.labels(), enc);
-        let view = ftc_core::store::LabelStoreView::open(&blob).unwrap();
-        let store = ftc_core::compressed::compress_archive(&view);
-        ConnectivityService::from_compressed(store.view().unwrap())
+        let mut sources = Vec::new();
+        for enc in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+            let v1 = LabelStore::to_vec(scheme.labels(), enc);
+            let v2 = compress_archive(&LabelStoreView::open(&v1).unwrap()).into_vec();
+            for (format, bytes) in [("v1", v1), ("v2", v2)] {
+                let svc = ConnectivityService::from_archive_bytes(bytes).unwrap();
+                assert_eq!(svc.archive().encoding(), enc);
+                sources.push((format!("{format}/{enc:?}"), svc));
+            }
+        }
+        (g, sources)
+    }
+
+    #[test]
+    fn every_archive_source_answers_like_the_oracle() {
+        let (g, sources) = torus_sources();
+        let pairs: Vec<(usize, usize)> = (0..g.n())
+            .flat_map(|s| (0..g.n()).map(move |t| (s, t)))
+            .collect();
+        let mut oracle = ConnectivityOracle::new(&g);
+        for faults in [vec![], vec![(0usize, 1usize)], vec![(0, 1), (0, 4)]] {
+            oracle.prepare_pairs(&faults);
+            let want: Vec<bool> = pairs.iter().map(|&(s, t)| oracle.connected(s, t)).collect();
+            for (name, svc) in &sources {
+                let got = svc.query(&faults, &pairs).unwrap();
+                assert_eq!(got.as_slice(), &want[..], "{name} {faults:?}");
+                // The certified variant agrees on existence.
+                let certs = svc.query_certified(&faults, &pairs).unwrap();
+                assert!(
+                    certs.iter().zip(&want).all(|(c, &w)| c.is_some() == w),
+                    "{name} {faults:?}"
+                );
+            }
+        }
+        // The same bad inputs give the same typed errors from every source.
+        let m = g.m();
+        let want = vec![
+            ServeError::UnknownEdge { u: 0, v: 99 },
+            ServeError::UnknownEdge { u: 0, v: 99 },
+            ServeError::VertexOutOfRange { v: 99 },
+            ServeError::Query(QueryError::TooManyFaults {
+                supplied: 3,
+                budget: 2,
+            }),
+            ServeError::UnknownEdge { u: 0, v: 99 },
+            ServeError::UnknownEdgeId { id: m },
+        ];
+        for (name, svc) in &sources {
+            let got = vec![
+                svc.query(&[(0, 99)], &[(0, 1)]).unwrap_err(),
+                // Unknown faults error even when every pair is trivial.
+                svc.query(&[(0, 99)], &[(3, 3)]).unwrap_err(),
+                svc.query(&[], &[(0, 99)]).unwrap_err(),
+                svc.query(&[(0, 1), (1, 2), (2, 3)], &[(0, 5)]).unwrap_err(),
+                svc.with_session(&[(0, 1), (0, 99)], |_| ()).unwrap_err(),
+                svc.with_session_ids(&[0, m], |_| ()).unwrap_err(),
+            ];
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]
     fn compressed_backing_answers_like_the_others() {
         let owned = torus_service(None);
-        let compressed = torus_service_compressed(EdgeEncoding::Full);
-        assert!(compressed.is_compressed());
-        assert!(!owned.is_compressed());
-        assert_eq!(compressed.encoding(), Some(EdgeEncoding::Full));
-        assert!(compressed.labels().is_none());
+        let g = Graph::torus(3, 4);
+        let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
+        let v1 = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
+        let store = compress_archive(&LabelStoreView::open(&v1).unwrap());
+        let compressed = ConnectivityService::from_archive(AnyArchive::V2(store.view().unwrap()));
+        assert!(matches!(compressed.archive(), AnyArchive::V2(_)));
+        assert!(matches!(owned.archive(), AnyArchive::V1(_)));
+        assert_eq!(compressed.archive().encoding(), EdgeEncoding::Full);
         let faults = [(0usize, 1usize), (0, 4)];
         let pairs: Vec<(usize, usize)> =
             (0..12).flat_map(|s| (0..12).map(move |t| (s, t))).collect();
@@ -728,9 +619,10 @@ mod tests {
         let owned = torus_service(None);
         let full = torus_service(Some(EdgeEncoding::Full));
         let compact = torus_service(Some(EdgeEncoding::Compact));
-        assert!(owned.labels().is_some());
-        assert_eq!(owned.encoding(), None);
-        assert_eq!(full.encoding(), Some(EdgeEncoding::Full));
+        // Owned labels are archived once with the full encoding.
+        assert_eq!(owned.archive().encoding(), EdgeEncoding::Full);
+        assert_eq!(full.archive().encoding(), EdgeEncoding::Full);
+        assert_eq!(compact.archive().encoding(), EdgeEncoding::Compact);
         let faults = [(0usize, 1usize), (0, 4)];
         let pairs: Vec<(usize, usize)> =
             (0..12).flat_map(|s| (0..12).map(move |t| (s, t))).collect();
@@ -744,6 +636,28 @@ mod tests {
         let certs = owned.query_certified(&faults, &pairs).unwrap();
         for (cert, ans) in certs.iter().zip(&a) {
             assert_eq!(cert.is_some(), ans);
+        }
+    }
+
+    #[test]
+    fn v2_bytes_serve_like_v1_bytes() {
+        let g = Graph::torus(3, 4);
+        let builder = || FtcScheme::builder(&g).params(&Params::deterministic(2));
+        let (v1, _) = builder().build_store(EdgeEncoding::Full).unwrap();
+        let (v2, _) = builder()
+            .build_store_compressed(EdgeEncoding::Full)
+            .unwrap();
+        let v1 = ConnectivityService::from_archive_bytes(v1.into_vec()).unwrap();
+        let v2 = ConnectivityService::from_archive_bytes(v2.into_vec()).unwrap();
+        let pairs: Vec<(usize, usize)> = (0..g.n())
+            .flat_map(|s| (0..g.n()).map(move |t| (s, t)))
+            .collect();
+        for faults in [vec![], vec![(0usize, 1usize), (0, 4)], vec![(1, 2)]] {
+            assert_eq!(
+                v1.query(&faults, &pairs).unwrap(),
+                v2.query(&faults, &pairs).unwrap(),
+                "{faults:?}"
+            );
         }
     }
 

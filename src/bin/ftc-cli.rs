@@ -218,21 +218,21 @@ fn cmd_info(args: &[String]) -> CliResult {
         return Err(CliError::Usage);
     };
     let archive = open_any(path)?;
-    let header = archive.header();
     let encoding = match archive.encoding() {
         EdgeEncoding::Full => "full",
         EdgeEncoding::Compact => "compact",
     };
+    print!(
+        "n {}\nm {}\nf {}\nk {}\nlevels {}\nencoding {encoding}\n",
+        archive.n(),
+        archive.m(),
+        archive.header().f,
+        archive.k(),
+        archive.levels()
+    );
     match archive {
         AnyArchive::V1(view) => {
-            let (k, levels) = view.edge_by_id(0).map_or((0, 0), |e| (e.k(), e.levels()));
-            print!(
-                "n {}\nm {}\nf {}\nk {k}\nlevels {levels}\nencoding {encoding}\nformat v1\narchive_bytes {}\n",
-                view.n(),
-                view.m(),
-                header.f,
-                view.archive_bytes()
-            );
+            println!("format v1\narchive_bytes {}", view.archive_bytes());
             // Same per-region byte breakdown the v2 section table gets —
             // for v1 the stored size equals the raw size, so one number
             // per line suffices.
@@ -244,12 +244,7 @@ fn cmd_info(args: &[String]) -> CliResult {
             // Everything below reads the prologue and section table only
             // (O(header) on the mmap); no payload is decoded.
             print!(
-                "n {}\nm {}\nf {}\nk {}\nlevels {}\nencoding {encoding}\nformat v2-compressed\narchive_bytes {}\nv1_bytes {}\nratio {:.2}\n",
-                view.n(),
-                view.m(),
-                header.f,
-                view.k(),
-                view.levels(),
+                "format v2-compressed\narchive_bytes {}\nv1_bytes {}\nratio {:.2}\n",
                 view.archive_bytes(),
                 view.v1_len(),
                 view.v1_len() as f64 / view.archive_bytes() as f64,
@@ -285,7 +280,7 @@ fn section_name(s: &ftc::core::SectionInfo) -> String {
 /// only the labels it invalidates, and a freshly committed archive is
 /// written back (in place unless `--out` redirects it; a `.ftcz` output
 /// path selects the v2 compressed container). Both input formats are
-/// accepted; v2 inputs are expanded to their v1 bytes first.
+/// adopted as they are, without transcoding.
 ///
 /// With `--journal` the batch runs through a
 /// [`DurableScheme`](ftc::dyn_::DurableScheme): the input state is
@@ -309,17 +304,8 @@ fn cmd_update(args: &[String]) -> CliResult {
         fs::read_to_string(ops_path).map_err(|e| format!("cannot read {ops_path}: {e}"))?;
     let ops = parse_ops(&ops_text)?;
 
-    let mut scheme = match open_any(archive_path)? {
-        AnyArchive::V1(view) => DynamicScheme::from_archive(&view, seed),
-        AnyArchive::V2(view) => {
-            let blob = view
-                .to_v1_vec()
-                .map_err(|e| format!("{archive_path}: {e}"))?;
-            let v = LabelStoreView::open(&blob).map_err(|e| format!("{archive_path}: {e}"))?;
-            DynamicScheme::from_archive(&v, seed)
-        }
-    }
-    .map_err(|e| format!("cannot maintain {archive_path}: {e}"))?;
+    let mut scheme = DynamicScheme::from_archive(&open_any(archive_path)?, seed)
+        .map_err(|e| format!("cannot maintain {archive_path}: {e}"))?;
 
     if flag_present(&flags, "journal") {
         if out_path.ends_with(".ftcz") {
@@ -548,7 +534,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     let s: usize = s_str.parse().map_err(|_| "s must be a vertex ID")?;
     let t: usize = t_str.parse().map_err(|_| "t must be a vertex ID")?;
 
-    let service = open_service(path)?;
+    let service = ConnectivityService::from_archive(open_any(path)?);
 
     let mut fault_pairs = Vec::new();
     for spec in flags.iter().filter(|(k, _)| k == "fault").map(|(_, v)| v) {
@@ -596,7 +582,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         return serve_tcp(path, &addr, &id);
     }
 
-    let service = open_service(path)?;
+    let service = ConnectivityService::from_archive(open_any(path)?);
 
     let stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
@@ -705,15 +691,6 @@ fn read_archive_bytes(path: &str) -> Result<Vec<u8>, String> {
 /// platform allows, with CLI-shaped error messages.
 fn open_any(path: &str) -> Result<AnyArchive, String> {
     ftc::core::compressed::open_path(path).map_err(|e| match e {
-        StoreOpenError::Io(err) => format!("cannot read archive {path}: {err}"),
-        StoreOpenError::Malformed(e) => format!("{path}: {e}"),
-    })
-}
-
-/// Opens an archive file as a shared, thread-safe connectivity service
-/// (either format, memory-mapped).
-fn open_service(path: &str) -> Result<ConnectivityService, String> {
-    ConnectivityService::open_path(path).map_err(|e| match e {
         StoreOpenError::Io(err) => format!("cannot read archive {path}: {err}"),
         StoreOpenError::Malformed(e) => format!("{path}: {e}"),
     })

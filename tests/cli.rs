@@ -339,8 +339,8 @@ fn serve_answers_stdin_queries_in_order() {
 /// and lands in the archive.
 #[test]
 fn journaled_update_and_recover_round_trip() {
+    use ftc::core::compressed::AnyArchive;
     use ftc::core::io::StdVfs;
-    use ftc::core::store::LabelStoreView;
     use ftc::dyn_::journal::{scan_journal, FsyncPolicy, Journal, JournalOp};
     use ftc::dyn_::DynamicScheme;
 
@@ -407,8 +407,7 @@ fn journaled_update_and_recover_round_trip() {
 
     // Craft a crash: a journal holding one un-checkpointed insert plus
     // a torn tail, with the manifest gone entirely.
-    let bytes = fs::read(&archive).unwrap();
-    let view = LabelStoreView::open(&bytes).unwrap();
+    let view = AnyArchive::open(fs::read(&archive).unwrap().into()).unwrap();
     let scheme = DynamicScheme::from_archive(&view, 5).unwrap();
     assert!(!scheme.has_edge(1, 4));
     drop(scheme);

@@ -16,6 +16,7 @@
 
 #![cfg(unix)]
 
+use ftc::core::compressed::AnyArchive;
 use ftc::core::store::LabelStoreView;
 use ftc::dyn_::journal::{scan_journal, JournalOp};
 use ftc::dyn_::DynamicScheme;
@@ -46,9 +47,10 @@ fn cli() -> Command {
 /// recovery uses (seed 0 matches the CLI default).
 fn archive_edges(path: &Path) -> BTreeSet<(usize, usize)> {
     let bytes = fs::read(path).expect("surviving archive must be readable");
-    let view = LabelStoreView::open(&bytes)
+    let view = LabelStoreView::open_shared(bytes)
         .expect("surviving archive must re-validate from raw bytes (atomic writes)");
-    let scheme = DynamicScheme::from_archive(&view, 0).expect("archive must reconstruct");
+    let scheme =
+        DynamicScheme::from_archive(&AnyArchive::V1(view), 0).expect("archive must reconstruct");
     scheme.edge_pairs().collect()
 }
 
@@ -246,8 +248,8 @@ fn killed_journaled_updates_recover_without_loss() {
         let g = Graph::from_edges(N, &live);
         let mut oracle = ConnectivityOracle::new(&g);
         let bytes = fs::read(&work).unwrap();
-        let view = LabelStoreView::open(&bytes).unwrap();
-        let mut scheme = DynamicScheme::from_archive(&view, 0).unwrap();
+        let view = LabelStoreView::open_shared(bytes).unwrap();
+        let mut scheme = DynamicScheme::from_archive(&AnyArchive::V1(view), 0).unwrap();
         let service = scheme.commit_service();
         let queries: Vec<(usize, usize)> = (0..32)
             .map(|_| {

@@ -7,6 +7,7 @@
 //! reconstituted from an archive must route exactly like the one that
 //! built the labels.
 
+use ftc::core::compressed::AnyArchive;
 use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
 use ftc::core::{FtcScheme, Params};
 use ftc::graph::{connectivity, generators};
@@ -86,9 +87,10 @@ proptest! {
 fn reconstituted_router_equals_built_router() {
     let g = generators::random_connected(18, 14, 11);
     let built = ForbiddenSetRouter::new(&g, 2).unwrap();
-    let blob = LabelStore::to_vec(built.labels(), EdgeEncoding::Full);
-    let view = LabelStoreView::open(&blob).unwrap();
-    let restored = ForbiddenSetRouter::from_store(&g, &view).unwrap();
+    let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
+    let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
+    let archive = AnyArchive::open(blob.into()).unwrap();
+    let restored = ForbiddenSetRouter::from_store(&g, &archive).unwrap();
     for seed in 0..6u64 {
         let fset = generators::random_fault_set(&g, 2, seed);
         for s in 0..g.n() {
