@@ -34,7 +34,9 @@ pub fn berlekamp_massey_into(s: &[Gf64], scratch: &mut BmScratch) -> usize {
     b_poly.push(Gf64::ONE);
     let mut l = 0usize;
     let mut m = 1usize;
-    let mut b = Gf64::ONE;
+    // Inverse of the last discrepancy that changed the length; it changes
+    // only with `b_poly`, so it is inverted once per length change.
+    let mut b_inv = Gf64::ONE;
 
     for i in 0..n {
         // Discrepancy d = s_i + Σ_{j=1..L} c_j · s_{i−j}.
@@ -49,15 +51,13 @@ pub fn berlekamp_massey_into(s: &[Gf64], scratch: &mut BmScratch) -> usize {
         } else if 2 * l <= i {
             t.clear();
             t.extend_from_slice(c);
-            let coef = d * b.inverse().expect("b is a past nonzero discrepancy");
-            grow_xor(c, b_poly, coef, m);
+            grow_xor(c, b_poly, d * b_inv, m);
             l = i + 1 - l;
             std::mem::swap(b_poly, t);
-            b = d;
+            b_inv = d.inverse().expect("discrepancy is nonzero");
             m = 1;
         } else {
-            let coef = d * b.inverse().expect("b is a past nonzero discrepancy");
-            grow_xor(c, b_poly, coef, m);
+            grow_xor(c, b_poly, d * b_inv, m);
             m += 1;
         }
     }

@@ -299,6 +299,15 @@ impl ThresholdCodec {
         if l == 0 || l > k_eff || scratch.bm.c.len() != l + 1 {
             return Err(DecodeError::ThresholdExceeded);
         }
+        // A candidate that verifies has power sums equal to `full`, and
+        // power sums of an `l`-set obey its locator's recurrence at every
+        // index ≥ `l`. The locator generates `prefix` by construction, and
+        // `prefix.len() = 2k′ ≥ 2l > l`, so a locator that fails to
+        // generate the rest of `full` can only fail verification: reject
+        // it before paying for the root find.
+        if !Self::generates_tail(&scratch.bm.c, prefix.len(), full) {
+            return Err(DecodeError::ThresholdExceeded);
+        }
         if !find_roots_into(&scratch.bm.c, &mut scratch.roots, &mut scratch.edges) {
             return Err(DecodeError::ThresholdExceeded);
         }
@@ -315,6 +324,19 @@ impl ThresholdCodec {
         } else {
             Err(DecodeError::ThresholdExceeded)
         }
+    }
+
+    /// Whether the connection polynomial `c` (with `c₀ = 1`) generates
+    /// `s[from..]`: `s_i + Σ_{j=1..deg c} c_j · s_{i−j} = 0` for every
+    /// `i ≥ from` (requires `from ≥ deg c`).
+    fn generates_tail(c: &[Gf64], from: usize, s: &[Gf64]) -> bool {
+        (from..s.len()).all(|i| {
+            let mut acc = s[i];
+            for (j, &cj) in c.iter().enumerate().skip(1) {
+                acc += cj * s[i - j];
+            }
+            acc.is_zero()
+        })
     }
 
     /// Recomputes the power sums of `edges` and compares with `syndrome`;

@@ -2,18 +2,23 @@
 //!
 //! Elements are 64-bit polynomials over GF(2), reduced modulo the primitive
 //! pentanomial `x⁶⁴ + x⁴ + x³ + x + 1`. Addition is XOR; multiplication is a
-//! carry-less product followed by modular reduction. All operations run in
-//! O(1) word-RAM time (multiplication iterates over the set bits of one
-//! operand, ≤ 64 steps), which is the cost model the paper's Proposition 2
-//! assumes for "addition and multiplication over F take O(1) time".
+//! carry-less 64×64→128 product followed by modular reduction. All
+//! operations run in O(1) word-RAM time, which is the cost model the paper's
+//! Proposition 2 assumes for "addition and multiplication over F take O(1)
+//! time":
+//!
+//! * the carry-less product is one `pclmulqdq` instruction when the CPU has
+//!   it (squaring too), else a portable loop over the set bits of the
+//!   sparser operand (≤ 64 steps; squaring spreads the bits instead);
+//! * the reduction folds the high word down with four shifts and XORs — the
+//!   modulus' low part `x⁴ + x³ + x + 1` is sparse enough that no second
+//!   carry-less multiply is needed;
+//! * inversion is an Itoh–Tsujii addition chain: 63 squarings and 10
+//!   multiplications.
 
 use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
-
-/// Low 64 bits of the reduction polynomial `x⁶⁴ + x⁴ + x³ + x + 1`
-/// (the `x⁶⁴` term is implicit).
-const MODULUS_LOW: u64 = 0b11011; // x^4 + x^3 + x + 1
 
 /// An element of the finite field GF(2⁶⁴).
 ///
@@ -61,13 +66,14 @@ impl Gf64 {
 
     /// Carry-less 64×64→128 multiplication (polynomial multiplication over
     /// GF(2) without reduction). Uses the `pclmulqdq` instruction when the
-    /// CPU has it (detected once), falling back to a portable set-bit loop.
+    /// CPU has it, falling back to a portable set-bit loop.
     #[inline]
     fn clmul(a: u64, b: u64) -> u128 {
         #[cfg(target_arch = "x86_64")]
         {
-            if *HAVE_PCLMUL.get_or_init(|| std::arch::is_x86_feature_detected!("pclmulqdq")) {
-                // SAFETY: feature presence was verified at runtime.
+            if have_pclmul() {
+                // SAFETY: `clmul_pclmul` needs `pclmulqdq`, which was just
+                // detected at runtime, and SSE2, which every x86_64 CPU has.
                 return unsafe { clmul_pclmul(a, b) };
             }
         }
@@ -92,18 +98,33 @@ impl Gf64 {
         acc
     }
 
+    /// Carry-less square of `a`: `a` with zero bits interleaved. One
+    /// `pclmulqdq` when the CPU has it, else a portable bit spread.
+    #[inline]
+    fn clsquare(a: u64) -> u128 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if have_pclmul() {
+                // SAFETY: as in `clmul`.
+                return unsafe { clmul_pclmul(a, a) };
+            }
+        }
+        spread_bits(a)
+    }
+
     /// Reduces a 128-bit carry-less product modulo `x⁶⁴ + x⁴ + x³ + x + 1`.
+    ///
+    /// `x⁶⁴ ≡ x⁴ + x³ + x + 1`, so the high word `hi` folds down as
+    /// `hi ⊕ hi≪1 ⊕ hi≪3 ⊕ hi≪4`. The shifts push at most four bits
+    /// (`hi≫63 ⊕ hi≫61 ⊕ hi≫60`) past bit 63; that spill is worth
+    /// `spill · x⁶⁴ ≡ spill · (x⁴ + x³ + x + 1)` too, and since the fold is
+    /// linear it is XORed into `hi` before the single fold.
     #[inline]
     fn reduce(wide: u128) -> u64 {
         let lo = wide as u64;
         let hi = (wide >> 64) as u64;
-        // x^64 ≡ x^4 + x^3 + x + 1, so fold the high half down once …
-        let folded = Self::clmul(hi, MODULUS_LOW);
-        let f_lo = folded as u64;
-        let f_hi = (folded >> 64) as u64; // at most 4 bits survive
-                                          // … and fold the (tiny) spill a second time.
-        let spill = Self::clmul(f_hi, MODULUS_LOW) as u64;
-        lo ^ f_lo ^ spill
+        let h = hi ^ (hi >> 63) ^ (hi >> 61) ^ (hi >> 60);
+        lo ^ h ^ (h << 1) ^ (h << 3) ^ (h << 4)
     }
 
     /// Field multiplication.
@@ -113,11 +134,10 @@ impl Gf64 {
         Gf64(Self::reduce(Self::clmul(self.0, rhs.0)))
     }
 
-    /// Field squaring (slightly cheaper than a general multiply: the
-    /// carry-less square of `a` is `a` with zero bits interleaved).
+    /// Field squaring (the Frobenius map).
     #[inline]
     pub fn square(self) -> Gf64 {
-        Gf64(Self::reduce(spread_bits(self.0)))
+        Gf64(Self::reduce(Self::clsquare(self.0)))
     }
 
     /// Raises the element to the power `e` by square-and-multiply.
@@ -174,10 +194,15 @@ impl Gf64 {
     }
 }
 
+/// Whether the CPU has `pclmulqdq` (detected once; `std` caches the probe).
 #[cfg(target_arch = "x86_64")]
-static HAVE_PCLMUL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+#[inline]
+fn have_pclmul() -> bool {
+    std::arch::is_x86_feature_detected!("pclmulqdq")
+}
 
-/// Hardware carry-less multiply via `pclmulqdq`.
+/// Hardware carry-less multiply via `pclmulqdq`. The lane moves are SSE2,
+/// which is part of the x86_64 baseline.
 ///
 /// # Safety
 ///
@@ -190,7 +215,7 @@ unsafe fn clmul_pclmul(a: u64, b: u64) -> u128 {
     let vb = _mm_set_epi64x(0, b as i64);
     let r = _mm_clmulepi64_si128::<0>(va, vb);
     let lo = _mm_cvtsi128_si64(r) as u64;
-    let hi = _mm_extract_epi64::<1>(r) as u64;
+    let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(r, r)) as u64;
     ((hi as u128) << 64) | lo as u128
 }
 
@@ -356,6 +381,10 @@ impl fmt::Octal for Gf64 {
 mod tests {
     use super::*;
 
+    /// Low 64 bits of the reduction polynomial `x⁶⁴ + x⁴ + x³ + x + 1`
+    /// (the `x⁶⁴` term is implicit).
+    const MODULUS_LOW: u64 = 0b11011;
+
     fn naive_mul(a: u64, b: u64) -> u64 {
         // Bit-by-bit reference implementation: shift-and-reduce.
         let mut acc: u64 = 0;
@@ -428,6 +457,47 @@ mod tests {
             Gf64::clmul(u64::MAX, u64::MAX),
             Gf64::clmul_portable(u64::MAX, u64::MAX)
         );
+    }
+
+    /// Operands with their top bits set, so the 128-bit product's high
+    /// word has bits 60–63 set and `reduce` must fold the spill.
+    fn spill_operands() -> Vec<(u64, u64)> {
+        let mut out = vec![(u64::MAX, u64::MAX), (1 << 63, 1 << 63)];
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        let mut y = 0xfedc_ba98_7654_3210u64;
+        for _ in 0..500 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            y ^= y << 13;
+            y ^= y >> 7;
+            y ^= y << 17;
+            out.push((x | 0xf << 60, y | 0xf << 60));
+            out.push((x | 1 << 63, y | 1 << 61));
+        }
+        out
+    }
+
+    #[test]
+    fn reduction_spill_matches_reference() {
+        for (a, b) in spill_operands() {
+            let wide = Gf64::clmul_portable(a, b);
+            assert_ne!((wide >> 64) as u64 >> 60, 0, "{a:#x} * {b:#x} spills");
+            let want = naive_mul(a, b);
+            assert_eq!(Gf64::reduce(wide), want, "portable {a:#x} * {b:#x}");
+            assert_eq!((Gf64::new(a) * Gf64::new(b)).to_bits(), want);
+            let sq = spread_bits(a);
+            assert_ne!((sq >> 64) as u64 >> 60, 0, "{a:#x}² spills");
+            assert_eq!(Gf64::reduce(sq), naive_mul(a, a), "portable {a:#x}²");
+            assert_eq!(Gf64::new(a).square().to_bits(), naive_mul(a, a));
+            #[cfg(target_arch = "x86_64")]
+            if have_pclmul() {
+                // SAFETY: `pclmulqdq` detected just above; SSE2 is baseline.
+                let (p, s) = unsafe { (clmul_pclmul(a, b), clmul_pclmul(a, a)) };
+                assert_eq!(Gf64::reduce(p), want, "pclmul {a:#x} * {b:#x}");
+                assert_eq!(Gf64::reduce(s), naive_mul(a, a), "pclmul {a:#x}²");
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,11 @@ const FIELD_BITS: u32 = 64;
 /// smaller degree without allocating.
 #[derive(Debug, Default)]
 pub struct RootScratch {
+    /// Coefficient count of the longest input seen. Factor buffers trade
+    /// places (pool order, the stack, the Euclid swap of `g` and `tr`), so
+    /// each keeps at least this capacity; a warm scratch then never grows
+    /// a buffer, whichever one a factor lands in.
+    cap: usize,
     /// Recycled coefficient buffers for stack factors.
     pool: Vec<Vec<Gf64>>,
     /// Explicit recursion stack: (monic factor, first untried basis elt).
@@ -53,8 +58,22 @@ pub struct RootScratch {
 }
 
 impl RootScratch {
+    /// Raises `cap` to `len` and gives the swapping gcd operands that
+    /// capacity (their contents are dead between calls).
+    fn reserve(&mut self, len: usize) {
+        self.cap = self.cap.max(len);
+        for buf in [&mut self.g, &mut self.tr] {
+            buf.clear();
+            buf.reserve(self.cap);
+        }
+    }
+
+    /// An empty factor buffer with capacity `cap`.
     fn take_buf(&mut self) -> Vec<Gf64> {
-        self.pool.pop().unwrap_or_default()
+        let mut buf = self.pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.reserve(self.cap);
+        buf
     }
 
     fn drain_stack(&mut self) {
@@ -89,10 +108,22 @@ fn make_monic(v: &mut [Gf64]) {
     }
 }
 
+/// The inverse of the leading coefficient of `m` (normalized, non-zero).
+/// A monic divisor — every Frobenius-table squaring and the `h = σ / g`
+/// split — skips the inversion.
+fn lead_inverse(m: &[Gf64]) -> Gf64 {
+    let lead = *m.last().expect("divisor is non-zero");
+    if lead == Gf64::ONE {
+        Gf64::ONE
+    } else {
+        lead.inverse().expect("leading coeff nonzero")
+    }
+}
+
 /// `r ← r mod m` in place (`m` normalized, non-zero).
 fn rem_in_place(r: &mut Vec<Gf64>, m: &[Gf64]) {
     let dm = m.len() - 1;
-    let lead_inv = m[dm].inverse().expect("leading coeff nonzero");
+    let lead_inv = lead_inverse(m);
     let mut i = r.len();
     while i > dm {
         i -= 1;
@@ -131,7 +162,7 @@ fn div_rem_in_place(num: &mut Vec<Gf64>, den: &[Gf64], quot: &mut Vec<Gf64>) {
         return;
     }
     let dm = den.len() - 1;
-    let lead_inv = den[dm].inverse().expect("leading coeff nonzero");
+    let lead_inv = lead_inverse(den);
     quot.resize(num.len() - dm, Gf64::ZERO);
     for i in (dm..num.len()).rev() {
         let c = num[i];
@@ -201,8 +232,8 @@ fn trace_map_into(beta: Gf64, d: usize, s: &mut RootScratch) {
 /// Allocation-free once `scratch` has warmed up to the polynomial degree.
 pub fn find_roots_into(poly: &[Gf64], scratch: &mut RootScratch, roots: &mut Vec<Gf64>) -> bool {
     roots.clear();
+    scratch.reserve(poly.len());
     let mut sigma = scratch.take_buf();
-    sigma.clear();
     sigma.extend_from_slice(poly);
     trim(&mut sigma);
     if sigma.is_empty() {
@@ -266,13 +297,12 @@ pub fn find_roots_into(poly: &[Gf64], scratch: &mut RootScratch, roots: &mut Vec
         // monotonically. Push h below g so g is processed first (depth
         // first, matching the recursive formulation).
         let mut g_buf = scratch.take_buf();
-        g_buf.clear();
         g_buf.extend_from_slice(&scratch.g);
         let mut h_buf = sigma;
         div_rem_in_place(&mut h_buf, &g_buf, &mut scratch.quot);
         debug_assert!(h_buf.is_empty(), "g divides sigma exactly");
-        std::mem::swap(&mut h_buf, &mut scratch.quot);
-        make_monic(&mut h_buf);
+        // Monic ÷ monic: the quotient is monic already.
+        h_buf.extend_from_slice(&scratch.quot);
         scratch.stack.push((h_buf, j + 1));
         scratch.stack.push((g_buf, j + 1));
     }
@@ -346,6 +376,22 @@ mod tests {
     fn many_roots() {
         let rs: Vec<Gf64> = (1..=40u64).map(|i| g(i * 0x9e37_79b9 + 17)).collect();
         check_roundtrip(&rs);
+    }
+
+    #[test]
+    fn high_degree_monic_and_non_monic() {
+        // Degree ≥ 64: more roots than basis elements, deep split stacks,
+        // and the monic (no-inversion) division path on every factor.
+        let rs: Vec<Gf64> = (1..=70u64)
+            .map(|i| g(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i << 3))
+            .collect();
+        check_roundtrip(&rs);
+        let p = Poly::from_roots(&rs).scale(g(0xfeed_beef_1234));
+        let mut found = find_roots(&p).expect("non-monic input splits");
+        found.sort();
+        let mut want = rs.clone();
+        want.sort();
+        assert_eq!(found, want);
     }
 
     #[test]
