@@ -33,6 +33,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Bytes a response read asks the socket for at least.
+const READ_CHUNK: usize = 4096;
+
 /// Errors raised on the client side of the wire.
 #[derive(Debug)]
 pub enum ClientError {
@@ -192,7 +195,12 @@ pub struct Client {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
     wbuf: Vec<u8>,
+    /// Received bytes not yet decoded: `rbuf[rstart..rend]`. Reads take
+    /// whatever the socket holds, so pipelined responses arrive several
+    /// per syscall.
     rbuf: Vec<u8>,
+    rstart: usize,
+    rend: usize,
     next_id: u64,
     /// Encoded frames of sent-but-unanswered requests, by ID (BTreeMap
     /// so replay preserves send order). Only populated when
@@ -231,7 +239,9 @@ impl Client {
             addrs,
             config,
             wbuf: Vec::new(),
-            rbuf: Vec::new(),
+            rbuf: vec![0; READ_CHUNK],
+            rstart: 0,
+            rend: 0,
             next_id: 1,
             inflight: BTreeMap::new(),
             jitter,
@@ -285,6 +295,7 @@ impl Client {
             }
         };
         self.stream = stream;
+        (self.rstart, self.rend) = (0, 0);
         self.stats.reconnects += 1;
         for frame in self.inflight.values() {
             self.stream.write_all(frame)?;
@@ -343,18 +354,42 @@ impl Client {
     }
 
     fn recv_frame(&mut self) -> Result<Response, ClientError> {
-        let mut prefix = [0u8; 4];
-        self.stream.read_exact(&mut prefix)?;
-        let len = u32::from_le_bytes(prefix);
+        self.fill(4)?;
+        let prefix = &self.rbuf[self.rstart..self.rstart + 4];
+        let len = u32::from_le_bytes(prefix.try_into().unwrap());
         if len > MAX_FRAME_BYTES {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("{len}-byte response frame exceeds the cap"),
             )));
         }
-        self.rbuf.resize(len as usize, 0);
-        self.stream.read_exact(&mut self.rbuf)?;
-        Ok(proto::decode_response(&self.rbuf)?)
+        let end = 4 + len as usize;
+        self.fill(end)?;
+        let frame = &self.rbuf[self.rstart + 4..self.rstart + end];
+        self.rstart += end;
+        Ok(proto::decode_response(frame)?)
+    }
+
+    /// Reads until at least `need` undecoded bytes are held, taking
+    /// whatever else the socket has ready.
+    fn fill(&mut self, need: usize) -> std::io::Result<()> {
+        if self.rend - self.rstart >= need {
+            return Ok(());
+        }
+        self.rbuf.copy_within(self.rstart..self.rend, 0);
+        (self.rstart, self.rend) = (0, self.rend - self.rstart);
+        if self.rbuf.len() < need {
+            self.rbuf.resize(need, 0);
+        }
+        while self.rend < need {
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.rend += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Blocks for the next response frame (any request ID). Typed

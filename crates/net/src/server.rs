@@ -277,6 +277,10 @@ fn overloaded_close(mut stream: TcpStream) {
     let _ = stream.write_all(&buf);
 }
 
+/// The most answer bytes a connection holds back while more of its frames
+/// are already received.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
 /// What one poll of the frame reader produced.
 enum FrameEvent {
     /// A complete frame payload is staged in the reader.
@@ -292,22 +296,44 @@ enum FrameEvent {
 
 /// Incremental length-prefixed frame reader that survives read timeouts
 /// mid-frame (the handler's shutdown poll) without losing position.
+///
+/// Each read takes whatever the socket holds, up to the buffer's size, so
+/// a pipelining peer's frames arrive several per syscall instead of two
+/// syscalls (prefix, then payload) per frame.
 struct FrameReader {
     buf: Vec<u8>,
+    /// Received bytes not yet consumed: `buf[start..filled]`.
+    start: usize,
     filled: usize,
+    /// Length, prefix included, of the frame staged at `start` (0 until
+    /// [`FrameReader::next_frame`] returns [`FrameEvent::Frame`]).
+    frame: usize,
 }
 
 impl FrameReader {
     fn new() -> FrameReader {
         FrameReader {
             buf: vec![0; 4096],
+            start: 0,
             filled: 0,
+            frame: 0,
         }
     }
 
     /// The staged payload after a [`FrameEvent::Frame`].
     fn payload(&self) -> &[u8] {
-        &self.buf[4..self.filled]
+        &self.buf[self.start + 4..self.start + self.frame]
+    }
+
+    /// Whether the bytes after the staged frame already hold another
+    /// whole frame, so the next [`FrameReader::next_frame`] returns it
+    /// without reading.
+    fn has_frame(&self) -> bool {
+        let rest = &self.buf[self.start + self.frame..self.filled];
+        rest.len() >= 4 && {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            len <= MAX_FRAME_BYTES && rest.len() - 4 >= len as usize
+        }
     }
 
     fn next_frame(
@@ -316,26 +342,33 @@ impl FrameReader {
         shutdown: &AtomicBool,
         config: &ServerConfig,
     ) -> std::io::Result<FrameEvent> {
-        self.filled = 0;
+        self.start += std::mem::take(&mut self.frame);
         let mut drain_deadline: Option<Instant> = None;
         loop {
-            let target = if self.filled < 4 {
+            let held = self.filled - self.start;
+            let target = if held < 4 {
                 4
             } else {
-                let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap());
+                let prefix = &self.buf[self.start..self.start + 4];
+                let len = u32::from_le_bytes(prefix.try_into().unwrap());
                 if len > MAX_FRAME_BYTES {
                     return Ok(FrameEvent::Violation);
                 }
                 4 + len as usize
             };
-            if self.filled == target && self.filled >= 4 {
+            if held >= target {
+                self.frame = target;
                 return Ok(FrameEvent::Frame);
             }
+            // Short of a frame: move the partial one to the front and make
+            // room for the rest of it.
+            self.buf.copy_within(self.start..self.filled, 0);
+            (self.start, self.filled) = (0, held);
             if self.buf.len() < target {
                 self.buf.resize(target, 0);
             }
             if shutdown.load(Ordering::Acquire) {
-                if self.filled == 0 {
+                if held == 0 {
                     return Ok(FrameEvent::Shutdown);
                 }
                 // Mid-frame: grant the peer a bounded window to finish
@@ -346,9 +379,9 @@ impl FrameReader {
                     return Ok(FrameEvent::Violation);
                 }
             }
-            match stream.read(&mut self.buf[self.filled..target]) {
+            match stream.read(&mut self.buf[self.filled..]) {
                 Ok(0) => {
-                    return Ok(if self.filled == 0 {
+                    return Ok(if held == 0 {
                         FrameEvent::Eof
                     } else {
                         FrameEvent::Violation // truncated frame
@@ -373,24 +406,29 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConf
     loop {
         match reader.next_frame(&mut stream, &shared.shutdown, config) {
             Ok(FrameEvent::Frame) => {
-                wbuf.clear();
                 // The deadline clock starts at frame receipt: time spent
                 // queued in the coalescer counts against it.
                 let deadline = config.request_deadline.map(|d| Instant::now() + d);
                 let keep = process_frame(reader.payload(), shared, &mut wbuf, deadline);
-                if stream.write_all(&wbuf).is_err() || stream.flush().is_err() {
-                    return;
-                }
                 // Drain semantics: the in-flight frame was answered;
                 // once shutdown is requested no further frames start.
-                if !keep || shared.shutdown.load(Ordering::Acquire) {
+                let last = !keep || shared.shutdown.load(Ordering::Acquire);
+                // Frames that arrived together are answered in one write
+                // (one wake-up of the peer), sent once no whole frame is
+                // left to serve.
+                if last || !reader.has_frame() || wbuf.len() >= WRITE_BATCH_BYTES {
+                    if stream.write_all(&wbuf).is_err() || stream.flush().is_err() {
+                        return;
+                    }
+                    wbuf.clear();
+                }
+                if last {
                     return;
                 }
             }
             Ok(FrameEvent::Violation) => {
                 // Best effort: name the violation before closing (the
                 // stream can no longer be trusted to stay in sync).
-                wbuf.clear();
                 proto::encode_response_err(
                     &mut wbuf,
                     0,

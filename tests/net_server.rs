@@ -219,6 +219,110 @@ fn malformed_frames_get_typed_errors_without_desync() {
     join.join().unwrap().unwrap();
 }
 
+/// Frames that arrive in one burst are answered in order, each exactly
+/// once, whether they come in one write or trickle in a few bytes at a
+/// time; a framing violation behind them still gets the earlier frames
+/// answered before its error and the close.
+#[test]
+fn pipelined_bursts_and_split_frames_are_answered_in_order() {
+    let g = generators::random_connected(30, 45, 4);
+    let registry = Arc::new(ServiceRegistry::new());
+    registry.insert("g", service_of(&g, 2));
+    let (handle, join) = spawn(registry);
+    let all: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    type Pairs = Vec<(usize, usize)>;
+    let requests: Vec<(Vec<usize>, Pairs)> = (0..24u64)
+        .map(|i| {
+            let fset = generators::random_fault_set(&g, 2, i);
+            let pairs = (0..5).map(|p| ((i as usize * 3 + p) % 30, (p * 11) % 30));
+            (fset, pairs.collect())
+        })
+        .collect();
+    let mut burst = Vec::new();
+    for (i, (fset, pairs)) in requests.iter().enumerate() {
+        let faults: Vec<(usize, usize)> = fset.iter().map(|&e| all[e]).collect();
+        proto::encode_request(&mut burst, 100 + i as u64, "g", 0, &faults, pairs).unwrap();
+    }
+    let check = |raw: &mut TcpStream| {
+        for (i, (fset, pairs)) in requests.iter().enumerate() {
+            let resp = proto::decode_response(&read_frame(raw).unwrap()).unwrap();
+            assert_eq!(resp.request_id, 100 + i as u64);
+            let ResponseBody::Answers { answers, .. } = resp.body else {
+                panic!("request {i} was not answered: {:?}", resp.body);
+            };
+            for (&(s, t), &got) in pairs.iter().zip(&answers) {
+                assert_eq!(got, connectivity::connected_avoiding(&g, s, t, fset));
+            }
+        }
+    };
+
+    // Every frame in one write.
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.write_all(&burst).unwrap();
+    check(&mut raw);
+
+    // The same frames in 7-byte pieces, so prefixes and payloads split
+    // across reads.
+    for piece in burst.chunks(7) {
+        raw.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    check(&mut raw);
+
+    // Answered frames, then an oversized length prefix in the same write.
+    let mut tail = burst.clone();
+    tail.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
+    raw.write_all(&tail).unwrap();
+    check(&mut raw);
+    let resp = proto::decode_response(&read_frame(&mut raw).unwrap()).unwrap();
+    assert!(matches!(
+        resp.body,
+        ResponseBody::Error {
+            code: ErrorCode::BadFrame,
+            ..
+        }
+    ));
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty());
+
+    // The client pipelines as deep as it likes and reads the answers
+    // back in send order; they are wide enough that its reads end inside
+    // frames.
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let wide: Vec<(Pairs, Pairs)> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, (fset, _))| {
+            let pairs = (0..1500).map(|p| (p % 30, (p * 7 + i) % 30));
+            (fset.iter().map(|&e| all[e]).collect(), pairs.collect())
+        })
+        .collect();
+    let before = handle.stats().requests;
+    let ids: Vec<u64> = wide
+        .iter()
+        .map(|(faults, pairs)| client.send("g", faults, pairs).unwrap())
+        .collect();
+    // Let the answers pile up in the socket before the first read.
+    while handle.stats().requests < before + wide.len() as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for ((id, (_, pairs)), (fset, _)) in ids.into_iter().zip(&wide).zip(&requests) {
+        let resp = client.recv().unwrap();
+        assert_eq!(resp.request_id, id);
+        let ResponseBody::Answers { answers, .. } = resp.body else {
+            panic!("request {id} was not answered: {:?}", resp.body);
+        };
+        for (&(s, t), &got) in pairs.iter().zip(&answers) {
+            assert_eq!(got, connectivity::connected_avoiding(&g, s, t, fset));
+        }
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Every typed error code the server can emit for well-formed frames.
 #[test]
 fn typed_error_codes_for_bad_arguments() {
