@@ -1,14 +1,15 @@
 //! Differential fuzz harness: hammers every backend (the one-shot
 //! decoder path, the reusable `QuerySession`, the zero-copy byte-view
-//! decoding, and the router) against the ground-truth oracle with seeded
-//! random graphs and fault sets. Runs until the requested budget is
+//! decoding of full and compact labels, and the router) against the
+//! ground-truth oracle with seeded random graphs and fault sets. Runs until the requested budget is
 //! exhausted and reports totals; any disagreement aborts with a
 //! reproducer seed.
 //!
 //! Run: `cargo run -p ftc-bench --release --bin differential_fuzz [seconds]`
 
 use ftc_core::serial::{
-    edge_from_bytes, edge_to_bytes, vertex_to_bytes, EdgeLabelView, VertexLabelView,
+    edge_from_bytes, edge_to_bytes, edge_to_bytes_compact, vertex_to_bytes, CompactEdgeLabelView,
+    EdgeLabelView, VertexLabelView,
 };
 use ftc_core::{FtcScheme, Params, QuerySession};
 use ftc_graph::{connectivity, generators};
@@ -58,6 +59,17 @@ fn main() {
                 .map(|b| EdgeLabelView::new(b).expect("view"))
                 .collect();
             let view_session = QuerySession::new(l.header(), views).expect("view session");
+            // The same again from half-width compact bytes.
+            let compact_bytes: Vec<Vec<u8>> = fset
+                .iter()
+                .map(|&e| edge_to_bytes_compact(l.edge_label_by_id(e)))
+                .collect();
+            let compact_views: Vec<CompactEdgeLabelView> = compact_bytes
+                .iter()
+                .map(|b| CompactEdgeLabelView::new(b).expect("compact view"))
+                .collect();
+            let compact_session =
+                QuerySession::new(l.header(), compact_views).expect("compact session");
             let vertex_bytes: Vec<Vec<u8>> = (0..g.n())
                 .map(|v| vertex_to_bytes(l.vertex_label(v)))
                 .collect();
@@ -74,6 +86,10 @@ fn main() {
                         .connected(vv(s), vv(t))
                         .unwrap_or_else(|e| panic!("seed {seed}: view error {e}"));
                     assert_eq!(bv, want, "seed {seed}: byte views disagree at ({s},{t})");
+                    let cv = compact_session
+                        .connected(vv(s), vv(t))
+                        .unwrap_or_else(|e| panic!("seed {seed}: compact view error {e}"));
+                    assert_eq!(cv, want, "seed {seed}: compact views disagree at ({s},{t})");
                 }
             }
         }

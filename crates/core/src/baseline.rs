@@ -13,8 +13,8 @@
 use crate::auxgraph::AuxGraph;
 use crate::error::BuildError;
 use crate::labels::{
-    DetectOutcome, EdgeLabel, EndpointIndex, LabelHeader, LabelSet, OutdetectVector, SizeReport,
-    SlabDetect, VertexLabel,
+    EdgeLabel, EndpointIndex, LabelHeader, LabelSet, OutdetectVector, SizeReport, SlabDetect,
+    VertexLabel,
 };
 use ftc_graph::{Graph, RootedTree};
 use ftc_sketch::{AgmParams, AgmSketch, SketchBuilder};
@@ -35,25 +35,6 @@ pub struct AgmDetector {
 
 impl OutdetectVector for AgmVector {
     type Detector = AgmDetector;
-
-    fn xor_in(&mut self, other: &Self) {
-        assert_eq!(self.params, other.params, "mixed sketch families");
-        self.sketch.xor_in(&other.sketch);
-    }
-
-    fn is_zero(&self) -> bool {
-        self.sketch.is_zero()
-    }
-
-    fn detect(&self) -> DetectOutcome {
-        if self.sketch.is_zero() {
-            return DetectOutcome::Empty;
-        }
-        match SketchBuilder::new(self.params).detect(&self.sketch) {
-            Some(id) => DetectOutcome::Edges(vec![id]),
-            None => DetectOutcome::Failed,
-        }
-    }
 
     fn bits(&self) -> usize {
         self.params.sketch_bits()

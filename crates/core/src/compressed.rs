@@ -678,14 +678,6 @@ impl EdgeLabelRead for GatheredEdge {
         self.view().anc_lower()
     }
 
-    fn to_vector(&self) -> RsVector {
-        self.view().to_vector()
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        self.view().xor_vector_into(acc);
-    }
-
     fn slab_words(&self) -> usize {
         self.view().slab_words()
     }

@@ -3,7 +3,8 @@
 //! The paper's framework (Section 3) is deliberately modular: the tree-edge
 //! scheme and the query engine only require *some* outdetect labeling whose
 //! vectors are XOR-mergeable and support outgoing-edge detection. The
-//! [`OutdetectVector`] trait captures exactly that interface; the
+//! [`OutdetectVector`] trait captures exactly that interface, on vectors
+//! flattened into `u64` slab words; the
 //! deterministic Reed–Solomon hierarchy vectors ([`RsVector`]) and the
 //! randomized AGM sketch vectors (in [`crate::baseline`]) both implement
 //! it, so one generic decoder serves every row of Table 1.
@@ -14,20 +15,8 @@ use ftc_field::Gf64;
 use std::fmt;
 use std::sync::Arc;
 
-/// Outcome of an outgoing-edge detection attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DetectOutcome {
-    /// The boundary is certifiably empty.
-    Empty,
-    /// One or more outgoing-edge code IDs (never empty).
-    Edges(Vec<u64>),
-    /// Detection failed (threshold exceeded / sketch failure).
-    Failed,
-}
-
-/// Outcome of a slab-based detection attempt — the scratch-reusing
-/// counterpart of [`DetectOutcome`]: decoded edge code IDs land in the
-/// caller's buffer instead of a fresh `Vec`.
+/// Outcome of an outgoing-edge detection attempt: decoded edge code IDs
+/// land in the caller's buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlabDetect {
     /// The boundary is certifiably empty.
@@ -42,13 +31,12 @@ pub enum SlabDetect {
 /// An XOR-mergeable outdetect vector — the S-outdetect labeling interface
 /// of Section 3.1, stripped to what the query engine needs.
 ///
-/// Besides the owned-vector operations, every implementation exposes a
-/// *slab* representation: the vector flattened into `u64` words whose
-/// XOR is the vector XOR. The query engine keeps all per-fragment
-/// accumulators in one contiguous word arena and merges fragments by
-/// XORing arena rows, so a session build performs no per-fragment vector
-/// allocation; detection runs straight off an arena row through a
-/// reusable [`OutdetectVector::Detector`].
+/// A vector reaches the query engine only as a *slab*: the vector
+/// flattened into `u64` words whose XOR is the vector XOR. The engine
+/// keeps all per-fragment accumulators in one contiguous word arena and
+/// merges fragments by XORing arena rows, so a session build performs no
+/// per-fragment vector allocation; detection runs straight off an arena
+/// row through a reusable [`OutdetectVector::Detector`].
 pub trait OutdetectVector: Clone {
     /// Reusable detection state: the codec geometry plus whatever decode
     /// scratch the backend needs. `Default` yields an unconfigured
@@ -56,20 +44,13 @@ pub trait OutdetectVector: Clone {
     /// [`EdgeLabelRead::configure_detector`]) points it at a labeling.
     type Detector: Default + fmt::Debug;
 
-    /// Merges another vector (labels of disjoint vertex sets XOR to the
-    /// label of their union).
-    fn xor_in(&mut self, other: &Self);
-    /// `true` iff the vector is identically zero.
-    fn is_zero(&self) -> bool;
-    /// Attempts to detect outgoing edges of the sketched boundary.
-    fn detect(&self) -> DetectOutcome;
     /// Size of the vector in bits (for label-size accounting).
     fn bits(&self) -> usize;
-
     /// Number of `u64` words in the flattened slab representation.
     fn slab_words(&self) -> usize;
     /// XORs this vector into a slab accumulator of [`Self::slab_words`]
-    /// words.
+    /// words (labels of disjoint vertex sets XOR to the label of their
+    /// union).
     ///
     /// # Panics
     ///
@@ -77,9 +58,9 @@ pub trait OutdetectVector: Clone {
     fn accumulate_slab(&self, dst: &mut [u64]);
     /// Points `det` at this vector's codec geometry, reusing its buffers.
     fn configure_detector(&self, det: &mut Self::Detector);
-    /// Attempts to detect outgoing edges from an accumulated slab row,
-    /// appending decoded code IDs to `out` (cleared first). Must agree
-    /// with [`OutdetectVector::detect`] on the vector the row encodes.
+    /// Attempts to detect outgoing edges of the boundary an accumulated
+    /// slab row sketches, appending decoded code IDs to `out` (cleared
+    /// first).
     fn detect_slab(det: &mut Self::Detector, words: &[u64], out: &mut Vec<u64>) -> SlabDetect;
 }
 
@@ -118,10 +99,10 @@ impl<T: VertexLabelRead + ?Sized> VertexLabelRead for &T {
 /// Read access to an edge label, independent of its representation.
 ///
 /// Implemented by the owned [`EdgeLabel`] and by the zero-copy
-/// [`crate::serial::EdgeLabelView`] over serialized bytes. The vector
-/// accessors are shaped for the merge engine's accumulate loop: a view
-/// can XOR its syndrome words straight out of the byte buffer without
-/// ever materializing an owned vector per label.
+/// [`crate::serial::EdgeLabelView`] over serialized bytes. The vector is
+/// read only through the slab accessors, shaped for the merge engine's
+/// accumulate loop: a view XORs its syndrome words straight out of the
+/// byte buffer without ever materializing an owned vector per label.
 pub trait EdgeLabelRead {
     /// The outdetect-vector representation this label carries.
     type Vector: OutdetectVector;
@@ -132,11 +113,6 @@ pub trait EdgeLabelRead {
     fn anc_upper(&self) -> AncestryLabel;
     /// Ancestry label of the endpoint of `σ(e)` farther from the root.
     fn anc_lower(&self) -> AncestryLabel;
-    /// Materializes the outdetect vector (used once per fragment as the
-    /// accumulator seed).
-    fn to_vector(&self) -> Self::Vector;
-    /// XORs the outdetect vector into an existing accumulator.
-    fn xor_vector_into(&self, acc: &mut Self::Vector);
     /// Number of `u64` words in the label's flattened vector
     /// representation ([`OutdetectVector::slab_words`]).
     fn slab_words(&self) -> usize;
@@ -168,14 +144,6 @@ impl<V: OutdetectVector> EdgeLabelRead for EdgeLabel<V> {
         self.anc_lower
     }
 
-    fn to_vector(&self) -> V {
-        self.vec.clone()
-    }
-
-    fn xor_vector_into(&self, acc: &mut V) {
-        acc.xor_in(&self.vec);
-    }
-
     fn slab_words(&self) -> usize {
         self.vec.slab_words()
     }
@@ -204,14 +172,6 @@ impl<T: EdgeLabelRead + ?Sized> EdgeLabelRead for &T {
         (**self).anc_lower()
     }
 
-    fn to_vector(&self) -> T::Vector {
-        (**self).to_vector()
-    }
-
-    fn xor_vector_into(&self, acc: &mut T::Vector) {
-        (**self).xor_vector_into(acc);
-    }
-
     fn slab_words(&self) -> usize {
         (**self).slab_words()
     }
@@ -225,45 +185,35 @@ impl<T: EdgeLabelRead + ?Sized> EdgeLabelRead for &T {
     }
 }
 
-/// Backing storage of an [`RsVector`]: an owned syndrome buffer, or a
-/// window into a payload slab shared by every edge label of a build.
-///
-/// The build pipeline produces **one** contiguous slab holding all
-/// per-edge syndromes (edge-major, each edge's levels contiguous) and
-/// hands every edge label a `Window` into it — no per-edge payload
-/// allocation, no second copy of the dominant build artifact. Windows
-/// are copy-on-write: the rare mutating operations (test helpers, the
-/// legacy owned-merge path) first detach into an owned buffer.
-#[derive(Clone)]
-enum RsData {
-    /// Self-contained buffer (deserialization, accumulators, tests).
-    Owned(Vec<Gf64>),
-    /// `slab[start..start + len]`, shared with all sibling labels.
-    Window {
-        slab: Arc<[Gf64]>,
-        start: usize,
-        len: usize,
-    },
+/// `true` iff `len` syndrome words make whole levels of `2k` words — for
+/// `k = 0`, only an empty payload does (a zero threshold has no levels).
+pub(crate) fn whole_levels(k: usize, len: usize) -> bool {
+    if k == 0 {
+        len == 0
+    } else {
+        len.is_multiple_of(2 * k)
+    }
 }
 
 /// The deterministic outdetect vector: per hierarchy level, a
 /// `2k`-element Reed–Solomon syndrome; levels are stored contiguously,
 /// topmost level last.
+///
+/// A vector is a read-only window `slab[start..start + len]` into a
+/// shared syndrome buffer. The build pipeline produces **one** contiguous
+/// slab holding all per-edge syndromes (edge-major, each edge's levels
+/// contiguous) and hands every edge label a window into it — no per-edge
+/// payload allocation, no second copy of the dominant build artifact.
+/// Cloning a vector bumps the slab's reference count.
 #[derive(Clone)]
 pub struct RsVector {
     k: u32,
-    data: RsData,
+    slab: Arc<[Gf64]>,
+    start: usize,
+    len: usize,
 }
 
 impl RsVector {
-    /// An all-zero vector with the given threshold and level count.
-    pub fn zero(k: usize, levels: usize) -> RsVector {
-        RsVector {
-            k: k as u32,
-            data: RsData::Owned(vec![Gf64::ZERO; 2 * k * levels]),
-        }
-    }
-
     /// The codec threshold `k`.
     pub fn k(&self) -> usize {
         self.k as usize
@@ -274,123 +224,50 @@ impl RsVector {
         if self.k == 0 {
             0
         } else {
-            self.as_slice().len() / (2 * self.k as usize)
+            self.len / (2 * self.k as usize)
         }
-    }
-
-    /// The syndrome elements (level-major), wherever they live.
-    fn as_slice(&self) -> &[Gf64] {
-        match &self.data {
-            RsData::Owned(v) => v,
-            RsData::Window { slab, start, len } => &slab[*start..*start + *len],
-        }
-    }
-
-    /// Mutable access, detaching slab windows into owned storage first
-    /// (copy-on-write: mutators never write through the shared slab).
-    fn make_mut(&mut self) -> &mut [Gf64] {
-        if let RsData::Window { slab, start, len } = &self.data {
-            self.data = RsData::Owned(slab[*start..*start + *len].to_vec());
-        }
-        match &mut self.data {
-            RsData::Owned(v) => v,
-            RsData::Window { .. } => unreachable!("detached above"),
-        }
-    }
-
-    /// XOR-accumulates the parity row of `code_id` into level `level`,
-    /// using the caller's codec (callers accumulating many edges build
-    /// the codec once instead of per toggle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range, `code_id == 0`, or the codec
-    /// threshold does not match this vector's `k`.
-    pub fn toggle(&mut self, codec: &ThresholdCodec, level: usize, code_id: u64) {
-        let k = self.k as usize;
-        assert!(level < self.levels(), "level out of range");
-        assert_eq!(codec.k(), k, "codec threshold mismatch");
-        codec.accumulate_edge(
-            &mut self.make_mut()[2 * k * level..2 * k * (level + 1)],
-            Gf64::new(code_id),
-        );
     }
 
     /// Raw field-element view (level-major), for serialization.
     pub fn raw(&self) -> &[Gf64] {
-        self.as_slice()
+        &self.slab[self.start..self.start + self.len]
     }
 
-    /// Rebuilds a vector from raw parts (used by deserialization).
+    /// A vector owning its syndrome elements (used by deserialization).
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` is not a multiple of `2k` (for `k > 0`).
+    /// Panics if `data.len()` is not a whole number of `2k`-element
+    /// levels (nonempty data with `k = 0` included).
     pub fn from_raw(k: usize, data: Vec<Gf64>) -> RsVector {
-        if k > 0 {
-            assert_eq!(data.len() % (2 * k), 0, "raw data length mismatch");
-        }
-        RsVector {
-            k: k as u32,
-            data: RsData::Owned(data),
-        }
+        let len = data.len();
+        RsVector::from_slab(k, &data.into(), 0, len)
     }
 
     /// A vector windowing `slab[start..start + len]` — the arena-backed
-    /// form the build pipeline hands every edge label. Cloning a window
-    /// bumps the slab's reference count; reading goes straight through
-    /// the shared buffer; mutation detaches (copy-on-write).
+    /// form the build pipeline hands every edge label.
     ///
     /// # Panics
     ///
-    /// Panics if the window is out of bounds or `len` is not a multiple
-    /// of `2k` (for `k > 0`).
+    /// Panics if the window is out of bounds or `len` is not a whole
+    /// number of `2k`-element levels.
     pub fn from_slab(k: usize, slab: &Arc<[Gf64]>, start: usize, len: usize) -> RsVector {
         assert!(start + len <= slab.len(), "slab window out of bounds");
-        if k > 0 {
-            assert_eq!(len % (2 * k), 0, "slab window length mismatch");
-        }
+        assert!(whole_levels(k, len), "slab window length mismatch");
         RsVector {
             k: k as u32,
-            data: RsData::Window {
-                slab: Arc::clone(slab),
-                start,
-                len,
-            },
-        }
-    }
-
-    /// `true` iff this vector reads from a shared payload slab rather
-    /// than an owned buffer (diagnostics and tests).
-    pub fn is_slab_window(&self) -> bool {
-        matches!(self.data, RsData::Window { .. })
-    }
-
-    /// XORs raw little-endian syndrome words into the vector in place —
-    /// the zero-copy accumulate path used by byte-level label views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count does not match this vector's width.
-    pub fn xor_in_raw_words<I>(&mut self, words: I)
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let words = words.into_iter();
-        let data = self.make_mut();
-        assert_eq!(words.len(), data.len(), "mixed vector widths");
-        for (d, w) in data.iter_mut().zip(words) {
-            *d += Gf64::new(w);
+            slab: Arc::clone(slab),
+            start,
+            len,
         }
     }
 }
 
 impl PartialEq for RsVector {
     fn eq(&self, other: &Self) -> bool {
-        // Windows and owned buffers with the same logical contents are
-        // the same vector.
-        self.k == other.k && self.as_slice() == other.as_slice()
+        // Windows with the same logical contents are the same vector,
+        // wherever their slabs live.
+        self.k == other.k && self.raw() == other.raw()
     }
 }
 
@@ -425,45 +302,16 @@ impl RsDetector {
 impl OutdetectVector for RsVector {
     type Detector = RsDetector;
 
-    fn xor_in(&mut self, other: &Self) {
-        assert_eq!(self.k, other.k, "mixed thresholds");
-        let src = other.as_slice();
-        let dst = self.make_mut();
-        assert_eq!(dst.len(), src.len(), "mixed level counts");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += *s;
-        }
-    }
-
-    fn is_zero(&self) -> bool {
-        self.as_slice().iter().all(|x| x.is_zero())
-    }
-
-    fn detect(&self) -> DetectOutcome {
-        // One implementation: flatten and run the slab detector (the
-        // serving path), so the two can never diverge. This path is the
-        // convenience one and tolerates the throwaway buffers.
-        let mut det = RsDetector::default();
-        self.configure_detector(&mut det);
-        let words: Vec<u64> = self.as_slice().iter().map(|g| g.to_bits()).collect();
-        let mut ids = Vec::new();
-        match Self::detect_slab(&mut det, &words, &mut ids) {
-            SlabDetect::Empty => DetectOutcome::Empty,
-            SlabDetect::Edges => DetectOutcome::Edges(ids),
-            SlabDetect::Failed => DetectOutcome::Failed,
-        }
-    }
-
     fn bits(&self) -> usize {
-        self.as_slice().len() * 64
+        self.len * 64
     }
 
     fn slab_words(&self) -> usize {
-        self.as_slice().len()
+        self.len
     }
 
     fn accumulate_slab(&self, dst: &mut [u64]) {
-        let src = self.as_slice();
+        let src = self.raw();
         assert_eq!(dst.len(), src.len(), "mixed vector widths");
         // GF(2⁶⁴) addition is XOR of the bit representations.
         for (d, s) in dst.iter_mut().zip(src) {
@@ -507,13 +355,7 @@ impl OutdetectVector for RsVector {
 
 impl fmt::Debug for RsVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "RsVector(k={}, levels={}, zero={})",
-            self.k,
-            self.levels(),
-            self.is_zero()
-        )
+        write!(f, "RsVector(k={}, levels={})", self.k, self.levels())
     }
 }
 
@@ -789,40 +631,59 @@ impl<V: OutdetectVector> LabelSet<V> {
 mod tests {
     use super::*;
 
+    /// A `(k, levels)` vector whose syndromes sketch the given
+    /// `(level, code id)` edges.
+    fn syndrome(k: usize, levels: usize, edges: &[(usize, u64)]) -> RsVector {
+        let codec = ThresholdCodec::new(k);
+        let mut data = vec![Gf64::ZERO; 2 * k * levels];
+        for &(level, id) in edges {
+            codec.accumulate_edge(&mut data[2 * k * level..2 * k * (level + 1)], Gf64::new(id));
+        }
+        RsVector::from_raw(k, data)
+    }
+
+    /// Detects straight off `words` with a detector configured by `v`;
+    /// decoded IDs come back sorted.
+    fn detect_words(v: &RsVector, words: &[u64]) -> (SlabDetect, Vec<u64>) {
+        let mut det = RsDetector::default();
+        v.configure_detector(&mut det);
+        let mut ids = Vec::new();
+        let outcome = RsVector::detect_slab(&mut det, words, &mut ids);
+        ids.sort_unstable();
+        (outcome, ids)
+    }
+
+    /// Detects on `v`'s own slab words.
+    fn detect(v: &RsVector) -> (SlabDetect, Vec<u64>) {
+        let mut words = vec![0u64; v.slab_words()];
+        v.accumulate_slab(&mut words);
+        detect_words(v, &words)
+    }
+
     #[test]
     fn rs_vector_toggle_and_detect_roundtrip() {
-        let codec = ThresholdCodec::new(4);
-        let mut v = RsVector::zero(4, 3);
-        v.toggle(&codec, 1, 0xaaaa);
-        v.toggle(&codec, 1, 0xbbbb);
-        v.toggle(&codec, 0, 0xcccc);
+        let v = syndrome(4, 3, &[(1, 0xaaaa), (1, 0xbbbb), (0, 0xcccc)]);
         // Topmost non-zero level is 1 -> detects both its edges.
-        match v.detect() {
-            DetectOutcome::Edges(mut ids) => {
-                ids.sort_unstable();
-                assert_eq!(ids, vec![0xaaaa, 0xbbbb]);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        assert_eq!(detect(&v), (SlabDetect::Edges, vec![0xaaaa, 0xbbbb]));
     }
 
     #[test]
     fn rs_vector_zero_is_empty() {
-        let v = RsVector::zero(2, 4);
-        assert!(v.is_zero());
-        assert_eq!(v.detect(), DetectOutcome::Empty);
+        let v = syndrome(2, 4, &[]);
+        assert_eq!(detect(&v), (SlabDetect::Empty, vec![]));
         assert_eq!(v.bits(), 2 * 2 * 4 * 64);
     }
 
     #[test]
     fn rs_vector_xor_cancels() {
-        let codec = ThresholdCodec::new(3);
-        let mut a = RsVector::zero(3, 2);
-        a.toggle(&codec, 0, 77);
-        let mut b = RsVector::zero(3, 2);
-        b.toggle(&codec, 0, 77);
-        a.xor_in(&b);
-        assert!(a.is_zero());
+        let a = syndrome(3, 2, &[(0, 77)]);
+        let b = syndrome(3, 2, &[(0, 77)]);
+        let mut words = vec![0u64; a.slab_words()];
+        a.accumulate_slab(&mut words);
+        assert_eq!(detect_words(&a, &words), (SlabDetect::Edges, vec![77]));
+        b.accumulate_slab(&mut words);
+        assert!(words.iter().all(|&w| w == 0));
+        assert_eq!(detect_words(&a, &words), (SlabDetect::Empty, vec![]));
     }
 
     #[test]
@@ -831,12 +692,9 @@ mod tests {
         // (matches the codec-level test). Beyond-threshold outputs are
         // formally unspecified (Proposition 2); the query engine's sanity
         // checks catch the phantom-edge cases this test cannot force.
-        let codec = ThresholdCodec::new(2);
-        let mut v = RsVector::zero(2, 1);
-        for id in 1..=5u64 {
-            v.toggle(&codec, 0, id * 7919);
-        }
-        assert_eq!(v.detect(), DetectOutcome::Failed);
+        let edges: Vec<(usize, u64)> = (1..=5u64).map(|id| (0, id * 7919)).collect();
+        let v = syndrome(2, 1, &edges);
+        assert_eq!(detect(&v), (SlabDetect::Failed, vec![]));
     }
 
     #[test]
@@ -846,81 +704,64 @@ mod tests {
         // reports Empty — the documented "unspecified beyond k" behavior.
         let (a, b, c) = (0x1111u64, 0x2222, 0x4444);
         let d = a ^ b ^ c;
-        let codec = ThresholdCodec::new(1);
-        let mut v = RsVector::zero(1, 1);
-        for id in [a, b, c, d] {
-            v.toggle(&codec, 0, id);
-        }
-        assert!(v.is_zero());
-        assert_eq!(v.detect(), DetectOutcome::Empty);
+        let v = syndrome(1, 1, &[(0, a), (0, b), (0, c), (0, d)]);
+        assert!(v.raw().iter().all(|x| x.is_zero()));
+        assert_eq!(detect(&v), (SlabDetect::Empty, vec![]));
     }
 
     #[test]
     fn rs_vector_empty_levels() {
-        let v = RsVector::zero(3, 0);
+        let v = syndrome(3, 0, &[]);
         assert_eq!(v.levels(), 0);
-        assert_eq!(v.detect(), DetectOutcome::Empty);
+        assert_eq!(v.slab_words(), 0);
+        assert_eq!(detect(&v), (SlabDetect::Empty, vec![]));
     }
 
     #[test]
     fn slab_accumulate_and_detect_match_owned_path() {
-        let codec = ThresholdCodec::new(4);
-        let mut a = RsVector::zero(4, 3);
-        a.toggle(&codec, 1, 0xaaaa);
-        a.toggle(&codec, 2, 0x77);
-        let mut b = RsVector::zero(4, 3);
-        b.toggle(&codec, 2, 0x77);
-        b.toggle(&codec, 1, 0xbbbb);
+        let a = syndrome(4, 3, &[(1, 0xaaaa), (2, 0x77)]);
+        let b = syndrome(4, 3, &[(2, 0x77), (1, 0xbbbb)]);
 
-        // Slab XOR must equal owned XOR, word for word.
+        // Slab XOR must equal the syndrome of the merged edge set (0x77
+        // cancels), word for word.
         let mut words = vec![0u64; a.slab_words()];
         a.accumulate_slab(&mut words);
         b.accumulate_slab(&mut words);
-        let mut owned = a.clone();
-        owned.xor_in(&b);
-        let owned_words: Vec<u64> = owned.raw().iter().map(|g| g.to_bits()).collect();
-        assert_eq!(words, owned_words);
+        let merged = syndrome(4, 3, &[(1, 0xaaaa), (1, 0xbbbb)]);
+        let merged_words: Vec<u64> = merged.raw().iter().map(|g| g.to_bits()).collect();
+        assert_eq!(words, merged_words);
 
-        // Slab detection must agree with owned detection.
-        let mut det = RsDetector::default();
-        owned.configure_detector(&mut det);
-        let mut out = Vec::new();
+        // Detection on the merged row finds the surviving level-1 edges.
         assert_eq!(
-            RsVector::detect_slab(&mut det, &words, &mut out),
-            SlabDetect::Edges
+            detect_words(&a, &words),
+            (SlabDetect::Edges, vec![0xaaaa, 0xbbbb])
         );
-        out.sort_unstable();
-        match owned.detect() {
-            DetectOutcome::Edges(mut ids) => {
-                ids.sort_unstable();
-                assert_eq!(out, ids);
-            }
-            other => panic!("owned path disagreed: {other:?}"),
-        }
 
         // A zero slab row is certifiably empty.
         assert_eq!(
-            RsVector::detect_slab(&mut det, &vec![0u64; owned.slab_words()], &mut out),
-            SlabDetect::Empty
+            detect_words(&a, &vec![0u64; a.slab_words()]),
+            (SlabDetect::Empty, vec![])
         );
-        assert!(out.is_empty());
     }
 
     #[test]
     fn raw_round_trip() {
-        let mut v = RsVector::zero(2, 2);
-        v.toggle(&ThresholdCodec::new(2), 0, 5);
+        let v = syndrome(2, 2, &[(0, 5)]);
         let w = RsVector::from_raw(2, v.raw().to_vec());
         assert_eq!(v, w);
+        assert_eq!(detect(&w), (SlabDetect::Edges, vec![5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "slab window length mismatch")]
+    fn raw_rejects_words_without_a_threshold() {
+        RsVector::from_raw(0, vec![Gf64::ONE; 2]);
     }
 
     #[test]
     fn slab_windows_read_shared_and_detach_on_write() {
-        let codec = ThresholdCodec::new(2);
-        let mut a = RsVector::zero(2, 1);
-        a.toggle(&codec, 0, 0x51);
-        let mut b = RsVector::zero(2, 1);
-        b.toggle(&codec, 0, 0x52);
+        let a = syndrome(2, 1, &[(0, 0x51)]);
+        let b = syndrome(2, 1, &[(0, 0x52)]);
         // One slab holding both vectors back to back.
         let slab: Arc<[Gf64]> = a
             .raw()
@@ -931,26 +772,29 @@ mod tests {
             .into();
         let wa = RsVector::from_slab(2, &slab, 0, 4);
         let wb = RsVector::from_slab(2, &slab, 4, 4);
-        assert!(wa.is_slab_window() && wb.is_slab_window());
-        // Windows equal their owned counterparts (logical equality).
+        // Windows read straight through the shared slab, back to back,
+        // and clones share it too.
+        assert_eq!(wa.raw().as_ptr(), slab.as_ptr());
+        assert_eq!(wb.raw().as_ptr(), wa.raw().as_ptr_range().end);
+        assert_eq!(wa.clone().raw().as_ptr(), wa.raw().as_ptr());
+        // Windows equal their self-contained counterparts (logical
+        // equality) and detect the same edges.
         assert_eq!(wa, a);
         assert_eq!(wb, b);
-        assert_eq!(wa.detect(), a.detect());
-        // Cloning a window shares the slab; mutating detaches the mutated
-        // copy without touching the shared bytes.
-        let mut detached = wa.clone();
-        detached.toggle(&codec, 0, 0x51); // cancels: now zero
-        assert!(detached.is_zero());
-        assert!(!detached.is_slab_window());
-        assert_eq!(wa, a, "sibling windows must not observe the write");
-        // Slab accumulate agrees with the owned path.
+        assert_eq!(detect(&wa), (SlabDetect::Edges, vec![0x51]));
+        assert_eq!(detect(&wb), (SlabDetect::Edges, vec![0x52]));
+        // Merging windows on slab words never writes the shared slab.
         let mut words = vec![0u64; wa.slab_words()];
         wa.accumulate_slab(&mut words);
         wb.accumulate_slab(&mut words);
-        let mut merged = a.clone();
-        merged.xor_in(&b);
+        let merged = syndrome(2, 1, &[(0, 0x51), (0, 0x52)]);
         let merged_words: Vec<u64> = merged.raw().iter().map(|g| g.to_bits()).collect();
         assert_eq!(words, merged_words);
+        assert_eq!(
+            detect_words(&wa, &words),
+            (SlabDetect::Edges, vec![0x51, 0x52])
+        );
+        assert_eq!(wa, a, "sibling windows must not observe the merge");
     }
 
     #[test]

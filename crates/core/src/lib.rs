@@ -95,8 +95,8 @@ pub use io::{
     Vfs, VfsFile,
 };
 pub use labels::{
-    DetectOutcome, EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, OutdetectVector,
-    RsDetector, RsVector, SizeReport, SlabDetect, VertexLabel, VertexLabelRead,
+    EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, OutdetectVector, RsDetector,
+    RsVector, SizeReport, SlabDetect, VertexLabel, VertexLabelRead,
 };
 pub use params::{Params, ThresholdPolicy};
 pub use patch::{assemble_archive, assemble_archive_into, EdgeRecordSpec};

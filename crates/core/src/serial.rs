@@ -11,8 +11,9 @@
 
 use crate::ancestry::AncestryLabel;
 use crate::labels::{
-    EdgeLabel, EdgeLabelRead, LabelHeader, OutdetectVector, RsVector, VertexLabel, VertexLabelRead,
+    whole_levels, EdgeLabel, EdgeLabelRead, LabelHeader, RsVector, VertexLabel, VertexLabelRead,
 };
+use crate::store::{self, EdgeEncoding};
 use ftc_field::Gf64;
 
 pub(crate) const VERTEX_MAGIC: u16 = 0x4656; // "FV"
@@ -73,20 +74,6 @@ impl std::fmt::Display for SerialError {
 
 impl std::error::Error for SerialError {}
 
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u16(&mut self, x: u16) {
-        self.0.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u32(&mut self, x: u32) {
-        self.0.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.0.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -123,24 +110,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn write_header(w: &mut Writer, h: &LabelHeader) {
-    w.u32(h.f);
-    w.u32(h.aux_n);
-    w.u64(h.tag);
-}
-
 fn read_header(r: &mut Reader) -> Result<LabelHeader, SerialError> {
     Ok(LabelHeader {
         f: r.u32()?,
         aux_n: r.u32()?,
         tag: r.u64()?,
     })
-}
-
-fn write_anc(w: &mut Writer, a: &AncestryLabel) {
-    w.u32(a.pre);
-    w.u32(a.last);
-    w.u32(a.comp);
 }
 
 fn read_anc(r: &mut Reader) -> Result<AncestryLabel, SerialError> {
@@ -151,13 +126,12 @@ fn read_anc(r: &mut Reader) -> Result<AncestryLabel, SerialError> {
     })
 }
 
-/// Serializes a vertex label.
+/// Serializes a vertex label — byte-identical to its record in a label
+/// archive (one writer serves both).
 pub fn vertex_to_bytes(l: &VertexLabel) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(2 + 16 + 12));
-    w.u16(VERTEX_MAGIC);
-    write_header(&mut w, &l.header);
-    write_anc(&mut w, &l.anc);
-    w.0
+    let mut buf = vec![0u8; VERTEX_LABEL_BYTES];
+    store::write_vertex_record(&mut buf, 0, l.header, &l.anc);
+    buf
 }
 
 /// Deserializes a vertex label.
@@ -177,20 +151,17 @@ pub fn vertex_from_bytes(bytes: &[u8]) -> Result<VertexLabel, SerialError> {
     Ok(VertexLabel { header, anc })
 }
 
-/// Serializes an edge label of the deterministic scheme.
+/// Serializes one edge label as an archive record of `encoding`.
+fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
+    let mut buf = vec![0u8; store::record_len(encoding, l.vec.k(), l.vec.levels())];
+    store::write_edge_record(&mut buf, 0, l.header, l, encoding);
+    buf
+}
+
+/// Serializes an edge label of the deterministic scheme — byte-identical
+/// to its record in a full-encoding label archive.
 pub fn edge_to_bytes(l: &EdgeLabel<RsVector>) -> Vec<u8> {
-    let raw = l.vec.raw();
-    let mut w = Writer(Vec::with_capacity(2 + 16 + 24 + 8 + raw.len() * 8));
-    w.u16(EDGE_MAGIC);
-    write_header(&mut w, &l.header);
-    write_anc(&mut w, &l.anc_upper);
-    write_anc(&mut w, &l.anc_lower);
-    w.u32(l.vec.k() as u32);
-    w.u32(raw.len() as u32);
-    for &x in raw {
-        w.u64(x.to_bits());
-    }
-    w.0
+    edge_record(l, EdgeEncoding::Full)
 }
 
 /// Deserializes an edge label of the deterministic scheme.
@@ -210,7 +181,7 @@ pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError>
     let k = r.u32()? as usize;
     let len_at = r.pos;
     let len = r.u32()? as usize;
-    if k > 0 && !len.is_multiple_of(2 * k) {
+    if !whole_levels(k, len) {
         return Err(SerialError::new(SerialErrorKind::Inconsistent, len_at));
     }
     let mut data = Vec::with_capacity(len);
@@ -229,24 +200,10 @@ pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError>
 /// Serializes an edge label at half width using the characteristic-two
 /// syndrome compression (extension E12): per hierarchy level only the `k`
 /// odd power sums are stored; [`compact_edge_from_bytes`] reconstructs the
-/// even ones via `s_{2j} = s_j²`.
+/// even ones via `s_{2j} = s_j²`. Byte-identical to the label's record
+/// in a compact-encoding label archive.
 pub fn edge_to_bytes_compact(l: &EdgeLabel<RsVector>) -> Vec<u8> {
-    let k = l.vec.k();
-    let raw = l.vec.raw();
-    let levels = if k == 0 { 0 } else { raw.len() / (2 * k) };
-    let mut w = Writer(Vec::with_capacity(2 + 16 + 24 + 8 + levels * k * 8));
-    w.u16(COMPACT_EDGE_MAGIC);
-    write_header(&mut w, &l.header);
-    write_anc(&mut w, &l.anc_upper);
-    write_anc(&mut w, &l.anc_lower);
-    w.u32(k as u32);
-    w.u32(levels as u32);
-    for lvl in 0..levels {
-        for x in ftc_codes::compact::compress(&raw[2 * k * lvl..2 * k * (lvl + 1)]) {
-            w.u64(x.to_bits());
-        }
-    }
-    w.0
+    edge_record(l, EdgeEncoding::Compact)
 }
 
 /// Deserializes a compact edge label, expanding each level back to the
@@ -346,6 +303,19 @@ fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
     }
 }
 
+/// Copies an edge view out into an owned label whose threshold is `k`:
+/// the vector is the view's slab words, XORed into a zeroed row.
+fn owned_label(view: &impl EdgeLabelRead, k: usize) -> EdgeLabel<RsVector> {
+    let mut words = vec![0u64; view.slab_words()];
+    view.xor_into_slab(&mut words);
+    EdgeLabel {
+        header: view.header(),
+        anc_upper: view.anc_upper(),
+        anc_lower: view.anc_lower(),
+        vec: RsVector::from_raw(k, words.into_iter().map(Gf64::new).collect()),
+    }
+}
+
 /// A validated zero-copy view of a serialized vertex label
 /// ([`vertex_to_bytes`] layout). Implements
 /// [`VertexLabelRead`], so it can be passed to
@@ -414,7 +384,7 @@ impl<'a> EdgeLabelView<'a> {
         }
         let k = read_u32_at(bytes, EDGE_WORDS_OFFSET - 8) as usize;
         let len = read_u32_at(bytes, EDGE_WORDS_OFFSET - 4) as usize;
-        if k > 0 && !len.is_multiple_of(2 * k) {
+        if !whole_levels(k, len) {
             return Err(SerialError::new(
                 SerialErrorKind::Inconsistent,
                 EDGE_WORDS_OFFSET - 4,
@@ -442,12 +412,7 @@ impl<'a> EdgeLabelView<'a> {
 
     /// Copies the view out into an owned label.
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        EdgeLabel {
-            header: EdgeLabelRead::header(self),
-            anc_upper: self.anc_upper(),
-            anc_lower: self.anc_lower(),
-            vec: self.to_vector(),
-        }
+        owned_label(self, self.k())
     }
 }
 
@@ -464,15 +429,6 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
 
     fn anc_lower(&self) -> AncestryLabel {
         read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
-    }
-
-    fn to_vector(&self) -> RsVector {
-        RsVector::from_raw(self.k(), self.words().map(Gf64::new).collect())
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        assert_eq!(self.k(), acc.k(), "mixed thresholds");
-        acc.xor_in_raw_words(self.words());
     }
 
     fn slab_words(&self) -> usize {
@@ -546,12 +502,7 @@ impl<'a> CompactEdgeLabelView<'a> {
 
     /// Copies the view out into an owned label (expanding the syndrome).
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        EdgeLabel {
-            header: EdgeLabelRead::header(self),
-            anc_upper: self.anc_upper(),
-            anc_lower: self.anc_lower(),
-            vec: self.to_vector(),
-        }
+        owned_label(self, self.k())
     }
 }
 
@@ -568,26 +519,6 @@ impl EdgeLabelRead for CompactEdgeLabelView<'_> {
 
     fn anc_lower(&self) -> AncestryLabel {
         read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
-    }
-
-    fn to_vector(&self) -> RsVector {
-        let k = self.k();
-        let mut data = Vec::with_capacity(2 * k * self.levels());
-        let mut odd = Vec::with_capacity(k);
-        for lvl in 0..self.levels() {
-            odd.clear();
-            for i in 0..k {
-                let at = EDGE_WORDS_OFFSET + 8 * (lvl * k + i);
-                odd.push(Gf64::new(read_u64_at(self.buf, at)));
-            }
-            data.extend(ftc_codes::compact::expand(&odd));
-        }
-        RsVector::from_raw(k, data)
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        assert_eq!(self.k(), acc.k(), "mixed thresholds");
-        acc.xor_in(&self.to_vector());
     }
 
     fn slab_words(&self) -> usize {
@@ -631,6 +562,13 @@ mod tests {
     use crate::params::Params;
     use crate::scheme::FtcScheme;
     use ftc_graph::Graph;
+
+    /// A label's vector as slab words, XORed into a zeroed row.
+    fn slab_of(label: &impl EdgeLabelRead) -> Vec<u64> {
+        let mut words = vec![0u64; label.slab_words()];
+        label.xor_into_slab(&mut words);
+        words
+    }
 
     #[test]
     fn vertex_round_trip() {
@@ -779,10 +717,8 @@ mod tests {
             let bytes = edge_to_bytes(l.edge_label_by_id(e));
             let view = EdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
-            // The zero-copy XOR path agrees with the owned vector.
-            let mut acc = view.to_vector();
-            view.xor_vector_into(&mut acc);
-            assert!(crate::labels::OutdetectVector::is_zero(&acc));
+            // The zero-copy slab path agrees with the owned vector.
+            assert_eq!(slab_of(&view), slab_of(l.edge_label_by_id(e)));
         }
     }
 
@@ -831,10 +767,8 @@ mod tests {
             let bytes = edge_to_bytes_compact(l.edge_label_by_id(e));
             let view = CompactEdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
-            // The XOR path agrees with the materialized vector.
-            let mut acc = view.to_vector();
-            view.xor_vector_into(&mut acc);
-            assert!(crate::labels::OutdetectVector::is_zero(&acc));
+            // The on-the-fly slab expansion agrees with the owned vector.
+            assert_eq!(slab_of(&view), slab_of(l.edge_label_by_id(e)));
         }
         // Compact views drive sessions exactly like full ones.
         let b0 = edge_to_bytes_compact(l.edge_label_by_id(0));

@@ -536,14 +536,6 @@ impl<B: Borrow<EdgeLabel<V>>, V: OutdetectVector> EdgeLabelRead for BorrowedFaul
         self.0.borrow().anc_lower
     }
 
-    fn to_vector(&self) -> V {
-        self.0.borrow().vec.clone()
-    }
-
-    fn xor_vector_into(&self, acc: &mut V) {
-        acc.xor_in(&self.0.borrow().vec);
-    }
-
     fn slab_words(&self) -> usize {
         self.0.borrow().vec.slab_words()
     }

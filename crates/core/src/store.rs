@@ -917,20 +917,6 @@ impl EdgeLabelRead for ArchivedEdgeView<'_> {
         }
     }
 
-    fn to_vector(&self) -> RsVector {
-        match self {
-            ArchivedEdgeView::Full(v) => v.to_vector(),
-            ArchivedEdgeView::Compact(v) => v.to_vector(),
-        }
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        match self {
-            ArchivedEdgeView::Full(v) => v.xor_vector_into(acc),
-            ArchivedEdgeView::Compact(v) => v.xor_vector_into(acc),
-        }
-    }
-
     fn slab_words(&self) -> usize {
         match self {
             ArchivedEdgeView::Full(v) => EdgeLabelRead::slab_words(v),
@@ -970,6 +956,12 @@ pub(crate) fn put_u64(buf: &mut [u8], at: usize, x: u64) {
     buf[at..at + 8].copy_from_slice(&x.to_le_bytes());
 }
 
+fn put_header(buf: &mut [u8], at: usize, h: LabelHeader) {
+    put_u32(buf, at, h.f);
+    put_u32(buf, at + 4, h.aux_n);
+    put_u64(buf, at + 8, h.tag);
+}
+
 fn put_anc(buf: &mut [u8], at: usize, a: &AncestryLabel) {
     put_u32(buf, at, a.pre);
     put_u32(buf, at + 4, a.last);
@@ -991,9 +983,7 @@ pub(crate) fn write_fixed_header(
     put_u16(buf, 4, version);
     buf[6] = encoding.tag();
     buf[7] = 0;
-    put_u32(buf, 8, header.f);
-    put_u32(buf, 12, header.aux_n);
-    put_u64(buf, 16, header.tag);
+    put_header(buf, 8, header);
     put_u32(buf, 24, n as u32);
     put_u32(buf, 28, m as u32);
     put_u32(buf, 32, VERTEX_LABEL_BYTES as u32);
@@ -1010,6 +1000,19 @@ pub(crate) fn write_endpoint_index(buf: &mut [u8], at: usize, index: &EndpointIn
     }
 }
 
+/// Writes one vertex record at `at` — the only writer of the
+/// [`serial::vertex_to_bytes`] layout.
+pub(crate) fn write_vertex_record(
+    buf: &mut [u8],
+    at: usize,
+    header: LabelHeader,
+    anc: &AncestryLabel,
+) {
+    put_u16(buf, at, serial::VERTEX_MAGIC);
+    put_header(buf, at + 2, header);
+    put_anc(buf, at + 2 + serial::HEADER_BYTES, anc);
+}
+
 /// Writes the vertex-label region at `at`.
 pub(crate) fn write_vertex_labels(
     buf: &mut [u8],
@@ -1019,12 +1022,7 @@ pub(crate) fn write_vertex_labels(
     vertex_anc: impl Fn(usize) -> AncestryLabel,
 ) {
     for v in 0..n {
-        let rec = at + v * VERTEX_LABEL_BYTES;
-        put_u16(buf, rec, serial::VERTEX_MAGIC);
-        put_u32(buf, rec + 2, header.f);
-        put_u32(buf, rec + 6, header.aux_n);
-        put_u64(buf, rec + 10, header.tag);
-        put_anc(buf, rec + 2 + serial::HEADER_BYTES, &vertex_anc(v));
+        write_vertex_record(buf, at + v * VERTEX_LABEL_BYTES, header, &vertex_anc(v));
     }
 }
 
@@ -1085,9 +1083,7 @@ pub(crate) fn write_edge_prefix(
             EdgeEncoding::Compact => serial::COMPACT_EDGE_MAGIC,
         },
     );
-    put_u32(buf, at + 2, header.f);
-    put_u32(buf, at + 6, header.aux_n);
-    put_u64(buf, at + 10, header.tag);
+    put_header(buf, at + 2, header);
     put_anc(buf, at + 2 + serial::HEADER_BYTES, anc_upper);
     put_anc(
         buf,
@@ -1114,6 +1110,45 @@ pub(crate) fn payload_words(encoding: EdgeEncoding, k: usize, levels: usize) -> 
     }
 }
 
+/// Byte length of one edge record under an encoding.
+pub(crate) fn record_len(encoding: EdgeEncoding, k: usize, levels: usize) -> usize {
+    serial::EDGE_WORDS_OFFSET + 8 * payload_words(encoding, k, levels)
+}
+
+/// Writes one owned edge label's complete record at `at`, prefix and
+/// syndrome words — the only writer of the [`serial::edge_to_bytes`]
+/// and [`serial::edge_to_bytes_compact`] layouts outside the streaming
+/// build.
+pub(crate) fn write_edge_record(
+    buf: &mut [u8],
+    at: usize,
+    header: LabelHeader,
+    label: &EdgeLabel<RsVector>,
+    encoding: EdgeEncoding,
+) {
+    let vec = &label.vec;
+    write_edge_prefix(
+        buf,
+        at,
+        header,
+        &label.anc_upper,
+        &label.anc_lower,
+        encoding,
+        vec.k(),
+        vec.levels(),
+    );
+    // Compact records keep the odd power sums only: s₁, s₃, … (even ones
+    // are Frobenius squares, reconstructed on read).
+    let step = match encoding {
+        EdgeEncoding::Full => 1,
+        EdgeEncoding::Compact => 2,
+    };
+    let words_at = at + serial::EDGE_WORDS_OFFSET;
+    for (i, x) in vec.raw().iter().step_by(step).enumerate() {
+        put_u64(buf, words_at + 8 * i, x.to_bits());
+    }
+}
+
 /// Serializes a label set into the archive layout — one pre-sized output
 /// buffer, written in place (no per-edge byte buffers).
 fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
@@ -1124,15 +1159,11 @@ fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     // Per-edge record lengths (uniform for every labeling our builders
     // produce, but the offset table supports arbitrary lengths — keep
     // the general form).
-    let record_len = |e: usize| {
-        let vec = &labels.edge_label_by_id(e).vec;
-        serial::EDGE_WORDS_OFFSET + 8 * payload_words(encoding, vec.k(), vec.levels())
-    };
     let mut edge_total = 0usize;
     let mut offsets = Vec::with_capacity(m + 1);
-    for e in 0..m {
+    for label in labels.edge_labels() {
         offsets.push(edge_total as u64);
-        edge_total += record_len(e);
+        edge_total += record_len(encoding, label.vec.k(), label.vec.levels());
     }
     offsets.push(edge_total as u64);
 
@@ -1151,36 +1182,8 @@ fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
         |e| offsets[e],
         |v| labels.vertex_label(v).anc,
     );
-    for (e, &off) in offsets.iter().take(m).enumerate() {
-        let label = labels.edge_label_by_id(e);
-        let at = edges_at + off as usize;
-        let (k, levels) = (label.vec.k(), label.vec.levels());
-        write_edge_prefix(
-            &mut out,
-            at,
-            header,
-            &label.anc_upper,
-            &label.anc_lower,
-            encoding,
-            k,
-            levels,
-        );
-        let raw = label.vec.raw();
-        let words_at = at + serial::EDGE_WORDS_OFFSET;
-        match encoding {
-            EdgeEncoding::Full => {
-                for (i, x) in raw.iter().enumerate() {
-                    put_u64(&mut out, words_at + 8 * i, x.to_bits());
-                }
-            }
-            EdgeEncoding::Compact => {
-                // Odd power sums only: s₁, s₃, … (even ones are Frobenius
-                // squares, reconstructed on read).
-                for (i, x) in raw.iter().step_by(2).enumerate() {
-                    put_u64(&mut out, words_at + 8 * i, x.to_bits());
-                }
-            }
-        }
+    for (label, &off) in labels.edge_labels().zip(&offsets) {
+        write_edge_record(&mut out, edges_at + off as usize, header, label, encoding);
     }
     seal_v1_checksum(&mut out);
     out
@@ -1250,7 +1253,7 @@ pub(crate) fn stream_from_build(
     let (n, m) = (g.n(), g.m());
     let (k, levels, header) = (ctx.k, ctx.levels, ctx.header);
     let words = payload_words(encoding, k, levels);
-    let record_len = serial::EDGE_WORDS_OFFSET + 8 * words;
+    let record_len = record_len(encoding, k, levels);
     let index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
 
     let edges_at = FIXED_HEADER_BYTES
@@ -1340,6 +1343,79 @@ mod tests {
             assert!(view.edge(0, 99).is_none());
             assert!(view.vertex(g.n()).is_none());
         }
+    }
+
+    #[test]
+    fn loose_labels_match_archived_records() {
+        // The loose serializers and the archive writers must agree byte
+        // for byte, for the owned encoder and the streaming build alike.
+        let g = Graph::torus(3, 4);
+        let params = Params::deterministic(2);
+        let scheme = FtcScheme::build(&g, &params).unwrap();
+        let l = scheme.labels();
+        for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+            let owned = LabelStore::to_vec(l, encoding);
+            let (streamed, _) = FtcScheme::builder(&g)
+                .params(&params)
+                .build_store(encoding)
+                .unwrap();
+            assert_eq!(streamed.as_bytes(), &owned[..]);
+            let view = streamed.view();
+            let blob = view.as_bytes();
+            for e in 0..view.m() {
+                let (at, end) = view.edge_span(e);
+                let loose = match encoding {
+                    EdgeEncoding::Full => serial::edge_to_bytes(l.edge_label_by_id(e)),
+                    EdgeEncoding::Compact => serial::edge_to_bytes_compact(l.edge_label_by_id(e)),
+                };
+                assert_eq!(&blob[at..end], &loose[..], "{encoding:?} edge {e}");
+            }
+            for v in 0..view.n() {
+                let at = view.meta().vertices_at + v * VERTEX_LABEL_BYTES;
+                assert_eq!(
+                    &blob[at..at + VERTEX_LABEL_BYTES],
+                    &serial::vertex_to_bytes(l.vertex_label(v))[..],
+                    "vertex {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_threshold_records_with_words_rejected() {
+        // A full record claiming k = 0 but carrying syndrome words would
+        // configure a zero-level detector that ignores every stored word;
+        // it is rejected at the word-count field.
+        let g = Graph::cycle(5);
+        let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
+        let l = scheme.labels();
+        let want = |base: usize| {
+            SerialError::new(
+                SerialErrorKind::Inconsistent,
+                base + serial::EDGE_WORDS_OFFSET - 4,
+            )
+        };
+        let k_field =
+            |buf: &mut [u8], at: usize| put_u32(buf, at + serial::EDGE_WORDS_OFFSET - 8, 0);
+
+        // Loose bytes: the zero-copy view and the owned parser.
+        let mut loose = serial::edge_to_bytes(l.edge_label_by_id(0));
+        k_field(&mut loose, 0);
+        assert_eq!(EdgeLabelView::new(&loose).unwrap_err(), want(0));
+        assert_eq!(serial::edge_from_bytes(&loose).unwrap_err(), want(0));
+
+        // A resealed v1 archive whose every record claims k = 0 (so the
+        // uniform-geometry check cannot catch it).
+        let mut blob = LabelStore::to_vec(l, EdgeEncoding::Full);
+        let spans: Vec<_> = {
+            let view = LabelStoreView::open(&blob).unwrap();
+            (0..view.m()).map(|e| view.edge_span(e).0).collect()
+        };
+        for &at in &spans {
+            k_field(&mut blob, at);
+        }
+        seal_v1_checksum(&mut blob);
+        assert_eq!(LabelStoreView::open(&blob).unwrap_err(), want(spans[0]));
     }
 
     #[test]

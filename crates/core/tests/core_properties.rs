@@ -8,6 +8,7 @@ use ftc_core::fragments::Fragments;
 use ftc_core::hierarchy::{build_hierarchy, paper_threshold, HierarchyBackend};
 use ftc_core::labels::{OutdetectVector, RsVector};
 use ftc_core::{FtcScheme, Params};
+use ftc_field::Gf64;
 use ftc_graph::{connectivity, generators, EulerTour, Graph, RootedTree};
 use proptest::prelude::*;
 
@@ -106,19 +107,33 @@ proptest! {
         }
     }
 
-    /// RsVector XOR algebra: commutative, self-inverse, zero-identity.
+    /// RsVector XOR algebra on slab words: self-inverse, zero-identity,
+    /// commutative, and the merge of two syndromes is the syndrome of
+    /// their combined edge multiset.
     #[test]
-    fn rs_vector_group_axioms(ids in proptest::collection::vec(1u64.., 1..8)) {
+    fn rs_vector_group_axioms(ids in proptest::collection::vec(1u64.., 1..8), split in 0usize..8) {
         let codec = ftc_codes::ThresholdCodec::new(4);
-        let mut a = RsVector::zero(4, 2);
-        for (i, &id) in ids.iter().enumerate() {
-            a.toggle(&codec, i % 2, id);
-        }
-        let mut b = a.clone();
-        b.xor_in(&a);
-        prop_assert!(b.is_zero());
-        let mut c = RsVector::zero(4, 2);
-        c.xor_in(&a);
-        prop_assert_eq!(c, a);
+        let syndrome = |ids: &[u64]| {
+            let mut data = vec![Gf64::ZERO; 2 * 4 * 2];
+            for &id in ids {
+                let level = (id % 2) as usize;
+                codec.accumulate_edge(&mut data[8 * level..8 * (level + 1)], Gf64::new(id));
+            }
+            RsVector::from_raw(4, data)
+        };
+        let merged = |vs: &[&RsVector]| {
+            let mut words = vec![0u64; 2 * 4 * 2];
+            for v in vs {
+                v.accumulate_slab(&mut words);
+            }
+            words
+        };
+        let a = syndrome(&ids);
+        prop_assert!(merged(&[&a, &a]).iter().all(|&w| w == 0));
+        prop_assert_eq!(merged(&[&syndrome(&[]), &a]), merged(&[&a]));
+        let (x, y) = ids.split_at(split.min(ids.len()));
+        let (x, y) = (syndrome(x), syndrome(y));
+        prop_assert_eq!(merged(&[&x, &y]), merged(&[&y, &x]));
+        prop_assert_eq!(merged(&[&x, &y]), merged(&[&a]));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! ftc-server <id>=<labels.ftc> [<id>=<labels.ftc> ...]
-//!            [--addr HOST:PORT] [--no-coalesce] [--max-connections N]
-//!            [--max-inflight N] [--deadline-ms N]
+//!            [--addr HOST:PORT] [--max-connections N] [--max-inflight N]
+//!            [--deadline-ms N]
 //! ```
 //!
 //! Each `id=path` registers one archive under a graph ID; clients route
@@ -37,8 +37,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> String {
-    "usage: ftc-server <id>=<labels.ftc> [...] [--addr HOST:PORT] [--no-coalesce] \
-     [--max-connections N] [--max-inflight N] [--deadline-ms N]"
+    "usage: ftc-server <id>=<labels.ftc> [...] [--addr HOST:PORT] [--max-connections N] \
+     [--max-inflight N] [--deadline-ms N]"
         .into()
 }
 
@@ -52,7 +52,6 @@ fn run() -> Result<(), String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => addr = it.next().ok_or("--addr expects HOST:PORT")?.clone(),
-            "--no-coalesce" => config.coalesce = false,
             "--max-connections" => {
                 config.max_connections = it
                     .next()

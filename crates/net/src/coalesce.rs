@@ -136,8 +136,8 @@ impl From<ServeError> for SubmitError {
 }
 
 /// The coalescing queue shared by every connection of one server.
+#[derive(Default)]
 pub struct Coalescer {
-    enabled: bool,
     /// Open-batch ceiling; `0` = unbounded.
     max_inflight: usize,
     keys: Mutex<HashMap<Key, KeyState>>,
@@ -168,33 +168,19 @@ impl Drop for SlotGuard<'_> {
 }
 
 impl Coalescer {
-    /// A coalescer; `enabled = false` degrades to one session per
-    /// request (the comparison arm of `ftc-loadgen`). Unbounded.
-    pub fn new(enabled: bool) -> Coalescer {
-        Coalescer::with_max_inflight(enabled, 0)
+    /// An unbounded coalescer.
+    pub fn new() -> Coalescer {
+        Coalescer::default()
     }
 
     /// A coalescer that sheds new batches beyond `max_inflight` open
     /// ones (`0` = unbounded). Joining an already-open batch is always
     /// allowed — piling pairs onto a batch adds no session builds.
-    pub fn with_max_inflight(enabled: bool, max_inflight: usize) -> Coalescer {
+    pub fn with_max_inflight(max_inflight: usize) -> Coalescer {
         Coalescer {
-            enabled,
             max_inflight,
-            keys: Mutex::new(HashMap::new()),
-            turn: Condvar::new(),
-            open: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            pairs: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            ..Coalescer::default()
         }
-    }
-
-    /// Whether coalescing is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Lifetime counters.
@@ -298,14 +284,6 @@ impl Coalescer {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return self.shed();
         }
-        if !self.enabled {
-            let Some(_slot) = self.try_open_slot() else {
-                return self.shed();
-            };
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            return Ok(query(faults, pairs)?);
-        }
-
         let mut norm: Vec<(usize, usize)> =
             faults.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         norm.sort_unstable();
@@ -511,26 +489,24 @@ mod tests {
     #[test]
     fn solo_submissions_match_direct_queries() {
         let svc = service();
-        for enabled in [false, true] {
-            let co = Coalescer::new(enabled);
-            let faults = [(0usize, 1usize), (4, 0)];
-            let pairs = [(0usize, 7usize), (3, 3), (1, 11)];
-            let got = co.submit(&svc, "g", &faults, &pairs).unwrap();
-            let want = svc.query(&faults, &pairs).unwrap().into_vec();
-            assert_eq!(got, want);
-            let stats = co.stats();
-            assert_eq!(stats.requests, 1);
-            assert_eq!(stats.batches, 1);
-            assert_eq!(stats.coalesced, 0);
-            assert_eq!(stats.pairs, pairs.len() as u64);
-            assert_eq!(stats.shed, 0);
-        }
+        let co = Coalescer::new();
+        let faults = [(0usize, 1usize), (4, 0)];
+        let pairs = [(0usize, 7usize), (3, 3), (1, 11)];
+        let got = co.submit(&svc, "g", &faults, &pairs).unwrap();
+        let want = svc.query(&faults, &pairs).unwrap().into_vec();
+        assert_eq!(got, want);
+        let stats = co.stats();
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.coalesced, 0);
+        assert_eq!(stats.pairs, pairs.len() as u64);
+        assert_eq!(stats.shed, 0);
     }
 
     #[test]
     fn fault_order_and_duplicates_share_a_key() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         // Reversed endpoints and duplicated faults answer like the
         // normalized set.
         let got = co
@@ -543,7 +519,7 @@ mod tests {
     #[test]
     fn errors_match_solo_semantics() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         assert_eq!(
             co.submit(&svc, "g", &[(0, 99)], &[(0, 1)]).unwrap_err(),
             SubmitError::Serve(ServeError::UnknownEdge { u: 0, v: 99 })
@@ -559,7 +535,7 @@ mod tests {
     #[test]
     fn concurrent_submissions_coalesce_and_answer_correctly() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         let threads = 8;
         let rounds = 20;
         let barrier = Barrier::new(threads);
@@ -604,7 +580,7 @@ mod tests {
     #[test]
     fn executing_leader_panic_releases_queued_batches() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         let panic_armed = AtomicBool::new(true);
         let faults = [(0usize, 1usize)];
         let want = svc.query(&faults, &[(0, 7)]).unwrap().into_vec();
@@ -655,7 +631,7 @@ mod tests {
     #[test]
     fn poisoned_batch_waiters_fall_back_to_solo_queries() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         let faults = [(0usize, 1usize)];
         let want = svc.query(&faults, &[(3, 9)]).unwrap().into_vec();
         // Arms exactly one panic: whichever of the two queued
@@ -709,7 +685,7 @@ mod tests {
     #[test]
     fn inflight_cap_sheds_new_batches() {
         let svc = service();
-        let co = Coalescer::with_max_inflight(true, 1);
+        let co = Coalescer::with_max_inflight(1);
         let release = AtomicBool::new(false);
         std::thread::scope(|s| {
             let slow = s.spawn(|| {
@@ -745,7 +721,7 @@ mod tests {
     #[test]
     fn deadlines_shed_queued_submissions() {
         let svc = service();
-        let co = Coalescer::new(true);
+        let co = Coalescer::new();
         // Already-expired deadline: shed before any work.
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(

@@ -25,10 +25,6 @@ use std::time::{Duration, Instant};
 /// Tunables of one [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Group in-flight requests by fault set across connections and
-    /// answer each group from one pooled session (default `true`; the
-    /// `false` arm exists for the loadgen comparison).
-    pub coalesce: bool,
     /// Cap on simultaneously served connections; excess accepts are
     /// answered with a best-effort `Overloaded` frame and closed.
     pub max_connections: usize,
@@ -51,7 +47,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            coalesce: true,
             max_connections: 1024,
             max_inflight_batches: 0,
             request_deadline: None,
@@ -179,10 +174,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 registry,
-                coalescer: Coalescer::with_max_inflight(
-                    config.coalesce,
-                    config.max_inflight_batches,
-                ),
+                coalescer: Coalescer::with_max_inflight(config.max_inflight_batches),
                 shutdown: AtomicBool::new(false),
                 accepted: AtomicU64::new(0),
                 shed_connections: AtomicU64::new(0),
@@ -633,9 +625,7 @@ mod tests {
     use ftc_graph::Graph;
     use ftc_serve::ConnectivityService;
 
-    fn spawn_server(
-        coalesce: bool,
-    ) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+    fn spawn_server() -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
         let registry = Arc::new(ServiceRegistry::new());
         let scheme = FtcScheme::build(&Graph::torus(3, 4), &Params::deterministic(2)).unwrap();
         registry.insert(
@@ -646,7 +636,6 @@ mod tests {
             registry,
             "127.0.0.1:0",
             ServerConfig {
-                coalesce,
                 read_poll: Duration::from_millis(5),
                 ..ServerConfig::default()
             },
@@ -659,7 +648,7 @@ mod tests {
 
     #[test]
     fn serves_queries_and_shuts_down_cleanly() {
-        let (handle, join) = spawn_server(true);
+        let (handle, join) = spawn_server();
         let mut client = Client::connect(handle.addr()).unwrap();
         let answers = client
             .query("torus", &[(0, 1), (0, 4)], &[(0, 10), (3, 3)])
@@ -680,7 +669,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_observable() {
-        let (handle, join) = spawn_server(false);
+        let (handle, join) = spawn_server();
         assert!(!handle.is_shutdown());
         handle.shutdown();
         handle.shutdown();

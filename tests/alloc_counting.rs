@@ -195,11 +195,12 @@ fn build_path_allocates_one_payload_copy() {
         allocs < per_edge_regime,
         "build performed {allocs} allocations"
     );
+    // One shared slab: each edge label's syndrome starts exactly where
+    // the previous one's ends.
+    let raws: Vec<_> = scheme.labels().edge_labels().map(|l| l.vec.raw()).collect();
     assert!(
-        scheme
-            .labels()
-            .edge_labels()
-            .all(|l| l.vec.is_slab_window()),
+        raws.windows(2)
+            .all(|w| w[1].as_ptr() == w[0].as_ptr_range().end),
         "every edge label must window the shared payload slab"
     );
 }
