@@ -1,20 +1,40 @@
-//! Differential fuzz harness: hammers every backend (the one-shot
-//! decoder path, the reusable `QuerySession`, the zero-copy byte-view
-//! decoding of full and compact labels, and the router) against the
-//! ground-truth oracle with seeded random graphs and fault sets. Runs until the requested budget is
-//! exhausted and reports totals; any disagreement aborts with a
-//! reproducer seed.
+//! Differential fuzz harness: hammers every backend (the reusable
+//! `QuerySession`, the zero-copy byte-view decoding of full and compact
+//! labels, sessions over v1 and v2 archives opened from heap bytes and
+//! memory-mapped from a file, and the router) against the ground-truth
+//! oracle with seeded random graphs and fault sets. Runs until the
+//! requested budget is exhausted and reports totals; any disagreement
+//! aborts with a reproducer seed.
 //!
 //! Run: `cargo run -p ftc-bench --release --bin differential_fuzz [seconds]`
 
+use ftc_core::compressed::{compress_archive, open_path, AnyArchive};
 use ftc_core::serial::{
     edge_from_bytes, edge_to_bytes, edge_to_bytes_compact, vertex_to_bytes, CompactEdgeLabelView,
     EdgeLabelView, VertexLabelView,
 };
-use ftc_core::{FtcScheme, Params, QuerySession};
+use ftc_core::store::{EdgeEncoding, LabelStore};
+use ftc_core::{FtcScheme, LabelSet, Params, QuerySession, RsVector, SessionScratch};
 use ftc_graph::{connectivity, generators};
 use ftc_routing::ForbiddenSetRouter;
 use std::time::{Duration, Instant};
+
+/// The labeling archived as v1 and as v2, each opened from heap bytes
+/// ([`AnyArchive::open`]) and memory-mapped from a file ([`open_path`]).
+fn archives(l: &LabelSet<RsVector>, round: u64) -> Vec<(&'static str, AnyArchive)> {
+    let v1 = LabelStore::to_vec(l, EdgeEncoding::Full);
+    let v2 = compress_archive(&LabelStore::open(v1.clone()).expect("v1 archive")).into_vec();
+    let mut out = Vec::new();
+    for (name, mapped, bytes) in [("v1", "mapped v1", v1), ("v2", "mapped v2", v2)] {
+        let path =
+            std::env::temp_dir().join(format!("ftc-fuzz-{}-{round}-{name}", std::process::id()));
+        std::fs::write(&path, &bytes).expect("write archive file");
+        out.push((mapped, open_path(&path).expect("mapped archive")));
+        std::fs::remove_file(&path).expect("remove archive file");
+        out.push((name, AnyArchive::open(bytes).expect("heap archive")));
+    }
+    out
+}
 
 fn main() {
     let budget: u64 = std::env::args()
@@ -24,6 +44,7 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(budget);
     let mut round = 0u64;
     let mut queries = 0u64;
+    let mut scratch = SessionScratch::new();
     while Instant::now() < deadline {
         round += 1;
         let seed = round.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -92,6 +113,30 @@ fn main() {
                     assert_eq!(cv, want, "seed {seed}: compact views disagree at ({s},{t})");
                 }
             }
+        }
+        // Archive differential: the deterministic labeling served from
+        // both formats and both buffer kinds, faults named by endpoints.
+        let endpoints: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+        let fault_pairs: Vec<(usize, usize)> = fset.iter().map(|&e| endpoints[e]).collect();
+        for (name, archive) in archives(schemes[0].labels(), round) {
+            let session = archive
+                .session_in(fault_pairs.iter().copied(), &mut scratch)
+                .unwrap_or_else(|e| panic!("seed {seed}: {name} session error {e}"));
+            let vertex = |v| archive.vertex(v).expect("vertex section").expect("vertex");
+            for s in 0..g.n() {
+                for t in 0..g.n() {
+                    queries += 1;
+                    let want = connectivity::connected_avoiding(&g, s, t, &fset);
+                    let got = session
+                        .connected(vertex(s), vertex(t))
+                        .unwrap_or_else(|e| panic!("seed {seed}: {name} query error {e}"));
+                    assert_eq!(
+                        got, want,
+                        "seed {seed}: {name} archive disagrees at ({s},{t})"
+                    );
+                }
+            }
+            scratch.recycle(session);
         }
         // Router differential: route existence ⇔ connectivity; paths valid.
         for s in 0..g.n() {

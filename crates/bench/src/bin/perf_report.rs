@@ -50,9 +50,9 @@
 
 use ftc_bench::report::{Report, Row};
 use ftc_bench::{calibrated_params, median_time, Flavor};
-use ftc_core::compressed::{compress_archive, CompressedStoreView};
+use ftc_core::compressed::compress_archive;
 use ftc_core::io::{NoSyncVfs, StdVfs, Vfs};
-use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc_core::store::{EdgeEncoding, LabelStore};
 use ftc_core::{FtcScheme, QuerySession, SessionScratch, VertexLabelRead};
 use ftc_dyn::{default_journal_path, DurableScheme, DynConfig, DynamicScheme, FsyncPolicy};
 use ftc_graph::generators;
@@ -188,8 +188,7 @@ fn measure_session(quick: bool) -> Vec<Cell> {
                 ("archive-full", EdgeEncoding::Full),
                 ("archive-compact", EdgeEncoding::Compact),
             ] {
-                let blob = LabelStore::to_vec(l, encoding);
-                let view = LabelStoreView::open(&blob).expect("archive");
+                let view = LabelStore::archive(l, encoding);
                 let vpairs: Vec<_> = pairs
                     .iter()
                     .map(|&(s, t)| (view.vertex(s).unwrap(), view.vertex(t).unwrap()))
@@ -204,10 +203,7 @@ fn measure_session(quick: bool) -> Vec<Cell> {
             }
             // The v2 container: sections decoded once into the shared
             // cache, sessions gathered from the decoded slabs.
-            let blob = LabelStore::to_vec(l, EdgeEncoding::Full);
-            let store = compress_archive(&LabelStoreView::open(&blob).expect("archive"));
-            drop(blob);
-            let view = CompressedStoreView::open(store.into_vec()).expect("compressed archive");
+            let view = compress_archive(&LabelStore::archive(l, EdgeEncoding::Full));
             let vertex = |v| view.vertex(v).unwrap().unwrap();
             let vpairs: Vec<_> = pairs.iter().map(|&(s, t)| (vertex(s), vertex(t))).collect();
             cell(

@@ -32,7 +32,7 @@
 //!
 //! # Lazy validation state machine
 //!
-//! [`CompressedStoreView::open`] reads the prologue and section table
+//! [`CompressedStore::open`] reads the prologue and section table
 //! and verifies the table checksum — O(header), independent of archive
 //! size. Each section then moves `untouched → validated` on first use:
 //! its stored bytes are checksummed, decoded, structurally validated,
@@ -45,18 +45,18 @@
 //! # Example
 //!
 //! ```
-//! use ftc_core::compressed::{compress_archive, CompressedStoreView};
-//! use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+//! use ftc_core::compressed::{compress_archive, CompressedStore};
+//! use ftc_core::store::{EdgeEncoding, LabelStore};
 //! use ftc_core::{FtcScheme, Params};
 //! use ftc_graph::Graph;
 //!
 //! let g = Graph::torus(4, 4);
 //! let scheme = FtcScheme::builder(&g).params(&Params::deterministic(2)).build().unwrap();
-//! let v1 = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
-//! let v2 = compress_archive(&LabelStoreView::open(&v1).unwrap());
-//! assert!(v2.as_bytes().len() < v1.len());
+//! let v1 = LabelStore::archive(scheme.labels(), EdgeEncoding::Full);
+//! let v2 = compress_archive(&v1);
+//! assert!(v2.archive_bytes() < v1.archive_bytes());
 //!
-//! let view = CompressedStoreView::open(v2.into_vec()).unwrap();
+//! let view = CompressedStore::open(v2.into_vec()).unwrap();
 //! let mut scratch = Default::default();
 //! let session = view.session_in([(0, 1), (0, 4)], &mut scratch).unwrap();
 //! let s = view.vertex(0).unwrap().unwrap();
@@ -66,13 +66,11 @@
 
 use crate::ancestry::AncestryLabel;
 use crate::labels::{EdgeLabelRead, EndpointIndex, LabelHeader, RsVector, VertexLabelRead};
-use crate::mmap::MmapBuf;
+use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView};
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{
-    self, ArchivedEdgeView, EdgeEncoding, LabelStoreView, StoreError, StoreOpenError,
-};
+use crate::store::{self, ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
@@ -190,38 +188,27 @@ enum DecodedSection {
     Words(Box<[u64]>),
 }
 
-enum V2Buf {
-    Shared(Arc<[u8]>),
-    Mapped(Arc<MmapBuf>),
-}
-
-impl V2Buf {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            V2Buf::Shared(a) => a,
-            V2Buf::Mapped(m) => m.bytes(),
-        }
-    }
-}
-
 struct Inner {
-    buf: V2Buf,
+    buf: Arc<ArchiveBytes>,
     meta: V2Meta,
     decoded: Vec<OnceLock<Result<DecodedSection, SerialError>>>,
 }
 
-/// A handle over a v2 compressed archive: O(header) to open, sections
-/// checksum-validated and decoded lazily on first touch, then cached.
-/// Clones share the buffer and the decoded-section cache, so the handle
-/// is the natural unit a concurrent serving layer holds (`Send + Sync`).
+/// A v2 compressed archive: one owned handle, O(header) to open,
+/// sections checksum-validated and decoded lazily on first touch, then
+/// cached. Clones share the blob and the decoded-section cache, so the
+/// handle is the natural unit a concurrent serving layer holds
+/// (`Send + Sync`); like [`LabelStore`], it wraps the caller's `Vec`
+/// without copying and [`CompressedStore::into_vec`] hands it back from
+/// the last handle.
 #[derive(Clone)]
-pub struct CompressedStoreView {
+pub struct CompressedStore {
     inner: Arc<Inner>,
 }
 
-impl std::fmt::Debug for CompressedStoreView {
+impl std::fmt::Debug for CompressedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompressedStoreView")
+        f.debug_struct("CompressedStore")
             .field("n", &self.inner.meta.n)
             .field("m", &self.inner.meta.m)
             .field("levels", &self.inner.meta.levels)
@@ -230,25 +217,38 @@ impl std::fmt::Debug for CompressedStoreView {
     }
 }
 
-impl CompressedStoreView {
-    /// Opens a v2 archive, validating **only** the prologue and section
-    /// table (plus the table checksum): O(header), independent of the
-    /// archive size. Section payloads are validated lazily on first
-    /// touch.
+impl CompressedStore {
+    /// Takes ownership of a v2 archive without copying it, validating
+    /// **only** the prologue and section table (plus the table
+    /// checksum): O(header), independent of the archive size. Section
+    /// payloads are validated lazily on first touch.
     ///
     /// # Errors
     ///
     /// [`SerialError`] with the offending archive byte offset.
-    pub fn open(bytes: impl Into<Arc<[u8]>>) -> Result<CompressedStoreView, SerialError> {
-        let bytes: Arc<[u8]> = bytes.into();
-        let meta = parse_v2(&bytes)?;
-        Ok(CompressedStoreView::from_parts(V2Buf::Shared(bytes), meta))
+    pub fn open(bytes: Vec<u8>) -> Result<CompressedStore, SerialError> {
+        CompressedStore::open_buf(Arc::new(ArchiveBytes::Heap(bytes)))
     }
 
-    fn from_parts(buf: V2Buf, meta: V2Meta) -> CompressedStoreView {
+    fn open_buf(buf: Arc<ArchiveBytes>) -> Result<CompressedStore, SerialError> {
+        let meta = parse_v2(buf.bytes())?;
         let decoded = (0..meta.sections.len()).map(|_| OnceLock::new()).collect();
-        CompressedStoreView {
+        Ok(CompressedStore {
             inner: Arc::new(Inner { buf, meta, decoded }),
+        })
+    }
+
+    /// The raw archive bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.inner.buf.bytes()
+    }
+
+    /// Consumes the handle, returning the archive bytes: the blob itself
+    /// when this is the only handle of a heap blob, a copy otherwise.
+    pub fn into_vec(self) -> Vec<u8> {
+        match Arc::try_unwrap(self.inner) {
+            Ok(inner) => ArchiveBytes::into_vec(inner.buf),
+            Err(shared) => shared.buf.bytes().to_vec(),
         }
     }
 
@@ -284,7 +284,7 @@ impl CompressedStoreView {
 
     /// Total archive size in bytes (compressed).
     pub fn archive_bytes(&self) -> usize {
-        self.inner.buf.bytes().len()
+        self.as_bytes().len()
     }
 
     /// Byte length of the equivalent v1 (uncompressed) archive — the
@@ -335,7 +335,7 @@ impl CompressedStoreView {
     fn decode_section(&self, idx: usize) -> Result<DecodedSection, SerialError> {
         let meta = &self.inner.meta;
         let entry = &meta.sections[idx];
-        let payload = &self.inner.buf.bytes()[entry.payload_at..entry.payload_at + entry.comp_len];
+        let payload = &self.as_bytes()[entry.payload_at..entry.payload_at + entry.comp_len];
         if checksum64(payload) != entry.checksum {
             return Err(SerialError::new(
                 SerialErrorKind::Checksum,
@@ -462,23 +462,7 @@ impl CompressedStoreView {
     ///
     /// [`SerialError`] if the endpoint section fails lazy validation.
     pub fn edge_id(&self, u: usize, v: usize) -> Result<Option<usize>, SerialError> {
-        let key = ((u.min(v)) as u32, (u.max(v)) as u32);
-        let bytes = self.section_bytes(SEC_ENDPOINT)?;
-        let mut lo = 0usize;
-        let mut hi = self.inner.meta.idx_count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let at = mid * store::ENDPOINT_ENTRY_BYTES;
-            let pair = (store::u32_at(bytes, at), store::u32_at(bytes, at + 4));
-            match pair.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return Ok(Some(store::u32_at(bytes, at + 8) as usize))
-                }
-            }
-        }
-        Ok(None)
+        Ok(store::find_edge_id(self.section_bytes(SEC_ENDPOINT)?, u, v))
     }
 
     /// The decoded endpoint section (v1's endpoint-index layout).
@@ -549,11 +533,11 @@ impl CompressedStoreView {
         store::stream_session(self.inner.meta.header, faults, gather, scratch)
     }
 
-    /// Like [`CompressedStoreView::session_in`] with a throwaway scratch.
+    /// Like [`CompressedStore::session_in`] with a throwaway scratch.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CompressedStoreView::session_in`].
+    /// Same conditions as [`CompressedStore::session_in`].
     pub fn session<I>(&self, faults: I) -> Result<QuerySession, StoreError>
     where
         I: IntoIterator<Item = (usize, usize)>,
@@ -566,7 +550,7 @@ impl CompressedStoreView {
     /// # Errors
     ///
     /// [`StoreError::UnknownEdgeId`] for an ID outside `0..m`, otherwise
-    /// as [`CompressedStoreView::session_in`].
+    /// as [`CompressedStore::session_in`].
     pub fn session_in_by_ids<I>(
         &self,
         faults: I,
@@ -691,35 +675,6 @@ impl EdgeLabelRead for GatheredEdge {
     }
 }
 
-/// An owned v2 archive (the write side; reading goes through
-/// [`CompressedStoreView`]).
-#[derive(Clone, Debug)]
-pub struct CompressedStore {
-    bytes: Vec<u8>,
-}
-
-impl CompressedStore {
-    /// The raw archive bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the store, returning the archive bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Opens a view over the owned bytes (shares them via `Arc`).
-    ///
-    /// # Errors
-    ///
-    /// Never fails on archives produced by this crate; returns the
-    /// underlying [`SerialError`] otherwise.
-    pub fn view(&self) -> Result<CompressedStoreView, SerialError> {
-        CompressedStoreView::open(self.bytes.clone())
-    }
-}
-
 /// Either archive format behind one read surface: the one place that
 /// decides between v1 and v2. Every method is one two-arm match, so a
 /// serving layer holding an `AnyArchive` never branches on the format.
@@ -728,23 +683,35 @@ impl CompressedStore {
 /// [`StoreError`]s for both formats.
 #[derive(Clone, Debug)]
 pub enum AnyArchive {
-    /// A v1 (uncompressed) archive view.
-    V1(LabelStoreView<'static>),
-    /// A v2 (compressed) archive view.
-    V2(CompressedStoreView),
+    /// A v1 (uncompressed) archive.
+    V1(LabelStore),
+    /// A v2 (compressed) archive.
+    V2(CompressedStore),
 }
 
 impl AnyArchive {
-    /// Opens archive bytes of **either** format, dispatching on the
-    /// version tag: v1 blobs are fully validated, v2 containers open in
-    /// O(header) and validate sections lazily. Errs when the bytes fit
-    /// neither format (unknown versions report `UnsupportedVersion` at
-    /// offset 4).
-    pub fn open(bytes: Arc<[u8]>) -> Result<AnyArchive, SerialError> {
-        if is_v1(&bytes)? {
-            Ok(AnyArchive::V1(LabelStoreView::open_shared(bytes)?))
-        } else {
-            Ok(AnyArchive::V2(CompressedStoreView::open(bytes)?))
+    /// Takes ownership of archive bytes of **either** format, without
+    /// copying them, dispatching on the version tag: v1 blobs are fully
+    /// validated, v2 containers open in O(header) and validate sections
+    /// lazily. Errs when the bytes fit neither format (unknown versions
+    /// report `UnsupportedVersion` at offset 4).
+    pub fn open(bytes: Vec<u8>) -> Result<AnyArchive, SerialError> {
+        AnyArchive::open_buf(Arc::new(ArchiveBytes::Heap(bytes)))
+    }
+
+    /// The one version dispatch, over a heap or mapped buffer.
+    fn open_buf(buf: Arc<ArchiveBytes>) -> Result<AnyArchive, SerialError> {
+        let bytes = buf.bytes();
+        if bytes.len() < 6 {
+            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+        }
+        if bytes[..4] != store::STORE_MAGIC {
+            return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+        }
+        match u16::from_le_bytes([bytes[4], bytes[5]]) {
+            store::STORE_VERSION => Ok(AnyArchive::V1(LabelStore::open_buf(buf)?)),
+            STORE_VERSION_V2 => Ok(AnyArchive::V2(CompressedStore::open_buf(buf)?)),
+            _ => Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4)),
         }
     }
 
@@ -872,26 +839,10 @@ impl AnyArchive {
     }
 }
 
-/// Reads the version tag both archive formats carry after the shared
-/// magic: `true` for v1, `false` for v2, an error for anything else.
-fn is_v1(bytes: &[u8]) -> Result<bool, SerialError> {
-    if bytes.len() < 6 {
-        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
-    }
-    if bytes[..4] != store::STORE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    match u16::from_le_bytes([bytes[4], bytes[5]]) {
-        store::STORE_VERSION => Ok(true),
-        STORE_VERSION_V2 => Ok(false),
-        _ => Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4)),
-    }
-}
-
 /// Opens an archive file of **either** format with the
 /// [`AnyArchive::open`] dispatch, memory-mapped where the platform
-/// allows: v1 archives get a fully validated [`LabelStoreView`], v2
-/// archives an O(header) [`CompressedStoreView`].
+/// allows: v1 archives get a fully validated [`LabelStore`], v2
+/// archives an O(header) [`CompressedStore`].
 ///
 /// # Errors
 ///
@@ -899,16 +850,8 @@ fn is_v1(bytes: &[u8]) -> Result<bool, SerialError> {
 /// [`StoreOpenError::Malformed`] under the same conditions as
 /// [`AnyArchive::open`].
 pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<AnyArchive, StoreOpenError> {
-    let buf = Arc::new(MmapBuf::open(path.as_ref())?);
-    if is_v1(buf.bytes())? {
-        Ok(AnyArchive::V1(LabelStoreView::from_mmap(buf)?))
-    } else {
-        let meta = parse_v2(buf.bytes())?;
-        Ok(AnyArchive::V2(CompressedStoreView::from_parts(
-            V2Buf::Mapped(buf),
-            meta,
-        )))
-    }
+    let buf = Arc::new(ArchiveBytes::open(path.as_ref())?);
+    Ok(AnyArchive::open_buf(buf)?)
 }
 
 /// O(header) parse + validation of a v2 archive's prologue and section
@@ -1106,11 +1049,11 @@ fn assemble_v2(
 }
 
 /// Transcodes a validated v1 archive into the v2 compressed container.
-/// Lossless: [`CompressedStoreView::to_v1_vec`] reproduces the input
-/// byte for byte.
-pub fn compress_archive(view: &LabelStoreView<'_>) -> CompressedStore {
-    let meta = view.meta();
-    let bytes = view.as_bytes();
+/// Lossless: [`CompressedStore::to_v1_vec`] reproduces the input byte
+/// for byte.
+pub fn compress_archive(v1: &LabelStore) -> CompressedStore {
+    let meta = v1.meta();
+    let bytes = v1.as_bytes();
     let (n, m) = (meta.n, meta.m);
     let encoding = meta.encoding;
 
@@ -1119,7 +1062,7 @@ pub fn compress_archive(view: &LabelStoreView<'_>) -> CompressedStore {
     let (k, levels) = if m == 0 {
         (0, 0)
     } else {
-        let (at, _) = view.edge_span(0);
+        let (at, _) = v1.edge_span(0);
         let k = store::u32_at(bytes, at + serial::EDGE_WORDS_OFFSET - 8) as usize;
         let geom = store::u32_at(bytes, at + serial::EDGE_WORDS_OFFSET - 4) as usize;
         let levels = match encoding {
@@ -1147,7 +1090,7 @@ pub fn compress_archive(view: &LabelStoreView<'_>) -> CompressedStore {
     ));
     let mut meta_buf = vec![0u8; m * serial::EDGE_WORDS_OFFSET];
     for e in 0..m {
-        let (at, _) = view.edge_span(e);
+        let (at, _) = v1.edge_span(e);
         meta_buf[e * serial::EDGE_WORDS_OFFSET..(e + 1) * serial::EDGE_WORDS_OFFSET]
             .copy_from_slice(&bytes[at..at + serial::EDGE_WORDS_OFFSET]);
     }
@@ -1158,7 +1101,7 @@ pub fn compress_archive(view: &LabelStoreView<'_>) -> CompressedStore {
     let mut words = vec![0u64; m * row_words];
     for level in 0..levels {
         for e in 0..m {
-            let (at, _) = view.edge_span(e);
+            let (at, _) = v1.edge_span(e);
             let base = at + serial::EDGE_WORDS_OFFSET + level * row_words * 8;
             for (j, w) in words[e * row_words..(e + 1) * row_words]
                 .iter_mut()
@@ -1185,8 +1128,7 @@ pub fn compress_archive(view: &LabelStoreView<'_>) -> CompressedStore {
         bytes.len(),
         &blocks,
     );
-    debug_assert!(parse_v2(&out).is_ok());
-    CompressedStore { bytes: out }
+    CompressedStore::open(out).expect("freshly assembled archives are well-formed")
 }
 
 /// [`LevelSink`] staging each level's rows and compressing them the
@@ -1312,8 +1254,7 @@ pub(crate) fn stream_compressed_from_build(
         v1_len,
         &blocks,
     );
-    debug_assert!(parse_v2(&out).is_ok());
-    CompressedStore { bytes: out }
+    CompressedStore::open(out).expect("freshly assembled archives are well-formed")
 }
 
 #[cfg(test)]
@@ -1321,7 +1262,6 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
-    use crate::store::LabelStore;
 
     fn v1_blob(encoding: EdgeEncoding) -> (Graph, Vec<u8>) {
         let g = Graph::torus(4, 5);
@@ -1334,14 +1274,14 @@ mod tests {
     fn transcode_round_trips_byte_identical() {
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             let (_, blob) = v1_blob(encoding);
-            let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap());
+            let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
             assert!(
                 v2.as_bytes().len() < blob.len(),
                 "{encoding:?}: {} >= {}",
                 v2.as_bytes().len(),
                 blob.len()
             );
-            let view = v2.view().unwrap();
+            let view = v2;
             let back = view.to_v1_vec().unwrap();
             assert_eq!(back, blob, "{encoding:?} transcode not byte-identical");
         }
@@ -1352,8 +1292,8 @@ mod tests {
         // The Frobenius fold alone halves full-encoding level rows; delta
         // + packing + rANS must not give that back.
         let (_, blob) = v1_blob(EdgeEncoding::Full);
-        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap());
-        let view = v2.view().unwrap();
+        let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
+        let view = v2;
         let (raw, comp) = view
             .sections()
             .filter(|s| s.kind == SectionKind::LevelRows)
@@ -1369,8 +1309,8 @@ mod tests {
     #[test]
     fn sessions_answer_like_v1() {
         let (g, blob) = v1_blob(EdgeEncoding::Full);
-        let v1 = LabelStoreView::open(&blob).unwrap();
-        let v2 = compress_archive(&v1).view().unwrap();
+        let v1 = LabelStore::open(blob.clone()).unwrap();
+        let v2 = compress_archive(&v1);
         assert_eq!(v1.n(), v2.n());
         assert_eq!(v1.m(), v2.m());
         assert_eq!(v1.header(), v2.header());
@@ -1397,11 +1337,11 @@ mod tests {
     #[test]
     fn unknown_pairs_and_out_of_range_ids_are_typed_errors() {
         let (_, blob) = v1_blob(EdgeEncoding::Compact);
-        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap()).into_vec();
+        let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap()).into_vec();
         // Both formats report the same typed errors, and neither panics
         // on an out-of-range edge ID.
         for bytes in [blob, v2] {
-            let archive = AnyArchive::open(bytes.into()).unwrap();
+            let archive = AnyArchive::open(bytes).unwrap();
             let mut scratch = SessionScratch::new();
             match archive.session_in([(0, 1), (0, 19)], &mut scratch) {
                 Err(StoreError::UnknownEdge { u: 0, v: 19 }) => {}
@@ -1421,9 +1361,9 @@ mod tests {
     #[test]
     fn any_archive_open_dispatches_on_the_version_tag() {
         let (_, blob) = v1_blob(EdgeEncoding::Full);
-        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap()).into_vec();
-        let v1 = AnyArchive::open(blob.clone().into()).unwrap();
-        let z = AnyArchive::open(v2.into()).unwrap();
+        let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap()).into_vec();
+        let v1 = AnyArchive::open(blob.clone()).unwrap();
+        let z = AnyArchive::open(v2).unwrap();
         assert!(matches!(v1, AnyArchive::V1(_)));
         assert!(matches!(z, AnyArchive::V2(_)));
         assert_eq!((v1.k(), v1.levels()), (z.k(), z.levels()));
@@ -1431,7 +1371,7 @@ mod tests {
         let mut bad = blob;
         bad[4] = 9;
         assert_eq!(
-            AnyArchive::open(bad.into()).unwrap_err().kind,
+            AnyArchive::open(bad).unwrap_err().kind,
             SerialErrorKind::UnsupportedVersion
         );
     }
@@ -1446,7 +1386,7 @@ mod tests {
                     .threads(threads)
                     .build_store(encoding)
                     .unwrap();
-                let transcoded = compress_archive(&v1_store.view());
+                let transcoded = compress_archive(&v1_store);
                 let (streamed, _) = FtcScheme::builder(&g)
                     .params(&Params::deterministic(2))
                     .threads(threads)
@@ -1464,14 +1404,14 @@ mod tests {
     #[test]
     fn open_is_o_header_and_corruption_is_lazy() {
         let (_, blob) = v1_blob(EdgeEncoding::Full);
-        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap());
+        let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
         let mut bytes = v2.into_vec();
 
         // Flip a byte deep inside the last section's payload: open must
         // still succeed (it never touches payloads) …
         let at = bytes.len() - 9;
         bytes[at] ^= 0x10;
-        let view = CompressedStoreView::open(bytes.clone()).unwrap();
+        let view = CompressedStore::open(bytes.clone()).unwrap();
         // … but first touch of that section reports a typed checksum
         // error at an in-bounds offset.
         let top = view.levels() - 1;
@@ -1494,22 +1434,22 @@ mod tests {
     #[test]
     fn header_corruption_rejected_at_open() {
         let (_, blob) = v1_blob(EdgeEncoding::Full);
-        let bytes = compress_archive(&LabelStoreView::open(&blob).unwrap()).into_vec();
+        let bytes = compress_archive(&LabelStore::open(blob.clone()).unwrap()).into_vec();
         // Any flip in the prologue or table is caught at open by the
         // table checksum (or an earlier structural check) — never a
         // panic, always an in-bounds offset.
         let table_end = PROLOGUE_BYTES
-            + (SEC_LEVEL0 + CompressedStoreView::open(bytes.clone()).unwrap().levels())
+            + (SEC_LEVEL0 + CompressedStore::open(bytes.clone()).unwrap().levels())
                 * SECTION_ENTRY_BYTES;
         for at in 0..table_end + TOC_CHECKSUM_BYTES {
             let mut bad = bytes.clone();
             bad[at] ^= 0x04;
-            let err = CompressedStoreView::open(bad).expect_err("header flip must be rejected");
+            let err = CompressedStore::open(bad).expect_err("header flip must be rejected");
             assert!(err.offset <= bytes.len(), "offset out of bounds at {at}");
         }
         // Truncation at every prefix is rejected cleanly too.
         for cut in 0..bytes.len().min(512) {
-            assert!(CompressedStoreView::open(bytes[..cut].to_vec()).is_err());
+            assert!(CompressedStore::open(bytes[..cut].to_vec()).is_err());
         }
     }
 
@@ -1518,8 +1458,8 @@ mod tests {
         let g = Graph::new(5);
         let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
         let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
-        let v2 = compress_archive(&LabelStoreView::open(&blob).unwrap());
-        let view = v2.view().unwrap();
+        let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
+        let view = v2;
         assert_eq!(view.m(), 0);
         assert_eq!(view.to_v1_vec().unwrap(), blob);
     }

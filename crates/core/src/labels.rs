@@ -507,9 +507,10 @@ impl EndpointIndex {
         EndpointIndex { entries }
     }
 
-    /// The edge ID indexed under `(u, v)` (either order), if any.
+    /// The edge ID indexed under `(u, v)` (either order), if any; `None`
+    /// for an endpoint beyond `u32::MAX`, which no entry can name.
     pub fn get(&self, u: usize, v: usize) -> Option<usize> {
-        let key = (u.min(v) as u32, u.max(v) as u32);
+        let key = (u32::try_from(u.min(v)).ok()?, u32::try_from(u.max(v)).ok()?);
         self.entries
             .binary_search_by_key(&key, |&(a, b, _)| (a, b))
             .ok()
@@ -658,6 +659,19 @@ mod tests {
         let mut words = vec![0u64; v.slab_words()];
         v.accumulate_slab(&mut words);
         detect_words(v, &words)
+    }
+
+    /// An endpoint beyond `u32::MAX` names no edge; it must not wrap onto
+    /// the low 32 bits (`(1 << 32) + 1` is not vertex 1).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn wide_endpoints_name_no_edge() {
+        let g = ftc_graph::Graph::cycle(6);
+        let scheme = crate::FtcScheme::build(&g, &crate::Params::deterministic(2)).unwrap();
+        let l = scheme.labels();
+        assert!(l.edge_label(0, 1).is_some());
+        assert!(l.edge_label(0, (1 << 32) + 1).is_none());
+        assert_eq!(l.endpoint_index().get((1 << 32) + 1, 0), None);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   [`serial::CompactEdgeLabelView`] readers (used to demonstrate the
 //!   decoder is genuinely graph-free);
 //! * [`store`] — the single-blob label archive: [`store::LabelStore`]
-//!   writes a whole labeling as one indexed byte blob and
-//!   [`store::LabelStoreView`] opens it zero-copy, serving O(1)/O(log m)
-//!   label views and archive-native [`QuerySession`]s;
+//!   writes a whole labeling as one indexed byte blob, and is the one
+//!   owned handle that opens it without copying, serving O(1)/O(log m)
+//!   zero-copy label views and archive-native [`QuerySession`]s;
 //! * [`io`] — durable archive I/O: the [`io::AtomicFile`] writer
 //!   (tempfile → fsync → rename → directory fsync) behind the
 //!   [`io::Vfs`] trait, with a production filesystem and a seeded
@@ -41,7 +41,8 @@
 //!   streaming build path's layout arithmetic;
 //! * [`compressed`] — the v2 sectioned container: entropy-coded archive
 //!   sections ([`ftc_compress`] transforms + rANS), O(header) opening
-//!   with per-section lazy checksum validation, and memory-mapped
+//!   with per-section lazy checksum validation behind the
+//!   [`compressed::CompressedStore`] handle, and memory-mapped
 //!   [`compressed::open_path`] dispatching over both formats.
 //!
 //! ## Quickstart
@@ -87,7 +88,7 @@ pub mod session;
 pub mod store;
 pub mod vertex_faults;
 
-pub use compressed::{AnyArchive, CompressedStore, CompressedStoreView, SectionInfo, SectionKind};
+pub use compressed::{AnyArchive, CompressedStore, SectionInfo, SectionKind};
 pub use error::{BuildError, QueryError};
 pub use hierarchy::HierarchyBackend;
 pub use io::{
@@ -105,6 +106,4 @@ pub use serial::{
     CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
 };
 pub use session::{Certificate, QuerySession, SessionScratch};
-pub use store::{
-    ArchivedEdgeView, EdgeEncoding, LabelStore, LabelStoreView, StoreError, StoreOpenError,
-};
+pub use store::{ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};

@@ -1,4 +1,10 @@
-//! Read-only memory-mapped file buffers, with a portable fallback.
+//! The one byte buffer behind every archive handle: an owned heap blob
+//! or a read-only memory-mapped file.
+//!
+//! Both archive formats hold their bytes as an `Arc<ArchiveBytes>`, so a
+//! blob built or read into a `Vec` is wrapped without copying, clones of
+//! a handle share it, and the sole handle of a heap blob hands the `Vec`
+//! back ([`ArchiveBytes::into_vec`]).
 //!
 //! The archive layer opens multi-gigabyte blobs; reading them into a
 //! `Vec` doubles peak memory and front-loads I/O the lazily-validated
@@ -16,32 +22,34 @@
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
-/// An immutable byte buffer backed by a memory-mapped file when the
-/// platform provides one, or by an owned heap copy otherwise.
-pub(crate) enum MmapBuf {
+/// An immutable archive blob: owned on the heap, or a live read-only
+/// memory mapping of an archive file.
+pub(crate) enum ArchiveBytes {
     /// A live `mmap` region, unmapped on drop.
     #[cfg(unix)]
     Mapped { ptr: *mut u8, len: usize },
-    /// Portable fallback: the whole file read into memory.
+    /// An owned blob: built or read in memory, or a file the platform
+    /// would not map.
     Heap(Vec<u8>),
 }
 
 // SAFETY: the region is mapped read-only (`PROT_READ`, private) and
 // never mutated or remapped after construction, so shared references to
 // it are valid from any thread; the heap variant is a plain `Vec`.
-unsafe impl Send for MmapBuf {}
-unsafe impl Sync for MmapBuf {}
+unsafe impl Send for ArchiveBytes {}
+unsafe impl Sync for ArchiveBytes {}
 
-impl MmapBuf {
+impl ArchiveBytes {
     /// Opens `path` as a read-only buffer, preferring a memory mapping.
-    pub(crate) fn open(path: &Path) -> io::Result<MmapBuf> {
+    pub(crate) fn open(path: &Path) -> io::Result<ArchiveBytes> {
         #[cfg(unix)]
         {
             let file = File::open(path)?;
             let len = file.metadata()?.len();
             if len == 0 {
-                return Ok(MmapBuf::Heap(Vec::new()));
+                return Ok(ArchiveBytes::Heap(Vec::new()));
             }
             let Ok(len) = usize::try_from(len) else {
                 return Err(io::Error::new(
@@ -55,7 +63,7 @@ impl MmapBuf {
             // Mapping refused (unusual filesystem, resource limits):
             // fall through to the portable path.
         }
-        Ok(MmapBuf::Heap(std::fs::read(path)?))
+        Ok(ArchiveBytes::Heap(std::fs::read(path)?))
     }
 
     /// The buffer contents.
@@ -64,18 +72,33 @@ impl MmapBuf {
             #[cfg(unix)]
             // SAFETY: `ptr` is a live `PROT_READ` mapping of exactly
             // `len` bytes, valid until `drop` unmaps it.
-            MmapBuf::Mapped { ptr, len } => unsafe {
+            ArchiveBytes::Mapped { ptr, len } => unsafe {
                 std::slice::from_raw_parts(*ptr as *const u8, *len)
             },
-            MmapBuf::Heap(v) => v,
+            ArchiveBytes::Heap(v) => v,
         }
+    }
+
+    /// The heap blob itself when `this` is its only handle; otherwise
+    /// `this` back, untouched.
+    pub(crate) fn try_into_vec(mut this: Arc<ArchiveBytes>) -> Result<Vec<u8>, Arc<ArchiveBytes>> {
+        match Arc::get_mut(&mut this) {
+            Some(ArchiveBytes::Heap(v)) => Ok(std::mem::take(v)),
+            _ => Err(this),
+        }
+    }
+
+    /// The blob as a `Vec`: moved out when `this` is the only handle of
+    /// a heap blob, copied otherwise.
+    pub(crate) fn into_vec(this: Arc<ArchiveBytes>) -> Vec<u8> {
+        Self::try_into_vec(this).unwrap_or_else(|shared| shared.bytes().to_vec())
     }
 }
 
-impl Drop for MmapBuf {
+impl Drop for ArchiveBytes {
     fn drop(&mut self) {
         #[cfg(unix)]
-        if let MmapBuf::Mapped { ptr, len } = *self {
+        if let ArchiveBytes::Mapped { ptr, len } = *self {
             // SAFETY: `ptr`/`len` came from a successful `mmap` and are
             // unmapped exactly once.
             unsafe {
@@ -85,19 +108,9 @@ impl Drop for MmapBuf {
     }
 }
 
-impl std::fmt::Debug for MmapBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            #[cfg(unix)]
-            MmapBuf::Mapped { len, .. } => write!(f, "MmapBuf::Mapped({len} bytes)"),
-            MmapBuf::Heap(v) => write!(f, "MmapBuf::Heap({} bytes)", v.len()),
-        }
-    }
-}
-
 #[cfg(unix)]
 mod unix {
-    use super::MmapBuf;
+    use super::ArchiveBytes;
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
 
@@ -118,7 +131,7 @@ mod unix {
 
     /// Maps `len` bytes of `file` read-only; `None` when the kernel
     /// refuses (caller falls back to reading the file).
-    pub(super) fn map_readonly(file: &File, len: usize) -> Option<MmapBuf> {
+    pub(super) fn map_readonly(file: &File, len: usize) -> Option<ArchiveBytes> {
         // SAFETY: a fresh private read-only mapping of an open fd; the
         // kernel validates every argument and reports failure as
         // MAP_FAILED (-1), which we check before use.
@@ -135,7 +148,7 @@ mod unix {
         if ptr as isize == -1 {
             return None;
         }
-        Some(MmapBuf::Mapped {
+        Some(ArchiveBytes::Mapped {
             ptr: ptr.cast(),
             len,
         })
@@ -152,7 +165,7 @@ mod tests {
         let path = dir.join(format!("ftc-mmap-test-{}", std::process::id()));
         let payload: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect();
         std::fs::write(&path, &payload).unwrap();
-        let buf = MmapBuf::open(&path).unwrap();
+        let buf = ArchiveBytes::open(&path).unwrap();
         assert_eq!(buf.bytes(), &payload[..]);
         drop(buf);
         std::fs::remove_file(&path).unwrap();
@@ -163,11 +176,26 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ftc-mmap-empty-{}", std::process::id()));
         std::fs::write(&path, b"").unwrap();
-        let buf = MmapBuf::open(&path).unwrap();
+        let buf = ArchiveBytes::open(&path).unwrap();
         assert!(buf.bytes().is_empty());
         std::fs::remove_file(&path).unwrap();
 
         let missing = dir.join("ftc-mmap-definitely-missing-xyz");
-        assert!(MmapBuf::open(&missing).is_err());
+        assert!(ArchiveBytes::open(&missing).is_err());
+    }
+
+    #[test]
+    fn sole_heap_handles_give_their_vec_back() {
+        let blob = vec![7u8; 64];
+        let ptr = blob.as_ptr();
+        let sole = Arc::new(ArchiveBytes::Heap(blob));
+        let back = ArchiveBytes::into_vec(sole);
+        assert_eq!(back.as_ptr(), ptr);
+
+        let shared = Arc::new(ArchiveBytes::Heap(vec![7u8; 64]));
+        let other = Arc::clone(&shared);
+        let back = ArchiveBytes::try_into_vec(shared).unwrap_err();
+        assert_eq!(ArchiveBytes::into_vec(back), vec![7u8; 64]);
+        assert_eq!(other.bytes(), &[7u8; 64][..]);
     }
 }

@@ -9,8 +9,8 @@
 //! with exactly the arithmetic of the streaming build path
 //! (`stream_from_build`), so a dynamic commit produces the same framing
 //! bytes a from-scratch build of the same labeling would, and skips the
-//! O(archive) re-validation pass of [`LabelStore::from_vec`] because every
-//! invariant `LabelStoreView::open` checks holds by construction.
+//! O(archive) re-validation pass of [`LabelStore::open`] because every
+//! invariant it checks holds by construction.
 //!
 //! The payload slab layout is the uniform-record v1 layout: edge `e`'s
 //! words occupy `payload[e*w..(e+1)*w]` where `w` is
@@ -189,7 +189,6 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
-    use crate::store::LabelStoreView;
     use ftc_graph::Graph;
 
     /// Re-assembling a built labeling from its extracted parts reproduces
@@ -201,7 +200,7 @@ mod tests {
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             let blob = LabelStore::to_vec(scheme.labels(), encoding);
-            let view = LabelStoreView::open(&blob).unwrap();
+            let view = LabelStore::open(blob.clone()).unwrap();
             let (k, levels) = {
                 let e0 = view.edge_by_id(0).unwrap();
                 (e0.k(), e0.levels())

@@ -30,7 +30,7 @@
 //!
 //! A server building sessions at high rate threads a [`SessionScratch`]
 //! through [`QuerySession::new_in`] (or [`LabelSet::session_in`] /
-//! [`crate::store::LabelStoreView::session_in`]) and hands finished
+//! [`crate::store::LabelStore::session_in`]) and hands finished
 //! sessions back via [`SessionScratch::recycle`]. The scratch owns every
 //! buffer a build touches — the cutset slab, the accumulator arena, the
 //! merge heap, fragment build tables, and the adaptive decoder's scratch —

@@ -5,14 +5,15 @@
 //! natural storage shape is therefore one indexed archive, not one byte
 //! buffer per label. [`LabelStore`] writes a [`crate::LabelSet`] as a
 //! single blob — magic, version, [`LabelHeader`], offset/endpoint index,
-//! concatenated label bytes — and [`LabelStoreView::open`] validates that
-//! blob **once** and then serves
+//! concatenated label bytes — and [`LabelStore::open`] takes ownership
+//! of that blob without copying it, validates it **once**, and then
+//! serves
 //!
-//! * [`LabelStoreView::vertex`] — O(1) zero-copy [`VertexLabelView`]s,
-//! * [`LabelStoreView::edge`] — O(log m) zero-copy edge views resolved by
+//! * [`LabelStore::vertex`] — O(1) zero-copy [`VertexLabelView`]s,
+//! * [`LabelStore::edge`] — O(log m) zero-copy edge views resolved by
 //!   endpoint pair (both the full and the compact half-width encodings,
 //!   behind the archive's encoding tag),
-//! * [`LabelStoreView::session`] — a ready [`QuerySession`] for a fault
+//! * [`LabelStore::session`] — a ready [`QuerySession`] for a fault
 //!   set named by endpoint pairs, built straight over the archive bytes,
 //!
 //! without materializing a single owned label. This is the canonical
@@ -52,7 +53,7 @@
 //! # Example
 //!
 //! ```
-//! use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+//! use ftc_core::store::{EdgeEncoding, LabelStore};
 //! use ftc_core::{FtcScheme, Params};
 //! use ftc_graph::Graph;
 //!
@@ -61,18 +62,19 @@
 //! let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
 //!
 //! // Later — possibly in another process — open and query zero-copy.
-//! let view = LabelStoreView::open(&blob).unwrap();
-//! let session = view.session([(0, 1), (3, 4)]).unwrap();
-//! assert!(!session.connected(view.vertex(1).unwrap(), view.vertex(4).unwrap()).unwrap());
-//! assert!(session.connected(view.vertex(1).unwrap(), view.vertex(3).unwrap()).unwrap());
+//! let store = LabelStore::open(blob).unwrap();
+//! let session = store.session([(0, 1), (3, 4)]).unwrap();
+//! assert!(!session.connected(store.vertex(1).unwrap(), store.vertex(4).unwrap()).unwrap());
+//! assert!(session.connected(store.vertex(1).unwrap(), store.vertex(3).unwrap()).unwrap());
 //! ```
 
 use crate::ancestry::AncestryLabel;
-use crate::error::{BuildError, QueryError};
+use crate::error::QueryError;
 use crate::labels::{
     EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, RsVector, VertexLabelRead,
 };
-use crate::scheme::{BuildCtx, LevelSink, SchemeBuilder};
+use crate::mmap::ArchiveBytes;
+use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
     self, CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
     VERTEX_LABEL_BYTES,
@@ -81,7 +83,7 @@ use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::sync::Arc;
 
 pub(crate) const STORE_MAGIC: [u8; 4] = *b"FTCL";
@@ -138,11 +140,6 @@ pub enum StoreError {
         /// The requested edge ID.
         id: usize,
     },
-    /// A vertex argument is outside the archive's `0..n` range.
-    VertexOutOfRange {
-        /// The requested vertex.
-        v: usize,
-    },
     /// The underlying session construction or query failed.
     Query(QueryError),
     /// Lazy validation of a compressed section failed on first touch
@@ -159,9 +156,6 @@ impl fmt::Display for StoreError {
             StoreError::UnknownEdgeId { id } => {
                 write!(f, "no edge with ID {id} in the archived labeling")
             }
-            StoreError::VertexOutOfRange { v } => {
-                write!(f, "vertex {v} outside the archived labeling")
-            }
             StoreError::Query(q) => write!(f, "archive query failed: {q}"),
             StoreError::Corrupt(e) => write!(f, "archive section corrupt: {e}"),
         }
@@ -176,141 +170,29 @@ impl From<QueryError> for StoreError {
     }
 }
 
-/// An owned, validated label archive (the write side and an owning handle
-/// around the blob; all reading goes through [`LabelStoreView`]).
-#[derive(Clone, Debug)]
+/// A validated label archive: one owned, cheaply clonable handle over
+/// the blob, the read surface of the store. See the [module docs](self)
+/// for the byte layout and the complexity of each lookup.
+///
+/// The blob is shared, never copied: [`LabelStore::open`] wraps the
+/// caller's `Vec`, clones bump a reference count, and
+/// [`LabelStore::into_vec`] hands the `Vec` back from the last handle.
+/// The handle is `Send + Sync`, the unit a concurrent serving layer
+/// holds.
+#[derive(Clone)]
 pub struct LabelStore {
-    bytes: Vec<u8>,
-    /// Parsed framing, kept so [`LabelStore::view`] never re-validates.
+    bytes: Arc<ArchiveBytes>,
     meta: ArchiveMeta,
 }
 
-impl LabelStore {
-    /// Archives a label set under the given edge encoding.
-    pub fn archive(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> LabelStore {
-        let bytes = encode(labels, encoding);
-        let meta = LabelStoreView::open(&bytes)
-            .expect("freshly encoded archives are well-formed")
-            .meta;
-        LabelStore { bytes, meta }
-    }
-
-    /// Runs a staged construction straight into an archive — the
-    /// streaming build-to-archive path: label payloads are written into
-    /// their final blob positions by the build workers, so the labeling
-    /// is never held twice in memory. Byte-identical to archiving the
-    /// equivalent [`SchemeBuilder::build`] output with
-    /// [`LabelStore::to_vec`], for every thread count.
-    ///
-    /// See [`SchemeBuilder::build_store`] for the variant that also
-    /// returns the construction diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SchemeBuilder::build`].
-    pub fn from_builder(
-        builder: SchemeBuilder<'_>,
-        encoding: EdgeEncoding,
-    ) -> Result<LabelStore, BuildError> {
-        builder.build_store(encoding).map(|(store, _)| store)
-    }
-
-    /// Serializes a label set straight into a writer (same bytes as
-    /// [`LabelStore::to_vec`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write<W: Write>(
-        labels: &LabelSet<RsVector>,
-        encoding: EdgeEncoding,
-        w: &mut W,
-    ) -> io::Result<()> {
-        w.write_all(&encode(labels, encoding))
-    }
-
-    /// Serializes a label set into a fresh byte vector.
-    pub fn to_vec(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
-        encode(labels, encoding)
-    }
-
-    /// Takes ownership of an archive blob, validating it in full.
-    ///
-    /// # Errors
-    ///
-    /// [`SerialError`] (with the offending byte offset) if the blob is
-    /// not a well-formed archive.
-    pub fn from_vec(bytes: Vec<u8>) -> Result<LabelStore, SerialError> {
-        let meta = LabelStoreView::open(&bytes)?.meta;
-        Ok(LabelStore { bytes, meta })
-    }
-
-    /// Wraps a blob whose framing was just written by this crate's own
-    /// archive writers, skipping the full `open` validation pass (which
-    /// is O(archive) and would double the cost of every dynamic commit).
-    /// The caller guarantees `meta` describes `bytes` exactly.
-    pub(crate) fn from_parts_trusted(bytes: Vec<u8>, meta: ArchiveMeta) -> LabelStore {
-        debug_assert!(
-            LabelStoreView::open(&bytes).is_ok(),
-            "trusted archive parts must form a well-formed blob"
-        );
-        LabelStore { bytes, meta }
-    }
-
-    /// The raw archive bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the store, returning the archive bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Opens a zero-copy view over the owned bytes. The archive was
-    /// validated when this store was constructed, so this is O(1) — no
-    /// re-validation.
-    pub fn view(&self) -> LabelStoreView<'_> {
-        LabelStoreView {
-            buf: ArchiveBuf::Borrowed(&self.bytes),
-            meta: self.meta,
-        }
-    }
-
-    /// Consumes the store into a self-contained `'static` view: the blob
-    /// moves into an `Arc<[u8]>` the view owns. The archive was validated
-    /// at construction, so this never re-validates. The resulting view is
-    /// `Send + Sync` and cheap to clone — the handle concurrent serving
-    /// layers hold.
-    pub fn into_shared_view(self) -> LabelStoreView<'static> {
-        LabelStoreView {
-            buf: ArchiveBuf::Shared(Arc::from(self.bytes)),
-            meta: self.meta,
-        }
-    }
-}
-
-/// The bytes behind a [`LabelStoreView`]: borrowed from a caller's
-/// buffer, or shared ownership of the blob itself. The shared form makes
-/// the view `'static` — it can be cloned across threads and outlive the
-/// buffer it was opened from.
-#[derive(Clone, Debug)]
-enum ArchiveBuf<'a> {
-    /// A borrowed blob ([`LabelStoreView::open`]).
-    Borrowed(&'a [u8]),
-    /// Shared ownership of the blob ([`LabelStoreView::open_shared`]).
-    Shared(Arc<[u8]>),
-    /// A shared memory-mapped file ([`crate::compressed::open_path`]).
-    Mapped(Arc<crate::mmap::MmapBuf>),
-}
-
-impl ArchiveBuf<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            ArchiveBuf::Borrowed(b) => b,
-            ArchiveBuf::Shared(a) => a,
-            ArchiveBuf::Mapped(m) => m.bytes(),
-        }
+impl fmt::Debug for LabelStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LabelStore")
+            .field("n", &self.meta.n)
+            .field("m", &self.meta.m)
+            .field("encoding", &self.meta.encoding)
+            .field("archive_bytes", &self.archive_bytes())
+            .finish()
     }
 }
 
@@ -354,9 +236,8 @@ impl From<SerialError> for StoreOpenError {
     }
 }
 
-/// Parsed archive framing: everything a [`LabelStoreView`] knows beyond
-/// the bytes themselves. Copyable so an owning [`LabelStore`] can mint
-/// views without re-validating.
+/// Parsed archive framing: everything a [`LabelStore`] knows beyond the
+/// bytes themselves.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ArchiveMeta {
     pub(crate) header: LabelHeader,
@@ -374,19 +255,25 @@ pub(crate) struct ArchiveMeta {
     pub(crate) edges_at: usize,
 }
 
-/// A validated zero-copy view over a label archive: the read surface of
-/// the store. See the [module docs](self) for the byte layout and the
-/// complexity of each lookup.
-///
-/// A view either *borrows* its blob ([`LabelStoreView::open`], lifetime
-/// `'a`) or *owns a share* of it ([`LabelStoreView::open_shared`],
-/// `LabelStoreView<'static>` over an `Arc<[u8]>`). Shared views are the
-/// concurrent-serving handle: `Send + Sync`, cheap to clone, and free of
-/// any tie to the buffer they were opened from.
-#[derive(Clone, Debug)]
-pub struct LabelStoreView<'a> {
-    buf: ArchiveBuf<'a>,
-    meta: ArchiveMeta,
+impl ArchiveMeta {
+    /// Byte span `[at, end)` of edge `e`'s record in `buf`.
+    fn edge_span(&self, buf: &[u8], e: usize) -> (usize, usize) {
+        let start = u64_at(buf, self.offsets_at + 8 * e) as usize;
+        let end = u64_at(buf, self.offsets_at + 8 * (e + 1)) as usize;
+        (self.edges_at + start, self.edges_at + end)
+    }
+
+    fn edge_view<'b>(
+        &self,
+        buf: &'b [u8],
+        (at, end): (usize, usize),
+    ) -> Result<ArchivedEdgeView<'b>, SerialError> {
+        let bytes = &buf[at..end];
+        Ok(match self.encoding {
+            EdgeEncoding::Full => ArchivedEdgeView::Full(EdgeLabelView::new(bytes)?),
+            EdgeEncoding::Compact => ArchivedEdgeView::Compact(CompactEdgeLabelView::new(bytes)?),
+        })
+    }
 }
 
 pub(crate) fn u32_at(buf: &[u8], at: usize) -> u32 {
@@ -409,6 +296,25 @@ pub(crate) fn endpoint_entries(
             u32_at(rec, 8) as usize,
         )
     })
+}
+
+/// The edge ID an endpoint-index region (sorted 12-byte `(u, v, edge
+/// id)` records) stores under `(u, v)`, either order — one binary
+/// search. `None` when the pair is not indexed, including every pair
+/// with an endpoint beyond `u32::MAX`, which no record can name.
+pub(crate) fn find_edge_id(index: &[u8], u: usize, v: usize) -> Option<usize> {
+    let key = (u32::try_from(u.min(v)).ok()?, u32::try_from(u.max(v)).ok()?);
+    let (mut lo, mut hi) = (0usize, index.len() / ENDPOINT_ENTRY_BYTES);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let at = ENDPOINT_ENTRY_BYTES * mid;
+        match (u32_at(index, at), u32_at(index, at + 4)).cmp(&key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Some(u32_at(index, at + 8) as usize),
+        }
+    }
+    None
 }
 
 /// Streams the fault labels `lookup` resolves into one session build.
@@ -435,179 +341,210 @@ pub(crate) fn stream_session<K, L: EdgeLabelRead<Vector = RsVector>>(
     Ok(session?)
 }
 
-impl<'a> LabelStoreView<'a> {
-    /// Validates the whole archive — framing, index monotonicity, and
-    /// every contained label (magic, geometry, header agreement) — and
-    /// returns the view. After `open` succeeds, all lookups are
-    /// infallible index arithmetic over pre-validated bytes.
+/// Validates a whole v1 archive — framing, index monotonicity, and every
+/// contained label (magic, geometry, header agreement) — and returns its
+/// parsed framing. Once it passes, every lookup is infallible index
+/// arithmetic over pre-validated bytes.
+///
+/// # Errors
+///
+/// [`SerialError`] carrying the archive byte offset at which validation
+/// failed.
+pub(crate) fn parse_v1(bytes: &[u8]) -> Result<ArchiveMeta, SerialError> {
+    let truncated = |at: usize| SerialError::new(SerialErrorKind::Truncated, at);
+    let inconsistent = |at: usize| SerialError::new(SerialErrorKind::Inconsistent, at);
+    if bytes.len() < FIXED_HEADER_BYTES {
+        return Err(truncated(bytes.len()));
+    }
+    if bytes[..4] != STORE_MAGIC {
+        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+    }
+    if u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != STORE_VERSION {
+        return Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4));
+    }
+    let encoding = EdgeEncoding::from_tag(bytes[6]).ok_or(inconsistent(6))?;
+    if bytes[7] != 0 {
+        return Err(inconsistent(7));
+    }
+    let header = LabelHeader {
+        f: u32_at(bytes, 8),
+        aux_n: u32_at(bytes, 12),
+        tag: u64_at(bytes, 16),
+    };
+    let n = u32_at(bytes, 24) as usize;
+    let m = u32_at(bytes, 28) as usize;
+    let stride = u32_at(bytes, 32) as usize;
+    if stride != VERTEX_LABEL_BYTES {
+        return Err(inconsistent(32));
+    }
+    let idx_count = u32_at(bytes, 36) as usize;
+    if idx_count > m {
+        return Err(inconsistent(36));
+    }
+    // Everything after the fixed header and before the trailing
+    // whole-blob checksum is the archive body.
+    if bytes.len() < FIXED_HEADER_BYTES + TRAILING_CHECKSUM_BYTES {
+        return Err(truncated(bytes.len()));
+    }
+    let body_len = bytes.len() - TRAILING_CHECKSUM_BYTES;
+
+    let offsets_at = FIXED_HEADER_BYTES;
+    let offsets_len = (m as u64 + 1) * 8;
+    let endpoint_len = idx_count as u64 * ENDPOINT_ENTRY_BYTES as u64;
+    let vertex_len = n as u64 * stride as u64;
+    let endpoint_at = offsets_at as u64 + offsets_len;
+    let vertices_at = endpoint_at + endpoint_len;
+    let edges_at = vertices_at + vertex_len;
+    if edges_at > body_len as u64 {
+        return Err(truncated(bytes.len()));
+    }
+    let (endpoint_at, vertices_at, edges_at) = (
+        endpoint_at as usize,
+        vertices_at as usize,
+        edges_at as usize,
+    );
+
+    // Edge offsets: zero-based, monotone, ending exactly at the end of
+    // the body (the trailing checksum is not part of any region).
+    let edge_region_len = (body_len - edges_at) as u64;
+    let mut prev = 0u64;
+    for e in 0..=m {
+        let off = u64_at(bytes, offsets_at + 8 * e);
+        if (e == 0 && off != 0) || off < prev || off > edge_region_len {
+            return Err(inconsistent(offsets_at + 8 * e));
+        }
+        prev = off;
+    }
+    if prev != edge_region_len {
+        return Err(inconsistent(offsets_at + 8 * m));
+    }
+
+    // Endpoint index: strictly sorted normalized pairs, edge IDs in
+    // range.
+    let mut prev_pair: Option<(u32, u32)> = None;
+    for i in 0..idx_count {
+        let at = endpoint_at + ENDPOINT_ENTRY_BYTES * i;
+        let u = u32_at(bytes, at);
+        let v = u32_at(bytes, at + 4);
+        let e = u32_at(bytes, at + 8) as usize;
+        if u >= v || e >= m || prev_pair.is_some_and(|p| p >= (u, v)) {
+            return Err(inconsistent(at));
+        }
+        prev_pair = Some((u, v));
+    }
+
+    let meta = ArchiveMeta {
+        header,
+        encoding,
+        n,
+        m,
+        idx_count,
+        offsets_at,
+        endpoint_at,
+        vertices_at,
+        edges_at,
+    };
+
+    // Validate every label once; lookups then skip re-validation.
+    let rebase = |err: SerialError, base: usize| SerialError::new(err.kind, base + err.offset);
+    for v in 0..n {
+        let at = vertices_at + v * stride;
+        let vl = VertexLabelView::new(&bytes[at..at + stride]).map_err(|e| rebase(e, at))?;
+        if VertexLabelRead::header(&vl) != header {
+            return Err(inconsistent(at));
+        }
+    }
+    // Edge labels must additionally agree on the codec geometry
+    // (threshold k and level count): the merge engine asserts uniform
+    // widths, so a mixed-geometry archive must fail here — at open, with
+    // an offset — not panic inside a later session.
+    let mut geometry: Option<(usize, usize)> = None;
+    for e in 0..m {
+        let span = meta.edge_span(bytes, e);
+        let label = meta
+            .edge_view(bytes, span)
+            .map_err(|err| rebase(err, span.0))?;
+        if label.header() != header {
+            return Err(inconsistent(span.0));
+        }
+        let this = (label.k(), label.levels());
+        match geometry {
+            None => geometry = Some(this),
+            Some(first) if first != this => return Err(inconsistent(span.0)),
+            Some(_) => {}
+        }
+    }
+    // Last line of defense: payload corruption that keeps every
+    // structural invariant (a flipped syndrome word, say) is caught by
+    // the whole-blob checksum.
+    if u64_at(bytes, body_len) != ftc_compress::checksum64(&bytes[..body_len]) {
+        return Err(SerialError::new(SerialErrorKind::Checksum, body_len));
+    }
+    Ok(meta)
+}
+
+impl LabelStore {
+    /// Archives a label set under the given edge encoding.
+    pub fn archive(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> LabelStore {
+        LabelStore::open(encode(labels, encoding))
+            .expect("freshly encoded archives are well-formed")
+    }
+
+    /// Serializes a label set into a fresh byte vector.
+    pub fn to_vec(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
+        encode(labels, encoding)
+    }
+
+    /// Takes ownership of an archive blob, validating it in full, without
+    /// copying it. After `open` succeeds, all lookups are infallible
+    /// index arithmetic over pre-validated bytes.
     ///
     /// # Errors
     ///
     /// [`SerialError`] carrying the archive byte offset at which
     /// validation failed.
-    pub fn open(bytes: &'a [u8]) -> Result<LabelStoreView<'a>, SerialError> {
-        let truncated = |at: usize| SerialError::new(SerialErrorKind::Truncated, at);
-        let inconsistent = |at: usize| SerialError::new(SerialErrorKind::Inconsistent, at);
-        if bytes.len() < FIXED_HEADER_BYTES {
-            return Err(truncated(bytes.len()));
-        }
-        if bytes[..4] != STORE_MAGIC {
-            return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-        }
-        if u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != STORE_VERSION {
-            return Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4));
-        }
-        let encoding = EdgeEncoding::from_tag(bytes[6]).ok_or(inconsistent(6))?;
-        if bytes[7] != 0 {
-            return Err(inconsistent(7));
-        }
-        let header = LabelHeader {
-            f: u32_at(bytes, 8),
-            aux_n: u32_at(bytes, 12),
-            tag: u64_at(bytes, 16),
-        };
-        let n = u32_at(bytes, 24) as usize;
-        let m = u32_at(bytes, 28) as usize;
-        let stride = u32_at(bytes, 32) as usize;
-        if stride != VERTEX_LABEL_BYTES {
-            return Err(inconsistent(32));
-        }
-        let idx_count = u32_at(bytes, 36) as usize;
-        if idx_count > m {
-            return Err(inconsistent(36));
-        }
-        // Everything after the fixed header and before the trailing
-        // whole-blob checksum is the archive body.
-        if bytes.len() < FIXED_HEADER_BYTES + TRAILING_CHECKSUM_BYTES {
-            return Err(truncated(bytes.len()));
-        }
-        let body_len = bytes.len() - TRAILING_CHECKSUM_BYTES;
-
-        let offsets_at = FIXED_HEADER_BYTES;
-        let offsets_len = (m as u64 + 1) * 8;
-        let endpoint_len = idx_count as u64 * ENDPOINT_ENTRY_BYTES as u64;
-        let vertex_len = n as u64 * stride as u64;
-        let endpoint_at = offsets_at as u64 + offsets_len;
-        let vertices_at = endpoint_at + endpoint_len;
-        let edges_at = vertices_at + vertex_len;
-        if edges_at > body_len as u64 {
-            return Err(truncated(bytes.len()));
-        }
-        let (endpoint_at, vertices_at, edges_at) = (
-            endpoint_at as usize,
-            vertices_at as usize,
-            edges_at as usize,
-        );
-
-        // Edge offsets: zero-based, monotone, ending exactly at the end
-        // of the body (the trailing checksum is not part of any region).
-        let edge_region_len = (body_len - edges_at) as u64;
-        let mut prev = 0u64;
-        for e in 0..=m {
-            let off = u64_at(bytes, offsets_at + 8 * e);
-            if (e == 0 && off != 0) || off < prev || off > edge_region_len {
-                return Err(inconsistent(offsets_at + 8 * e));
-            }
-            prev = off;
-        }
-        if prev != edge_region_len {
-            return Err(inconsistent(offsets_at + 8 * m));
-        }
-
-        // Endpoint index: strictly sorted normalized pairs, edge IDs in
-        // range.
-        let mut prev_pair: Option<(u32, u32)> = None;
-        for i in 0..idx_count {
-            let at = endpoint_at + ENDPOINT_ENTRY_BYTES * i;
-            let u = u32_at(bytes, at);
-            let v = u32_at(bytes, at + 4);
-            let e = u32_at(bytes, at + 8) as usize;
-            if u >= v || e >= m || prev_pair.is_some_and(|p| p >= (u, v)) {
-                return Err(inconsistent(at));
-            }
-            prev_pair = Some((u, v));
-        }
-
-        let view = LabelStoreView {
-            buf: ArchiveBuf::Borrowed(bytes),
-            meta: ArchiveMeta {
-                header,
-                encoding,
-                n,
-                m,
-                idx_count,
-                offsets_at,
-                endpoint_at,
-                vertices_at,
-                edges_at,
-            },
-        };
-
-        // Validate every label once; lookups then skip re-validation.
-        let rebase = |err: SerialError, base: usize| SerialError::new(err.kind, base + err.offset);
-        for v in 0..n {
-            let at = vertices_at + v * stride;
-            let vl = VertexLabelView::new(&bytes[at..at + stride]).map_err(|e| rebase(e, at))?;
-            if VertexLabelRead::header(&vl) != header {
-                return Err(inconsistent(at));
-            }
-        }
-        // Edge labels must additionally agree on the codec geometry
-        // (threshold k and level count): the merge engine asserts
-        // uniform widths, so a mixed-geometry archive must fail here —
-        // at open, with an offset — not panic inside a later session.
-        let mut geometry: Option<(usize, usize)> = None;
-        for e in 0..m {
-            let (at, end) = view.edge_span(e);
-            let label = view.edge_view_at(at, end).map_err(|err| rebase(err, at))?;
-            if label.header() != header {
-                return Err(inconsistent(at));
-            }
-            let this = (label.k(), label.levels());
-            match geometry {
-                None => geometry = Some(this),
-                Some(first) if first != this => return Err(inconsistent(at)),
-                Some(_) => {}
-            }
-        }
-        // Last line of defense: payload corruption that keeps every
-        // structural invariant (a flipped syndrome word, say) is caught
-        // by the whole-blob checksum.
-        if u64_at(bytes, body_len) != ftc_compress::checksum64(&bytes[..body_len]) {
-            return Err(SerialError::new(SerialErrorKind::Checksum, body_len));
-        }
-        Ok(view)
+    pub fn open(bytes: Vec<u8>) -> Result<LabelStore, SerialError> {
+        LabelStore::open_buf(Arc::new(ArchiveBytes::Heap(bytes)))
     }
 
-    /// Opens a v1 view over an already-mapped buffer (shared with the
+    /// [`LabelStore::open`] over a buffer of either kind (shared with the
     /// version-dispatching [`crate::compressed::open_path`]).
-    pub(crate) fn from_mmap(
-        buf: Arc<crate::mmap::MmapBuf>,
-    ) -> Result<LabelStoreView<'static>, SerialError> {
-        let meta = LabelStoreView::open(buf.bytes())?.meta;
-        Ok(LabelStoreView {
-            buf: ArchiveBuf::Mapped(buf),
-            meta,
-        })
+    pub(crate) fn open_buf(bytes: Arc<ArchiveBytes>) -> Result<LabelStore, SerialError> {
+        let meta = parse_v1(bytes.bytes())?;
+        Ok(LabelStore { bytes, meta })
     }
 
-    /// Like [`LabelStoreView::open`], but taking shared ownership of the
-    /// blob: the returned view is `'static`, `Send + Sync`, and clones by
-    /// bumping the `Arc` — the form a concurrent serving layer holds so
-    /// label views stay valid for as long as anyone queries them.
+    /// Wraps a blob whose framing was just written by this crate's own
+    /// archive writers, skipping the full `open` validation pass (which
+    /// is O(archive) and would double the cost of every dynamic commit).
+    /// The caller guarantees `meta` describes `bytes` exactly.
+    pub(crate) fn from_parts_trusted(bytes: Vec<u8>, meta: ArchiveMeta) -> LabelStore {
+        debug_assert!(
+            parse_v1(&bytes).is_ok(),
+            "trusted archive parts must form a well-formed blob"
+        );
+        LabelStore {
+            bytes: Arc::new(ArchiveBytes::Heap(bytes)),
+            meta,
+        }
+    }
+
+    /// Consumes the handle, returning the archive bytes: the blob itself
+    /// when this is the only handle of a heap blob, a copy otherwise.
+    pub fn into_vec(self) -> Vec<u8> {
+        ArchiveBytes::into_vec(self.bytes)
+    }
+
+    /// The blob itself when this is the only handle of a heap blob — the
+    /// allocation a writer can reuse; otherwise the handle back.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LabelStoreView::open`].
-    pub fn open_shared(
-        bytes: impl Into<Arc<[u8]>>,
-    ) -> Result<LabelStoreView<'static>, SerialError> {
-        let bytes: Arc<[u8]> = bytes.into();
-        let meta = LabelStoreView::open(&bytes)?.meta;
-        Ok(LabelStoreView {
-            buf: ArchiveBuf::Shared(bytes),
-            meta,
-        })
+    /// The handle, untouched, while another handle shares the blob or the
+    /// blob is a memory-mapped file.
+    pub fn try_into_vec(self) -> Result<Vec<u8>, LabelStore> {
+        let meta = self.meta;
+        ArchiveBytes::try_into_vec(self.bytes).map_err(|bytes| LabelStore { bytes, meta })
     }
 
     /// The shared labeling header.
@@ -632,12 +569,12 @@ impl<'a> LabelStoreView<'a> {
 
     /// Total archive size in bytes.
     pub fn archive_bytes(&self) -> usize {
-        self.buf.bytes().len()
+        self.as_bytes().len()
     }
 
-    /// The raw archive bytes behind this view.
+    /// The raw archive bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        self.buf.bytes()
+        self.bytes.bytes()
     }
 
     /// Byte accounting of the archive regions, in the shape of the v2
@@ -703,30 +640,18 @@ impl<'a> LabelStoreView<'a> {
     }
 
     pub(crate) fn edge_span(&self, e: usize) -> (usize, usize) {
-        let buf = self.buf.bytes();
-        let start = u64_at(buf, self.meta.offsets_at + 8 * e) as usize;
-        let end = u64_at(buf, self.meta.offsets_at + 8 * (e + 1)) as usize;
-        (self.meta.edges_at + start, self.meta.edges_at + end)
-    }
-
-    fn edge_view_at(&self, at: usize, end: usize) -> Result<ArchivedEdgeView<'_>, SerialError> {
-        let bytes = &self.buf.bytes()[at..end];
-        Ok(match self.meta.encoding {
-            EdgeEncoding::Full => ArchivedEdgeView::Full(EdgeLabelView::new(bytes)?),
-            EdgeEncoding::Compact => ArchivedEdgeView::Compact(CompactEdgeLabelView::new(bytes)?),
-        })
+        self.meta.edge_span(self.as_bytes(), e)
     }
 
     /// The label of vertex `v` as a zero-copy view — O(1); `None` when
-    /// `v` is out of range. The view borrows from `self` (for shared
-    /// views the blob lives exactly as long as the view handle).
+    /// `v` is out of range. The view borrows from `self`.
     pub fn vertex(&self, v: usize) -> Option<VertexLabelView<'_>> {
         if v >= self.meta.n {
             return None;
         }
         let at = self.meta.vertices_at + v * VERTEX_LABEL_BYTES;
         Some(
-            VertexLabelView::new(&self.buf.bytes()[at..at + VERTEX_LABEL_BYTES])
+            VertexLabelView::new(&self.as_bytes()[at..at + VERTEX_LABEL_BYTES])
                 .expect("validated at open"),
         )
     }
@@ -737,31 +662,19 @@ impl<'a> LabelStoreView<'a> {
         if e >= self.meta.m {
             return None;
         }
-        let (at, end) = self.edge_span(e);
-        Some(self.edge_view_at(at, end).expect("validated at open"))
+        let span = self.edge_span(e);
+        Some(
+            self.meta
+                .edge_view(self.as_bytes(), span)
+                .expect("validated at open"),
+        )
     }
 
     /// The edge ID of the edge joining `u` and `v` (either order) —
     /// O(log m) binary search over the endpoint index; `None` when no
     /// such edge is archived.
     pub fn edge_id(&self, u: usize, v: usize) -> Option<usize> {
-        let key = ((u.min(v)) as u32, (u.max(v)) as u32);
-        let buf = self.buf.bytes();
-        let mut lo = 0usize;
-        let mut hi = self.meta.idx_count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let at = self.meta.endpoint_at + ENDPOINT_ENTRY_BYTES * mid;
-            let pair = (u32_at(buf, at), u32_at(buf, at + 4));
-            match pair.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return Some(u32_at(buf, at + 8) as usize);
-                }
-            }
-        }
-        None
+        find_edge_id(self.endpoint_bytes(), u, v)
     }
 
     /// The label of the edge joining `u` and `v` (either order) as a
@@ -779,7 +692,7 @@ impl<'a> LabelStoreView<'a> {
     /// The raw endpoint-index region (the layout v2's endpoint section
     /// decodes to).
     pub(crate) fn endpoint_bytes(&self) -> &[u8] {
-        &self.buf.bytes()[self.meta.endpoint_at..self.meta.vertices_at]
+        &self.as_bytes()[self.meta.endpoint_at..self.meta.vertices_at]
     }
 
     /// Opens a [`QuerySession`] for a fault set named by endpoint pairs,
@@ -798,14 +711,14 @@ impl<'a> LabelStoreView<'a> {
         self.session_in(faults, &mut SessionScratch::default())
     }
 
-    /// Scratch-reusing variant of [`LabelStoreView::session`]: the
+    /// Scratch-reusing variant of [`LabelStore::session`]: the
     /// archive-native serving hot path. Fault views resolve through the
     /// endpoint index and stream straight into the merge engine; with a
     /// warm `scratch` the whole build performs zero heap allocations.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LabelStoreView::session`].
+    /// Same conditions as [`LabelStore::session`].
     pub fn session_in<I>(
         &self,
         faults: I,
@@ -820,32 +733,6 @@ impl<'a> LabelStoreView<'a> {
             |(u, v)| self.edge(u, v).ok_or(StoreError::UnknownEdge { u, v }),
             scratch,
         )
-    }
-
-    /// Answers one connectivity query entirely from the archive: a
-    /// convenience wrapper building a throwaway [`LabelStoreView::session`].
-    /// Serving workloads should build the session once instead.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::VertexOutOfRange`] / [`StoreError::UnknownEdge`] on
-    /// unresolvable arguments, [`StoreError::Query`] from the decoder.
-    pub fn connected<I>(&self, s: usize, t: usize, faults: I) -> Result<bool, StoreError>
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
-        let vs = self
-            .vertex(s)
-            .ok_or(StoreError::VertexOutOfRange { v: s })?;
-        let vt = self
-            .vertex(t)
-            .ok_or(StoreError::VertexOutOfRange { v: t })?;
-        // Trivial pairs answer before fault validation (the decoder's
-        // historical check order).
-        if let Some(answer) = QuerySession::trivial_answer(&vs, &vt).map_err(StoreError::Query)? {
-            return Ok(answer);
-        }
-        Ok(self.session(faults)?.connected(vs, vt)?)
     }
 }
 
@@ -1296,7 +1183,7 @@ pub(crate) fn stream_from_build(
         crate::scheme::build_subtree_sums(&ctx.aux, &ctx.hierarchy, k, levels, threads, &sink);
     }
     seal_v1_checksum(&mut buf);
-    LabelStore::from_vec(buf).expect("freshly built archives are well-formed")
+    LabelStore::open(buf).expect("freshly built archives are well-formed")
 }
 
 #[cfg(test)]
@@ -1305,6 +1192,10 @@ mod tests {
     use crate::params::Params;
     use crate::scheme::FtcScheme;
     use ftc_graph::Graph;
+
+    fn open(blob: &[u8]) -> Result<LabelStore, SerialError> {
+        LabelStore::open(blob.to_vec())
+    }
 
     fn archive(encoding: EdgeEncoding) -> (Graph, Vec<u8>) {
         let g = Graph::torus(3, 4);
@@ -1320,7 +1211,7 @@ mod tests {
             let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
             let l = scheme.labels();
             let blob = LabelStore::to_vec(l, encoding);
-            let view = LabelStoreView::open(&blob).unwrap();
+            let view = open(&blob).unwrap();
             assert_eq!(view.encoding(), encoding);
             assert_eq!(view.n(), g.n());
             assert_eq!(view.m(), g.m());
@@ -1360,7 +1251,7 @@ mod tests {
                 .build_store(encoding)
                 .unwrap();
             assert_eq!(streamed.as_bytes(), &owned[..]);
-            let view = streamed.view();
+            let view = &streamed;
             let blob = view.as_bytes();
             for e in 0..view.m() {
                 let (at, end) = view.edge_span(e);
@@ -1408,14 +1299,14 @@ mod tests {
         // uniform-geometry check cannot catch it).
         let mut blob = LabelStore::to_vec(l, EdgeEncoding::Full);
         let spans: Vec<_> = {
-            let view = LabelStoreView::open(&blob).unwrap();
+            let view = open(&blob).unwrap();
             (0..view.m()).map(|e| view.edge_span(e).0).collect()
         };
         for &at in &spans {
             k_field(&mut blob, at);
         }
         seal_v1_checksum(&mut blob);
-        assert_eq!(LabelStoreView::open(&blob).unwrap_err(), want(spans[0]));
+        assert_eq!(open(&blob).unwrap_err(), want(spans[0]));
     }
 
     #[test]
@@ -1434,7 +1325,7 @@ mod tests {
     fn sessions_from_archives_answer_queries() {
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             let (_, blob) = archive(encoding);
-            let view = LabelStoreView::open(&blob).unwrap();
+            let view = open(&blob).unwrap();
             // Torus(3,4) is 4-edge-connected; two faults keep it connected.
             let session = view.session([(0, 1), (0, 4)]).unwrap();
             assert_eq!(
@@ -1446,12 +1337,6 @@ mod tests {
                 view.session([(0, 99)]).unwrap_err(),
                 StoreError::UnknownEdge { u: 0, v: 99 }
             );
-            // One-shot convenience path agrees.
-            assert_eq!(view.connected(0, 7, [(0, 1), (0, 4)]), Ok(true));
-            assert_eq!(
-                view.connected(0, 99, []),
-                Err(StoreError::VertexOutOfRange { v: 99 })
-            );
         }
     }
 
@@ -1462,31 +1347,31 @@ mod tests {
         // never panics and never validates).
         for cut in 0..blob.len() {
             assert!(
-                LabelStoreView::open(&blob[..cut]).is_err(),
+                open(&blob[..cut]).is_err(),
                 "prefix of {cut} bytes unexpectedly validated"
             );
         }
         // Trailing garbage is rejected.
         let mut extended = blob.clone();
         extended.push(0);
-        assert!(LabelStoreView::open(&extended).is_err());
+        assert!(open(&extended).is_err());
         // Wrong magic, version, encoding tag.
         let mut bad = blob.clone();
         bad[0] ^= 0xff;
         assert_eq!(
-            LabelStoreView::open(&bad).unwrap_err(),
+            open(&bad).unwrap_err(),
             SerialError::new(SerialErrorKind::BadMagic, 0)
         );
         let mut bad = blob.clone();
         bad[4] = 0xee;
         assert_eq!(
-            LabelStoreView::open(&bad).unwrap_err().kind,
+            open(&bad).unwrap_err().kind,
             SerialErrorKind::UnsupportedVersion
         );
         let mut bad = blob.clone();
         bad[6] = 7;
         assert_eq!(
-            LabelStoreView::open(&bad).unwrap_err(),
+            open(&bad).unwrap_err(),
             SerialError::new(SerialErrorKind::Inconsistent, 6)
         );
     }
@@ -1505,7 +1390,7 @@ mod tests {
         let k = l.edge_label_by_id(0).vec.k();
         assert!(k > 1, "need k > 1 to forge a divisor");
         let mut blob = LabelStore::to_vec(l, EdgeEncoding::Full);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = open(&blob).unwrap();
         let (n, m, idx) = (view.n(), view.m(), view.endpoint_index().len());
         // k field of edge 0: edge region start + per-label offset of k
         // (magic 2 + header 16 + two ancestry labels 24 = 42).
@@ -1514,65 +1399,77 @@ mod tests {
         let k_at = edges_at + 42;
         assert_eq!(u32_at(&blob, k_at) as usize, k);
         blob[k_at..k_at + 4].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            LabelStoreView::open(&blob).unwrap_err().kind,
-            SerialErrorKind::Inconsistent
-        );
+        assert_eq!(open(&blob).unwrap_err().kind, SerialErrorKind::Inconsistent);
     }
 
     #[test]
     fn shared_views_answer_like_borrowed_views() {
         let (_, blob) = archive(EdgeEncoding::Full);
-        // A shared view is 'static: it owns the blob and survives the
-        // buffer it was opened from.
-        let shared: LabelStoreView<'static> = LabelStoreView::open_shared(blob.clone()).unwrap();
-        let borrowed = LabelStoreView::open(&blob).unwrap();
-        assert_eq!(shared.n(), borrowed.n());
-        assert_eq!(shared.m(), borrowed.m());
-        assert_eq!(shared.header(), borrowed.header());
-        for v in 0..shared.n() {
+        // `open` wraps the caller's Vec: no copy.
+        let ptr = blob.as_ptr();
+        let store = LabelStore::open(blob).unwrap();
+        assert_eq!(store.as_bytes().as_ptr(), ptr);
+        // A clone shares the blob and answers alike.
+        let clone = store.clone();
+        assert_eq!(clone.as_bytes().as_ptr(), ptr);
+        assert_eq!(
+            (clone.n(), clone.m(), clone.header()),
+            (store.n(), store.m(), store.header())
+        );
+        for v in 0..store.n() {
             assert_eq!(
-                shared.vertex(v).unwrap().to_label(),
-                borrowed.vertex(v).unwrap().to_label()
+                clone.vertex(v).unwrap().to_label(),
+                store.vertex(v).unwrap().to_label()
             );
         }
-        let session = shared.session([(0, 1), (0, 4)]).unwrap();
+        let session = store.session([(0, 1), (0, 4)]).unwrap();
         assert_eq!(
-            session.connected(shared.vertex(0).unwrap(), shared.vertex(7).unwrap()),
+            session.connected(store.vertex(0).unwrap(), store.vertex(7).unwrap()),
             Ok(true)
         );
-        // Clones share the blob (no copy) and keep answering after the
-        // original handle is gone.
-        let clone = shared.clone();
-        drop(shared);
+        // The clone keeps answering after the original handle is gone, and
+        // a shared blob is copied out, not taken.
+        drop(session);
+        let clone = match store.try_into_vec() {
+            Err(store) => store,
+            Ok(_) => panic!("a shared blob was taken from its other handle"),
+        };
         assert!(clone.vertex(0).is_some());
-        // Malformed blobs are rejected with the same offsets as `open`.
+        // Malformed blobs are rejected with typed offsets.
         assert_eq!(
-            LabelStoreView::open_shared(vec![0u8; 3]).unwrap_err().kind,
+            LabelStore::open(vec![0u8; 3]).unwrap_err().kind,
             SerialErrorKind::Truncated
         );
     }
 
     #[test]
     fn into_shared_view_skips_revalidation_but_matches() {
-        let (_, blob) = archive(EdgeEncoding::Compact);
-        let store = LabelStore::from_vec(blob.clone()).unwrap();
-        let view = store.into_shared_view();
-        let direct = LabelStoreView::open(&blob).unwrap();
-        assert_eq!(view.encoding(), direct.encoding());
-        assert_eq!(view.as_bytes(), direct.as_bytes());
+        // `build_store` hands out its handle without a second `open`; it
+        // must match a validating `open` of its own bytes.
+        let g = Graph::torus(3, 4);
+        let (built, _) = FtcScheme::builder(&g)
+            .params(&Params::deterministic(2))
+            .build_store(EdgeEncoding::Compact)
+            .unwrap();
+        let direct = open(built.as_bytes()).unwrap();
+        assert_eq!(built.encoding(), direct.encoding());
+        assert_eq!(built.as_bytes(), direct.as_bytes());
         assert_eq!(
-            view.edge_by_id(0).unwrap().to_label(),
+            built.edge_by_id(0).unwrap().to_label(),
             direct.edge_by_id(0).unwrap().to_label()
         );
+        // The sole handle hands its Vec back without copying.
+        let ptr = built.as_bytes().as_ptr();
+        let blob = built.into_vec();
+        assert_eq!(blob.as_ptr(), ptr);
     }
 
     #[test]
     fn from_vec_validates() {
         let (_, blob) = archive(EdgeEncoding::Compact);
-        let store = LabelStore::from_vec(blob.clone()).unwrap();
+        let store = open(&blob).unwrap();
         assert_eq!(store.as_bytes(), &blob[..]);
-        assert_eq!(store.view().m(), 2 * 12);
-        assert!(LabelStore::from_vec(blob[..10].to_vec()).is_err());
+        assert_eq!(store.m(), 2 * 12);
+        assert!(open(&blob[..10]).is_err());
     }
 }

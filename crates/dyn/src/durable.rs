@@ -28,7 +28,7 @@ use ftc_compress::checksum64;
 use ftc_core::compressed::AnyArchive;
 use ftc_core::io::{write_atomic, StdVfs, Vfs};
 use ftc_core::serial::SerialError;
-use ftc_core::store::LabelStoreView;
+use ftc_core::store::LabelStore;
 use ftc_serve::ConnectivityService;
 use std::fmt;
 use std::io;
@@ -204,8 +204,8 @@ fn replay(
     seed: u64,
 ) -> Result<(DynamicScheme, RecoverStats), DurableError> {
     let archive_bytes = vfs.read(archive_path)?;
-    let view = LabelStoreView::open_shared(archive_bytes).map_err(DurableError::Archive)?;
-    let archive = AnyArchive::V1(view);
+    let store = LabelStore::open(archive_bytes).map_err(DurableError::Archive)?;
+    let archive = AnyArchive::V1(store);
     let mut scheme = DynamicScheme::from_archive(&archive, seed)?;
     let archive_tag = archive.header().tag;
 
@@ -341,7 +341,7 @@ fn checkpoint(
     write_atomic(vfs, archive_path, store.as_bytes())?;
     let manifest = Manifest {
         watermark: base_seq,
-        archive_tag: store.view().header().tag,
+        archive_tag: store.header().tag,
         lineage: scheme.lineage(),
     };
     scheme.recycle(store);
@@ -510,22 +510,21 @@ impl DurableScheme {
         Ok(self.scheme.commit_service())
     }
 
-    /// In-memory commit as a raw [`ftc_core::store::LabelStore`] (no
-    /// disk checkpoint):
+    /// In-memory commit as a raw [`LabelStore`] (no disk checkpoint):
     /// syncs the journal — the group-commit durability point under
     /// `on_commit` — then emits the next servable generation. The
     /// manifest watermark does not advance; a crash replays the synced
     /// journal suffix onto the last checkpoint. Feed the retired
     /// generation back through [`DurableScheme::recycle`] to keep the
     /// steady-state double-buffered commit path.
-    pub fn commit_store(&mut self) -> Result<ftc_core::store::LabelStore, DurableError> {
+    pub fn commit_store(&mut self) -> Result<LabelStore, DurableError> {
         self.journal.sync()?;
         Ok(self.scheme.commit())
     }
 
     /// Returns a retired commit buffer for reuse; see
     /// [`DynamicScheme::recycle`].
-    pub fn recycle(&mut self, retired: ftc_core::store::LabelStore) {
+    pub fn recycle(&mut self, retired: LabelStore) {
         self.scheme.recycle(retired);
     }
 

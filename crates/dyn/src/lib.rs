@@ -900,12 +900,15 @@ impl DynamicScheme {
     /// latency. A double-buffering caller (commit generation `i+1`,
     /// swap it in, recycle generation `i` once drained) keeps the pages
     /// mapped and warm. Recycling is optional and never affects the
-    /// committed bytes; any store works, though only one at least as
-    /// large as the next archive avoids the allocation entirely.
+    /// committed bytes. Only the last handle of a heap blob gives its
+    /// allocation back; a store another handle still shares is just
+    /// dropped, never copied. A blob at least as large as the next
+    /// archive avoids the allocation entirely.
     pub fn recycle(&mut self, retired: LabelStore) {
-        let buf = retired.into_vec();
-        if buf.capacity() > self.commit_scratch.capacity() {
-            self.commit_scratch = buf;
+        if let Ok(buf) = retired.try_into_vec() {
+            if buf.capacity() > self.commit_scratch.capacity() {
+                self.commit_scratch = buf;
+            }
         }
     }
 
@@ -921,15 +924,13 @@ impl DynamicScheme {
     /// edge count changes (every level section holds all `m` rows), so
     /// this re-encodes each section from the committed blob.
     pub fn commit_compressed(&mut self) -> CompressedStore {
-        let store = self.commit();
-        compress_archive(&store.view())
+        compress_archive(&self.commit())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_core::store::LabelStoreView;
     use ftc_graph::connectivity::ConnectivityOracle;
     use ftc_graph::generators;
 
@@ -1068,7 +1069,7 @@ mod tests {
         let mut scheme = DynamicScheme::new(&g, DynConfig::new(1, 4)).unwrap();
         let a = scheme.commit();
         let b = scheme.commit();
-        assert_ne!(a.view().header().tag, b.view().header().tag);
+        assert_ne!(a.header().tag, b.header().tag);
     }
 
     #[test]
@@ -1078,12 +1079,11 @@ mod tests {
         scheme.insert_edge(1, 28).unwrap();
         let store = scheme.commit();
         // A fresh open must accept every byte the patch writer emitted.
-        let view = LabelStoreView::open(store.as_bytes()).unwrap();
+        let view = LabelStore::open(store.as_bytes().to_vec()).unwrap();
         assert_eq!(view.n(), 30);
         assert_eq!(view.m(), 50);
         let z = scheme.commit_compressed();
-        let zview = z.view().unwrap();
-        assert_eq!(zview.n(), 30);
+        assert_eq!(z.n(), 30);
         assert!(z.as_bytes().len() < store.as_bytes().len());
     }
 
@@ -1107,7 +1107,7 @@ mod tests {
         let a = recycled.commit();
         let b = fresh.commit();
         assert_eq!(a.as_bytes(), b.as_bytes());
-        LabelStoreView::open(a.as_bytes()).unwrap();
+        LabelStore::open(a.into_vec()).unwrap();
     }
 
     #[test]
@@ -1116,7 +1116,7 @@ mod tests {
         let g = generators::random_connected(26, 15, 8);
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Compact);
-        let archive = AnyArchive::open(blob.into()).unwrap();
+        let archive = AnyArchive::open(blob).unwrap();
         let mut dyn_scheme = DynamicScheme::from_archive(&archive, 42).unwrap();
         assert_eq!(dyn_scheme.m(), g.m());
         assert_eq!(dyn_scheme.encoding(), EdgeEncoding::Compact);
@@ -1125,7 +1125,7 @@ mod tests {
         let AnyArchive::V1(view) = &archive else {
             unreachable!("opened from v1 bytes")
         };
-        let v2 = AnyArchive::open(compress_archive(view).into_vec().into()).unwrap();
+        let v2 = AnyArchive::open(compress_archive(view).into_vec()).unwrap();
         let mut from_v2 = DynamicScheme::from_archive(&v2, 42).unwrap();
         assert_eq!(from_v2.commit().as_bytes(), dyn_scheme.commit().as_bytes());
         let (a, b) = (0..26)

@@ -8,7 +8,7 @@
 //!   per-pair answers, optional merge certificates, or a typed error
 //!   code. Parsing is zero-copy over the raw frame bytes (the request
 //!   view borrows the payload, pairs iterate lazily), in the spirit of
-//!   `ftc-core`'s `LabelStoreView`.
+//!   `ftc-core`'s `LabelStore`.
 //! - [`coalesce`] — cross-connection request coalescing. Building a
 //!   query session costs hundreds of microseconds while each per-pair
 //!   query costs one or two, so concurrent requests that share a fault

@@ -43,7 +43,7 @@
 //! ```
 //!
 //! [`RequestView`] parses a request payload **zero-copy** (in the spirit
-//! of `LabelStoreView`): validation walks the bytes once, and the fault /
+//! of `LabelStore`): validation walks the bytes once, and the fault /
 //! pair lists are iterated straight off the wire buffer without
 //! materializing vectors.
 

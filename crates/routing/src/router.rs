@@ -562,7 +562,7 @@ mod tests {
             .params(&Params::deterministic(f))
             .build_store(EdgeEncoding::Full)
             .unwrap();
-        AnyArchive::open(store.into_vec().into()).unwrap()
+        AnyArchive::open(store.into_vec()).unwrap()
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod tests {
             .build_store_compressed(EdgeEncoding::Full)
             .unwrap();
         for bytes in [v1.into_vec(), v2.into_vec()] {
-            let archive = AnyArchive::open(bytes.into()).unwrap();
+            let archive = AnyArchive::open(bytes).unwrap();
             let restored = ForbiddenSetRouter::from_store(&g, &archive).unwrap();
             assert_eq!(restored.size_report(), built.size_report());
             assert_eq!(restored.table_report(), built.table_report());

@@ -3,15 +3,15 @@
 //! The paper's labeling scheme is a *serving* artifact: labels are built
 //! once and then answer arbitrary fault-set connectivity queries forever
 //! after. `ftc-core` provides the fast single-threaded machinery
-//! ([`ftc_core::QuerySession`], [`ftc_core::store::LabelStoreView`],
+//! ([`ftc_core::QuerySession`], [`ftc_core::store::LabelStore`],
 //! [`ftc_core::SessionScratch`]); this crate packages it for a process
 //! that serves **many threads and many graphs through a single handle**:
 //!
 //! * [`ConnectivityService`] — `Send + Sync + Clone`; serves exactly one
 //!   [`ftc_core::compressed::AnyArchive`] (v1 or v2), opened from raw
-//!   archive bytes (held as `Arc<[u8]>`, so every internal view is
-//!   `'static`), an archive file, or a label store — an owned label set
-//!   is archived on the way in.
+//!   archive bytes or a label store (both taken over without copying
+//!   the blob), or from an archive file — an owned label set is archived
+//!   on the way in.
 //!   [`ConnectivityService::query`] answers a batch of pairs under a
 //!   fault set, internally checking a [`ftc_core::SessionScratch`] out
 //!   of a lock-free pool so concurrent callers keep the zero-allocation

@@ -293,7 +293,7 @@ mod tests {
         // A v2 compressed archive opens transparently too.
         let v2_path = dir.join("cycle8.ftcz");
         let blob = std::fs::read(&path).unwrap();
-        let v1 = ftc_core::store::LabelStoreView::open(&blob).unwrap();
+        let v1 = ftc_core::store::LabelStore::open(blob).unwrap();
         std::fs::write(
             &v2_path,
             ftc_core::compressed::compress_archive(&v1).as_bytes(),

@@ -68,7 +68,6 @@ impl From<StoreError> for ServeError {
         match e {
             StoreError::UnknownEdge { u, v } => ServeError::UnknownEdge { u, v },
             StoreError::UnknownEdgeId { id } => ServeError::UnknownEdgeId { id },
-            StoreError::VertexOutOfRange { v } => ServeError::VertexOutOfRange { v },
             StoreError::Query(q) => ServeError::Query(q),
             StoreError::Corrupt(e) => ServeError::Corrupt(e),
         }
@@ -190,9 +189,10 @@ impl<'a> Served<'a> {
 ///
 /// The service holds exactly one [`AnyArchive`] — the artifact the
 /// paper's scheme assigns once and queries forever after — whichever
-/// way it was built: from archive bytes of either format (held as
-/// `Arc<[u8]>`, so every internal view is `'static`), an archive file, a
-/// [`LabelStore`], or an owned [`LabelSet`] archived on the way in. It is
+/// way it was built: from archive bytes of either format, an archive
+/// file, a [`LabelStore`], or an owned [`LabelSet`] archived on the way
+/// in. Bytes and stores are taken over as they are: the service shares
+/// their blob and never copies it. It is
 /// `Send + Sync + Clone`: clone the handle into as many threads as
 /// needed, and every [`ConnectivityService::query`] call internally
 /// checks a [`ftc_core::SessionScratch`] out of a lock-free pool —
@@ -250,24 +250,22 @@ impl ConnectivityService {
         Self::from_store(LabelStore::archive(&labels, EdgeEncoding::Full))
     }
 
-    /// A service over raw archive bytes of either format: the blob moves
-    /// into an `Arc<[u8]>`; a v1 blob is validated once, a v2 container
-    /// in O(header) with sections validated lazily. Every later lookup
-    /// is zero-copy.
+    /// A service over raw archive bytes of either format, taken over
+    /// without copying: a v1 blob is validated once, a v2 container in
+    /// O(header) with sections validated lazily. Every later lookup is
+    /// zero-copy.
     ///
     /// # Errors
     ///
     /// [`SerialError`] if the bytes are not a well-formed archive.
-    pub fn from_archive_bytes(
-        bytes: impl Into<Arc<[u8]>>,
-    ) -> Result<ConnectivityService, SerialError> {
-        Ok(Self::from_archive(AnyArchive::open(bytes.into())?))
+    pub fn from_archive_bytes(bytes: Vec<u8>) -> Result<ConnectivityService, SerialError> {
+        Ok(Self::from_archive(AnyArchive::open(bytes)?))
     }
 
     /// A service over an already-validated [`LabelStore`] (no
     /// re-validation; the blob is shared, not copied).
     pub fn from_store(store: LabelStore) -> ConnectivityService {
-        Self::from_archive(AnyArchive::V1(store.into_shared_view()))
+        Self::from_archive(AnyArchive::V1(store))
     }
 
     /// Opens an archive file of either format (memory-mapped where the
@@ -502,7 +500,6 @@ const _: () = {
 mod tests {
     use super::*;
     use ftc_core::compressed::compress_archive;
-    use ftc_core::store::LabelStoreView;
     use ftc_core::{FtcScheme, Params};
     use ftc_graph::connectivity::ConnectivityOracle;
     use ftc_graph::Graph;
@@ -527,7 +524,7 @@ mod tests {
         let mut sources = Vec::new();
         for enc in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             let v1 = LabelStore::to_vec(scheme.labels(), enc);
-            let v2 = compress_archive(&LabelStoreView::open(&v1).unwrap()).into_vec();
+            let v2 = compress_archive(&LabelStore::open(v1.clone()).unwrap()).into_vec();
             for (format, bytes) in [("v1", v1), ("v2", v2)] {
                 let svc = ConnectivityService::from_archive_bytes(bytes).unwrap();
                 assert_eq!(svc.archive().encoding(), enc);
@@ -591,8 +588,8 @@ mod tests {
         let g = Graph::torus(3, 4);
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let v1 = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
-        let store = compress_archive(&LabelStoreView::open(&v1).unwrap());
-        let compressed = ConnectivityService::from_archive(AnyArchive::V2(store.view().unwrap()));
+        let store = compress_archive(&LabelStore::open(v1).unwrap());
+        let compressed = ConnectivityService::from_archive(AnyArchive::V2(store));
         assert!(matches!(compressed.archive(), AnyArchive::V2(_)));
         assert!(matches!(owned.archive(), AnyArchive::V1(_)));
         assert_eq!(compressed.archive().encoding(), EdgeEncoding::Full);
@@ -657,6 +654,50 @@ mod tests {
                 v1.query(&faults, &pairs).unwrap(),
                 v2.query(&faults, &pairs).unwrap(),
                 "{faults:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hand_offs_share_the_blob() {
+        let g = Graph::torus(3, 4);
+        let builder = || FtcScheme::builder(&g).params(&Params::deterministic(2));
+        let (store, _) = builder().build_store(EdgeEncoding::Full).unwrap();
+        let ptr = store.as_bytes().as_ptr();
+        let svc = ConnectivityService::from_store(store);
+        let AnyArchive::V1(served) = svc.archive() else {
+            panic!("a v1 store served as v2");
+        };
+        assert_eq!(served.as_bytes().as_ptr(), ptr);
+
+        let v1 = builder().build_store(EdgeEncoding::Full).unwrap().0;
+        let v2 = builder()
+            .build_store_compressed(EdgeEncoding::Full)
+            .unwrap()
+            .0;
+        for bytes in [v1.into_vec(), v2.into_vec()] {
+            let ptr = bytes.as_ptr();
+            let svc = ConnectivityService::from_archive_bytes(bytes).unwrap();
+            let served = match svc.archive() {
+                AnyArchive::V1(s) => s.as_bytes().as_ptr(),
+                AnyArchive::V2(s) => s.as_bytes().as_ptr(),
+            };
+            assert_eq!(served, ptr);
+        }
+    }
+
+    /// A fault endpoint beyond `u32::MAX` names no edge: it must not wrap
+    /// onto the edge its low 32 bits name (here 0–1).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn wide_fault_endpoints_are_unknown_edges() {
+        let (_, sources) = torus_sources();
+        let wide = (1usize << 32) + 1;
+        for (name, svc) in &sources {
+            assert_eq!(
+                svc.query(&[(0, wide)], &[(0, 5)]).unwrap_err(),
+                ServeError::UnknownEdge { u: 0, v: wide },
+                "{name}"
             );
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params};
 use ftc::graph::Graph;
 use ftc::serve::ConnectivityService;
@@ -31,29 +31,30 @@ fn main() {
 
     // Archive the whole labeling as a single indexed blob — the unit you
     // ship to serving processes (`ftc-cli build` writes exactly this).
-    let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Compact);
-    println!("archive: {} bytes (compact edge encoding)", blob.len());
-
-    // Open zero-copy: one validation pass, then O(1)/O(log m) label
-    // views with no per-label allocation.
-    let view = LabelStoreView::open(&blob).expect("well-formed archive");
+    // One validation pass, then O(1)/O(log m) zero-copy label views
+    // with no per-label allocation.
+    let store = LabelStore::archive(scheme.labels(), EdgeEncoding::Compact);
+    println!(
+        "archive: {} bytes (compact edge encoding)",
+        store.archive_bytes()
+    );
 
     // Three faults around vertex 0 — the torus stays connected. Faults
     // are named by endpoint pairs; the archive's index resolves them.
-    let session = view
+    let session = store
         .session([(0, 1), (0, 4), (0, 12)])
         .expect("well-formed fault set");
     let ok = session
-        .connected(view.vertex(0).unwrap(), view.vertex(10).unwrap())
+        .connected(store.vertex(0).unwrap(), store.vertex(10).unwrap())
         .expect("well-formed query");
     println!("0 ↔ 10 with 3 faults around vertex 0: connected = {ok}");
     assert!(ok);
 
     // Serve the same archive to many threads through one handle: the
-    // blob moves into an `Arc<[u8]>`, the service is Send + Sync +
-    // Clone, and every query draws its session scratch from an internal
-    // lock-free pool.
-    let service = ConnectivityService::from_archive_bytes(blob).expect("well-formed archive");
+    // service takes the store's blob over without copying it, is Send +
+    // Sync + Clone, and every query draws its session scratch from an
+    // internal lock-free pool.
+    let service = ConnectivityService::from_store(store);
     std::thread::scope(|s| {
         for worker in 0..4 {
             let service = service.clone();

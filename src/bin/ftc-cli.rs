@@ -8,7 +8,7 @@
 //! ftc-cli query <labels.ftc> <s> <t> [--fault U:V ...] [--pair S:T ...]
 //! ftc-cli update <labels.ftc> <ops.txt> [--out PATH] [--seed N] [--journal] [--fsync P]
 //! ftc-cli recover <labels.ftc> [--journal PATH] [--seed N] [--fsync P]
-//! ftc-cli serve <labels.ftc> [--threads N] [--tcp HOST:PORT] [--id NAME]
+//! ftc-cli serve <labels.ftc> [--threads N]
 //! ftc-cli compress   <labels.ftc> <labels.ftcz>
 //! ftc-cli decompress <labels.ftcz> <labels.ftc>
 //! ```
@@ -19,7 +19,7 @@
 //! format: magic, version, header, offset/endpoint index, concatenated
 //! label bytes). `query` and `serve` answer connectivity **from the
 //! archive alone** through a shared [`ConnectivityService`] — the
-//! archive is opened zero-copy into `Arc`-backed views, faults are
+//! archive is memory-mapped into one shared handle, faults are
 //! resolved through its endpoint index, and no owned label is ever
 //! materialized; the original graph file is never re-read.
 //!
@@ -30,9 +30,8 @@
 //! query to stdout. With `--threads N` the whole input is read first
 //! and answered by `N` worker threads hammering one shared service
 //! (answers stay in input order); without it, queries stream one at a
-//! time. With `--tcp HOST:PORT` the archive is served over the binary
-//! TCP protocol instead (registered under `--id`, default `default`)
-//! until SIGINT/SIGTERM drains in-flight requests.
+//! time. To serve archives over the binary TCP protocol, run
+//! `ftc-server id=path`.
 //!
 //! Every command accepts **both archive formats** transparently: the v1
 //! single blob and the v2 compressed container (`ftc::core::compressed`,
@@ -62,12 +61,11 @@
 
 use ftc::core::compressed::AnyArchive;
 use ftc::core::io::{write_file_atomic, StdVfs};
-use ftc::core::store::{EdgeEncoding, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, HierarchyBackend, Params, StoreOpenError, ThresholdPolicy};
 use ftc::graph::Graph;
-use ftc::net::server::{install_signal_shutdown, Server, ServerConfig};
 use ftc::net::text;
-use ftc::serve::{ConnectivityService, ServiceRegistry};
+use ftc::serve::ConnectivityService;
 use std::fmt;
 use std::fs;
 use std::io::{BufRead, Write};
@@ -138,7 +136,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:\n  ftc-cli build <graph.txt> <labels.ftc> [--f N] [--backend epsnet|greedy|sampling] [--k N] [--encoding full|compact] [--threads N] [--compress]\n  ftc-cli info  <labels.ftc>\n  ftc-cli query <labels.ftc> <s> <t> [--fault U:V ...] [--pair S:T ...]\n  ftc-cli update <labels.ftc> <ops.txt> [--out PATH] [--seed N] [--journal] [--fsync every_op|every_n:N|on_commit]   (ops `+u v` / `-u v`, one per line)\n  ftc-cli recover <labels.ftc> [--journal PATH] [--seed N] [--fsync P]   (replay the journal a crash left behind)\n  ftc-cli serve <labels.ftc> [--threads N] [--tcp HOST:PORT] [--id NAME]   (queries `s t [u:v ...]` on stdin)\n  ftc-cli compress   <labels.ftc> <labels.ftcz>\n  ftc-cli decompress <labels.ftcz> <labels.ftc>";
+const USAGE: &str = "usage:\n  ftc-cli build <graph.txt> <labels.ftc> [--f N] [--backend epsnet|greedy|sampling] [--k N] [--encoding full|compact] [--threads N] [--compress]\n  ftc-cli info  <labels.ftc>\n  ftc-cli query <labels.ftc> <s> <t> [--fault U:V ...] [--pair S:T ...]\n  ftc-cli update <labels.ftc> <ops.txt> [--out PATH] [--seed N] [--journal] [--fsync every_op|every_n:N|on_commit]   (ops `+u v` / `-u v`, one per line)\n  ftc-cli recover <labels.ftc> [--journal PATH] [--seed N] [--fsync P]   (replay the journal a crash left behind)\n  ftc-cli serve <labels.ftc> [--threads N]   (queries `s t [u:v ...]` on stdin)\n  ftc-cli compress   <labels.ftc> <labels.ftcz>\n  ftc-cli decompress <labels.ftcz> <labels.ftc>";
 
 // ---------------------------------------------------------------------------
 // build
@@ -494,15 +492,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let [in_path, out_path] = args else {
         return Err(CliError::Usage);
     };
-    let blob = read_archive_bytes(in_path)?;
-    let view = LabelStoreView::open(&blob).map_err(|e| format!("{in_path}: {e}"))?;
-    let store = ftc::core::compressed::compress_archive(&view);
+    let v1 =
+        LabelStore::open(read_archive_bytes(in_path)?).map_err(|e| format!("{in_path}: {e}"))?;
+    let store = ftc::core::compressed::compress_archive(&v1);
     write_file_atomic(Path::new(out_path), store.as_bytes())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!(
         "wrote {} byte compressed archive ({:.2}x) to {out_path}",
-        store.as_bytes().len(),
-        blob.len() as f64 / store.as_bytes().len() as f64
+        store.archive_bytes(),
+        v1.archive_bytes() as f64 / store.archive_bytes() as f64
     );
     Ok(())
 }
@@ -572,15 +570,13 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let [path] = positional.as_slice() else {
         return Err(CliError::Usage);
     };
+    if let Some((name, _)) = flags.iter().find(|(name, _)| name != "threads") {
+        return Err(format!("serve has no --{name} (ftc-server serves over TCP)").into());
+    }
     let threads: usize = flag_value(&flags, "threads")
         .unwrap_or_else(|| "0".into())
         .parse()
         .map_err(|_| "--threads expects an integer (0 = stream on this thread)")?;
-
-    if let Some(addr) = flag_value(&flags, "tcp") {
-        let id = flag_value(&flags, "id").unwrap_or_else(|| "default".into());
-        return serve_tcp(path, &addr, &id);
-    }
 
     let service = ConnectivityService::from_archive(open_any(path)?);
 
@@ -649,33 +645,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         report(&mut stdout, q, answer?)?;
     }
     stdout.flush().map_err(|e| format!("cannot write: {e}"))?;
-    Ok(())
-}
-
-/// Serves the archive over the binary TCP protocol (`ftc::net`) until
-/// SIGINT/SIGTERM, which drain in-flight requests before exiting.
-fn serve_tcp(path: &str, addr: &str, id: &str) -> CliResult {
-    let registry = Arc::new(ServiceRegistry::new());
-    let service = registry.open_path(id, path).map_err(|e| e.to_string())?;
-    eprintln!(
-        "registered \"{id}\": n = {}, m = {} ({path})",
-        service.n(),
-        service.m()
-    );
-    let server = Server::bind(registry, addr, ServerConfig::default())
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    let handle = server.handle();
-    install_signal_shutdown(handle.clone());
-    println!("listening on {}", server.local_addr());
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("cannot write: {e}"))?;
-    server.run().map_err(|e| format!("serving failed: {e}"))?;
-    let stats = handle.stats();
-    eprintln!(
-        "drained: {} requests ({} coalesced) in {} batches, {} pairs answered",
-        stats.requests, stats.coalesced, stats.batches, stats.pairs
-    );
     Ok(())
 }
 

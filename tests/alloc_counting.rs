@@ -11,13 +11,16 @@
 //!   contiguous slab (or the archive blob itself for `build_store`) plus
 //!   O(levels + threads) worker scratch; the historical per-edge
 //!   `Vec` + full-payload-clone regime (≥ 3× the payload in allocated
-//!   bytes) is pinned out by a byte ceiling.
+//!   bytes) is pinned out by a byte ceiling;
+//! * recycling a committed archive that another handle still shares
+//!   allocates nothing: the blob is left to that handle, never copied.
 //!
 //! The allocator counts per thread, so parallel test threads don't
 //! pollute each other's measurements.
 
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, SessionScratch, ThresholdPolicy};
+use ftc::dyn_::{DynConfig, DynamicScheme};
 use ftc::graph::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -222,14 +225,10 @@ fn warm_archive_rebuilds_are_allocation_free() {
                 .collect()
         })
         .collect();
-    let blobs = [
-        LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full),
-        LabelStore::to_vec(scheme.labels(), EdgeEncoding::Compact),
+    let views = [
+        LabelStore::archive(scheme.labels(), EdgeEncoding::Full),
+        LabelStore::archive(scheme.labels(), EdgeEncoding::Compact),
     ];
-    let views: Vec<LabelStoreView> = blobs
-        .iter()
-        .map(|b| LabelStoreView::open(b).unwrap())
-        .collect();
 
     let mut scratch = SessionScratch::new();
     for _ in 0..2 {
@@ -259,4 +258,21 @@ fn warm_archive_rebuilds_are_allocation_free() {
             scratch.recycle(session);
         }
     }
+}
+
+#[test]
+fn recycling_a_shared_store_allocates_nothing() {
+    let g = generators::random_connected(30, 20, 3);
+    let cfg = DynConfig::new(2, 8);
+    let mut recycled = DynamicScheme::new(&g, cfg).unwrap();
+    let mut fresh = DynamicScheme::new(&g, cfg).unwrap();
+    let first = recycled.commit();
+    let _ = fresh.commit();
+    let served = first.clone();
+    let snapshot = served.as_bytes().to_vec();
+    let (allocs, ()) = count_allocs(|| recycled.recycle(first));
+    assert_eq!(allocs, 0, "recycling a shared store copied it");
+    // The next commit matches a fresh one and leaves the shared blob be.
+    assert_eq!(recycled.commit().as_bytes(), fresh.commit().as_bytes());
+    assert_eq!(served.as_bytes(), &snapshot[..]);
 }

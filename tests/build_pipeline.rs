@@ -11,7 +11,7 @@
 //! * a large-`n` build (release only) answers like the BFS/union-find
 //!   oracle.
 
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, ThresholdPolicy};
 use ftc::graph::connectivity::ConnectivityOracle;
 use ftc::graph::{generators, Graph};
@@ -67,11 +67,6 @@ fn build_store_matches_write_after_build_byte_for_byte() {
             assert_eq!(diag.k, owned.diagnostics().k);
             assert_eq!(diag.levels, owned.diagnostics().levels);
         }
-        // from_builder is the same streaming path.
-        let via_helper =
-            LabelStore::from_builder(FtcScheme::builder(&g).params(&params).threads(2), enc)
-                .unwrap();
-        assert_eq!(via_helper.as_bytes(), &want[..]);
     }
 }
 
@@ -89,7 +84,7 @@ fn build_store_archives_serve_sessions() {
             .threads(2)
             .build_store(enc)
             .unwrap();
-        let view = store.view();
+        let view = &store;
         let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
         for seed in 0..6u64 {
             let faults = generators::random_fault_set(&g, 2, seed);
@@ -141,7 +136,7 @@ fn parallel_edge_endpoint_semantics_are_pinned() {
             .build_store(enc)
             .unwrap();
         assert_eq!(streamed.as_bytes(), &blob[..]);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = LabelStore::open(blob).unwrap();
         assert_eq!(view.endpoint_index().len(), 4); // 6 edges, 4 distinct pairs
         assert_eq!(view.edge_id(1, 2), Some(5));
         assert_eq!(view.edge_id(2, 1), Some(5));
@@ -209,7 +204,7 @@ fn large_n_build_matches_oracle() {
         .build_store(EdgeEncoding::Full)
         .unwrap();
     assert!(diag.levels > 0);
-    let view = store.view();
+    let view = &store;
     assert_eq!(view.n(), n);
     let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
     // Many pairs per fault set against the prepared union-find oracle —

@@ -407,7 +407,7 @@ fn journaled_update_and_recover_round_trip() {
 
     // Craft a crash: a journal holding one un-checkpointed insert plus
     // a torn tail, with the manifest gone entirely.
-    let view = AnyArchive::open(fs::read(&archive).unwrap().into()).unwrap();
+    let view = AnyArchive::open(fs::read(&archive).unwrap()).unwrap();
     let scheme = DynamicScheme::from_archive(&view, 5).unwrap();
     assert!(!scheme.has_edge(1, 4));
     drop(scheme);
@@ -502,4 +502,50 @@ fn cli_rejects_unknown_fault_edges_vertices_and_corrupt_archives() {
     assert!(stderr.contains("byte"), "stderr: {stderr}");
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A fault endpoint beyond `u32::MAX` names no edge in either archive
+/// format: it must not wrap onto the edge its low 32 bits name (0–1 on
+/// this cycle, which with 2–3 would split 1 from 4).
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn wide_fault_endpoints_are_unknown_edges() {
+    let dir = std::env::temp_dir().join(format!("ftc_cli_wide_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let graph_file = dir.join("cycle6.txt");
+    fs::write(&graph_file, "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n").unwrap();
+    for (name, extra) in [("labels.ftc", None), ("labels.ftcz", Some("--compress"))] {
+        let archive = dir.join(name);
+        let archive_str = archive.to_str().unwrap();
+        let mut build = vec![
+            "build",
+            graph_file.to_str().unwrap(),
+            archive_str,
+            "--f",
+            "2",
+        ];
+        build.extend(extra);
+        assert!(run(&build).0, "{name}: build failed");
+        let out = cli()
+            .args(["query", archive_str, "1", "4", "--fault", "0:4294967297"])
+            .args(["--fault", "2:3"])
+            .output()
+            .expect("spawn ftc-cli");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("no edge"),
+            "{name}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// TCP serving is `ftc-server`'s job: `serve` rejects the flags it no
+/// longer has instead of silently serving stdin.
+#[test]
+fn serve_rejects_tcp_flags() {
+    let (ok, _, stderr) = run(&["serve", "/nonexistent.ftc", "--tcp", "127.0.0.1:0"]);
+    assert!(!ok);
+    assert!(stderr.contains("ftc-server"), "stderr: {stderr}");
 }

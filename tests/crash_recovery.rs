@@ -3,7 +3,7 @@
 //! at seeded points across many rounds, and each surviving disk is
 //! recovered and checked against an independent model. The model is
 //! the durability contract itself: the surviving archive is always a
-//! complete generation (atomic writes — [`LabelStoreView::open`] must
+//! complete generation (atomic writes — [`LabelStore::open`] must
 //! succeed), the journal scans cleanly (a torn final record is the
 //! only legal damage), and the recovered edge set equals the archive's
 //! edge set with every journal record applied in order as a
@@ -17,7 +17,7 @@
 #![cfg(unix)]
 
 use ftc::core::compressed::AnyArchive;
-use ftc::core::store::LabelStoreView;
+use ftc::core::store::LabelStore;
 use ftc::dyn_::journal::{scan_journal, JournalOp};
 use ftc::dyn_::DynamicScheme;
 use ftc::graph::connectivity::ConnectivityOracle;
@@ -47,7 +47,7 @@ fn cli() -> Command {
 /// recovery uses (seed 0 matches the CLI default).
 fn archive_edges(path: &Path) -> BTreeSet<(usize, usize)> {
     let bytes = fs::read(path).expect("surviving archive must be readable");
-    let view = LabelStoreView::open_shared(bytes)
+    let view = LabelStore::open(bytes)
         .expect("surviving archive must re-validate from raw bytes (atomic writes)");
     let scheme =
         DynamicScheme::from_archive(&AnyArchive::V1(view), 0).expect("archive must reconstruct");
@@ -248,7 +248,7 @@ fn killed_journaled_updates_recover_without_loss() {
         let g = Graph::from_edges(N, &live);
         let mut oracle = ConnectivityOracle::new(&g);
         let bytes = fs::read(&work).unwrap();
-        let view = LabelStoreView::open_shared(bytes).unwrap();
+        let view = LabelStore::open(bytes).unwrap();
         let mut scheme = DynamicScheme::from_archive(&AnyArchive::V1(view), 0).unwrap();
         let service = scheme.commit_service();
         let queries: Vec<(usize, usize)> = (0..32)

@@ -3,7 +3,7 @@
 //! deletions (chord churn on the fast path, tree-edge deletions through
 //! the structural rebuild), and every few operations the scheme commits.
 //! Each committed archive is re-validated from its raw bytes by a fresh
-//! [`LabelStoreView::open`] — the patch writer gets no trusted-path
+//! [`LabelStore::open`] — the patch writer gets no trusted-path
 //! shortcut here — then swapped into a [`ServiceRegistry`] (generations
 //! must advance) and queried against the BFS-backed
 //! [`ConnectivityOracle`] tracking the same churn. A final sweep pins the
@@ -13,7 +13,7 @@
 //! Debug builds skip this (O(minutes) unoptimized); CI runs it in
 //! release.
 
-use ftc::core::store::LabelStoreView;
+use ftc::core::store::LabelStore;
 use ftc::dyn_::{DynConfig, DynamicScheme};
 use ftc::graph::connectivity::ConnectivityOracle;
 use ftc::graph::{generators, Graph};
@@ -104,7 +104,7 @@ fn dynamic_churn_matches_oracle_at_scale() {
             // Commit, byte-validate from scratch, swap into the registry,
             // and differentially verify the served answers.
             let store = scheme.commit();
-            let fresh = LabelStoreView::open(store.as_bytes())
+            let fresh = LabelStore::open(store.as_bytes().to_vec())
                 .expect("patched archive must re-validate from raw bytes");
             assert_eq!(fresh.n(), N);
             assert_eq!(fresh.m(), live.len());

@@ -8,9 +8,10 @@
 //! into a compile error in this test — not a data race in production.
 
 use ftc::codes::{DecodeScratch, ThresholdCodec};
+use ftc::core::compressed::{AnyArchive, CompressedStore};
 use ftc::core::fragments::Fragments;
 use ftc::core::serial::{CompactEdgeLabelView, EdgeLabelView, VertexLabelView};
-use ftc::core::store::{ArchivedEdgeView, EdgeEncoding, LabelStore, LabelStoreView, StoreError};
+use ftc::core::store::{ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError};
 use ftc::core::{
     EdgeLabel, LabelHeader, LabelSet, QueryError, QuerySession, RsDetector, RsVector,
     SessionScratch, VertexLabel,
@@ -33,17 +34,19 @@ fn serving_layer_types_are_send_sync() {
     assert_clone::<ConnectivityService>();
     assert_clone::<Answers>();
 
-    // The storage layer the service shares: archives, shared views, and
+    // The storage layer the service shares: both archive handles, and
     // every zero-copy view type resolved out of them.
     assert_send_sync::<LabelStore>();
-    assert_send_sync::<LabelStoreView<'static>>();
+    assert_send_sync::<CompressedStore>();
+    assert_send_sync::<AnyArchive>();
     assert_send_sync::<ArchivedEdgeView<'static>>();
     assert_send_sync::<VertexLabelView<'static>>();
     assert_send_sync::<EdgeLabelView<'static>>();
     assert_send_sync::<CompactEdgeLabelView<'static>>();
     assert_send_sync::<EdgeEncoding>();
     assert_send_sync::<StoreError>();
-    assert_clone::<LabelStoreView<'static>>();
+    assert_clone::<LabelStore>();
+    assert_clone::<CompressedStore>();
 
     // Owned labels and the session machinery behind a query.
     assert_send_sync::<LabelSet<RsVector>>();

@@ -10,7 +10,7 @@ use ftc::core::serial::{
     compact_edge_from_bytes, edge_from_bytes, edge_to_bytes, edge_to_bytes_compact,
     vertex_from_bytes, vertex_to_bytes, CompactEdgeLabelView, EdgeLabelView, VertexLabelView,
 };
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, QuerySession, VertexLabelRead};
 use ftc::graph::{connectivity, generators, Graph};
 use ftc::net::proto as netproto;
@@ -155,13 +155,13 @@ proptest! {
         let encoding = if compact { EdgeEncoding::Compact } else { EdgeEncoding::Full };
         let blob = LabelStore::to_vec(scheme.labels(), encoding);
         for cut in (0..blob.len()).step_by(7).chain([blob.len() - 1]) {
-            let err = LabelStoreView::open(&blob[..cut]).unwrap_err();
+            let err = LabelStore::open(blob[..cut].to_vec()).unwrap_err();
             prop_assert!(err.offset <= blob.len());
         }
         let mut corrupted = blob.clone();
         let at = corrupt_at % corrupted.len();
         corrupted[at] ^= flip;
-        let _ = LabelStoreView::open(&corrupted); // must not panic
+        let _ = LabelStore::open(corrupted); // must not panic
     }
 }
 
@@ -223,24 +223,24 @@ proptest! {
         corrupt_at in any::<usize>(),
         flip in 1u8..,
     ) {
-        use ftc::core::compressed::{compress_archive, CompressedStoreView};
+        use ftc::core::compressed::{compress_archive, CompressedStore};
 
         let g = generators::random_connected(10, 6, seed);
         let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let encoding = if compact { EdgeEncoding::Compact } else { EdgeEncoding::Full };
         let blob = LabelStore::to_vec(scheme.labels(), encoding);
-        let v1 = LabelStoreView::open(&blob).unwrap();
+        let v1 = LabelStore::open(blob.clone()).unwrap();
         let store = compress_archive(&v1);
         let v2_bytes = store.as_bytes().to_vec();
 
         // Transcode identity.
-        let view = CompressedStoreView::open(v2_bytes.clone()).unwrap();
+        let view = CompressedStore::open(v2_bytes.clone()).unwrap();
         prop_assert_eq!(view.to_v1_vec().unwrap(), blob);
 
         // Every truncation fails at open (the section table pins the
         // total length) with an offset inside the original buffer.
         for cut in (0..v2_bytes.len()).step_by(13).chain([v2_bytes.len() - 1]) {
-            let err = CompressedStoreView::open(v2_bytes[..cut].to_vec()).unwrap_err();
+            let err = CompressedStore::open(v2_bytes[..cut].to_vec()).unwrap_err();
             prop_assert!(err.offset <= v2_bytes.len());
         }
 
@@ -250,7 +250,7 @@ proptest! {
         let mut bad = v2_bytes.clone();
         let at = corrupt_at % bad.len();
         bad[at] ^= flip;
-        match CompressedStoreView::open(bad.clone()) {
+        match CompressedStore::open(bad.clone()) {
             Err(e) => prop_assert!(e.offset <= bad.len()),
             Ok(view) => {
                 let err = view.to_v1_vec().expect_err("flip must be detected");

@@ -6,7 +6,7 @@
 //! compact archive views) — with one scratch shared across the whole
 //! sequence, including across the two archive encodings.
 
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, SessionScratch};
 use ftc::graph::{connectivity, generators};
 use proptest::prelude::*;
@@ -25,10 +25,8 @@ proptest! {
         let g = generators::random_connected(n, extra.min(max_extra), seed);
         let scheme = FtcScheme::build(&g, &Params::deterministic(3)).unwrap();
         let l = scheme.labels();
-        let blob_full = LabelStore::to_vec(l, EdgeEncoding::Full);
-        let blob_compact = LabelStore::to_vec(l, EdgeEncoding::Compact);
-        let view_full = LabelStoreView::open(&blob_full).unwrap();
-        let view_compact = LabelStoreView::open(&blob_compact).unwrap();
+        let view_full = LabelStore::archive(l, EdgeEncoding::Full);
+        let view_compact = LabelStore::archive(l, EdgeEncoding::Compact);
         let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
 
         // One scratch for the owned path, one shared by BOTH archive

@@ -1,5 +1,5 @@
 //! Differential tests for the label-archive API: for random graphs and
-//! fault sets, a [`ftc::core::store::LabelStoreView`] session (over
+//! fault sets, a [`ftc::core::store::LabelStore`] session (over
 //! either edge encoding) must agree with the owned
 //! [`ftc::core::LabelSet`] session and with the ground-truth BFS oracle
 //! on every pair; multi-threaded `SchemeBuilder` builds must produce
@@ -8,7 +8,7 @@
 //! built the labels.
 
 use ftc::core::compressed::AnyArchive;
-use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params};
 use ftc::graph::{connectivity, generators};
 use ftc::routing::ForbiddenSetRouter;
@@ -37,8 +37,7 @@ proptest! {
         let l = scheme.labels();
         let owned = l.session(fset.iter().map(|&e| l.edge_label_by_id(e))).unwrap();
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
-            let blob = LabelStore::to_vec(l, encoding);
-            let view = LabelStoreView::open(&blob).unwrap();
+            let view = LabelStore::archive(l, encoding);
             let archived = view.session(fault_pairs.iter().copied()).unwrap();
             for s in 0..g.n() {
                 for t in 0..g.n() {
@@ -89,7 +88,7 @@ fn reconstituted_router_equals_built_router() {
     let built = ForbiddenSetRouter::new(&g, 2).unwrap();
     let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
     let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
-    let archive = AnyArchive::open(blob.into()).unwrap();
+    let archive = AnyArchive::open(blob).unwrap();
     let restored = ForbiddenSetRouter::from_store(&g, &archive).unwrap();
     for seed in 0..6u64 {
         let fset = generators::random_fault_set(&g, 2, seed);
