@@ -1,7 +1,8 @@
 //! Differential fuzz harness: hammers every backend (the reusable
 //! `QuerySession`, the zero-copy byte-view decoding of full and compact
 //! labels, sessions over v1 and v2 archives opened from heap bytes and
-//! memory-mapped from a file, and the router) against the ground-truth
+//! memory-mapped from a file, the `ConnectivityService` batch path over
+//! a graph with several components, and the router) against the ground-truth
 //! oracle with seeded random graphs and fault sets. Runs until the
 //! requested budget is exhausted and reports totals; any disagreement
 //! aborts with a reproducer seed.
@@ -15,8 +16,9 @@ use ftc_core::serial::{
 };
 use ftc_core::store::{EdgeEncoding, LabelStore};
 use ftc_core::{FtcScheme, LabelSet, Params, QuerySession, RsVector, SessionScratch};
-use ftc_graph::{connectivity, generators};
+use ftc_graph::{connectivity, generators, Graph};
 use ftc_routing::ForbiddenSetRouter;
+use ftc_serve::ConnectivityService;
 use std::time::{Duration, Instant};
 
 /// The labeling archived as v1 and as v2, each opened from heap bytes
@@ -137,6 +139,43 @@ fn main() {
                 }
             }
             scratch.recycle(session);
+        }
+        // Service differential: the batch answer path of
+        // `ConnectivityService::query` / `query_certified` over a v1 heap
+        // and a v2 mapped archive of `g` plus a fault-free path on three
+        // fresh vertices and one isolated vertex, so every pair list
+        // mixes same-vertex, cross-component, fault-free-component and
+        // faulted-component pairs.
+        let n2 = g.n() + 4;
+        let mut edges2 = endpoints.clone();
+        edges2.extend([(g.n(), g.n() + 1), (g.n() + 1, g.n() + 2)]);
+        let g2 = Graph::from_edges(n2, &edges2);
+        let scheme2 = FtcScheme::build(&g2, &Params::deterministic(f)).expect("det build");
+        let pairs: Vec<(usize, usize)> =
+            (0..n2).flat_map(|s| (0..n2).map(move |t| (s, t))).collect();
+        let want: Vec<bool> = pairs
+            .iter()
+            .map(|&(s, t)| connectivity::connected_avoiding(&g2, s, t, &fset))
+            .collect();
+        for (name, archive) in archives(scheme2.labels(), round) {
+            if name != "v1" && name != "mapped v2" {
+                continue;
+            }
+            queries += pairs.len() as u64;
+            let service = ConnectivityService::from_archive(archive);
+            let got = service
+                .query(&fault_pairs, &pairs)
+                .unwrap_or_else(|e| panic!("seed {seed}: {name} service error {e}"));
+            let certs = service
+                .query_certified(&fault_pairs, &pairs)
+                .unwrap_or_else(|e| panic!("seed {seed}: {name} service error {e}"));
+            for (i, &(s, t)) in pairs.iter().enumerate() {
+                assert_eq!(
+                    (got.get(i), certs[i].is_some()),
+                    (Some(want[i]), want[i]),
+                    "seed {seed}: {name} service disagrees at ({s},{t})"
+                );
+            }
         }
         // Router differential: route existence ⇔ connectivity; paths valid.
         for s in 0..g.n() {

@@ -10,11 +10,13 @@
 //!   per-query latency (single and batched);
 //! * **Serve arm** (`BENCH_serve.json`, schema `ftc-perf-serve/v1`) —
 //!   1/2/4/8 threads hammering one shared `ConnectivityService`
-//!   (archive-full backing, pooled scratch), reporting aggregate
-//!   queries/sec and session builds/sec per thread count, plus the
-//!   machine's core count (scaling beyond the core count is not
-//!   expected — the committed numbers record which machine produced
-//!   them);
+//!   (archive-full backing, pooled scratch, 32 pairs per call),
+//!   reporting aggregate queries/sec and session builds/sec per thread
+//!   count, plus the machine's core count (scaling beyond the core
+//!   count is not expected — the committed numbers record which machine
+//!   produced them); one more cell asks 8192 pairs per call of a v2
+//!   handle on one thread, where the per-pair answer path dominates,
+//!   and every cell reports ns per pair;
 //! * **Build arm** (`BENCH_build.json`, schema `ftc-perf-build/v1`) —
 //!   end-to-end graph → servable archive throughput through the
 //!   streaming `SchemeBuilder::build_store` pipeline, across graph
@@ -50,7 +52,7 @@
 
 use ftc_bench::report::{Report, Row};
 use ftc_bench::{calibrated_params, median_time, Flavor};
-use ftc_core::compressed::compress_archive;
+use ftc_core::compressed::{compress_archive, AnyArchive};
 use ftc_core::io::{NoSyncVfs, StdVfs, Vfs};
 use ftc_core::store::{EdgeEncoding, LabelStore};
 use ftc_core::{FtcScheme, QuerySession, SessionScratch, VertexLabelRead};
@@ -258,14 +260,24 @@ fn session_report(mode: &str, cells: &[Cell]) -> Report {
 #[derive(Default)]
 struct ServeCell {
     threads: usize,
+    /// `v1` (the archive-full blob) or `v2` (the compressed container).
+    archive: &'static str,
+    pairs_per_call: usize,
     queries_per_sec: f64,
     sessions_per_sec: f64,
+    /// Wall time per answered pair on one worker, session build
+    /// included: `threads / queries_per_sec`.
+    ns_per_pair: f64,
 }
 
 /// Measures the shared-service arm: for each thread count, `threads`
 /// workers loop `service.query(faults, pairs)` over rotating fault sets
-/// against ONE handle until the window closes. Returns aggregate
-/// pairs-answered/sec and query-calls/sec (one session build per call).
+/// against ONE v1 handle with 32 pairs per call until the window closes,
+/// reporting aggregate pairs-answered/sec and query-calls/sec (one
+/// session build per call). A last cell runs one worker with 8192 pairs
+/// per call against a v2 handle — the shape of a sweep that re-checks
+/// every demand pair per fault set, where answering pairs, not building
+/// sessions, is the cost.
 fn measure_serve(quick: bool) -> Vec<ServeCell> {
     let (n, window_ms, thread_counts): (usize, u64, &[usize]) = if quick {
         (200, 60, &[1, 2])
@@ -276,8 +288,10 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
     let g = generators::random_connected(n, 3 * n, 7);
     let params = calibrated_params(Flavor::DetEpsNet, f, 4 * f * 11);
     let scheme = FtcScheme::build(&g, &params).expect("scheme build");
-    let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
-    let service = ConnectivityService::from_archive_bytes(blob).expect("archive");
+    let v1 = LabelStore::archive(scheme.labels(), EdgeEncoding::Full);
+    let v2 = compress_archive(&v1);
+    let v1 = ConnectivityService::from_store(v1);
+    let v2 = ConnectivityService::from_archive(AnyArchive::V2(v2));
 
     let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
     let fsets: Vec<Vec<(usize, usize)>> = (0..if quick { 4 } else { 16 })
@@ -288,11 +302,15 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
                 .collect()
         })
         .collect();
-    let pairs = sample_pairs(n, 32);
+    let grid = thread_counts
+        .iter()
+        .map(|&threads| (threads, "v1", &v1, 32))
+        .chain([(1, "v2", &v2, 8192)]);
 
     let mut cells = Vec::new();
-    for &threads in thread_counts {
-        eprintln!("measuring serve arm, {threads} thread(s) …");
+    for (threads, archive, service, pairs_per_call) in grid {
+        eprintln!("measuring serve arm, {threads} thread(s), {pairs_per_call} pairs per call …");
+        let pairs = sample_pairs(n, pairs_per_call);
         let stop = AtomicBool::new(false);
         let calls = AtomicU64::new(0);
         // Thread spawn and per-worker warm-up run before the barrier so
@@ -301,8 +319,8 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
         let mut t0 = Instant::now();
         std::thread::scope(|scope| {
             for w in 0..threads {
-                let (service, fsets, pairs, stop, calls, barrier) =
-                    (&service, &fsets, &pairs, &stop, &calls, &barrier);
+                let (fsets, pairs, stop, calls, barrier) =
+                    (&fsets, &pairs, &stop, &calls, &barrier);
                 scope.spawn(move || {
                     // Warm the pool's scratch for this worker.
                     service
@@ -328,10 +346,14 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
         // (counted) call is inside the window too.
         let secs = t0.elapsed().as_secs_f64();
         let calls = calls.load(Ordering::Relaxed) as f64;
+        let queries_per_sec = calls * pairs.len() as f64 / secs;
         cells.push(ServeCell {
             threads,
-            queries_per_sec: calls * pairs.len() as f64 / secs,
+            archive,
+            pairs_per_call,
+            queries_per_sec,
             sessions_per_sec: calls / secs,
+            ns_per_pair: threads as f64 * 1e9 / queries_per_sec,
         });
     }
     cells
@@ -340,15 +362,18 @@ fn measure_serve(quick: bool) -> Vec<ServeCell> {
 fn serve_report(mode: &str, cells: &[ServeCell]) -> Report {
     let header = Row::new().str(
         "workload",
-        "random_connected(n, 3n, seed 7), f = 4, archive-full ConnectivityService shared across threads, 32 pairs per query call, one session build per call from the lock-free scratch pool",
+        "random_connected(n, 3n, seed 7), f = 4, one ConnectivityService shared across threads, one session build per query call from the lock-free scratch pool; v1 rows: archive-full blob, 32 pairs per call; the v2 row: compressed container, 8192 pairs per call on one thread; ns_per_pair = per-worker wall time per answered pair, session build included",
     );
     let mut report = Report::new("ftc-perf-serve/v1", mode, header);
     for c in cells {
         report.push(
             Row::new()
                 .int("threads", c.threads as u64)
+                .str("archive", c.archive)
+                .int("pairs_per_call", c.pairs_per_call as u64)
                 .num("queries_per_sec", c.queries_per_sec, 1)
-                .num("sessions_per_sec", c.sessions_per_sec, 1),
+                .num("sessions_per_sec", c.sessions_per_sec, 1)
+                .num("ns_per_pair", c.ns_per_pair, 1),
         );
     }
     report

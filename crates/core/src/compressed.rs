@@ -68,7 +68,7 @@ use crate::ancestry::AncestryLabel;
 use crate::labels::{EdgeLabelRead, EndpointIndex, LabelHeader, RsVector, VertexLabelRead};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
-use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView};
+use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords};
 use crate::session::{QuerySession, SessionScratch};
 use crate::store::{self, ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
@@ -436,8 +436,19 @@ impl CompressedStore {
         }
     }
 
+    /// The vertex records — the vertex section, decoded and validated
+    /// on first touch and read zero-copy after.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if the vertex section fails lazy validation.
+    pub fn vertex_records(&self) -> Result<VertexRecords<'_>, SerialError> {
+        Ok(VertexRecords::new(self.section_bytes(SEC_VERTICES)?))
+    }
+
     /// The label of vertex `v` — O(1) after the vertex section's
-    /// first-touch decode; `Ok(None)` when `v` is out of range.
+    /// first-touch decode; `Ok(None)` when `v` is out of range (without
+    /// touching the section).
     ///
     /// # Errors
     ///
@@ -446,12 +457,7 @@ impl CompressedStore {
         if v >= self.inner.meta.n {
             return Ok(None);
         }
-        let bytes = self.section_bytes(SEC_VERTICES)?;
-        let at = v * serial::VERTEX_LABEL_BYTES;
-        Ok(Some(
-            VertexLabelView::new(&bytes[at..at + serial::VERTEX_LABEL_BYTES])
-                .expect("validated on first touch"),
-        ))
+        Ok(self.vertex_records()?.get(v))
     }
 
     /// Resolves an endpoint pair to its edge ID — O(log m) after the
@@ -770,6 +776,20 @@ impl AnyArchive {
         match self {
             AnyArchive::V1(v) => v.archive_bytes(),
             AnyArchive::V2(v) => v.archive_bytes(),
+        }
+    }
+
+    /// The vertex records: v1's vertex region or v2's vertex section,
+    /// both validated before the first read (at open, or on the
+    /// section's first touch) and read zero-copy.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if a v2 vertex section fails lazy validation.
+    pub fn vertex_records(&self) -> Result<VertexRecords<'_>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view.vertex_records()),
+            AnyArchive::V2(view) => view.vertex_records(),
         }
     }
 

@@ -104,6 +104,7 @@ pub use patch::{assemble_archive, assemble_archive_into, EdgeRecordSpec};
 pub use scheme::{BuildDiagnostics, FtcScheme, SchemeBuilder};
 pub use serial::{
     CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
+    VertexRecords,
 };
 pub use session::{Certificate, QuerySession, SessionScratch};
 pub use store::{ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};

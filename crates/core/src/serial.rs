@@ -295,11 +295,18 @@ fn read_header_at(buf: &[u8], at: usize) -> LabelHeader {
     }
 }
 
+/// One bounds check for the whole label: the pair path reads two of
+/// these per answer.
+#[inline]
 fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
+    let rec: &[u8; ANC_BYTES] = buf[at..at + ANC_BYTES]
+        .try_into()
+        .expect("a slice of ANC_BYTES bytes");
+    let word = |i: usize| u32::from_le_bytes([rec[i], rec[i + 1], rec[i + 2], rec[i + 3]]);
     AncestryLabel {
-        pre: read_u32_at(buf, at),
-        last: read_u32_at(buf, at + 4),
-        comp: read_u32_at(buf, at + 8),
+        pre: word(0),
+        last: word(4),
+        comp: word(8),
     }
 }
 
@@ -355,6 +362,60 @@ impl VertexLabelRead for VertexLabelView<'_> {
 
     fn anc(&self) -> AncestryLabel {
         read_anc_at(self.buf, 2 + HEADER_BYTES)
+    }
+}
+
+/// The vertex records of an archive: `n` serialized vertex labels back
+/// to back at the fixed [`VERTEX_LABEL_BYTES`] stride, every one
+/// already validated against the archive's header (v1 at open, v2 on
+/// the vertex section's first touch). Reads are zero-copy and never
+/// re-validate: [`VertexRecords::anc`] is the ancestry label straight
+/// out of the bytes, the only part of a vertex label a query reads once
+/// the header is known to match.
+#[derive(Clone, Copy, Debug)]
+pub struct VertexRecords<'a> {
+    bytes: &'a [u8],
+    n: usize,
+}
+
+impl<'a> VertexRecords<'a> {
+    /// Records over validated bytes (a whole number of records).
+    pub(crate) fn new(bytes: &'a [u8]) -> VertexRecords<'a> {
+        debug_assert_eq!(bytes.len() % VERTEX_TOTAL_BYTES, 0);
+        VertexRecords {
+            bytes,
+            n: bytes.len() / VERTEX_TOTAL_BYTES,
+        }
+    }
+
+    /// Number of vertex records.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// `true` when the archive has no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The label of vertex `v` as a view; `None` when `v` is out of
+    /// range.
+    pub fn get(&self, v: usize) -> Option<VertexLabelView<'a>> {
+        let at = self.at(v)?;
+        Some(VertexLabelView {
+            buf: &self.bytes[at..at + VERTEX_TOTAL_BYTES],
+        })
+    }
+
+    /// The ancestry label of vertex `v`; `None` when `v` is out of range.
+    #[inline]
+    pub fn anc(&self, v: usize) -> Option<AncestryLabel> {
+        Some(read_anc_at(self.bytes, self.at(v)? + 2 + HEADER_BYTES))
+    }
+
+    #[inline]
+    fn at(&self, v: usize) -> Option<usize> {
+        (v < self.n).then(|| v * VERTEX_TOTAL_BYTES)
     }
 }
 

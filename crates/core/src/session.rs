@@ -20,6 +20,12 @@
 //!   caller-provided buffer;
 //! * [`QuerySession::certified`] additionally returns the merge
 //!   certificate as a borrowed slice, again without allocating;
+//! * all of them wrap one per-pair step over ancestry labels alone,
+//!   [`QuerySession::certified_anc`], after checking the two vertex
+//!   headers. A caller that already knows every label belongs to the
+//!   session's labeling — a server reading an archive's validated
+//!   [`crate::serial::VertexRecords`] — calls the step directly and
+//!   checks the header once per request, not twice per pair;
 //! * fault inputs are generic: owned [`EdgeLabel`]s, references, or
 //!   zero-copy [`crate::serial::EdgeLabelView`]s straight over stored
 //!   bytes — anything implementing [`EdgeLabelRead`] — and vertex
@@ -394,14 +400,21 @@ impl QuerySession {
         if s.header() != t.header() {
             return Err(QueryError::MismatchedLabels);
         }
-        let (sa, ta) = (s.anc(), t.anc());
-        if !sa.same_component(&ta) {
-            return Ok(Some(false));
+        Ok(Self::trivial_anc(s.anc(), t.anc()))
+    }
+
+    /// [`QuerySession::trivial_answer`] over ancestry labels the caller
+    /// already knows to share one labeling: `Some(false)` across
+    /// components, `Some(true)` for the same vertex, `None` otherwise.
+    #[inline]
+    pub fn trivial_anc(s: AncestryLabel, t: AncestryLabel) -> Option<bool> {
+        if !s.same_component(&t) {
+            Some(false)
+        } else if s.same_vertex(&t) {
+            Some(true)
+        } else {
+            None
         }
-        if sa.same_vertex(&ta) {
-            return Ok(Some(true));
-        }
-        Ok(None)
     }
 
     /// The labeling header this session validates queries against
@@ -481,30 +494,36 @@ impl QuerySession {
         if s.header() != t.header() || self.header.is_some_and(|h| h != s.header()) {
             return Err(QueryError::MismatchedLabels);
         }
-        let (sa, ta) = (s.anc(), t.anc());
-        if !sa.same_component(&ta) {
-            return Ok(None);
+        Ok(self.certified_anc(s.anc(), t.anc()))
+    }
+
+    /// The per-pair step every query entry point wraps, over ancestry
+    /// labels alone: the component test, then — in a component holding
+    /// faults — two fragment lookups and one compare of their merged
+    /// roots. It skips the header check, so the caller vouches that both
+    /// labels belong to this session's labeling; a server reading
+    /// validated archive records checks the header once per request
+    /// instead of twice per pair.
+    #[inline]
+    pub fn certified_anc(&self, s: AncestryLabel, t: AncestryLabel) -> Option<&[(u32, u32)]> {
+        if let Some(trivial) = Self::trivial_anc(s, t) {
+            return trivial.then_some(&[]);
         }
-        if sa.same_vertex(&ta) {
-            return Ok(Some(&[]));
-        }
-        let Ok(ci) = self.comps.binary_search_by_key(&sa.comp, |c| c.comp) else {
+        let Ok(ci) = self.comps.binary_search_by_key(&s.comp, |c| c.comp) else {
             // No faults in this component: connectivity is untouched.
-            return Ok(Some(&[]));
+            return Some(&[]);
         };
-        let (ss, ts) = (self.slot(&sa), self.slot(&ta));
+        let (ss, ts) = (self.slot(&s), self.slot(&t));
         if ss == ts {
-            return Ok(Some(&[])); // same fragment: connected within T′ − F
+            return Some(&[]); // same fragment: connected within T′ − F
         }
         let stride = self.frag.num_cuts() + 1;
         let slots = &self.root_of_slot[ci * stride..(ci + 1) * stride];
         if slots[ss] == slots[ts] {
             let c = self.comps[ci];
-            Ok(Some(
-                &self.certs[c.cert_at as usize..(c.cert_at + c.cert_len) as usize],
-            ))
+            Some(&self.certs[c.cert_at as usize..(c.cert_at + c.cert_len) as usize])
         } else {
-            Ok(None)
+            None
         }
     }
 

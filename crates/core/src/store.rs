@@ -77,7 +77,7 @@ use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
     self, CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-    VERTEX_LABEL_BYTES,
+    VertexRecords, VERTEX_LABEL_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
@@ -643,17 +643,17 @@ impl LabelStore {
         self.meta.edge_span(self.as_bytes(), e)
     }
 
+    /// The vertex records — the blob's vertex region, validated at open
+    /// and read zero-copy.
+    pub fn vertex_records(&self) -> VertexRecords<'_> {
+        let at = self.meta.vertices_at;
+        VertexRecords::new(&self.as_bytes()[at..at + self.meta.n * VERTEX_LABEL_BYTES])
+    }
+
     /// The label of vertex `v` as a zero-copy view — O(1); `None` when
     /// `v` is out of range. The view borrows from `self`.
     pub fn vertex(&self, v: usize) -> Option<VertexLabelView<'_>> {
-        if v >= self.meta.n {
-            return None;
-        }
-        let at = self.meta.vertices_at + v * VERTEX_LABEL_BYTES;
-        Some(
-            VertexLabelView::new(&self.as_bytes()[at..at + VERTEX_LABEL_BYTES])
-                .expect("validated at open"),
-        )
+        self.vertex_records().get(v)
     }
 
     /// The label of the edge with original edge ID `e` as a zero-copy

@@ -2,8 +2,9 @@
 //! number of fault-set queries.
 
 use crate::pool::ScratchPool;
+use ftc_core::ancestry::AncestryLabel;
 use ftc_core::compressed::AnyArchive;
-use ftc_core::serial::VertexLabelView;
+use ftc_core::serial::{VertexLabelView, VertexRecords};
 use ftc_core::store::{EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_core::{
     Certificate, LabelHeader, LabelSet, QueryError, QuerySession, RsVector, SerialError,
@@ -128,12 +129,40 @@ impl<'a> IntoIterator for &'a Answers {
     }
 }
 
-/// Resolves vertex `v` out of `archive`, naming it when out of range.
-fn resolve(archive: &AnyArchive, v: usize) -> Result<VertexLabelView<'_>, ServeError> {
-    archive
-        .vertex(v)
-        .map_err(ServeError::Corrupt)?
-        .ok_or(ServeError::VertexOutOfRange { v })
+/// The vertex records of `archive`, for a request whose first vertex is
+/// `first`. A vertex-by-vertex resolver touched the vertex section at the
+/// first vertex in range, so only a first vertex out of range is
+/// reported before a corrupt section.
+fn vertex_records(archive: &AnyArchive, first: usize) -> Result<VertexRecords<'_>, ServeError> {
+    if first >= archive.n() {
+        return Err(ServeError::VertexOutOfRange { v: first });
+    }
+    archive.vertex_records().map_err(ServeError::Corrupt)
+}
+
+/// The ancestry labels of the pair `(s, t)`, with a vertex-by-vertex
+/// resolver's error order: `s` out of range, then a corrupt vertex
+/// section, then `t` out of range.
+fn pair_anc(
+    archive: &AnyArchive,
+    s: usize,
+    t: usize,
+) -> Result<(AncestryLabel, AncestryLabel), ServeError> {
+    let records = vertex_records(archive, s)?;
+    let anc = |v| records.anc(v).ok_or(ServeError::VertexOutOfRange { v });
+    Ok((anc(s)?, anc(t)?))
+}
+
+/// The one header check of a request. Every vertex record carries the
+/// archive's header (validated at open, or on the vertex section's
+/// first touch), so checking the session against the archive once
+/// stands for the per-pair header compares of
+/// [`QuerySession::certified`].
+fn check_header(archive: &AnyArchive, session: &QuerySession) -> Result<(), ServeError> {
+    if session.header().is_some_and(|h| h != archive.header()) {
+        return Err(QueryError::MismatchedLabels.into());
+    }
+    Ok(())
 }
 
 /// A prepared fault set inside [`ConnectivityService::with_session`] /
@@ -180,8 +209,9 @@ impl<'a> Served<'a> {
     ///
     /// Same conditions as [`Served::connected`].
     pub fn certified(&self, s: usize, t: usize) -> Result<Option<&'a [(u32, u32)]>, ServeError> {
-        let (vs, vt) = (resolve(self.archive, s)?, resolve(self.archive, t)?);
-        Ok(self.session.certified(vs, vt)?)
+        let (sa, ta) = pair_anc(self.archive, s, t)?;
+        check_header(self.archive, self.session)?;
+        Ok(self.session.certified_anc(sa, ta))
     }
 }
 
@@ -310,9 +340,8 @@ impl ConnectivityService {
     ///
     /// [`ServeError::VertexOutOfRange`] on bad vertex IDs.
     pub fn trivial_answer(&self, s: usize, t: usize) -> Result<Option<bool>, ServeError> {
-        let archive = &self.inner.archive;
-        let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
-        Ok(QuerySession::trivial_answer(&vs, &vt)?)
+        let (sa, ta) = pair_anc(&self.inner.archive, s, t)?;
+        Ok(QuerySession::trivial_anc(sa, ta))
     }
 
     /// Answers a batch of s–t `pairs` under the fault set named by
@@ -325,7 +354,11 @@ impl ConnectivityService {
     /// # Errors
     ///
     /// [`ServeError::UnknownEdge`] / [`ServeError::VertexOutOfRange`] on
-    /// unresolvable arguments, [`ServeError::Query`] from the decoder.
+    /// unresolvable arguments, [`ServeError::Query`] from the decoder,
+    /// [`ServeError::Corrupt`] when a v2 section the request reads fails
+    /// lazy validation. Faults are checked first, then vertices in pair
+    /// order (`s` before `t`, a corrupt vertex section at the first
+    /// vertex in range), then the decoder.
     pub fn query(
         &self,
         faults: &[(usize, usize)],
@@ -350,9 +383,12 @@ impl ConnectivityService {
         self.answer(faults, pairs, |cert| cert.map(<[(u32, u32)]>::to_vec))
     }
 
-    /// Shared implementation of the query entry points: eager fault
-    /// validation, the trivial pass, then one pooled session build for
-    /// the remaining pairs, mapped through `extract`.
+    /// Shared implementation of the query entry points, one resolver per
+    /// request: eager fault validation, one range pass over the pairs,
+    /// then one answer pass over the archive's vertex records that
+    /// answers trivial pairs on their own and checks one pooled session
+    /// out at the first pair that needs the decoder. Answers are mapped
+    /// through `extract` straight into the output.
     fn answer<R>(
         &self,
         faults: &[(usize, usize)],
@@ -371,52 +407,41 @@ impl ConnectivityService {
                 return Err(ServeError::UnknownEdge { u, v });
             }
         }
-        let mut out: Vec<Option<R>> = Vec::with_capacity(pairs.len());
-        let mut nontrivial = Vec::new();
-        for &(s, t) in pairs {
-            let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
-            match QuerySession::trivial_answer(&vs, &vt)? {
-                Some(true) => out.push(Some(extract(Some(&[])))),
-                Some(false) => out.push(Some(extract(None))),
-                None => {
-                    nontrivial.push((vs, vt));
-                    out.push(None);
-                }
-            }
+        let Some(&(first, _)) = pairs.first() else {
+            return Ok(Vec::new());
+        };
+        let records = vertex_records(archive, first)?;
+        // Range pass, in pair order with `s` before `t`: every range
+        // error comes before any session error.
+        let n = records.len();
+        if let Some(v) = pairs.iter().flat_map(|&(s, t)| [s, t]).find(|&v| v >= n) {
+            return Err(ServeError::VertexOutOfRange { v });
         }
-        if !nontrivial.is_empty() {
-            let mut scratch = self.inner.pool.checkout();
-            let session = match archive.session_in(faults.iter().copied(), &mut scratch) {
-                Ok(session) => session,
-                Err(e) => {
-                    self.inner.pool.put_back(scratch);
-                    return Err(e.into());
-                }
+        let anc = |v: usize| records.anc(v).expect("range-checked above");
+        let mut out = Vec::with_capacity(pairs.len());
+        // Trivial pairs answer on their own up to the first pair that
+        // needs the decoder; one pooled session answers that pair and
+        // every later one.
+        let mut rest = pairs;
+        while let Some((&(s, t), tail)) = rest.split_first() {
+            let Some(trivial) = QuerySession::trivial_anc(anc(s), anc(t)) else {
+                break;
             };
-            let mut answered = nontrivial
-                .iter()
-                .map(|(vs, vt)| session.certified(vs, vt).map(&mut extract));
-            let mut failed: Option<QueryError> = None;
-            for slot in out.iter_mut().filter(|s| s.is_none()) {
-                match answered.next().expect("one answer per nontrivial pair") {
-                    Ok(r) => *slot = Some(r),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            drop(answered);
-            scratch.recycle(session);
-            self.inner.pool.put_back(scratch);
-            if let Some(e) = failed {
-                return Err(e.into());
-            }
+            out.push(extract(trivial.then_some(&[])));
+            rest = tail;
         }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every pair answered"))
-            .collect())
+        if !rest.is_empty() {
+            self.with_session(faults, |served| {
+                check_header(archive, served.session)?;
+                let session = served.session;
+                out.extend(
+                    rest.iter()
+                        .map(|&(s, t)| extract(session.certified_anc(anc(s), anc(t)))),
+                );
+                Ok::<(), ServeError>(())
+            })??;
+        }
+        Ok(out)
     }
 
     /// Prepares a session for endpoint-pair `faults` out of the pool and

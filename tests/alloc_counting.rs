@@ -7,6 +7,9 @@
 //!   the adaptive decoder's Berlekamp–Massey + trace-algorithm internals;
 //! * `connected`, `certified`, and `connected_many` (with a
 //!   pre-reserved output buffer) allocate nothing per query;
+//! * a warm `ConnectivityService::query` allocates only for its
+//!   session build (nothing over a v1 archive) plus once for the
+//!   answers it returns, however many pairs it answers;
 //! * the **build pipeline** allocates the label payload **once** — one
 //!   contiguous slab (or the archive blob itself for `build_store`) plus
 //!   O(levels + threads) worker scratch; the historical per-edge
@@ -18,10 +21,12 @@
 //! The allocator counts per thread, so parallel test threads don't
 //! pollute each other's measurements.
 
+use ftc::core::compressed::{compress_archive, AnyArchive};
 use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, SessionScratch, ThresholdPolicy};
 use ftc::dyn_::{DynConfig, DynamicScheme};
 use ftc::graph::generators;
+use ftc::serve::ConnectivityService;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -138,6 +143,52 @@ fn warm_rebuilds_and_queries_are_allocation_free() {
         assert_eq!(answers.len(), pairs.len());
 
         scratch.recycle(session);
+    }
+}
+
+#[test]
+fn warm_service_queries_allocate_only_their_answers() {
+    let g = generators::random_connected(120, 200, 5);
+    let params = Params::deterministic(4).with_threshold(ThresholdPolicy::Fixed(64));
+    let scheme = FtcScheme::build(&g, &params).unwrap();
+    let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    let fault_pairs: Vec<Vec<(usize, usize)>> = (0..3)
+        .map(|s| {
+            generators::random_fault_set(&g, 4, s)
+                .iter()
+                .map(|&e| endpoint_of[e])
+                .collect()
+        })
+        .collect();
+    let pairs: Vec<(usize, usize)> = (0..8192usize)
+        .map(|i| ((i * 31 + 3) % g.n(), (i * 57 + 11) % g.n()))
+        .collect();
+    let v1 = LabelStore::archive(scheme.labels(), EdgeEncoding::Full);
+    let v2 = compress_archive(&v1);
+    for (v1, service) in [
+        (true, ConnectivityService::from_store(v1)),
+        (false, ConnectivityService::from_archive(AnyArchive::V2(v2))),
+    ] {
+        // Warm-up: the pool's scratch and v2's lazily decoded sections.
+        for _ in 0..2 {
+            for fp in &fault_pairs {
+                service.query(fp, &pairs).unwrap();
+            }
+        }
+        for fp in &fault_pairs {
+            // A v2 session build gathers each fault's record into a
+            // buffer of its own; a v1 build reads records in place.
+            let (session, ()) = count_allocs(|| service.with_session(fp, |_| ()).unwrap());
+            assert!(!v1 || session == 0, "warm v1 session build allocated");
+            let (allocs, answers) = count_allocs(|| service.query(fp, &pairs).unwrap());
+            assert_eq!(
+                allocs,
+                session + 1,
+                "a warm query of {} pairs must allocate only its session and answers ({fp:?})",
+                pairs.len()
+            );
+            assert_eq!(answers.len(), pairs.len());
+        }
     }
 }
 
