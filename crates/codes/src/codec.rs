@@ -27,25 +27,38 @@
 //! level the boundary size is at most `k`. Callers running with calibrated
 //! (below-theory) thresholds must sanity-check decoded edge IDs downstream,
 //! which the query engine does.
+//!
+//! Root finding runs on the reversed locator `z^l·Λ(1/z) = ∏(z − x_e)`:
+//! monic, with the edge IDs themselves as roots, so no inversion is
+//! needed. It searches only the [`Subspace`] the caller's IDs lie in
+//! (the whole field for [`ThresholdCodec::decode`] and
+//! [`ThresholdCodec::decode_adaptive`]), so a candidate set leaving it
+//! is rejected at its rung. Decoded sets come out in one fixed order,
+//! independent of how the roots were found.
 
 use crate::bm::{berlekamp_massey_into, BmScratch};
-use ftc_field::{find_roots_into, Gf64, RootScratch};
+use ftc_field::{find_roots_into, Gf64, RootScratch, Subspace};
 use std::fmt;
 
 /// Reusable buffers for [`ThresholdCodec::decode_adaptive_into`] (and the
 /// other scratch-based decode paths): the Berlekamp–Massey state, the
-/// root-finder's [`RootScratch`], the candidate edge set, and the
-/// power-sum verification buffer. A warm scratch makes a verified decode
-/// completely allocation-free, which is what the query engine's
-/// session-rebuild hot path relies on.
+/// reversed locator, the root-finder's [`RootScratch`], the candidate edge
+/// set, the power-sum verification buffer and the output-order keys. A
+/// warm scratch makes a verified decode completely allocation-free, which
+/// is what the query engine's session-rebuild hot path relies on.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     bm: BmScratch,
+    /// The reversed locator `z^l·Λ(1/z)`.
+    locator: Vec<Gf64>,
     roots: RootScratch,
-    /// Candidate edge IDs (roots of the locator, inverted in place).
+    /// Candidate edge IDs: the roots of the reversed locator.
     edges: Vec<Gf64>,
     /// Running powers for [`ThresholdCodec::check_power_sums`].
     powers: Vec<Gf64>,
+    /// Prefix products, then `(order key, edge ID)` pairs, for
+    /// [`ThresholdCodec::put_in_output_order`].
+    keyed: Vec<(u64, Gf64)>,
 }
 
 /// Errors reported by syndrome decoding.
@@ -181,6 +194,7 @@ impl ThresholdCodec {
     /// Full-threshold verified decode: recovers the odd-multiplicity edge
     /// set encoded in `syndrome`, which must be exact whenever that set has
     /// size ≤ `k`. Returns the empty vector for an all-zero syndrome.
+    /// Edge IDs may be any non-zero field elements.
     ///
     /// # Errors
     ///
@@ -198,7 +212,14 @@ impl ThresholdCodec {
         );
         let mut scratch = DecodeScratch::default();
         let mut out = Vec::new();
-        Self::decode_prefix_into(syndrome, self.k, syndrome, &mut scratch, &mut out)?;
+        Self::decode_prefix_into(
+            syndrome,
+            self.k,
+            syndrome,
+            Subspace::full(),
+            &mut scratch,
+            &mut out,
+        )?;
         Ok(out)
     }
 
@@ -219,17 +240,21 @@ impl ThresholdCodec {
     pub fn decode_adaptive(&self, syndrome: &[Gf64]) -> Result<Vec<Gf64>, DecodeError> {
         let mut scratch = DecodeScratch::default();
         let mut out = Vec::new();
-        self.decode_adaptive_into(syndrome, &mut scratch, &mut out)?;
+        self.decode_adaptive_into(syndrome, Subspace::full(), &mut scratch, &mut out)?;
         Ok(out)
     }
 
-    /// Adaptive verified decode into a caller-provided buffer: identical
-    /// semantics to [`ThresholdCodec::decode_adaptive`], but every
-    /// temporary (Berlekamp–Massey state, trace-algorithm polynomials,
-    /// candidate sets, verification powers) is drawn from `scratch`, and
-    /// the decoded edge IDs land in `out` (cleared first). Once the
-    /// scratch is warm the whole decode performs **zero heap allocations**
-    /// — this is the serving-path variant the query engine uses.
+    /// Adaptive verified decode into a caller-provided buffer, for edge
+    /// IDs known to lie in `space`: with [`Subspace::full`] identical
+    /// semantics to [`ThresholdCodec::decode_adaptive`]; with a smaller
+    /// space, a rung whose candidate set leaves `space` is rejected at
+    /// that rung (no genuine boundary has such a set) and the ladder
+    /// climbs on. Every temporary (Berlekamp–Massey state, root-finder
+    /// polynomials, candidate sets, verification powers) is drawn from
+    /// `scratch`, and the decoded edge IDs land in `out` (cleared first).
+    /// Once the scratch is warm the whole decode performs **zero heap
+    /// allocations** — this is the serving-path variant the query engine
+    /// uses.
     ///
     /// # Errors
     ///
@@ -242,6 +267,7 @@ impl ThresholdCodec {
     pub fn decode_adaptive_into(
         &self,
         syndrome: &[Gf64],
+        space: &Subspace,
         scratch: &mut DecodeScratch,
         out: &mut Vec<Gf64>,
     ) -> Result<(), DecodeError> {
@@ -268,7 +294,8 @@ impl ThresholdCodec {
             // The syndrome is nonzero, so a genuine decode is non-empty;
             // an empty "success" can only mean the verify prefix happened
             // to vanish — keep climbing the ladder.
-            if Self::decode_prefix_into(&syndrome[..2 * k_try], k_try, verify, scratch, out).is_ok()
+            let prefix = &syndrome[..2 * k_try];
+            if Self::decode_prefix_into(prefix, k_try, verify, space, scratch, out).is_ok()
                 && !out.is_empty()
             {
                 return Ok(());
@@ -287,6 +314,7 @@ impl ThresholdCodec {
         prefix: &[Gf64],
         k_eff: usize,
         full: &[Gf64],
+        space: &Subspace,
         scratch: &mut DecodeScratch,
         out: &mut Vec<Gf64>,
     ) -> Result<(), DecodeError> {
@@ -302,23 +330,33 @@ impl ThresholdCodec {
         // A candidate that verifies has power sums equal to `full`, and
         // power sums of an `l`-set obey its locator's recurrence at every
         // index ≥ `l`. The locator generates `prefix` by construction, and
-        // `prefix.len() = 2k′ ≥ 2l > l`, so a locator that fails to
-        // generate the rest of `full` can only fail verification: reject
-        // it before paying for the root find.
-        if !Self::generates_tail(&scratch.bm.c, prefix.len(), full) {
+        // `prefix.len() = 2k′ ≥ 2l > l`, so a locator that fails at the
+        // first index past the prefix can only fail verification: reject
+        // it before paying for the root find. The first index rejects
+        // nearly every such rung; the rest of the tail is left to the
+        // verification, which checks it anyway.
+        if !Self::generates_at(&scratch.bm.c, prefix.len(), full) {
             return Err(DecodeError::ThresholdExceeded);
         }
-        if !find_roots_into(&scratch.bm.c, &mut scratch.roots, &mut scratch.edges) {
+        // Λ(z) = ∏(1 − x_e z) has c₀ = 1 and, at degree exactly l, c_l ≠ 0,
+        // so the reversed locator z^l·Λ(1/z) = ∏(z − x_e) is monic with a
+        // non-zero constant term: its roots are the edge IDs themselves.
+        scratch.locator.clear();
+        scratch.locator.extend(scratch.bm.c.iter().rev());
+        if !find_roots_into(
+            &scratch.locator,
+            space,
+            &mut scratch.roots,
+            &mut scratch.edges,
+        ) {
             return Err(DecodeError::ThresholdExceeded);
         }
-        if scratch.edges.len() != l || scratch.edges.iter().any(|r| r.is_zero()) {
+        if scratch.edges.len() != l {
             return Err(DecodeError::ThresholdExceeded);
         }
-        // Λ(z) = ∏(1 − x_e z): the roots are the inverses of the edge IDs.
-        for r in scratch.edges.iter_mut() {
-            *r = r.inverse().expect("roots checked nonzero");
-        }
+        debug_assert!(scratch.edges.iter().all(|e| !e.is_zero()));
         if Self::check_power_sums(&scratch.edges, full, &mut scratch.powers) {
+            Self::put_in_output_order(&mut scratch.edges, &mut scratch.keyed);
             out.extend_from_slice(&scratch.edges);
             Ok(())
         } else {
@@ -327,16 +365,48 @@ impl ThresholdCodec {
     }
 
     /// Whether the connection polynomial `c` (with `c₀ = 1`) generates
-    /// `s[from..]`: `s_i + Σ_{j=1..deg c} c_j · s_{i−j} = 0` for every
-    /// `i ≥ from` (requires `from ≥ deg c`).
-    fn generates_tail(c: &[Gf64], from: usize, s: &[Gf64]) -> bool {
-        (from..s.len()).all(|i| {
-            let mut acc = s[i];
-            for (j, &cj) in c.iter().enumerate().skip(1) {
-                acc += cj * s[i - j];
-            }
-            acc.is_zero()
-        })
+    /// `s[at]`: `s_at + Σ_{j=1..deg c} c_j · s_{at−j} = 0` (requires
+    /// `at ≥ deg c`). Vacuously true past the end of `s`.
+    fn generates_at(c: &[Gf64], at: usize, s: &[Gf64]) -> bool {
+        if at >= s.len() {
+            return true;
+        }
+        let mut acc = s[at];
+        for (j, &cj) in c.iter().enumerate().skip(1) {
+            acc += cj * s[at - j];
+        }
+        acc.is_zero()
+    }
+
+    /// Puts a decoded set in the codec's output order: ascending in the
+    /// [dual coordinates](Gf64::dual_coordinates) of the locator roots
+    /// `1/x_e`. That is the order a depth-first trace split of `Λ` over
+    /// the polynomial basis emits, so decoded sets — and the merge order
+    /// and certificates downstream of them — do not depend on how the
+    /// roots were found. The inverses cost one field inversion per set
+    /// (batch inversion); a single edge is already in order.
+    fn put_in_output_order(edges: &mut [Gf64], keyed: &mut Vec<(u64, Gf64)>) {
+        if edges.len() < 2 {
+            return;
+        }
+        keyed.clear();
+        let mut prefix = Gf64::ONE;
+        for &e in edges.iter() {
+            prefix *= e;
+            keyed.push((0, prefix));
+        }
+        // `inv` walks down from 1/(x₀⋯x_{l−1}); at step i it is
+        // 1/(x₀⋯x_i), so 1/x_i = inv · (x₀⋯x_{i−1}).
+        let mut inv = prefix.inverse().expect("edge IDs are non-zero");
+        for i in (0..edges.len()).rev() {
+            let root = if i == 0 { inv } else { inv * keyed[i - 1].1 };
+            inv *= edges[i];
+            keyed[i] = (root.dual_coordinates(), edges[i]);
+        }
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        for (e, &(_, id)) in edges.iter_mut().zip(keyed.iter()) {
+            *e = id;
+        }
     }
 
     /// Recomputes the power sums of `edges` and compares with `syndrome`;
@@ -499,7 +569,8 @@ mod tests {
                 let edges: Vec<Gf64> = (1..=t as u64).map(|i| Gf64::new(i * 0x9137 + 1)).collect();
                 let s = encode(&codec, &edges);
                 let fresh = codec.decode_adaptive(&s);
-                let scratched = codec.decode_adaptive_into(&s, &mut scratch, &mut out);
+                let scratched =
+                    codec.decode_adaptive_into(&s, Subspace::full(), &mut scratch, &mut out);
                 match fresh {
                     Ok(mut want) => {
                         scratched.expect("scratch decode must accept what fresh accepts");

@@ -14,8 +14,9 @@
 //!   rows, syndrome accumulation, and *verified* decoding;
 //! * [`bm`] — Berlekamp–Massey over GF(2⁶⁴), producing the error-locator
 //!   polynomial in O(k²);
-//! * deterministic root finding is delegated to `ftc_field::find_roots`
-//!   (Berlekamp's trace algorithm);
+//! * deterministic root finding is delegated to `ftc_field::find_roots_into`,
+//!   which seeks the roots of the reversed (monic) locator inside the
+//!   subspace the caller's edge IDs span;
 //! * adaptive decoding (Appendix B): a `2k'`-prefix of a `2k`-syndrome *is*
 //!   the RS(k′) syndrome (Proposition 6), so decode cost scales with the
 //!   actual boundary size, not with the worst-case threshold.

@@ -1,8 +1,8 @@
 //! Property-based tests for the k-threshold outdetect codec.
 
-use ftc_codes::{berlekamp_massey, DecodeError, ThresholdCodec};
-use ftc_field::{find_roots, Gf64};
-use proptest::collection::btree_set;
+use ftc_codes::{berlekamp_massey, DecodeError, DecodeScratch, ThresholdCodec};
+use ftc_field::{find_roots, Gf64, Poly, Subspace};
+use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
 
 fn encode(codec: &ThresholdCodec, edges: &[Gf64]) -> Vec<Gf64> {
@@ -105,6 +105,17 @@ fn power_sums(edges: &[Gf64], len: usize) -> Vec<Gf64> {
 /// Berlekamp–Massey accepts goes to the root finder and then to power-sum
 /// verification. The codec must agree with it on every syndrome.
 fn ungated_ladder(codec: &ThresholdCodec, s: &[Gf64]) -> Result<Vec<Gf64>, DecodeError> {
+    ungated_ladder_in(codec, s, u64::MAX)
+}
+
+/// [`ungated_ladder`] for edge IDs in the span of the bits of `mask`: a
+/// rung whose roots (found over the whole field) leave the span is
+/// rejected at that rung.
+fn ungated_ladder_in(
+    codec: &ThresholdCodec,
+    s: &[Gf64],
+    mask: u64,
+) -> Result<Vec<Gf64>, DecodeError> {
     if ThresholdCodec::is_zero_syndrome(s) {
         return Ok(Vec::new());
     }
@@ -113,7 +124,7 @@ fn ungated_ladder(codec: &ThresholdCodec, s: &[Gf64]) -> Result<Vec<Gf64>, Decod
     loop {
         let verify = &s[..(k_try + k).min(s.len())];
         if let Some(edges) = ungated_rung(&s[..2 * k_try], k_try, verify) {
-            if !edges.is_empty() {
+            if !edges.is_empty() && edges.iter().all(|e| e.to_bits() & !mask == 0) {
                 return Ok(edges);
             }
         }
@@ -239,4 +250,197 @@ fn gate_keeps_a_phantom_decode() {
         Ok(phantom.to_vec()),
         "the top rung alone does not accept R"
     );
+}
+
+/// The span of bits `0..b` and `32..32 + b`: where the packed edge codes
+/// of an auxiliary graph with `b`-bit vertex numbers lie.
+fn code_mask(b: u32) -> u64 {
+    let half = (1u64 << b) - 1;
+    half << 32 | half
+}
+
+/// The codec's serving-path decode restricted to `space`.
+fn decode_in(
+    codec: &ThresholdCodec,
+    s: &[Gf64],
+    space: &Subspace,
+) -> Result<Vec<Gf64>, DecodeError> {
+    let mut out = Vec::new();
+    codec
+        .decode_adaptive_into(s, space, &mut DecodeScratch::default(), &mut out)
+        .map(|()| out)
+}
+
+/// The subspace decode agrees with the ungated ladder restricted to the
+/// subspace, and — whenever the whole-field decode's edges all lie in the
+/// subspace — equals the whole-field decode, order included.
+fn assert_subspace_decode_matches(codec: &ThresholdCodec, s: &[Gf64], space: &Subspace) {
+    let sorted = |r: Result<Vec<Gf64>, DecodeError>| {
+        r.map(|mut v| {
+            v.sort();
+            v
+        })
+    };
+    let got = decode_in(codec, s, space);
+    assert_eq!(
+        sorted(got.clone()),
+        sorted(ungated_ladder_in(codec, s, space.mask())),
+        "subspace decode and the restricted ungated ladder disagree"
+    );
+    let full = codec.decode_adaptive(s);
+    let in_space = |ids: &Vec<Gf64>| ids.iter().all(|&e| space.contains(e));
+    if full.as_ref().map_or(true, in_space) {
+        assert_eq!(got, full, "subspace and whole-field decodes disagree");
+    }
+}
+
+/// `b ∈ {2, 13, 15}` with a threshold the span can exceed: the span of
+/// `b = 2` has only 15 non-zero points.
+fn subspace_case(which: usize) -> (Subspace, ThresholdCodec) {
+    let b = [2u32, 13, 15][which];
+    let k = if b == 2 { 7 } else { 12 };
+    (Subspace::from_mask(code_mask(b)), ThresholdCodec::new(k))
+}
+
+/// Distinct non-zero points of the span of `mask`, from arbitrary bits.
+fn ids_in(mask: u64, raw: Vec<u64>) -> Vec<Gf64> {
+    let mut ids: Vec<Gf64> = raw
+        .into_iter()
+        .map(|x| Gf64::new(x & mask))
+        .filter(|e| !e.is_zero())
+        .collect();
+    ids.sort();
+    ids.dedup();
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Weight 1..=k inside the span: the subspace decode is the
+    /// whole-field decode.
+    #[test]
+    fn subspace_decode_matches_full_within_threshold(which in 0usize..3, raw in vec(any::<u64>(), 1..=12)) {
+        let (space, codec) = subspace_case(which);
+        let ids = ids_in(space.mask(), raw);
+        prop_assume!(!ids.is_empty() && ids.len() <= codec.k());
+        let s = encode(&codec, &ids);
+        assert_subspace_decode_matches(&codec, &s, &space);
+        let mut got = decode_in(&codec, &s, &space).expect("within threshold");
+        got.sort();
+        prop_assert_eq!(got, ids);
+    }
+
+    /// Phantom weight k+1..=2k inside the span, where rungs fail and
+    /// phantom sets — inside or outside the span — may verify.
+    #[test]
+    fn subspace_decode_matches_full_when_overloaded(which in 0usize..3, raw in vec(any::<u64>(), 13..=24)) {
+        let (space, codec) = subspace_case(which);
+        let ids = ids_in(space.mask(), raw);
+        prop_assume!(ids.len() > codec.k());
+        assert_subspace_decode_matches(&codec, &encode(&codec, &ids), &space);
+    }
+
+    /// Phantoms built as in `gate_matches_ungated_on_phantoms`, with the
+    /// phantom set mostly outside the span: rungs that verify it are
+    /// rejected there, and the ladder climbs on.
+    #[test]
+    fn subspace_decode_rejects_rungs_outside_the_span(
+        phantom in btree_set(1u64..1 << 40, 1..=2usize),
+        basis in proptest::collection::vec(1u64..1 << 16, 3..=3usize),
+    ) {
+        let space = Subspace::from_mask(code_mask(13));
+        let codec = ThresholdCodec::new(4);
+        let mut overloaded = span_points(&basis);
+        overloaded.extend(phantom.into_iter().map(Gf64::new));
+        assert_subspace_decode_matches(&codec, &encode(&codec, &overloaded), &space);
+    }
+
+    /// The decoded order is the order a depth-first trace split of the
+    /// locator Λ emits, whatever subspace the roots were found in.
+    #[test]
+    fn decode_order_is_the_trace_split_order(which in 0usize..3, raw in vec(any::<u64>(), 1..=8)) {
+        let (space, codec) = subspace_case(which);
+        let ids = ids_in(space.mask(), raw);
+        prop_assume!(!ids.is_empty() && ids.len() <= codec.k());
+        let s = encode(&codec, &ids);
+        let want = trace_split_order(&Poly::from_roots(&ids));
+        prop_assert_eq!(decode_in(&codec, &s, &space).unwrap(), want.clone());
+        prop_assert_eq!(codec.decode_adaptive(&s).unwrap(), want);
+    }
+}
+
+/// The edge IDs of `sigma = ∏(x − x_e)` in the order a depth-first split
+/// of the locator `Λ(z) = ∏(1 − x_e·z)` by the trace maps `Tr(xʲ·z)`,
+/// `j = 0, 1, …`, emits its roots `1/x_e` (the factor where the trace
+/// vanishes first), computed with plain polynomial arithmetic.
+fn trace_split_order(sigma: &Poly) -> Vec<Gf64> {
+    fn split(lambda: &Poly, from: u64, out: &mut Vec<Gf64>) {
+        if lambda.degree() == Some(1) {
+            let root = lambda.coeff(0) * lambda.coeff(1).inverse().unwrap();
+            out.push(root.inverse().unwrap());
+            return;
+        }
+        for j in from..64 {
+            let mut term = Poly::from_coeffs(vec![Gf64::ZERO, Gf64::X.pow(j)]).rem(lambda);
+            let mut trace = term.clone();
+            for _ in 1..64 {
+                term = term.square_mod(lambda);
+                trace = &trace + &term;
+            }
+            let g = lambda.gcd(&trace);
+            if g.degree()
+                .is_some_and(|d| d > 0 && Some(d) < lambda.degree())
+            {
+                let (h, _) = lambda.div_rem(&g);
+                split(&g, j + 1, out);
+                split(&h, j + 1, out);
+                return;
+            }
+        }
+        panic!("distinct roots always split");
+    }
+    // Λ is σ reversed.
+    let lambda = Poly::from_coeffs(sigma.coeffs().iter().rev().copied().collect());
+    let mut out = Vec::new();
+    split(&lambda, 0, &mut out);
+    out
+}
+
+#[test]
+fn a_rung_whose_roots_leave_the_subspace_is_rejected() {
+    let space = Subspace::from_mask(code_mask(13));
+    // One edge outside the span: every rung's locator is z − x, and every
+    // rung is rejected.
+    let codec = ThresholdCodec::new(4);
+    let outside = Gf64::new(1 << 20 | 3);
+    let s = encode(&codec, &[outside]);
+    assert_eq!(codec.decode_adaptive(&s), Ok(vec![outside]));
+    assert_eq!(
+        decode_in(&codec, &s, &space),
+        Err(DecodeError::ThresholdExceeded)
+    );
+    // `gate_keeps_a_phantom_decode`'s syndrome: rung 2 verifies the
+    // phantom R, which lies outside the span, so the subspace ladder
+    // rejects rung 2 and climbs to the top rung, which does not accept R.
+    let basis = [1u64 << 5, 1 << 17, 1 << 40];
+    let phantom = [Gf64::new(0x1234_5671), Gf64::new(0xabcd_ef03)];
+    let mut overloaded = span_points(&basis);
+    overloaded.extend_from_slice(&phantom);
+    let s = encode(&codec, &overloaded);
+    let mut full = codec.decode_adaptive(&s).unwrap();
+    full.sort();
+    assert_eq!(full, phantom);
+    let got = decode_in(&codec, &s, &space);
+    assert!(got
+        .as_ref()
+        .map_or(true, |ids| ids.iter().all(|&e| space.contains(e))));
+    assert_ne!(
+        got.map(|mut v| {
+            v.sort();
+            v
+        }),
+        Ok(phantom.to_vec())
+    );
+    assert_subspace_decode_matches(&codec, &s, &space);
 }

@@ -9,7 +9,9 @@
 //! non-tree remainder `G′ − E_{T′}` is exactly the set of second halves.
 
 use crate::ancestry::{ancestry_labels, AncestryLabel};
+use ftc_field::Subspace;
 use ftc_graph::{EdgeId, EulerTour, Graph, RootedTree, VertexId};
+use std::sync::OnceLock;
 
 /// The auxiliary graph `G′` with its spanning forest `T′`, Euler tour, and
 /// the `σ`-mapping data the labeling scheme needs.
@@ -147,6 +149,24 @@ impl AuxGraph {
         Some(((lo - 1) as u32, (hi - 1) as u32))
     }
 
+    /// The GF(2)-subspace every code ID of an auxiliary graph with `aux_n`
+    /// vertices lies in: both halves are at most `aux_n`, so only their
+    /// low `b` bits can be set, for `b` the bit length of `aux_n`. The
+    /// root finder searches only this span (dimension `2b`). Each
+    /// subspace's tables are built once per process, on first use;
+    /// `aux_n = u32::MAX` gives the whole field.
+    pub fn code_space(aux_n: u32) -> &'static Subspace {
+        static SPACES: [OnceLock<Subspace>; 32] = [const { OnceLock::new() }; 32];
+        let b = (u32::BITS - aux_n.leading_zeros()) as usize;
+        match SPACES.get(b) {
+            Some(space) => space.get_or_init(|| {
+                let half = (1u64 << b) - 1;
+                Subspace::from_mask(half << 32 | half)
+            }),
+            None => Subspace::full(),
+        }
+    }
+
     /// The Euler-embedding point of non-tree edge `j`, for the
     /// sparsification hierarchy.
     pub fn nontree_point(&self, j: usize) -> (usize, usize) {
@@ -242,6 +262,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn code_ids_lie_in_the_code_space() {
+        let g = figure1_like_graph();
+        let t = RootedTree::bfs(&g, 0);
+        let aux = AuxGraph::build(&g, &t);
+        let space = AuxGraph::code_space(aux.aux_n as u32);
+        assert_eq!(
+            space.dim(),
+            2 * (usize::BITS - aux.aux_n.leading_zeros()) as usize
+        );
+        for j in 0..aux.nontree.len() {
+            assert!(space.contains(ftc_field::Gf64::new(aux.nontree_code_id(j))));
+        }
+        assert!(std::ptr::eq(
+            AuxGraph::code_space(u32::MAX),
+            Subspace::full()
+        ));
+        assert_eq!(AuxGraph::code_space(0).dim(), 0);
+        assert_eq!(AuxGraph::code_space(8000).mask(), 0x1fff_0000_1fff);
     }
 
     #[test]

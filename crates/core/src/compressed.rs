@@ -70,7 +70,7 @@ use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords};
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{self, ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
+use crate::store::{self, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
@@ -476,35 +476,28 @@ impl CompressedStore {
         self.section_bytes(SEC_ENDPOINT)
     }
 
-    /// Reassembles edge `e`'s v1-format record from the edge-meta and
-    /// level sections — the decode-once gather feeding a session. `None`
-    /// when `e` is out of range.
+    /// Edge `e`'s record as a borrowed view over the decoded edge-meta and
+    /// level sections — what a session reads a v2 fault through, without
+    /// copying its rows. `None` when `e` is out of range.
     ///
     /// # Errors
     ///
     /// [`SerialError`] if any touched section fails lazy validation.
-    pub fn gather_edge(&self, e: usize) -> Result<Option<GatheredEdge>, SerialError> {
+    pub fn gather_edge(&self, e: usize) -> Result<Option<GatheredEdge<'_>>, SerialError> {
         let meta = &self.inner.meta;
         if e >= meta.m {
             return Ok(None);
         }
-        let row_bytes = meta.row_words * 8;
-        let mut rec = vec![0u8; serial::EDGE_WORDS_OFFSET + meta.levels * row_bytes];
         let meta_bytes = self.section_bytes(SEC_EDGEMETA)?;
-        rec[..serial::EDGE_WORDS_OFFSET].copy_from_slice(
-            &meta_bytes[e * serial::EDGE_WORDS_OFFSET..(e + 1) * serial::EDGE_WORDS_OFFSET],
-        );
+        // Touch every level section now, so the view's reads cannot fail.
         for level in 0..meta.levels {
-            let words = self.section_words(SEC_LEVEL0 + level)?;
-            let src = &words[e * meta.row_words..(e + 1) * meta.row_words];
-            let base = serial::EDGE_WORDS_OFFSET + level * row_bytes;
-            for (j, &w) in src.iter().enumerate() {
-                store::put_u64(&mut rec, base + 8 * j, w);
-            }
+            self.section_words(SEC_LEVEL0 + level)?;
         }
+        let rec = serial::EDGE_WORDS_OFFSET;
         Ok(Some(GatheredEdge {
-            encoding: meta.encoding,
-            bytes: rec.into_boxed_slice(),
+            store: self,
+            e,
+            meta: &meta_bytes[e * rec..(e + 1) * rec],
         }))
     }
 
@@ -631,53 +624,70 @@ impl CompressedStore {
     }
 }
 
-/// An edge record reassembled from compressed sections: owns its v1
-/// layout bytes and reads like any archived edge view.
-#[derive(Clone, Debug)]
-pub struct GatheredEdge {
-    encoding: EdgeEncoding,
-    bytes: Box<[u8]>,
+/// An edge record read in place from a v2 archive's decoded sections:
+/// the fixed fields from the edge-meta section, each level's row from its
+/// level section (expanded from odd power sums for the compact
+/// encoding). Reads like any archived edge view.
+#[derive(Clone, Copy, Debug)]
+pub struct GatheredEdge<'a> {
+    store: &'a CompressedStore,
+    e: usize,
+    /// The edge's record up to its syndrome words (v1 layout).
+    meta: &'a [u8],
 }
 
-impl GatheredEdge {
-    fn view(&self) -> ArchivedEdgeView<'_> {
-        match self.encoding {
-            EdgeEncoding::Full => ArchivedEdgeView::Full(
-                serial::EdgeLabelView::new(&self.bytes).expect("gathered from validated sections"),
-            ),
-            EdgeEncoding::Compact => ArchivedEdgeView::Compact(
-                serial::CompactEdgeLabelView::new(&self.bytes)
-                    .expect("gathered from validated sections"),
-            ),
-        }
+impl GatheredEdge<'_> {
+    /// Edge `e`'s stored row at `level`.
+    fn row(&self, level: usize) -> &[u64] {
+        let rw = self.store.inner.meta.row_words;
+        let words = self
+            .store
+            .section_words(SEC_LEVEL0 + level)
+            .expect("level sections are decoded at gather");
+        &words[self.e * rw..(self.e + 1) * rw]
     }
 }
 
-impl EdgeLabelRead for GatheredEdge {
+impl EdgeLabelRead for GatheredEdge<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        self.view().header()
+        serial::read_header_at(self.meta, 2)
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        self.view().anc_upper()
+        serial::read_anc_at(self.meta, 2 + serial::HEADER_BYTES)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        self.view().anc_lower()
+        serial::read_anc_at(self.meta, 2 + serial::HEADER_BYTES + serial::ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
-        self.view().slab_words()
+        let meta = &self.store.inner.meta;
+        2 * meta.k * meta.levels
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
-        self.view().xor_into_slab(dst);
+        let meta = &self.store.inner.meta;
+        let k = meta.k;
+        assert_eq!(dst.len(), 2 * k * meta.levels, "mixed vector widths");
+        for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
+            let row = self.row(level);
+            match meta.encoding {
+                EdgeEncoding::Full => {
+                    for (d, &w) in out.iter_mut().zip(row) {
+                        *d ^= w;
+                    }
+                }
+                EdgeEncoding::Compact => serial::xor_expanded_row(|j| row[j], out),
+            }
+        }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        self.view().configure_detector(det);
+        let meta = &self.store.inner.meta;
+        det.configure(meta.k, meta.levels, meta.header.aux_n);
     }
 }
 

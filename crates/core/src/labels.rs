@@ -11,7 +11,7 @@
 
 use crate::ancestry::AncestryLabel;
 use ftc_codes::{DecodeScratch, ThresholdCodec};
-use ftc_field::Gf64;
+use ftc_field::{Gf64, Subspace};
 use std::fmt;
 use std::sync::Arc;
 
@@ -274,13 +274,16 @@ impl PartialEq for RsVector {
 impl Eq for RsVector {}
 
 /// Reusable detection state for [`RsVector`] slabs: the codec geometry
-/// (`k`, level count) plus the decode scratch. One detector serves every
-/// fragment of every session built against the same labeling; warm
-/// detectors decode without allocating.
+/// (`k`, level count, the code space edge IDs lie in) plus the decode
+/// scratch. One detector serves every fragment of every session built
+/// against the same labeling; warm detectors decode without allocating.
 #[derive(Debug, Default)]
 pub struct RsDetector {
     k: usize,
     levels: usize,
+    /// [`AuxGraph::code_space`](crate::auxgraph::AuxGraph::code_space) of
+    /// the labeling; `None` until configured.
+    space: Option<&'static Subspace>,
     /// The level syndrome copied out of the word slab.
     syn: Vec<Gf64>,
     /// Decoded edge IDs before conversion to raw bits.
@@ -290,12 +293,16 @@ pub struct RsDetector {
 
 impl RsDetector {
     /// Points the detector at a labeling's codec geometry (buffers are
-    /// kept). Byte-level label views call this with their parsed header
-    /// fields; owned vectors go through
-    /// [`OutdetectVector::configure_detector`].
-    pub fn configure(&mut self, k: usize, levels: usize) {
+    /// kept): threshold `k`, `levels` syndromes, and edge IDs of an
+    /// auxiliary graph with `aux_n` vertices. O(1) and allocation-free
+    /// once the code space is built (once per process). Byte-level label
+    /// views call this with their parsed header fields; owned vectors go
+    /// through [`OutdetectVector::configure_detector`], which carries no
+    /// header and passes `u32::MAX` (the whole field).
+    pub fn configure(&mut self, k: usize, levels: usize, aux_n: u32) {
         self.k = k;
         self.levels = levels;
+        self.space = Some(crate::auxgraph::AuxGraph::code_space(aux_n));
     }
 }
 
@@ -320,12 +327,14 @@ impl OutdetectVector for RsVector {
     }
 
     fn configure_detector(&self, det: &mut RsDetector) {
-        det.configure(self.k(), self.levels());
+        det.configure(self.k(), self.levels(), u32::MAX);
     }
 
     fn detect_slab(det: &mut RsDetector, words: &[u64], out: &mut Vec<u64>) -> SlabDetect {
         out.clear();
-        let k = det.k;
+        let (k, Some(space)) = (det.k, det.space) else {
+            return SlabDetect::Empty; // unconfigured
+        };
         if k == 0 || words.is_empty() {
             return SlabDetect::Empty;
         }
@@ -341,7 +350,9 @@ impl OutdetectVector for RsVector {
             }
             det.syn.clear();
             det.syn.extend(row.iter().copied().map(Gf64::new));
-            return match codec.decode_adaptive_into(&det.syn, &mut det.decode, &mut det.ids) {
+            let decoded =
+                codec.decode_adaptive_into(&det.syn, space, &mut det.decode, &mut det.ids);
+            return match decoded {
                 Ok(()) if !det.ids.is_empty() => {
                     out.extend(det.ids.iter().map(|g| g.to_bits()));
                     SlabDetect::Edges

@@ -287,7 +287,7 @@ fn read_u64_at(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
 }
 
-fn read_header_at(buf: &[u8], at: usize) -> LabelHeader {
+pub(crate) fn read_header_at(buf: &[u8], at: usize) -> LabelHeader {
     LabelHeader {
         f: read_u32_at(buf, at),
         aux_n: read_u32_at(buf, at + 4),
@@ -298,7 +298,7 @@ fn read_header_at(buf: &[u8], at: usize) -> LabelHeader {
 /// One bounds check for the whole label: the pair path reads two of
 /// these per answer.
 #[inline]
-fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
+pub(crate) fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
     let rec: &[u8; ANC_BYTES] = buf[at..at + ANC_BYTES]
         .try_into()
         .expect("a slice of ANC_BYTES bytes");
@@ -510,7 +510,7 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
         } else {
             self.num_words() / (2 * k)
         };
-        det.configure(k, levels);
+        det.configure(k, levels, self.header().aux_n);
     }
 }
 
@@ -598,22 +598,31 @@ impl EdgeLabelRead for CompactEdgeLabelView<'_> {
         assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
         for lvl in 0..levels {
             let lvl_at = EDGE_WORDS_OFFSET + 8 * lvl * k;
-            let out = &mut dst[2 * k * lvl..2 * k * (lvl + 1)];
-            for (idx, slot) in out.iter_mut().enumerate() {
-                let i = idx + 1; // 1-based power-sum index
-                let t = i.trailing_zeros();
-                let o = i >> t; // odd part: s_i = s_o^(2^t)
-                let mut v = Gf64::new(read_u64_at(self.buf, lvl_at + 8 * (o / 2)));
-                for _ in 0..t {
-                    v = v.square();
-                }
-                *slot ^= v.to_bits();
-            }
+            xor_expanded_row(
+                |j| read_u64_at(self.buf, lvl_at + 8 * j),
+                &mut dst[2 * k * lvl..2 * k * (lvl + 1)],
+            );
         }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        det.configure(self.k(), self.levels());
+        det.configure(self.k(), self.levels(), self.header().aux_n);
+    }
+}
+
+/// XORs one level's full `2k`-entry syndrome into `out` (length `2k`),
+/// expanded from its `k` stored odd power sums, `odd(j) = s_{2j+1}`:
+/// entry `i` (1-based power-sum index) is `s_o^(2^t)` for `i = o·2^t`
+/// with `o` odd, since `s_{2j} = s_j²` in characteristic two.
+pub(crate) fn xor_expanded_row(odd: impl Fn(usize) -> u64, out: &mut [u64]) {
+    for (idx, slot) in out.iter_mut().enumerate() {
+        let i = idx + 1;
+        let t = i.trailing_zeros();
+        let mut v = Gf64::new(odd((i >> t) / 2));
+        for _ in 0..t {
+            v = v.square();
+        }
+        *slot ^= v.to_bits();
     }
 }
 

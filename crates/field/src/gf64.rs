@@ -180,19 +180,32 @@ impl Gf64 {
         Some(a63.square()) // a^(2^64 - 2)
     }
 
-    /// The absolute trace `Tr(a) = Σ_{i<64} a^(2^i) ∈ {0, 1}`, used by the
-    /// deterministic Berlekamp trace root-finding algorithm.
+    /// The absolute trace `Tr(a) = Σ_{i<64} a^(2^i) ∈ {0, 1}`. The trace
+    /// is GF(2)-linear, so it is the parity of `a`'s bits at the `i` with
+    /// `Tr(xⁱ) = 1`.
     pub fn trace(self) -> u64 {
-        let mut acc = self;
-        let mut term = self;
-        for _ in 1..64 {
-            term = term.square();
-            acc += term;
+        u64::from((self.0 & TRACE_MASK).count_ones() & 1)
+    }
+
+    /// The coordinates of `self` in the trace-dual of the polynomial
+    /// basis, packed most significant first: bit `63 − j` is
+    /// `Tr(xʲ·self)`. The trace form is non-degenerate, so this is a
+    /// GF(2)-linear bijection — distinct elements get distinct keys.
+    pub fn dual_coordinates(self) -> u64 {
+        let mut y = self.0;
+        let mut key = 0u64;
+        for _ in 0..64 {
+            key = key << 1 | u64::from((y & TRACE_MASK).count_ones() & 1);
+            // y ← y·x: shift, folding x⁶⁴ back as x⁴ + x³ + x + 1.
+            y = (y << 1) ^ ((y >> 63) * 0x1b);
         }
-        debug_assert!(acc.0 <= 1, "trace must land in the prime subfield");
-        acc.0
+        key
     }
 }
+
+/// The bits `i` with `Tr(xⁱ) = 1` under the modulus
+/// `x⁶⁴ + x⁴ + x³ + x + 1`: only `i = 61` and `i = 63`.
+const TRACE_MASK: u64 = 0xa000_0000_0000_0000;
 
 /// Whether the CPU has `pclmulqdq` (detected once; `std` caches the probe).
 #[cfg(target_arch = "x86_64")]
@@ -548,6 +561,53 @@ mod tests {
         assert_eq!((a + b).trace(), a.trace() ^ b.trace());
         // Tr(x²) = Tr(x).
         assert_eq!(a.square().trace(), a.trace());
+    }
+
+    #[test]
+    fn trace_mask_matches_the_frobenius_sum() {
+        let mut a = Gf64::new(0x0123_4567_89ab_cdef);
+        for i in 0..64 {
+            for x in [Gf64::new(1 << i), a] {
+                let mut acc = x;
+                let mut term = x;
+                for _ in 1..64 {
+                    term = term.square();
+                    acc += term;
+                }
+                assert_eq!(acc.to_bits(), x.trace(), "Tr({x:?})");
+            }
+            a = a * Gf64::new(0x9e37_79b9_7f4a_7c15) + Gf64::ONE;
+        }
+    }
+
+    #[test]
+    fn dual_coordinates_are_a_linear_bijection() {
+        let a = Gf64::new(0x5555_0000_ffff_1234);
+        let b = Gf64::new(0x0123_4567_89ab_cdef);
+        assert_eq!(
+            (a + b).dual_coordinates(),
+            a.dual_coordinates() ^ b.dual_coordinates()
+        );
+        let mut xj = Gf64::ONE;
+        for j in 0..64 {
+            assert_eq!(a.dual_coordinates() >> (63 - j) & 1, (xj * a).trace());
+            xj *= Gf64::X;
+        }
+        // Full rank: the images of the 64 basis vectors are independent.
+        let mut rows: Vec<u64> = (0..64)
+            .map(|i| Gf64::new(1 << i).dual_coordinates())
+            .collect();
+        for bit in (0..64).rev() {
+            let pivot = (0..rows.len())
+                .find(|&r| rows[r] >> bit & 1 == 1)
+                .expect("dual coordinates have full rank");
+            let p = rows.swap_remove(pivot);
+            for r in rows.iter_mut() {
+                if *r >> bit & 1 == 1 {
+                    *r ^= p;
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! matrix over a finite field of characteristic two. This crate provides that
 //! field — [`Gf64`], the field GF(2⁶⁴) of order 2⁶⁴ — together with dense
 //! polynomial algebra ([`poly::Poly`]) and deterministic root finding
-//! ([`roots::find_roots`], Berlekamp's trace algorithm) used by the syndrome
-//! decoder.
+//! ([`roots::find_roots_into`], which splits with the coordinate maps of a
+//! bit-spanned [`Subspace`]) used by the syndrome decoder.
 //!
 //! Everything here is written from scratch on `std`; no external dependencies.
 //!
@@ -29,4 +29,4 @@ pub mod roots;
 
 pub use gf64::Gf64;
 pub use poly::Poly;
-pub use roots::{find_roots, find_roots_into, RootScratch};
+pub use roots::{find_roots, find_roots_into, RootScratch, Subspace};

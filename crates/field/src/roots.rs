@@ -1,36 +1,173 @@
-//! Deterministic root finding over GF(2⁶⁴) — Berlekamp's trace algorithm.
+//! Deterministic root finding over GF(2⁶⁴), restricted to a subspace.
 //!
-//! The paper's deterministic outdetect labeling needs a *deterministic* way
-//! to recover the set of outgoing-edge IDs from the error-locator polynomial
-//! produced by Berlekamp–Massey. A Chien search over the 2⁶⁴-element field is
-//! intractable, and Cantor–Zassenhaus is randomized; Berlekamp's trace
-//! algorithm is the standard deterministic alternative in characteristic two:
-//! for any two distinct roots `r ≠ s`, some basis element `β` of
-//! GF(2⁶⁴)/GF(2) has `Tr(βr) ≠ Tr(βs)` (the trace bilinear form is
-//! non-degenerate), so `gcd(σ(x), Tr(βx) mod σ(x))` eventually splits every
-//! non-linear factor. The cost is O(w · deg²) field operations per split with
-//! w = 64, i.e. Õ(deg²) — matching the decoding-time accounting of
-//! Proposition 2.
+//! The paper's deterministic outdetect labeling needs a *deterministic*
+//! way to recover the set of outgoing-edge IDs from the error-locator
+//! polynomial produced by Berlekamp–Massey. A Chien search over the
+//! 2⁶⁴-element field is intractable, and Cantor–Zassenhaus is randomized.
+//! The finder here is deterministic and searches only a GF(2)-subspace
+//! `V` spanned by single bits ([`Subspace`]) — edge IDs are packed vertex
+//! numbers, so they lie in a small such subspace — with `V` the whole
+//! field as the `D = 64` case of the same code:
+//!
+//! * **Split test.** `V`'s subspace polynomial
+//!   `L_V(x) = ∏_{v ∈ V} (x − v)` is *linearized*:
+//!   `L_V(x) = Σ_{i ≤ D} aᵢ·x^(2^i)` with `D = dim V`. A polynomial `σ`
+//!   divides `L_V` exactly when it is a product of distinct linear
+//!   factors with every root in `V`, and modulo `σ`, `L_V` is the
+//!   combination `Σ aᵢ·Fᵢ` of the Frobenius rows `Fᵢ = x^(2^i) mod σ`. So
+//!   the test costs `D` squarings mod `σ` (for `V` the whole field it is
+//!   the classical `σ | x^(2⁶⁴) − x`).
+//! * **Splitting.** For basis vector `e_j`, let `W_j` be `V` without it.
+//!   The coordinate map `P_j = L_{W_j} / L_{W_j}(e_j)` is linearized,
+//!   vanishes on `W_j` and is 1 at `e_j`, so `P_j(v)` is `v`'s bit at
+//!   `e_j`. Once every root is known to lie in `V`, `P_j mod σ` is 0 or 1
+//!   at each root, so a non-constant `P_j mod σ` always splits `σ`, and
+//!   `gcd(σ, P_j mod σ)` collects the roots with that bit clear. Each
+//!   `P_j mod σ` is again a combination of `F₀..F_{D−1}`.
+//!
+//! The q-coefficients of `L_V` and of every `P_j` cost O(D³) field
+//! operations, once per subspace. Per factor of degree `deg` the table
+//! costs O(D·deg²) and each basis try O(D·deg + deg²) — Õ(deg²) for fixed
+//! `D`, the decoding-time accounting of Proposition 2.
 //!
 //! Two entry points are provided: the convenient [`find_roots`] over
-//! [`Poly`], and the serving-path [`find_roots_into`], which runs the same
-//! algorithm over raw coefficient slices with every temporary drawn from a
-//! reusable [`RootScratch`] — after warm-up it performs **zero heap
-//! allocations**, which is what lets the query engine's session rebuilds be
-//! allocation-free.
+//! [`Poly`] (the whole field), and the serving-path [`find_roots_into`],
+//! which takes the subspace and draws every temporary from a reusable
+//! [`RootScratch`] — after warm-up it performs **zero heap
+//! allocations**, which is what lets the query engine's session rebuilds
+//! be allocation-free.
 
 use crate::gf64::Gf64;
 use crate::poly::Poly;
+use std::sync::OnceLock;
 
-const FIELD_BITS: u32 = 64;
+/// A GF(2)-subspace `V` of GF(2⁶⁴) spanned by single bits, with the
+/// q-coefficient tables [`find_roots_into`] tests and splits with.
+///
+/// Basis vector `j` is the `j`-th lowest set bit of the mask. Building
+/// the tables costs O(D³) field operations for `D = dim V` (a few
+/// milliseconds at `D = 64`), so callers build each subspace once and
+/// share it — [`Subspace::full`] is the process-wide whole field.
+#[derive(Clone, Debug)]
+pub struct Subspace {
+    mask: u64,
+    /// `L_V(x) = Σ_{i ≤ D} lv[i]·x^(2^i)`, with `lv[D] = 1`.
+    lv: Vec<Gf64>,
+    /// Row `j` (stride `D`): the q-coefficients of the coordinate map
+    /// `P_j`, of q-degree `D − 1`.
+    coord: Vec<Gf64>,
+}
+
+impl Subspace {
+    /// The span of the bits set in `mask`, with its tables.
+    pub fn from_mask(mask: u64) -> Subspace {
+        let basis: Vec<Gf64> = (0..64)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| Gf64::new(1 << i))
+            .collect();
+        let lv = subspace_poly(basis.iter().copied());
+        let mut coord = Vec::with_capacity(basis.len() * basis.len());
+        for (j, &e) in basis.iter().enumerate() {
+            let w = subspace_poly(
+                basis
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != j)
+                    .map(|(_, &v)| v),
+            );
+            let at_e = eval_linearized(&w, e)
+                .inverse()
+                .expect("e_j lies outside W_j, so L_{W_j}(e_j) is nonzero");
+            coord.extend(w.iter().map(|&c| c * at_e));
+        }
+        Subspace { mask, lv, coord }
+    }
+
+    /// The whole field (`D = 64`), built once per process.
+    pub fn full() -> &'static Subspace {
+        static FULL: OnceLock<Subspace> = OnceLock::new();
+        FULL.get_or_init(|| Subspace::from_mask(u64::MAX))
+    }
+
+    /// The bits spanning `V`.
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// `D = dim V`.
+    pub fn dim(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
+
+    /// Whether `x ∈ V`.
+    pub fn contains(&self, x: Gf64) -> bool {
+        x.to_bits() & !self.mask == 0
+    }
+
+    /// Evaluates the coordinate map `P_j` at `x`: for `x ∈ V`, the bit of
+    /// `x` at basis vector `j` (the `j`-th lowest set bit of the mask).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j ≥ D`.
+    pub fn coordinate(&self, j: usize, x: Gf64) -> Gf64 {
+        assert!(j < self.dim(), "basis index out of range");
+        eval_linearized(self.coord_row(j), x)
+    }
+
+    /// The lowest basis index `j ≥ from` whose bit is set in `x`.
+    fn lowest_coordinate(&self, x: Gf64, from: usize) -> Option<usize> {
+        let mut free = self.mask;
+        for _ in 0..from {
+            free &= free.wrapping_sub(1); // clear the lowest basis bit
+        }
+        let bits = x.to_bits() & free;
+        (bits != 0)
+            .then(|| (self.mask & ((1u64 << bits.trailing_zeros()) - 1)).count_ones() as usize)
+    }
+
+    fn coord_row(&self, j: usize) -> &[Gf64] {
+        let d = self.dim();
+        &self.coord[j * d..(j + 1) * d]
+    }
+}
+
+/// `Σ q[i]·x^(2^i)`: evaluates a linearized polynomial from its
+/// q-coefficients.
+fn eval_linearized(q: &[Gf64], x: Gf64) -> Gf64 {
+    let mut acc = Gf64::ZERO;
+    let mut p = x;
+    for &c in q {
+        acc += c * p;
+        p = p.square();
+    }
+    acc
+}
+
+/// The q-coefficients of the subspace polynomial of `span(basis)`
+/// (independent vectors), one vector at a time:
+/// `L_{U+⟨e⟩}(x) = L_U(x)·L_U(x + e) = L_U(x)² + L_U(e)·L_U(x)`.
+fn subspace_poly(basis: impl Iterator<Item = Gf64>) -> Vec<Gf64> {
+    let mut q = vec![Gf64::ONE]; // L_{0}(x) = x
+    for e in basis {
+        let c = eval_linearized(&q, e);
+        q.push(Gf64::ZERO);
+        for i in (0..q.len()).rev() {
+            let shifted = if i > 0 { q[i - 1].square() } else { Gf64::ZERO };
+            q[i] = shifted + c * q[i];
+        }
+    }
+    q
+}
 
 /// Reusable buffers for [`find_roots_into`].
 ///
-/// All temporaries of the trace algorithm — the Frobenius power, trace
-/// maps, gcd operands, the explicit recursion stack, and a pool of
-/// recycled factor buffers — live here. A scratch that has already served
-/// a polynomial of some degree serves any later polynomial of equal or
-/// smaller degree without allocating.
+/// All temporaries of the root finder — the Frobenius rows, the
+/// coordinate maps, gcd operands, the explicit recursion stack, and a pool
+/// of recycled factor buffers — live here. A scratch that has already
+/// served a polynomial of some degree in a subspace of some dimension
+/// serves any later polynomial of equal or smaller degree, in a subspace
+/// of equal or smaller dimension, without allocating.
 #[derive(Debug, Default)]
 pub struct RootScratch {
     /// Coefficient count of the longest input seen. Factor buffers trade
@@ -44,12 +181,11 @@ pub struct RootScratch {
     stack: Vec<(Vec<Gf64>, u32)>,
     /// General modular-arithmetic temporary.
     tmp: Vec<Gf64>,
-    /// Frobenius power table: `x^(2^i) mod σ` for `i = 0..=64`, flattened
-    /// with stride `deg σ` (zero-padded). Built once per factor; every
-    /// trace map against that factor is then a cheap linear combination,
-    /// and the distinct-linear-factors test is the `F₆₄ = F₀` comparison.
+    /// Frobenius rows `x^(2^i) mod σ`, flattened with stride `deg σ`
+    /// (zero-padded): `D + 1` rows for the split test, `D` for each later
+    /// factor's coordinate maps.
     ftab: Vec<Gf64>,
-    /// Accumulated trace map / Euclid operand.
+    /// Split-test remainder, coordinate map, Euclid operand.
     tr: Vec<Gf64>,
     /// gcd accumulator.
     g: Vec<Gf64>,
@@ -108,30 +244,18 @@ fn make_monic(v: &mut [Gf64]) {
     }
 }
 
-/// The inverse of the leading coefficient of `m` (normalized, non-zero).
-/// A monic divisor — every Frobenius-table squaring and the `h = σ / g`
-/// split — skips the inversion.
-fn lead_inverse(m: &[Gf64]) -> Gf64 {
-    let lead = *m.last().expect("divisor is non-zero");
-    if lead == Gf64::ONE {
-        Gf64::ONE
-    } else {
-        lead.inverse().expect("leading coeff nonzero")
-    }
-}
-
-/// `r ← r mod m` in place (`m` normalized, non-zero).
-fn rem_in_place(r: &mut Vec<Gf64>, m: &[Gf64]) {
+/// `r ← r mod m` in place (`m` normalized and monic: every Frobenius
+/// squaring and the `h = σ / g` split divide by a monic factor).
+fn rem_monic_in_place(r: &mut Vec<Gf64>, m: &[Gf64]) {
+    debug_assert_eq!(m.last(), Some(&Gf64::ONE), "divisor is monic");
     let dm = m.len() - 1;
-    let lead_inv = lead_inverse(m);
     let mut i = r.len();
     while i > dm {
         i -= 1;
-        let c = r[i];
-        if c.is_zero() {
+        let q = r[i];
+        if q.is_zero() {
             continue;
         }
-        let q = c * lead_inv;
         for (j, &b) in m.iter().enumerate() {
             r[i - dm + j] += q * b; // char 2: subtraction == addition
         }
@@ -141,7 +265,31 @@ fn rem_in_place(r: &mut Vec<Gf64>, m: &[Gf64]) {
     trim(r);
 }
 
-/// `out ← src² mod m` (char-2 sparse squaring; `out` must not alias `src`).
+/// `r ← c·r mod m` for some non-zero scalar `c` (`m` normalized,
+/// non-zero). Euclid needs remainders only up to a unit, so scaling `r`
+/// by `lead(m)` at each step stands in for the inverse of `lead(m)`.
+fn rem_scaled_in_place(r: &mut Vec<Gf64>, m: &[Gf64]) {
+    let dm = m.len() - 1;
+    let lead = m[dm];
+    while r.len() > dm {
+        let i = r.len() - 1;
+        let c = r[i];
+        if lead != Gf64::ONE {
+            for t in r[..i].iter_mut() {
+                *t *= lead;
+            }
+        }
+        // lead·r + c·x^(i−dm)·m cancels the top coefficient.
+        for (j, &b) in m[..dm].iter().enumerate() {
+            r[i - dm + j] += c * b;
+        }
+        r.pop();
+        trim(r);
+    }
+}
+
+/// `out ← src² mod m` (char-2 sparse squaring; `m` monic, `out` must not
+/// alias `src`).
 fn square_mod_into(src: &[Gf64], m: &[Gf64], out: &mut Vec<Gf64>) {
     out.clear();
     if src.is_empty() {
@@ -151,25 +299,24 @@ fn square_mod_into(src: &[Gf64], m: &[Gf64], out: &mut Vec<Gf64>) {
     for (i, &c) in src.iter().enumerate() {
         out[2 * i] = c.square();
     }
-    rem_in_place(out, m);
+    rem_monic_in_place(out, m);
 }
 
-/// Euclidean division in place: `num` becomes the remainder, `quot` the
-/// quotient (`den` normalized, non-zero).
-fn div_rem_in_place(num: &mut Vec<Gf64>, den: &[Gf64], quot: &mut Vec<Gf64>) {
+/// Euclidean division in place by a monic `den`: `num` becomes the
+/// remainder, `quot` the quotient.
+fn div_rem_monic_in_place(num: &mut Vec<Gf64>, den: &[Gf64], quot: &mut Vec<Gf64>) {
+    debug_assert_eq!(den.last(), Some(&Gf64::ONE), "divisor is monic");
     quot.clear();
     if num.len() < den.len() {
         return;
     }
     let dm = den.len() - 1;
-    let lead_inv = lead_inverse(den);
     quot.resize(num.len() - dm, Gf64::ZERO);
     for i in (dm..num.len()).rev() {
-        let c = num[i];
-        if c.is_zero() {
+        let q = num[i];
+        if q.is_zero() {
             continue;
         }
-        let q = c * lead_inv;
         quot[i - dm] = q;
         for (j, &b) in den.iter().enumerate() {
             num[i - dm + j] += q * b;
@@ -180,131 +327,152 @@ fn div_rem_in_place(num: &mut Vec<Gf64>, den: &[Gf64], quot: &mut Vec<Gf64>) {
     trim(quot);
 }
 
-/// Builds the Frobenius power table `F_i = x^(2^i) mod σ` for
-/// `i = 0..=64` into `s.ftab` (stride `d = deg σ`, zero-padded rows) and
-/// returns whether `σ` is a product of *distinct* linear factors —
-/// equivalent to `σ | x^(2⁶⁴) − x`, i.e. `F₆₄ = F₀`.
-///
-/// The table costs the same 64 modular squarings the splitting test cost
-/// on its own, and turns every subsequent trace map against `σ` into a
-/// linear combination: `Tr(βx) = Σ_i β^(2^i)·F_i` because
-/// `(βx)^(2^i) = β^(2^i)·x^(2^i)`.
-fn build_frobenius_table(sigma: &[Gf64], s: &mut RootScratch) -> bool {
-    let d = sigma.len() - 1; // deg σ ≥ 2 here
+/// Builds the Frobenius rows `F_i = x^(2^i) mod σ` for `i < rows` into
+/// `s.ftab` (stride `d = deg σ ≥ 2`, zero-padded rows). Every map this
+/// module needs modulo `σ` is a linear combination of them, because
+/// `(βx)^(2^i) = β^(2^i)·x^(2^i)` makes every linearized polynomial
+/// `Σ qᵢ·x^(2^i)` reduce to `Σ qᵢ·Fᵢ`.
+fn build_frobenius_rows(sigma: &[Gf64], rows: usize, s: &mut RootScratch) {
+    let d = sigma.len() - 1;
     s.ftab.clear();
-    s.ftab.resize((FIELD_BITS as usize + 1) * d, Gf64::ZERO);
+    s.ftab.resize(rows * d, Gf64::ZERO);
     s.ftab[1] = Gf64::ONE; // F₀ = x, already reduced mod σ
-    for i in 0..FIELD_BITS as usize {
-        square_mod_into(&s.ftab[i * d..(i + 1) * d], sigma, &mut s.tmp);
+    for i in 1..rows {
+        square_mod_into(&s.ftab[(i - 1) * d..i * d], sigma, &mut s.tmp);
         debug_assert!(s.tmp.len() <= d);
-        s.ftab[(i + 1) * d..(i + 1) * d + s.tmp.len()].copy_from_slice(&s.tmp);
+        s.ftab[i * d..i * d + s.tmp.len()].copy_from_slice(&s.tmp);
     }
-    let last = &s.ftab[FIELD_BITS as usize * d..];
-    last[1] == Gf64::ONE && last.iter().enumerate().all(|(i, c)| i == 1 || c.is_zero())
 }
 
-/// Computes the trace map `Tr(β·x) = Σ_{i<64} β^(2^i)·F_i` into `s.tr`
-/// from the Frobenius table of the current factor (degree `d`).
-fn trace_map_into(beta: Gf64, d: usize, s: &mut RootScratch) {
-    s.tr.clear();
-    s.tr.resize(d, Gf64::ZERO);
-    let mut bp = beta;
-    for i in 0..FIELD_BITS as usize {
-        let row = &s.ftab[i * d..(i + 1) * d];
-        for (t, &c) in s.tr.iter_mut().zip(row) {
+/// `out ← Σ_i q[i]·F_i` over the Frobenius rows of stride `d`: the
+/// linearized polynomial with q-coefficients `q`, reduced mod `σ`.
+fn combine_rows_into(q: &[Gf64], d: usize, ftab: &[Gf64], out: &mut Vec<Gf64>) {
+    out.clear();
+    out.resize(d, Gf64::ZERO);
+    for (&a, row) in q.iter().zip(ftab.chunks_exact(d)) {
+        if a.is_zero() {
+            continue;
+        }
+        for (t, &c) in out.iter_mut().zip(row) {
             if !c.is_zero() {
-                *t += bp * c;
+                *t += a * c;
             }
         }
-        bp = bp.square();
     }
-    trim(&mut s.tr);
+    trim(out);
 }
 
-/// Finds all roots (in GF(2⁶⁴)) of a *square-free* polynomial that splits
-/// into distinct linear factors, deterministically — the scratch-reusing
-/// entry point. Appends the roots (unsorted, distinct) to `roots` and
-/// returns `true` when the polynomial is a product of `deg` distinct
-/// linear factors; returns `false` (leaving `roots` empty) for the zero
-/// polynomial or any polynomial with a repeated or irreducible non-linear
-/// factor.
+/// Finds all roots of a polynomial whose roots are distinct and all lie
+/// in `space`, deterministically — the scratch-reusing entry point.
+/// Appends the roots (unsorted, distinct) to `roots` and returns `true`
+/// when the polynomial is a product of `deg` distinct linear factors
+/// `x − r` with every `r ∈ space`; returns `false` (leaving `roots`
+/// empty) for the zero polynomial, any polynomial with a repeated or
+/// irreducible non-linear factor, and any polynomial with a root outside
+/// `space`.
 ///
 /// Allocation-free once `scratch` has warmed up to the polynomial degree.
-pub fn find_roots_into(poly: &[Gf64], scratch: &mut RootScratch, roots: &mut Vec<Gf64>) -> bool {
+pub fn find_roots_into(
+    poly: &[Gf64],
+    space: &Subspace,
+    scratch: &mut RootScratch,
+    roots: &mut Vec<Gf64>,
+) -> bool {
     roots.clear();
     scratch.reserve(poly.len());
     let mut sigma = scratch.take_buf();
     sigma.extend_from_slice(poly);
     trim(&mut sigma);
-    if sigma.is_empty() {
+    let Some(deg) = sigma.len().checked_sub(1) else {
         scratch.pool.push(sigma);
         return false; // zero polynomial: no well-defined root set
-    }
-    let deg = sigma.len() - 1;
-    if deg == 0 {
-        scratch.pool.push(sigma);
-        return true;
-    }
+    };
     make_monic(&mut sigma);
+    if deg <= 1 {
+        // Monic x + c₀ = 0 ⇒ root c₀ (char 2); a constant has no roots.
+        let ok = deg == 0 || space.contains(sigma[0]);
+        if deg == 1 && ok {
+            roots.push(sigma[0]);
+        }
+        scratch.pool.push(sigma);
+        return ok;
+    }
+    // σ | L_V, tested on D + 1 Frobenius rows that then serve σ's own
+    // coordinate maps; a factor with a repeated, irreducible non-linear
+    // or out-of-V part fails here, before any gcd.
+    let dim = space.dim();
+    build_frobenius_rows(&sigma, dim + 1, scratch);
+    combine_rows_into(&space.lv, deg, &scratch.ftab, &mut scratch.tr);
+    if !scratch.tr.is_empty() {
+        scratch.pool.push(sigma);
+        return false;
+    }
     debug_assert!(scratch.stack.is_empty());
     scratch.stack.push((sigma, 0));
+    let mut rows_ready = true;
     while let Some((sigma, basis_from)) = scratch.stack.pop() {
         let d = sigma.len() - 1;
         if d == 1 {
-            // Monic x + c₀ = 0 ⇒ root c₀ (char 2).
             roots.push(sigma[0]);
             scratch.pool.push(sigma);
             continue;
         }
-        // One Frobenius table per factor serves the splitting test and
-        // every trace map below; a factor with a repeated or irreducible
-        // non-linear part fails here (cheaply, before any trace work).
-        if !build_frobenius_table(&sigma, scratch) {
-            scratch.pool.push(sigma);
-            scratch.drain_stack();
-            roots.clear();
-            return false;
+        // Factors of a divisor of L_V divide L_V: only the first needs
+        // the test, and each later one needs just its D rows.
+        if !std::mem::take(&mut rows_ready) {
+            build_frobenius_rows(&sigma, dim, scratch);
         }
-        let mut split_at = None;
-        for j in basis_from..FIELD_BITS {
-            let beta = Gf64::X.pow(u64::from(j)); // polynomial basis 1, x, x², …
-            trace_map_into(beta, d, scratch);
-            // g = gcd(σ, tr): roots r of σ with Tr(β·r) = 0 are exactly
-            // the common roots of σ and the trace map.
-            scratch.g.clear();
-            scratch.g.extend_from_slice(&sigma);
-            while !scratch.tr.is_empty() {
-                rem_in_place(&mut scratch.g, &scratch.tr);
-                std::mem::swap(&mut scratch.g, &mut scratch.tr);
-            }
-            make_monic(&mut scratch.g);
-            let gd = scratch.g.len().saturating_sub(1);
-            if gd > 0 && gd < d {
-                split_at = Some(j);
-                break;
-            }
-        }
-        let Some(j) = split_at else {
-            // No basis element separates the roots ⇒ not a product of
-            // distinct linear factors.
+        // `tr = P_j mod σ` is 0 or 1 at every root of σ, so a constant
+        // `tr` means the roots agree on coordinate j, and any other takes
+        // both values and splits σ. Coordinates below `basis_from` are
+        // constant on σ's roots. With d even, a free coordinate set in
+        // the roots' sum σ_{d−1} has an odd — so partial — count of roots
+        // with that bit: a sure split, after which the coordinates
+        // skipped over are still untried. Otherwise free coordinates are
+        // tried in order; each that fails is constant on σ's roots, hence
+        // on every factor's.
+        let from = basis_from as usize;
+        let mut coordinate_map = |j: usize| {
+            combine_rows_into(space.coord_row(j), d, &scratch.ftab, &mut scratch.tr);
+            scratch.tr.len() >= 2
+        };
+        let sure = (d % 2 == 0)
+            .then(|| space.lowest_coordinate(sigma[d - 1], from))
+            .flatten();
+        let next_from = if sure.is_some_and(&mut coordinate_map) {
+            Some(from)
+        } else {
+            (from..dim).find(|&j| coordinate_map(j)).map(|j| j + 1)
+        };
+        let Some(next_from) = next_from else {
+            // Distinct roots in V differ in some coordinate, so this only
+            // happens for inputs that slipped past the split test.
             scratch.pool.push(sigma);
             scratch.drain_stack();
             roots.clear();
             return false;
         };
-        // h = σ / g; a basis element that failed to split σ is constant on
-        // its root set, hence on every factor's — safe to advance
-        // monotonically. Push h below g so g is processed first (depth
-        // first, matching the recursive formulation).
+        // g = gcd(σ, P_j mod σ): the roots with bit j clear.
+        scratch.g.clear();
+        scratch.g.extend_from_slice(&sigma);
+        while !scratch.tr.is_empty() {
+            rem_scaled_in_place(&mut scratch.g, &scratch.tr);
+            std::mem::swap(&mut scratch.g, &mut scratch.tr);
+        }
+        make_monic(&mut scratch.g);
+        debug_assert!(scratch.g.len() >= 2 && scratch.g.len() <= d);
+        // h = σ / g. Push h below g so g is processed first (depth first,
+        // matching the recursive formulation).
         let mut g_buf = scratch.take_buf();
         g_buf.extend_from_slice(&scratch.g);
         let mut h_buf = sigma;
-        div_rem_in_place(&mut h_buf, &g_buf, &mut scratch.quot);
+        div_rem_monic_in_place(&mut h_buf, &g_buf, &mut scratch.quot);
         debug_assert!(h_buf.is_empty(), "g divides sigma exactly");
         // Monic ÷ monic: the quotient is monic already.
         h_buf.extend_from_slice(&scratch.quot);
-        scratch.stack.push((h_buf, j + 1));
-        scratch.stack.push((g_buf, j + 1));
+        let next_from = next_from as u32;
+        scratch.stack.push((h_buf, next_from));
+        scratch.stack.push((g_buf, next_from));
     }
     debug_assert_eq!(roots.len(), deg);
     true
@@ -315,13 +483,13 @@ pub fn find_roots_into(poly: &[Gf64], scratch: &mut RootScratch, roots: &mut Vec
 ///
 /// The error-locator polynomials handed to this function by the syndrome
 /// decoder always satisfy both properties; for robustness the function also
-/// behaves sensibly on other inputs: it returns the roots of the distinct
-/// linear factors it can isolate and reports irreducible non-linear residues
-/// via `None`.
+/// behaves sensibly on other inputs, reporting a repeated or irreducible
+/// non-linear factor via `None`.
 ///
 /// Returns `Some(roots)` (unsorted, distinct) when the polynomial is a
 /// product of `deg` distinct linear factors, `None` otherwise. Convenience
-/// wrapper over [`find_roots_into`] with a throwaway [`RootScratch`].
+/// wrapper over [`find_roots_into`] on [`Subspace::full`] with a throwaway
+/// [`RootScratch`].
 ///
 /// # Example
 ///
@@ -340,7 +508,7 @@ pub fn find_roots(poly: &Poly) -> Option<Vec<Gf64>> {
     let deg = poly.degree()?; // zero polynomial: no well-defined root set
     let mut scratch = RootScratch::default();
     let mut roots = Vec::with_capacity(deg);
-    find_roots_into(poly.coeffs(), &mut scratch, &mut roots).then_some(roots)
+    find_roots_into(poly.coeffs(), Subspace::full(), &mut scratch, &mut roots).then_some(roots)
 }
 
 #[cfg(test)]
@@ -455,7 +623,7 @@ mod tests {
             ),
         ];
         for p in &cases {
-            let ok = find_roots_into(p.coeffs(), &mut scratch, &mut out);
+            let ok = find_roots_into(p.coeffs(), Subspace::full(), &mut scratch, &mut out);
             match find_roots(p) {
                 None => assert!(!ok, "scratch accepted what fresh rejected: {p:?}"),
                 Some(mut want) => {
@@ -477,10 +645,25 @@ mod tests {
         // Warm up on a successful split, then fail, then succeed again.
         let good = Poly::from_roots(&[g(1), g(2), g(3), g(4)]);
         let bad = Poly::from_roots(&[g(9), g(9), g(10)]);
-        assert!(find_roots_into(good.coeffs(), &mut scratch, &mut out));
-        assert!(!find_roots_into(bad.coeffs(), &mut scratch, &mut out));
+        assert!(find_roots_into(
+            good.coeffs(),
+            Subspace::full(),
+            &mut scratch,
+            &mut out
+        ));
+        assert!(!find_roots_into(
+            bad.coeffs(),
+            Subspace::full(),
+            &mut scratch,
+            &mut out
+        ));
         assert!(out.is_empty());
-        assert!(find_roots_into(good.coeffs(), &mut scratch, &mut out));
+        assert!(find_roots_into(
+            good.coeffs(),
+            Subspace::full(),
+            &mut scratch,
+            &mut out
+        ));
         assert_eq!(out.len(), 4);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for GF(2⁶⁴) arithmetic, polynomial algebra, and
 //! deterministic root finding.
 
-use ftc_field::{find_roots, Gf64, Poly};
+use ftc_field::{find_roots, find_roots_into, Gf64, Poly, RootScratch, Subspace};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -99,5 +99,115 @@ proptest! {
         let mut found = find_roots(&sigma).expect("product of distinct linear factors");
         found.sort();
         prop_assert_eq!(found, rs);
+    }
+}
+
+/// The span of bits `0..b` and `32..32 + b` (dimension `D = 2b`): the
+/// shape of packed edge codes with `b`-bit halves.
+fn halves_mask(b: u32) -> u64 {
+    let half = if b == 32 {
+        u64::from(u32::MAX)
+    } else {
+        (1u64 << b) - 1
+    };
+    half << 32 | half
+}
+
+/// The subspace of dimension `dim ∈ {2, 26, 30, 64}`.
+fn space_of_dim(dim: u32) -> Subspace {
+    Subspace::from_mask(halves_mask(dim / 2))
+}
+
+/// A point of the span of `mask`, from arbitrary bits.
+fn in_span(mask: u64, bits: u64) -> Gf64 {
+    Gf64::new(bits & mask)
+}
+
+fn roots_in(space: &Subspace, poly: &Poly) -> Option<Vec<Gf64>> {
+    let mut out = Vec::new();
+    find_roots_into(poly.coeffs(), space, &mut RootScratch::default(), &mut out).then(|| {
+        out.sort();
+        out
+    })
+}
+
+#[test]
+fn coordinate_maps_read_basis_bits() {
+    for dim in [2u32, 26, 30, 64] {
+        let space = space_of_dim(dim);
+        assert_eq!(space.dim(), dim as usize);
+        let basis: Vec<u32> = (0..64).filter(|i| space.mask() >> i & 1 == 1).collect();
+        for (j, _) in basis.iter().enumerate() {
+            for (i, &pos) in basis.iter().enumerate() {
+                let want = Gf64::new(u64::from(i == j));
+                assert_eq!(
+                    space.coordinate(j, Gf64::new(1 << pos)),
+                    want,
+                    "D={dim} j={j} i={i}"
+                );
+            }
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..64 {
+            x = x.rotate_left(17).wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ 0x94d0_49bb;
+            let v = in_span(space.mask(), x);
+            for (j, &pos) in basis.iter().enumerate() {
+                assert_eq!(space.coordinate(j, v), Gf64::new(v.to_bits() >> pos & 1));
+            }
+        }
+    }
+}
+
+#[test]
+fn the_full_subspace_is_the_whole_field() {
+    let full = Subspace::full();
+    assert_eq!(full.mask(), u64::MAX);
+    assert!(full.contains(Gf64::new(u64::MAX)));
+    // Its split test is the classical x^(2⁶⁴) = x; every polynomial that
+    // splits over GF(2⁶⁴) is accepted.
+    let rs = [Gf64::new(1 << 63 | 5), Gf64::new(0xdead_beef_0000_0001)];
+    let mut want = rs.to_vec();
+    want.sort();
+    assert_eq!(roots_in(full, &Poly::from_roots(&rs)), Some(want));
+}
+
+#[test]
+fn a_root_outside_the_subspace_is_rejected() {
+    for dim in [2u32, 26, 30] {
+        let space = space_of_dim(dim);
+        let outside = Gf64::new(1 << (dim / 2) | 1); // bit b is not in V
+        assert!(!space.contains(outside));
+        let inside = [Gf64::ZERO, Gf64::new(1), Gf64::new(1 << 32)];
+        // Degree 1, the split test at degree ≥ 2, and the same
+        // polynomials over the whole field, which accepts them.
+        for rs in [vec![outside], [&inside[..], &[outside]].concat()] {
+            let p = Poly::from_roots(&rs);
+            assert_eq!(roots_in(&space, &p), None, "D={dim} {rs:?}");
+            assert!(roots_in(Subspace::full(), &p).is_some());
+        }
+        let p = Poly::from_roots(&inside);
+        assert_eq!(roots_in(&space, &p).map(|r| r.len()), Some(3));
+    }
+}
+
+proptest! {
+    /// Random subsets of V round-trip for D ∈ {2, 26, 30, 64}.
+    #[test]
+    fn subspace_roots_round_trip(
+        which in 0usize..4,
+        raw in vec(any::<u64>(), 1..14),
+    ) {
+        let dim = [2u32, 26, 30, 64][which];
+        let owned;
+        let space = if dim == 64 {
+            Subspace::full()
+        } else {
+            owned = space_of_dim(dim);
+            &owned
+        };
+        let mut rs: Vec<Gf64> = raw.into_iter().map(|x| in_span(space.mask(), x)).collect();
+        rs.sort();
+        rs.dedup();
+        prop_assert_eq!(roots_in(space, &Poly::from_roots(&rs)), Some(rs));
     }
 }

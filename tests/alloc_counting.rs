@@ -4,12 +4,12 @@
 //! * a **warm** `session_in` rebuild (scratch recycled, same fault-set
 //!   shapes seen before) performs **zero** heap allocations — through the
 //!   fault ingestion, fragment CSR rebuild, slab/arena merge engine, and
-//!   the adaptive decoder's Berlekamp–Massey + trace-algorithm internals;
+//!   the adaptive decoder's Berlekamp–Massey + root-finder internals;
 //! * `connected`, `certified`, and `connected_many` (with a
 //!   pre-reserved output buffer) allocate nothing per query;
-//! * a warm `ConnectivityService::query` allocates only for its
-//!   session build (nothing over a v1 archive) plus once for the
-//!   answers it returns, however many pairs it answers;
+//! * a warm `ConnectivityService::query` allocates exactly once, for the
+//!   answers it returns, however many pairs it answers — over a v1 or a
+//!   v2 archive, whose session builds allocate nothing;
 //! * the **build pipeline** allocates the label payload **once** — one
 //!   contiguous slab (or the archive blob itself for `build_store`) plus
 //!   O(levels + threads) worker scratch; the historical per-edge
@@ -101,7 +101,7 @@ fn warm_rebuilds_and_queries_are_allocation_free() {
 
     let mut scratch = SessionScratch::new();
     // Warm-up: two full passes so every buffer (including the decoder's
-    // trace-algorithm pools) reaches its steady-state capacity.
+    // root-finder pools) reaches its steady-state capacity.
     for _ in 0..2 {
         for fs in &fsets {
             let session = l
@@ -175,16 +175,17 @@ fn warm_service_queries_allocate_only_their_answers() {
                 service.query(fp, &pairs).unwrap();
             }
         }
+        let format = if v1 { "v1" } else { "v2" };
         for fp in &fault_pairs {
-            // A v2 session build gathers each fault's record into a
-            // buffer of its own; a v1 build reads records in place.
+            // Both formats read fault records in place: v1 from the blob,
+            // v2 from its decoded sections.
             let (session, ()) = count_allocs(|| service.with_session(fp, |_| ()).unwrap());
-            assert!(!v1 || session == 0, "warm v1 session build allocated");
+            assert_eq!(session, 0, "warm {format} session build allocated");
             let (allocs, answers) = count_allocs(|| service.query(fp, &pairs).unwrap());
             assert_eq!(
                 allocs,
-                session + 1,
-                "a warm query of {} pairs must allocate only its session and answers ({fp:?})",
+                1,
+                "a warm {format} query of {} pairs must allocate only its answers ({fp:?})",
                 pairs.len()
             );
             assert_eq!(answers.len(), pairs.len());

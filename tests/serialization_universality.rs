@@ -139,10 +139,12 @@ proptest! {
         }
     }
 
-    /// Archive blobs reject every truncation, and single-byte corruption
-    /// never panics the validator (it either surfaces a located error or
-    /// leaves a still-well-formed archive, e.g. when the flip lands in a
-    /// syndrome word).
+    /// Archive blobs reject every truncation and every single-byte flip.
+    /// A flip that keeps the framing and labels well formed (one in a
+    /// syndrome word, say) still changes one word of the trailing
+    /// checksum's input, and each step `h = (h ^ w)·PRIME` of
+    /// `checksum64` (`PRIME` odd) is a bijection of `h`, so the sum over
+    /// the corrupted blob differs from the stored one.
     #[test]
     fn archive_rejects_truncation_and_survives_corruption(
         seed in any::<u64>(),
@@ -161,7 +163,8 @@ proptest! {
         let mut corrupted = blob.clone();
         let at = corrupt_at % corrupted.len();
         corrupted[at] ^= flip;
-        let _ = LabelStore::open(corrupted); // must not panic
+        let err = LabelStore::open(corrupted).unwrap_err();
+        prop_assert!(err.offset <= blob.len());
     }
 }
 
