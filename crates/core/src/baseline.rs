@@ -48,7 +48,7 @@ impl OutdetectVector for AgmVector {
         self.sketch.xor_into_words(dst);
     }
 
-    fn configure_detector(&self, det: &mut AgmDetector) {
+    fn configure_detector(&self, det: &mut AgmDetector, _aux_n: u32) {
         det.params = Some(self.params);
     }
 

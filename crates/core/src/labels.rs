@@ -57,7 +57,10 @@ pub trait OutdetectVector: Clone {
     /// Panics if `dst.len() != self.slab_words()`.
     fn accumulate_slab(&self, dst: &mut [u64]);
     /// Points `det` at this vector's codec geometry, reusing its buffers.
-    fn configure_detector(&self, det: &mut Self::Detector);
+    /// `aux_n` is the auxiliary-graph size of the labeling the vector
+    /// belongs to (from its label's header), which bounds the code IDs
+    /// detection can return; `u32::MAX` when no header is at hand.
+    fn configure_detector(&self, det: &mut Self::Detector, aux_n: u32);
     /// Attempts to detect outgoing edges of the boundary an accumulated
     /// slab row sketches, appending decoded code IDs to `out` (cleared
     /// first).
@@ -153,7 +156,7 @@ impl<V: OutdetectVector> EdgeLabelRead for EdgeLabel<V> {
     }
 
     fn configure_detector(&self, det: &mut V::Detector) {
-        self.vec.configure_detector(det);
+        self.vec.configure_detector(det, self.header.aux_n);
     }
 }
 
@@ -296,9 +299,10 @@ impl RsDetector {
     /// kept): threshold `k`, `levels` syndromes, and edge IDs of an
     /// auxiliary graph with `aux_n` vertices. O(1) and allocation-free
     /// once the code space is built (once per process). Byte-level label
-    /// views call this with their parsed header fields; owned vectors go
-    /// through [`OutdetectVector::configure_detector`], which carries no
-    /// header and passes `u32::MAX` (the whole field).
+    /// views call this with their parsed header fields; owned labels go
+    /// through [`OutdetectVector::configure_detector`] with their
+    /// header's `aux_n`, and a header-less vector passes `u32::MAX` (the
+    /// whole field).
     pub fn configure(&mut self, k: usize, levels: usize, aux_n: u32) {
         self.k = k;
         self.levels = levels;
@@ -326,8 +330,8 @@ impl OutdetectVector for RsVector {
         }
     }
 
-    fn configure_detector(&self, det: &mut RsDetector) {
-        det.configure(self.k(), self.levels(), u32::MAX);
+    fn configure_detector(&self, det: &mut RsDetector, aux_n: u32) {
+        det.configure(self.k(), self.levels(), aux_n);
     }
 
     fn detect_slab(det: &mut RsDetector, words: &[u64], out: &mut Vec<u64>) -> SlabDetect {
@@ -658,7 +662,7 @@ mod tests {
     /// decoded IDs come back sorted.
     fn detect_words(v: &RsVector, words: &[u64]) -> (SlabDetect, Vec<u64>) {
         let mut det = RsDetector::default();
-        v.configure_detector(&mut det);
+        v.configure_detector(&mut det, u32::MAX);
         let mut ids = Vec::new();
         let outcome = RsVector::detect_slab(&mut det, words, &mut ids);
         ids.sort_unstable();
@@ -683,6 +687,20 @@ mod tests {
         assert!(l.edge_label(0, 1).is_some());
         assert!(l.edge_label(0, (1 << 32) + 1).is_none());
         assert_eq!(l.endpoint_index().get((1 << 32) + 1, 0), None);
+    }
+
+    /// An owned edge label points its detector at its labeling's code
+    /// space, as archived views do, not at the whole field.
+    #[test]
+    fn owned_labels_configure_their_code_space() {
+        let g = ftc_graph::Graph::torus(3, 4);
+        let scheme = crate::FtcScheme::build(&g, &crate::Params::deterministic(2)).unwrap();
+        let label = scheme.labels().edge_label(0, 1).unwrap();
+        let mut det = RsDetector::default();
+        EdgeLabelRead::configure_detector(label, &mut det);
+        let want = crate::auxgraph::AuxGraph::code_space(label.header.aux_n);
+        assert!(std::ptr::eq(det.space.unwrap(), want));
+        assert!(!std::ptr::eq(want, Subspace::full()));
     }
 
     #[test]

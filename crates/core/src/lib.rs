@@ -86,7 +86,6 @@ pub mod scheme;
 pub mod serial;
 pub mod session;
 pub mod store;
-pub mod vertex_faults;
 
 pub use compressed::{AnyArchive, CompressedStore, SectionInfo, SectionKind};
 pub use error::{BuildError, QueryError};

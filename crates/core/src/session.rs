@@ -564,7 +564,8 @@ impl<B: Borrow<EdgeLabel<V>>, V: OutdetectVector> EdgeLabelRead for BorrowedFaul
     }
 
     fn configure_detector(&self, det: &mut V::Detector) {
-        self.0.borrow().vec.configure_detector(det);
+        let label = self.0.borrow();
+        label.vec.configure_detector(det, label.header.aux_n);
     }
 }
 

@@ -10,8 +10,8 @@
 //! requests by that ID. Binds `--addr` (default `127.0.0.1:0` — an
 //! OS-assigned port), prints exactly one `listening on <addr>` line to
 //! stdout once ready (scripts parse it), and serves until SIGINT or
-//! SIGTERM, which drain in-flight requests — including coalesced
-//! batches — before exiting.
+//! SIGTERM, which drain in-flight requests — including shared session
+//! builds — before exiting.
 //!
 //! **SIGHUP** performs a blue/green reload: every `id=path` archive is
 //! re-opened from disk and atomically swapped into the registry while
@@ -25,7 +25,7 @@
 //! Overload protection sheds instead of queueing: `--max-connections`
 //! bounds handler threads (excess connections get one `Overloaded`
 //! error frame and are closed), `--max-inflight` bounds concurrently
-//! open coalescer batches, and `--deadline-ms` bounds how long a
+//! running session builds, and `--deadline-ms` bounds how long a
 //! request may wait before it is shed. Coalescer and shed counters go
 //! to stderr on exit.
 
@@ -142,7 +142,7 @@ fn run() -> Result<(), String> {
         stats.requests,
         stats.coalesced,
         stats.batches,
-        stats.pairs,
+        srv.pairs,
         srv.accepted,
         srv.shed_connections,
         stats.shed

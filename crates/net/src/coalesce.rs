@@ -1,117 +1,152 @@
-//! Cross-connection request coalescing: group-commit batching of
-//! queries that share a fault set.
+//! Cross-connection request coalescing: requests that share a fault set
+//! share one session build.
 //!
-//! `BENCH_session.json` shows the expensive step of every query is the
-//! *session build* (fault dedup, validation, fragment merge); answering
-//! extra pairs against a built session is ~100× cheaper. The server
-//! therefore groups in-flight requests by `(graph, normalized fault
-//! set)` and answers each group from **one** pooled
-//! [`QuerySession`](ftc_core::QuerySession), amortizing the build across
-//! connections.
+//! A query reads the labels of `s`, `t` and the faulty edges. The
+//! fault-set part — fault ingestion, fragment merge, decoding — is the
+//! pooled [`QuerySession`](ftc_core::QuerySession) and costs far more
+//! than an answer; each s–t pair is then a cheap lookup. So the server
+//! shares *sessions*, never pairs: requests in flight at once on one
+//! service instance with the same normalized fault set get one
+//! [`PooledSession`] between them, and each answers its own pairs from
+//! it on its own connection thread.
 //!
-//! The batching discipline is group commit, not a timer:
+//! The discipline is a build table, not a timer:
 //!
-//! * the **first** request for an idle key becomes the batch *leader*
-//!   and executes immediately — an uncontended request pays zero added
-//!   latency;
-//! * while a batch for the key is executing, newcomers pile their pairs
-//!   onto the *pending* batch; its leader (the first newcomer) waits for
-//!   the executing batch to finish before taking its turn. Under load
-//!   the pending batch grows automatically to `arrival rate ×
-//!   session-build latency` requests — the classic group-commit window
-//!   with no configured delay.
+//! * the **first** request for a (service, fault set) key becomes the
+//!   *leader*: it opens a batch under the key and builds the session at
+//!   once, so an uncontended request pays no added latency;
+//! * requests arriving while that build runs **join** it and wait for
+//!   its outcome, which is published to every waiter as an
+//!   `Arc<PooledSession>`, the build's [`ServeError`], or a poisoned
+//!   mark;
+//! * the leader removes the key as it publishes, so the next arrival
+//!   starts a new build. A session lives as long as some request still
+//!   answers from it, and its scratch goes back to the service's pool
+//!   when the last one drops it.
 //!
-//! A batch-level failure falls back to per-request queries so coalesced
-//! neighbors cannot poison each other (e.g. a fault set over the budget
-//! fails the *batch* only because another request contributed a
-//! non-trivial pair; retried alone, an all-trivial request still
-//! succeeds, exactly as if it had never been coalesced).
+//! The key holds the service instance, so a request resolved to a
+//! swapped-in service never joins a build over the previous archive.
+//! A build's outcome depends only on the service and the fault set, so
+//! its error is every waiter's own error; a bad vertex in one request
+//! fails only that request, in its own answer pass.
 //!
 //! # Overload and failure discipline
 //!
-//! The coalescer **sheds instead of queueing**: when the number of open
-//! batches reaches `max_inflight`, or a submission's deadline expires
-//! before its batch can execute, the request fails fast with
+//! The coalescer **sheds instead of queueing**: when `max_inflight`
+//! builds are already running, or a submission's deadline passes before
+//! its session is ready, the request fails fast with
 //! [`SubmitError::Overloaded`] — the wire maps it to
-//! `ErrorCode::Overloaded`, which clients know is retryable. A leader
-//! that *panics* mid-execution publishes a poisoned outcome before the
-//! panic resumes, so waiters never hang on a dead batch; they fall back
-//! to solo queries exactly as for a batch-level error.
+//! `ErrorCode::Overloaded`, which clients know is retryable. Joining a
+//! running build is always allowed: it adds no build. A leader whose
+//! build *panics* publishes a poisoned outcome and releases the key
+//! before the panic resumes, so waiters never hang on a dead build and
+//! never inherit its panic: each builds its own session instead.
 
-use ftc_serve::{ConnectivityService, ServeError};
+use ftc_serve::{ConnectivityService, PooledSession, ServeError};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// What a request coalesces on: the target graph and its fault set,
+/// What a request coalesces on: the service instance and its fault set,
 /// normalized (per-pair min/max order, sorted, deduplicated) so that
-/// permutations of the same faults share a batch.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// permutations of the same faults share a build.
+#[derive(Clone)]
 struct Key {
-    graph: Arc<str>,
+    service: ConnectivityService,
     faults: Arc<[(usize, usize)]>,
 }
 
-/// How a batch ended, as published to its waiters.
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.service.is_same(&other.service) && self.faults == other.faults
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Equal keys have equal fault sets; services only tell apart
+        // keys that collide here.
+        self.faults.hash(state);
+    }
+}
+
+/// How a build ended, as published to its waiters.
 #[derive(Clone)]
 enum Outcome {
-    /// Answers for every pair in the batch, in join order.
-    Done(Arc<[bool]>),
-    /// The batch query failed as a whole; waiters retry solo.
-    Failed,
-    /// The batch was shed before executing (its leader's deadline
-    /// expired while queued behind another batch).
-    Shed,
-    /// The leader panicked mid-execution. Waiters must not inherit the
-    /// panic; they retry solo like a batch-level failure.
+    Ready(Arc<PooledSession>),
+    Failed(ServeError),
+    /// The leader panicked mid-build. Waiters must not inherit the
+    /// panic; each builds its own session.
     Poisoned,
 }
 
-struct BatchState {
-    pairs: Vec<(usize, usize)>,
-    /// `None` until the leader publishes; shared so every waiter slices
-    /// its own answers out without copying the batch.
-    result: Option<Outcome>,
-}
-
+/// One session build that later arrivals can join.
+#[derive(Default)]
 struct Batch {
-    state: Mutex<BatchState>,
+    /// `None` until the leader publishes.
+    outcome: Mutex<Option<Outcome>>,
     done: Condvar,
 }
 
-#[derive(Default)]
-struct KeyState {
-    /// A leader is currently executing a batch for this key.
-    executing: bool,
-    /// The open batch newcomers join while the key is busy.
-    pending: Option<Arc<Batch>>,
+impl Batch {
+    fn publish(&self, outcome: Outcome) {
+        *self.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+        self.done.notify_all();
+    }
+
+    /// The published outcome, or `None` once `deadline` passes first.
+    fn wait(&self, deadline: Option<Instant>) -> Option<Outcome> {
+        let mut outcome = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(out) = outcome.as_ref() {
+                return Some(out.clone());
+            }
+            outcome = match deadline {
+                None => self.done.wait(outcome).unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return None;
+                    }
+                    self.done
+                        .wait_timeout(outcome, d - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+        }
+    }
 }
 
-/// A snapshot of the coalescer's lifetime counters.
+/// A snapshot of the coalescer's lifetime counters. Every request not
+/// shed on arrival is counted once as a leader (`batches`) or a joiner
+/// (`coalesced`), so without shedding `coalesced + batches = requests`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
-    /// Requests submitted.
+    /// Requests that asked for a session (a request whose pairs all
+    /// answer trivially never does).
     pub requests: u64,
-    /// Requests that joined an already-open batch (each one is a
-    /// session build avoided).
+    /// Requests that joined a running build (each one is a session
+    /// build avoided).
     pub coalesced: u64,
-    /// Batches executed (= sessions built by the serving path).
+    /// Builds led (= sessions built).
     pub batches: u64,
-    /// Pairs answered.
-    pub pairs: u64,
-    /// Requests shed with [`SubmitError::Overloaded`] (inflight cap hit
-    /// or deadline expired before execution).
+    /// Requests shed with [`SubmitError::Overloaded`] (build cap hit or
+    /// deadline passed before the session was ready).
     pub shed: u64,
 }
 
-/// Why a submission did not produce answers.
+/// Why a submission did not produce a session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The request was shed without executing — the coalescer is at its
-    /// inflight cap or the request's deadline expired while queued.
+    /// The request was shed — the coalescer is at its build cap or the
+    /// request's deadline passed while its session was being built.
     /// Safe (and expected) to retry after backoff.
     Overloaded,
     /// The request's own error, with exact solo-query semantics.
@@ -135,30 +170,21 @@ impl From<ServeError> for SubmitError {
     }
 }
 
-/// The coalescing queue shared by every connection of one server.
+/// The build table shared by every connection of one server.
 #[derive(Default)]
 pub struct Coalescer {
-    /// Open-batch ceiling; `0` = unbounded.
+    /// Running-build ceiling; `0` = unbounded.
     max_inflight: usize,
-    keys: Mutex<HashMap<Key, KeyState>>,
-    /// Signaled whenever a key finishes executing (its next leader may
-    /// take a turn).
-    turn: Condvar,
+    building: Mutex<HashMap<Key, Arc<Batch>>>,
     open: AtomicU64,
     requests: AtomicU64,
     coalesced: AtomicU64,
     batches: AtomicU64,
-    pairs: AtomicU64,
     shed: AtomicU64,
 }
 
-enum Role {
-    Leader,
-    Follower,
-}
-
-/// Releases an open-batch slot on drop, so the count stays correct even
-/// when the batch query panics and unwinds through `submit_with`.
+/// Releases a build slot on drop, so the count stays correct even when
+/// the build panics and unwinds through `session_with`.
 struct SlotGuard<'a>(&'a Coalescer);
 
 impl Drop for SlotGuard<'_> {
@@ -173,9 +199,8 @@ impl Coalescer {
         Coalescer::default()
     }
 
-    /// A coalescer that sheds new batches beyond `max_inflight` open
-    /// ones (`0` = unbounded). Joining an already-open batch is always
-    /// allowed — piling pairs onto a batch adds no session builds.
+    /// A coalescer that sheds new builds beyond `max_inflight` running
+    /// ones (`0` = unbounded). Joining a running build is always allowed.
     pub fn with_max_inflight(max_inflight: usize) -> Coalescer {
         Coalescer {
             max_inflight,
@@ -189,15 +214,14 @@ impl Coalescer {
             requests: self.requests.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            pairs: self.pairs.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
         }
     }
 
-    fn keys(&self) -> std::sync::MutexGuard<'_, HashMap<Key, KeyState>> {
-        // Holders only mutate the map/batch vectors; a panic while
-        // appending leaves consistent state, so poisoning is ignored.
-        self.keys.lock().unwrap_or_else(|e| e.into_inner())
+    fn building(&self) -> std::sync::MutexGuard<'_, HashMap<Key, Arc<Batch>>> {
+        // Holders only insert and remove whole entries, so a panic
+        // cannot leave the map half-updated; poisoning is ignored.
+        self.building.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn try_open_slot(&self) -> Option<SlotGuard<'_>> {
@@ -227,257 +251,101 @@ impl Coalescer {
         Err(SubmitError::Overloaded)
     }
 
-    /// Answers `pairs` under `faults` on `service`, coalescing with
-    /// concurrent submissions that share the same graph + fault set.
-    /// Answers come back in `pairs` order with solo-request semantics.
+    /// A session of `service` for the fault set `faults`, shared with
+    /// every concurrent request on the same service instance and fault
+    /// set. A request still waiting for its session when `deadline`
+    /// passes is shed.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Serve`] carrying exactly the error
-    /// [`ConnectivityService::query`] would raise for this request
-    /// alone; [`SubmitError::Overloaded`] when the request was shed.
-    pub fn submit(
+    /// [`SubmitError::Serve`] carrying the error
+    /// [`ConnectivityService::session`] raises for the fault set;
+    /// [`SubmitError::Overloaded`] when the request was shed.
+    pub fn session(
         &self,
         service: &ConnectivityService,
-        graph: &str,
-        faults: &[(usize, usize)],
-        pairs: &[(usize, usize)],
-    ) -> Result<Vec<bool>, SubmitError> {
-        self.submit_deadline(service, graph, faults, pairs, None)
-    }
-
-    /// [`submit`](Coalescer::submit) with a request deadline: a request
-    /// still queued (joined or leading a not-yet-executed batch) when
-    /// `deadline` passes is shed with [`SubmitError::Overloaded`].
-    pub fn submit_deadline(
-        &self,
-        service: &ConnectivityService,
-        graph: &str,
-        faults: &[(usize, usize)],
-        pairs: &[(usize, usize)],
+        faults: impl IntoIterator<Item = (usize, usize)>,
         deadline: Option<Instant>,
-    ) -> Result<Vec<bool>, SubmitError> {
-        self.submit_with(graph, faults, pairs, deadline, |faults, pairs| {
-            service.query(faults, pairs).map(|a| a.into_vec())
+    ) -> Result<Arc<PooledSession>, SubmitError> {
+        self.session_with(service, faults, deadline, |faults| {
+            service.session(faults.iter().copied())
         })
     }
 
-    /// The full coalescing engine, generic over the batch query so tests
-    /// can inject failures (including panics) at exactly the
-    /// batch-execution point. `query` is called once per executed batch
-    /// with the normalized fault set and the batch's combined pairs, and
-    /// again (per request, with that request's own pairs) for the solo
-    /// fallback after a batch-level failure.
-    pub fn submit_with<F>(
+    /// [`session`](Coalescer::session) with the session build injected,
+    /// so tests can hold or fail (or panic) a build at exactly that
+    /// point. A leader calls `build` once with the normalized fault set;
+    /// a waiter of a poisoned build calls its own.
+    pub fn session_with(
         &self,
-        graph: &str,
-        faults: &[(usize, usize)],
-        pairs: &[(usize, usize)],
+        service: &ConnectivityService,
+        faults: impl IntoIterator<Item = (usize, usize)>,
         deadline: Option<Instant>,
-        query: F,
-    ) -> Result<Vec<bool>, SubmitError>
-    where
-        F: Fn(&[(usize, usize)], &[(usize, usize)]) -> Result<Vec<bool>, ServeError>,
-    {
+        build: impl FnOnce(&[(usize, usize)]) -> Result<PooledSession, ServeError>,
+    ) -> Result<Arc<PooledSession>, SubmitError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.pairs.fetch_add(pairs.len() as u64, Ordering::Relaxed);
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return self.shed();
         }
-        let mut norm: Vec<(usize, usize)> =
-            faults.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        let mut norm: Vec<(usize, usize)> = faults
+            .into_iter()
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
         norm.sort_unstable();
         norm.dedup();
         let key = Key {
-            graph: graph.into(),
+            service: service.clone(),
             faults: norm.into(),
         };
 
-        let (role, batch, start, _slot) = {
-            let mut keys = self.keys();
-            let entry = keys.entry(key.clone()).or_default();
-            match &entry.pending {
-                Some(open) => {
-                    // Joining appends under the keys lock, so a leader
-                    // that takes the pending batch (also under the keys
-                    // lock) always sees every joined request's pairs.
-                    let open = open.clone();
-                    let mut state = open.state.lock().unwrap_or_else(|e| e.into_inner());
-                    let start = state.pairs.len();
-                    state.pairs.extend_from_slice(pairs);
-                    drop(state);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    (Role::Follower, open, start, None)
-                }
-                None => {
-                    // A new batch needs an open slot; at the cap we shed
-                    // rather than queue.
-                    let Some(slot) = self.try_open_slot() else {
-                        if !entry.executing && entry.pending.is_none() {
-                            keys.remove(&key);
-                        }
-                        drop(keys);
-                        return self.shed();
-                    };
-                    let batch = Arc::new(Batch {
-                        state: Mutex::new(BatchState {
-                            pairs: pairs.to_vec(),
-                            result: None,
-                        }),
-                        done: Condvar::new(),
-                    });
-                    entry.pending = Some(batch.clone());
-                    (Role::Leader, batch, 0, Some(slot))
-                }
-            }
-        };
-
-        let outcome = match role {
-            Role::Follower => {
-                let mut state = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(out) = state.result.clone() {
-                        break out;
-                    }
-                    match deadline {
-                        None => {
-                            state = batch.done.wait(state).unwrap_or_else(|e| e.into_inner());
-                        }
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
-                                // Abandon the wait; the batch may still
-                                // execute with our pairs, but nobody is
-                                // listening for these answers.
-                                drop(state);
-                                return self.shed();
-                            }
-                            state = batch
-                                .done
-                                .wait_timeout(state, d - now)
-                                .unwrap_or_else(|e| e.into_inner())
-                                .0;
-                        }
-                    }
-                }
-            }
-            Role::Leader => self.lead(&key, &batch, deadline, &query),
-        };
-
-        match outcome {
-            Outcome::Done(all) => Ok(all[start..start + pairs.len()].to_vec()),
-            Outcome::Shed => self.shed(),
-            // The batch failed (or its leader panicked) as a whole;
-            // retry alone so this request gets exactly its solo outcome
-            // (success or *its own* error).
-            Outcome::Failed | Outcome::Poisoned => Ok(query(&key.faults, pairs)?),
+        let mut building = self.building();
+        if let Some(batch) = building.get(&key).cloned() {
+            drop(building);
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            return match batch.wait(deadline) {
+                None => self.shed(),
+                Some(Outcome::Ready(session)) => Ok(session),
+                Some(Outcome::Failed(e)) => Err(e.into()),
+                Some(Outcome::Poisoned) => Ok(Arc::new(build(&key.faults)?)),
+            };
         }
-    }
-
-    /// Leader duty: wait for the key's turn, close the batch, execute it
-    /// once, publish the outcome, pass the turn on. Publication happens
-    /// on **every** exit path — normal, error, deadline shed, and panic
-    /// (the unwind is caught, the batch poisoned, then resumed) — so a
-    /// waiter can never hang on a batch whose leader is gone.
-    fn lead<F>(
-        &self,
-        key: &Key,
-        batch: &Arc<Batch>,
-        deadline: Option<Instant>,
-        query: &F,
-    ) -> Outcome
-    where
-        F: Fn(&[(usize, usize)], &[(usize, usize)]) -> Result<Vec<bool>, ServeError>,
-    {
-        {
-            let mut keys = self.keys();
-            while keys.get(key).is_some_and(|e| e.executing) {
-                match deadline {
-                    None => {
-                        keys = self.turn.wait(keys).unwrap_or_else(|e| e.into_inner());
-                    }
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            // Shed the whole batch: it never executed,
-                            // so every member may safely retry.
-                            if let Some(entry) = keys.get_mut(key) {
-                                if entry
-                                    .pending
-                                    .as_ref()
-                                    .is_some_and(|p| Arc::ptr_eq(p, batch))
-                                {
-                                    entry.pending = None;
-                                }
-                                if !entry.executing && entry.pending.is_none() {
-                                    keys.remove(key);
-                                }
-                            }
-                            drop(keys);
-                            self.publish(batch, Outcome::Shed);
-                            return Outcome::Shed;
-                        }
-                        keys = self
-                            .turn
-                            .wait_timeout(keys, d - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
-            let entry = keys.get_mut(key).expect("leader's key entry");
-            entry.executing = true;
-            entry.pending = None; // later arrivals open the next batch
-        }
-
-        // Sole owner of the closed batch's pairs now: joins happened
-        // under the keys lock, which we held while clearing `pending`.
-        let batch_pairs = {
-            let mut state = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut state.pairs)
+        let Some(_slot) = self.try_open_slot() else {
+            drop(building);
+            return self.shed();
         };
+        let batch = Arc::new(Batch::default());
+        building.insert(key.clone(), batch.clone());
+        drop(building);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| query(&key.faults, &batch_pairs)));
 
-        let outcome = match result {
-            Ok(Ok(answers)) => Outcome::Done(answers.into()),
-            Ok(Err(_)) => Outcome::Failed,
+        // Publication happens on every exit path — the panic's too (the
+        // unwind is caught, the batch poisoned, then resumed) — so no
+        // waiter can hang on a build whose leader is gone.
+        let built = panic::catch_unwind(AssertUnwindSafe(|| build(&key.faults)));
+        self.building().remove(&key);
+        match built {
+            Ok(Ok(session)) => {
+                let session = Arc::new(session);
+                batch.publish(Outcome::Ready(session.clone()));
+                Ok(session)
+            }
+            Ok(Err(e)) => {
+                batch.publish(Outcome::Failed(e.clone()));
+                Err(e.into())
+            }
             Err(payload) => {
-                self.publish(batch, Outcome::Poisoned);
-                self.finish_key(key);
+                batch.publish(Outcome::Poisoned);
                 panic::resume_unwind(payload);
             }
-        };
-        self.publish(batch, outcome.clone());
-        self.finish_key(key);
-        outcome
-    }
-
-    fn publish(&self, batch: &Batch, outcome: Outcome) {
-        let mut state = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.result = Some(outcome);
-        batch.done.notify_all();
-    }
-
-    fn finish_key(&self, key: &Key) {
-        let mut keys = self.keys();
-        if let Some(entry) = keys.get_mut(key) {
-            entry.executing = false;
-            if entry.pending.is_none() {
-                keys.remove(key); // don't let dead keys grow the map
-            }
         }
-        self.turn.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_core::{FtcScheme, Params};
+    use ftc_core::{FtcScheme, Params, QueryError};
     use ftc_graph::Graph;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Barrier;
     use std::time::Duration;
 
     fn service() -> ConnectivityService {
@@ -486,21 +354,47 @@ mod tests {
         ConnectivityService::from_labels(scheme.into_labels())
     }
 
+    /// Answers `pairs` from a coalesced session, as the server does.
+    fn answer(
+        co: &Coalescer,
+        svc: &ConnectivityService,
+        faults: &[(usize, usize)],
+        pairs: &[(usize, usize)],
+    ) -> Result<Vec<bool>, SubmitError> {
+        let mut out = Vec::new();
+        svc.answer(
+            faults.iter().copied(),
+            pairs.iter().copied(),
+            || co.session(svc, faults.iter().copied(), None),
+            |cert| out.push(cert.is_some()),
+        )?;
+        Ok(out)
+    }
+
+    /// Spins until `co` has counted `joined` joiners.
+    fn wait_for_joiners(co: &Coalescer, joined: u64) {
+        while co.stats().coalesced < joined {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn solo_submissions_match_direct_queries() {
         let svc = service();
         let co = Coalescer::new();
         let faults = [(0usize, 1usize), (4, 0)];
         let pairs = [(0usize, 7usize), (3, 3), (1, 11)];
-        let got = co.submit(&svc, "g", &faults, &pairs).unwrap();
+        let got = answer(&co, &svc, &faults, &pairs).unwrap();
         let want = svc.query(&faults, &pairs).unwrap().into_vec();
         assert_eq!(got, want);
         let stats = co.stats();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.coalesced, 0);
-        assert_eq!(stats.pairs, pairs.len() as u64);
         assert_eq!(stats.shed, 0);
+        // The published session went back to the pool with its last
+        // holder; the key is free for the next build.
+        assert!(co.building().is_empty());
     }
 
     #[test]
@@ -508,12 +402,25 @@ mod tests {
         let svc = service();
         let co = Coalescer::new();
         // Reversed endpoints and duplicated faults answer like the
-        // normalized set.
-        let got = co
-            .submit(&svc, "g", &[(1, 0), (0, 1), (0, 4)], &[(0, 7)])
-            .unwrap();
+        // normalized set, and join a build of it.
+        let got = answer(&co, &svc, &[(1, 0), (0, 1), (0, 4)], &[(0, 7)]).unwrap();
         let want = svc.query(&[(0, 1), (0, 4)], &[(0, 7)]).unwrap().into_vec();
         assert_eq!(got, want);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                co.session_with(&svc, [(0, 4), (0, 1)], None, |f| {
+                    assert_eq!(f, [(0, 1), (0, 4)]);
+                    wait_for_joiners(&co, 1);
+                    svc.session(f.iter().copied())
+                })
+            });
+            while co.building().is_empty() {
+                std::thread::yield_now();
+            }
+            let joined = co.session(&svc, [(4, 0), (1, 0), (4, 0)], None).unwrap();
+            let led = leader.join().unwrap().unwrap();
+            assert!(Arc::ptr_eq(&joined, &led));
+        });
     }
 
     #[test]
@@ -521,201 +428,163 @@ mod tests {
         let svc = service();
         let co = Coalescer::new();
         assert_eq!(
-            co.submit(&svc, "g", &[(0, 99)], &[(0, 1)]).unwrap_err(),
+            answer(&co, &svc, &[(0, 99)], &[(0, 1)]).unwrap_err(),
             SubmitError::Serve(ServeError::UnknownEdge { u: 0, v: 99 })
         );
-        // Over-budget faults with an all-trivial request still succeed
-        // (the solo-semantics contract the fallback preserves).
-        let got = co
-            .submit(&svc, "g", &[(0, 1), (1, 2), (2, 3)], &[(5, 5)])
-            .unwrap();
+        // Over-budget faults with an all-trivial request never ask for a
+        // session, so they still succeed.
+        let got = answer(&co, &svc, &[(0, 1), (1, 2), (2, 3)], &[(5, 5)]).unwrap();
         assert_eq!(got, vec![true]);
+        assert_eq!(
+            answer(&co, &svc, &[(0, 1), (1, 2), (2, 3)], &[(0, 5)]).unwrap_err(),
+            SubmitError::Serve(ServeError::Query(QueryError::TooManyFaults {
+                supplied: 3,
+                budget: 2
+            }))
+        );
+        // Only the request that needed the decoder asked.
+        assert_eq!(co.stats().requests, 1);
     }
 
     #[test]
     fn concurrent_submissions_coalesce_and_answer_correctly() {
         let svc = service();
         let co = Coalescer::new();
-        let threads = 8;
-        let rounds = 20;
-        let barrier = Barrier::new(threads);
+        let threads = 8usize;
         let faults = [(0usize, 1usize), (0, 4)];
+        let pairs_of =
+            |w: usize| -> Vec<(usize, usize)> { (0..4).map(|i| (w, (w + i + 1) % 12)).collect() };
         let want: Vec<Vec<bool>> = (0..threads)
-            .map(|w| {
-                let pairs: Vec<(usize, usize)> = (0..4).map(|i| (w, (w + i + 1) % 12)).collect();
-                svc.query(&faults, &pairs).unwrap().into_vec()
-            })
+            .map(|w| svc.query(&faults, &pairs_of(w)).unwrap().into_vec())
             .collect();
         std::thread::scope(|s| {
-            for w in 0..threads {
-                let (co, svc, barrier, want) = (&co, &svc, &barrier, &want);
-                s.spawn(move || {
-                    let pairs: Vec<(usize, usize)> =
-                        (0..4).map(|i| (w, (w + i + 1) % 12)).collect();
-                    for _ in 0..rounds {
-                        barrier.wait();
-                        let got = co.submit(svc, "g", &faults, &pairs).unwrap();
-                        assert_eq!(&got, &want[w]);
-                    }
-                });
+            // The leader's build is held until every other thread has
+            // joined it, so all of them answer from one session.
+            let leader = s.spawn(|| {
+                let mut out = Vec::new();
+                svc.answer(
+                    faults,
+                    pairs_of(0).into_iter(),
+                    || {
+                        co.session_with(&svc, faults, None, |f| {
+                            wait_for_joiners(&co, threads as u64 - 1);
+                            svc.session(f.iter().copied())
+                        })
+                    },
+                    |cert| out.push(cert.is_some()),
+                )
+                .map(|()| out)
+            });
+            while co.building().is_empty() {
+                std::thread::yield_now();
+            }
+            let joiners: Vec<_> = (1..threads)
+                .map(|w| {
+                    let (co, svc) = (&co, &svc);
+                    s.spawn(move || answer(co, svc, &faults, &pairs_of(w)).unwrap())
+                })
+                .collect();
+            assert_eq!(leader.join().unwrap().unwrap(), want[0]);
+            for (w, joiner) in joiners.into_iter().enumerate() {
+                assert_eq!(joiner.join().unwrap(), want[w + 1]);
             }
         });
         let stats = co.stats();
-        assert_eq!(stats.requests, (threads * rounds) as u64);
-        // Group commit must have merged at least some simultaneous
-        // submissions — with 8 threads released by a barrier every
-        // round, strictly fewer batches than requests is guaranteed
-        // unless every single submission serialized perfectly (which
-        // the barrier makes practically impossible over 20 rounds; if
-        // this ever flakes, the coalescer is broken, not the test).
-        assert!(
-            stats.batches + stats.coalesced == stats.requests,
-            "every request is either a leader or coalesced"
-        );
-        assert!(stats.coalesced > 0, "no coalescing happened: {stats:?}");
+        assert_eq!(stats.requests, threads as u64);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.coalesced, threads as u64 - 1);
+        assert!(co.building().is_empty());
     }
 
-    /// Satellite: a leader that panics while executing must release the
-    /// key so queued leaders take their turn instead of hanging forever.
+    /// A leader that panics mid-build releases its key: the next request
+    /// for the same fault set leads a fresh build instead of hanging.
     #[test]
     fn executing_leader_panic_releases_queued_batches() {
         let svc = service();
         let co = Coalescer::new();
-        let panic_armed = AtomicBool::new(true);
         let faults = [(0usize, 1usize)];
         let want = svc.query(&faults, &[(0, 7)]).unwrap().into_vec();
-
-        std::thread::scope(|s| {
-            let leader = s.spawn(|| {
-                // This submission leads the first batch; its query waits
-                // until a second batch is queued behind it, then dies.
-                co.submit_with(
-                    "g",
-                    &faults,
-                    &[(0, 7)],
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                co.session_with(
+                    &svc,
+                    faults,
                     None,
-                    |_, _| -> Result<Vec<bool>, ServeError> {
-                        while co.stats().coalesced < 1 {
-                            std::thread::yield_now();
-                        }
-                        panic!("injected leader failure");
-                    },
+                    |_| -> Result<PooledSession, ServeError> { panic!("injected leader failure") },
                 )
-            });
-            // Wait until the leader is executing (its query is live and
-            // spinning), then queue a second batch behind it.
-            while co.stats().batches < 1 {
-                std::thread::yield_now();
-            }
-            let queued: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        co.submit_with("g", &faults, &[(0, 7)], None, |f, p| {
-                            svc.query(f, p).map(|a| a.into_vec())
-                        })
-                    })
-                })
-                .collect();
-            let _ = panic_armed; // leader panics exactly once by design
-            for t in queued {
-                // Neither queued submission may hang or inherit the
-                // panic; both answer correctly once the key is released.
-                assert_eq!(t.join().expect("no inherited panic").unwrap(), want);
-            }
-            assert!(leader.join().is_err(), "leader must re-raise its panic");
+            })
+            .join()
         });
+        assert!(died.is_err(), "leader must re-raise its panic");
+        assert!(co.building().is_empty(), "the dead build released its key");
+        assert_eq!(answer(&co, &svc, &faults, &[(0, 7)]).unwrap(), want);
+        assert_eq!(co.stats().batches, 2);
     }
 
-    /// Satellite: followers of the panicked batch itself fall back to
-    /// solo queries via the poisoned outcome instead of hanging.
+    /// Joiners of a build whose leader panics neither hang nor inherit
+    /// the panic: each builds its own session and answers correctly.
     #[test]
     fn poisoned_batch_waiters_fall_back_to_solo_queries() {
         let svc = service();
         let co = Coalescer::new();
         let faults = [(0usize, 1usize)];
         let want = svc.query(&faults, &[(3, 9)]).unwrap().into_vec();
-        // Arms exactly one panic: whichever of the two queued
-        // submissions ends up leading their shared batch dies; the
-        // other observes Poisoned and recovers solo.
-        let panic_once = AtomicBool::new(false);
-
         std::thread::scope(|s| {
-            let gate_open = s.spawn(|| {
-                co.submit_with(
-                    "g",
-                    &faults,
-                    &[(0, 7)],
+            let leader = s.spawn(|| {
+                co.session_with(
+                    &svc,
+                    faults,
                     None,
-                    |f, p| -> Result<Vec<bool>, ServeError> {
-                        // Hold the key until both newcomers are queued on
-                        // the pending batch (leader + one coalesced).
-                        while co.stats().coalesced < 1 {
-                            std::thread::yield_now();
-                        }
-                        panic_once.store(true, Ordering::SeqCst);
-                        svc.query(f, p).map(|a| a.into_vec())
+                    |_| -> Result<PooledSession, ServeError> {
+                        wait_for_joiners(&co, 2);
+                        panic!("injected batch-leader failure");
                     },
                 )
             });
-            while co.stats().batches < 1 {
+            while co.building().is_empty() {
                 std::thread::yield_now();
             }
-            let contenders: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        co.submit_with("g", &faults, &[(3, 9)], None, |f, p| {
-                            if panic_once.swap(false, Ordering::SeqCst) {
-                                panic!("injected batch-leader failure");
-                            }
-                            svc.query(f, p).map(|a| a.into_vec())
-                        })
-                    })
-                })
+            let joiners: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| answer(&co, &svc, &faults, &[(3, 9)])))
                 .collect();
-            assert!(gate_open.join().expect("gate leader ok").is_ok());
-            let results: Vec<_> = contenders.into_iter().map(|t| t.join()).collect();
-            let panicked = results.iter().filter(|r| r.is_err()).count();
-            assert_eq!(panicked, 1, "exactly one contender leads and panics");
-            for r in results.into_iter().flatten() {
-                assert_eq!(r.unwrap(), want, "survivor recovers via solo retry");
+            assert!(leader.join().is_err(), "leader must re-raise its panic");
+            for joiner in joiners {
+                let got = joiner.join().expect("no inherited panic");
+                assert_eq!(got.unwrap(), want, "a waiter recovers with its own build");
             }
         });
+        let stats = co.stats();
+        assert_eq!((stats.batches, stats.coalesced), (1, 2));
     }
 
     #[test]
     fn inflight_cap_sheds_new_batches() {
         let svc = service();
         let co = Coalescer::with_max_inflight(1);
-        let release = AtomicBool::new(false);
+        let release = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             let slow = s.spawn(|| {
-                co.submit_with(
-                    "g",
-                    &[(0usize, 1usize)],
-                    &[(0, 7)],
-                    None,
-                    |f, p| -> Result<Vec<bool>, ServeError> {
-                        while !release.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                        svc.query(f, p).map(|a| a.into_vec())
-                    },
-                )
+                co.session_with(&svc, [(0, 1)], None, |f| {
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    svc.session(f.iter().copied())
+                })
             });
             while co.stats().batches < 1 {
                 std::thread::yield_now();
             }
-            // A different key needs a new batch: over the cap, shed.
+            // A different key needs a new build: over the cap, shed.
             assert_eq!(
-                co.submit(&svc, "g", &[(0, 4)], &[(1, 2)]).unwrap_err(),
+                answer(&co, &svc, &[(0, 4)], &[(1, 2)]).unwrap_err(),
                 SubmitError::Overloaded
             );
             assert_eq!(co.stats().shed, 1);
             release.store(true, Ordering::SeqCst);
             assert!(slow.join().unwrap().is_ok());
         });
-        // Capacity freed: the same submission now succeeds.
-        assert!(co.submit(&svc, "g", &[(0, 4)], &[(1, 2)]).is_ok());
+        // Capacity freed: the same request now succeeds.
+        assert!(answer(&co, &svc, &[(0, 4)], &[(1, 2)]).is_ok());
     }
 
     #[test]
@@ -725,41 +594,85 @@ mod tests {
         // Already-expired deadline: shed before any work.
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
-            co.submit_deadline(&svc, "g", &[(0, 1)], &[(0, 7)], Some(past))
-                .unwrap_err(),
+            co.session(&svc, [(0, 1)], Some(past)).unwrap_err(),
             SubmitError::Overloaded
         );
 
-        // A queued leader whose deadline passes while another batch
-        // executes sheds its whole batch instead of waiting forever.
-        let release = AtomicBool::new(false);
+        // A joiner whose deadline passes while the session builds is
+        // shed; the leader still answers.
+        let release = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             let slow = s.spawn(|| {
-                co.submit_with(
-                    "g",
-                    &[(0usize, 1usize)],
-                    &[(0, 7)],
-                    None,
-                    |f, p| -> Result<Vec<bool>, ServeError> {
-                        while !release.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                        svc.query(f, p).map(|a| a.into_vec())
+                let mut out = Vec::new();
+                svc.answer(
+                    [(0, 1)],
+                    [(0, 7)].into_iter(),
+                    || {
+                        co.session_with(&svc, [(0, 1)], None, |f| {
+                            while !release.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            svc.session(f.iter().copied())
+                        })
                     },
+                    |cert| out.push(cert.is_some()),
                 )
+                .map(|()| out)
             });
-            while co.stats().batches < 1 {
+            while co.building().is_empty() {
                 std::thread::yield_now();
             }
             let deadline = Instant::now() + Duration::from_millis(40);
             assert_eq!(
-                co.submit_deadline(&svc, "g", &[(0, 1)], &[(3, 9)], Some(deadline))
-                    .unwrap_err(),
+                co.session(&svc, [(1, 0)], Some(deadline)).unwrap_err(),
                 SubmitError::Overloaded
             );
             release.store(true, Ordering::SeqCst);
-            assert!(slow.join().unwrap().is_ok());
+            let want = svc.query(&[(0, 1)], &[(0, 7)]).unwrap().into_vec();
+            assert_eq!(slow.join().unwrap().unwrap(), want);
         });
-        assert_eq!(co.stats().shed, 2);
+        let stats = co.stats();
+        assert_eq!((stats.shed, stats.coalesced, stats.batches), (2, 1, 1));
+    }
+
+    /// The key holds the service instance: a request on a swapped-in
+    /// service never joins a build over the old one, and every session
+    /// answers through the archive it was built from.
+    #[test]
+    fn swapped_in_services_never_join_old_builds() {
+        let old = service();
+        let new = service();
+        let co = Coalescer::new();
+        let release = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| {
+                co.session_with(&old, [(0, 1)], None, |f| {
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    old.session(f.iter().copied())
+                })
+            });
+            while co.building().is_empty() {
+                std::thread::yield_now();
+            }
+            // Same fault set, swapped-in service: a build of its own,
+            // not a join onto the one still running over `old`.
+            let fresh = co.session(&new, [(0, 1)], None).unwrap();
+            assert!(fresh.service().is_same(&new));
+            assert_eq!((co.stats().batches, co.stats().coalesced), (2, 0));
+            release.store(true, Ordering::SeqCst);
+            let stale = slow.join().unwrap().unwrap();
+            assert!(stale.service().is_same(&old));
+            assert!(!stale.service().is_same(&new));
+        });
+    }
+
+    /// A session answers only for the service that built it.
+    #[test]
+    #[should_panic(expected = "only for the service that built it")]
+    fn sessions_of_another_service_are_refused() {
+        let (old, new) = (service(), service());
+        let _ = new.answer([], [(0, 7)].into_iter(), || old.session([]), |_| ());
     }
 }

@@ -9,18 +9,19 @@
 //!   code. Parsing is zero-copy over the raw frame bytes (the request
 //!   view borrows the payload, pairs iterate lazily), in the spirit of
 //!   `ftc-core`'s `LabelStore`.
-//! - [`coalesce`] — cross-connection request coalescing. Building a
-//!   query session costs hundreds of microseconds while each per-pair
-//!   query costs one or two, so concurrent requests that share a fault
-//!   set are grouped and answered from one pooled session: the first
-//!   request for an idle fault set executes immediately, and everyone
-//!   who arrives while it runs is batched behind it (group commit — no
-//!   timer, no added latency when idle, batches grow with load).
+//! - [`coalesce`] — cross-connection session sharing. Building a query
+//!   session costs tens to hundreds of microseconds while each pair
+//!   costs tens of nanoseconds, so concurrent requests on one service
+//!   with the same fault set share one pooled session: the first
+//!   request for a fault set builds it at once, everyone who arrives
+//!   while it builds waits for it, and each then answers its own pairs
+//!   (no timer, no added latency when idle).
 //! - [`server`] — a dependency-free blocking server over `std::net`:
-//!   nonblocking accept loop, one handler thread per connection, graceful
-//!   SIGINT/SIGTERM shutdown that drains in-flight frames and coalesced
-//!   batches. Malformed payloads are answered with typed error frames
-//!   without desyncing the stream; only framing violations close a
+//!   nonblocking accept loop, one handler thread per connection that
+//!   answers each request straight from its frame into its response,
+//!   graceful SIGINT/SIGTERM shutdown that drains in-flight frames.
+//!   Malformed payloads are answered with typed error frames without
+//!   desyncing the stream; only framing violations close a
 //!   connection.
 //! - [`client`] — a blocking client with pipelined request IDs, plus
 //!   the [`text`] query-line grammar shared with `ftc-cli serve` and

@@ -103,7 +103,7 @@ pub enum ErrorCode {
     /// touch while serving the request.
     ArchiveCorrupt = 8,
     /// The server shed this request (or the whole connection) because it
-    /// is at its connection, batch, or deadline limit. Retryable.
+    /// is at its connection, session-build, or deadline limit. Retryable.
     Overloaded = 9,
 }
 
@@ -586,29 +586,56 @@ pub fn encode_response_ok(
     answers: &[bool],
     certificates: Option<&[Option<WireCertificate>]>,
 ) -> Result<(), EncodeError> {
+    let start = begin_response_ok(out, request_id, answers.len(), certificates.is_some());
+    out.extend(answers.iter().map(|&a| u8::from(a)));
+    if let Some(certs) = certificates {
+        debug_assert_eq!(certs.len(), answers.len());
+        for (cert, &answer) in certs.iter().zip(answers) {
+            if answer {
+                push_certificate(out, cert.as_deref().unwrap_or(&[]));
+            }
+        }
+    }
+    finish_response_ok(out, start)
+}
+
+/// Opens an OK frame of `count` answers in `out` and returns its start
+/// for [`finish_response_ok`]. The caller appends one byte per answer
+/// (`1` = connected), then, with `certificates`, one [`push_certificate`]
+/// per connected pair.
+pub fn begin_response_ok(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    count: usize,
+    certificates: bool,
+) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(&RESPONSE_MAGIC);
     out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     out.push(0); // status OK
-    out.push(u8::from(certificates.is_some()) | RESPONSE_FLAG_CHECKSUM);
+    out.push(u8::from(certificates) | RESPONSE_FLAG_CHECKSUM);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-    out.extend(answers.iter().map(|&a| u8::from(a)));
-    if let Some(certs) = certificates {
-        debug_assert_eq!(certs.len(), answers.len());
-        for (cert, &answer) in certs.iter().zip(answers) {
-            if !answer {
-                continue;
-            }
-            let cert = cert.as_deref().unwrap_or(&[]);
-            out.extend_from_slice(&(cert.len() as u32).to_le_bytes());
-            for &(a, b) in cert {
-                out.extend_from_slice(&a.to_le_bytes());
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    start
+}
+
+/// Appends one connected pair's merge certificate to an OK frame body.
+pub fn push_certificate(out: &mut Vec<u8>, cert: &[(u32, u32)]) {
+    out.extend_from_slice(&(cert.len() as u32).to_le_bytes());
+    for &(a, b) in cert {
+        out.extend_from_slice(&a.to_le_bytes());
+        out.extend_from_slice(&b.to_le_bytes());
     }
+}
+
+/// Seals the OK frame [`begin_response_ok`] opened at `start`.
+///
+/// # Errors
+///
+/// [`EncodeError::FrameTooLarge`] over the frame cap (`out` is cut back
+/// to `start`).
+pub fn finish_response_ok(out: &mut Vec<u8>, start: usize) -> Result<(), EncodeError> {
     push_checksum(out, start + 4);
     seal_frame(out, start)
 }

@@ -1,6 +1,6 @@
 //! The TCP serving loop: nonblocking accept, one handler thread per
 //! connection, request routing through a [`ServiceRegistry`], and
-//! cross-connection coalescing through the [`Coalescer`].
+//! session sharing across connections through the [`Coalescer`].
 //!
 //! There is no async runtime in the dependency tree (and none is
 //! needed): the session hot path is CPU-bound, so the server runs a
@@ -9,8 +9,16 @@
 //! [`ServerConfig::read_poll`] to observe the shutdown flag. Graceful
 //! shutdown ([`ServerHandle::shutdown`], wired to SIGINT/SIGTERM by
 //! [`install_signal_shutdown`]) stops accepting, lets every in-flight
-//! frame — including its coalesced batch — finish and flush its
-//! response, then joins all handlers before [`Server::run`] returns.
+//! frame finish and flush its response, then joins all handlers before
+//! [`Server::run`] returns.
+//!
+//! Every request, plain or certified, runs the service's one answer pass
+//! ([`ftc_serve::ConnectivityService::answer`]) over its frame's pairs,
+//! appending answers to a response frame opened in the write buffer
+//! (cut back to the frame start on an error). Its session comes from the
+//! coalescer, shared with the requests in flight on the same service and
+//! fault set. Errors follow the service's order: unknown fault, then the
+//! first out-of-range vertex in pair order, then the decoder.
 
 use crate::coalesce::{CoalesceStats, Coalescer, SubmitError};
 use crate::histogram::LatencyHistogram;
@@ -28,12 +36,12 @@ pub struct ServerConfig {
     /// Cap on simultaneously served connections; excess accepts are
     /// answered with a best-effort `Overloaded` frame and closed.
     pub max_connections: usize,
-    /// Cap on simultaneously open coalescer batches; at the cap, new
-    /// batches are shed with `Overloaded` instead of queueing (`0` =
-    /// unbounded).
+    /// Cap on simultaneously running session builds in the coalescer;
+    /// at the cap, a request that would start another is shed with
+    /// `Overloaded` instead of queueing (`0` = unbounded).
     pub max_inflight_batches: usize,
     /// Per-request deadline, measured from frame receipt: a request
-    /// still queued in the coalescer when it expires is shed with
+    /// still waiting for its session when it expires is shed with
     /// `Overloaded` (`None` = no deadline).
     pub request_deadline: Option<Duration>,
     /// How long a blocked read waits before re-checking the shutdown
@@ -65,6 +73,8 @@ pub struct ServerStats {
     pub shed_connections: u64,
     /// Handler threads currently serving a connection.
     pub active: u64,
+    /// Pairs answered (in requests answered successfully).
+    pub pairs: u64,
 }
 
 struct Shared {
@@ -74,6 +84,7 @@ struct Shared {
     accepted: AtomicU64,
     shed_connections: AtomicU64,
     active: AtomicU64,
+    pairs: AtomicU64,
     /// Service latency (frame receipt to answer encoded) of requests
     /// answered successfully — shed and failed requests are excluded,
     /// so this is exactly the "accepted" latency overload reports need.
@@ -115,19 +126,20 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::Acquire)
     }
 
-    /// The coalescer's lifetime counters (requests, coalesced, batches
-    /// = sessions built, pairs answered, requests shed).
+    /// The coalescer's lifetime counters (requests that asked for a
+    /// session, coalesced, batches = sessions built, requests shed).
     pub fn stats(&self) -> CoalesceStats {
         self.shared.coalescer.stats()
     }
 
     /// The server's connection-level counters (accepted / shed at
-    /// accept / currently active).
+    /// accept / currently active) and the pairs it answered.
     pub fn server_stats(&self) -> ServerStats {
         ServerStats {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
             shed_connections: self.shared.shed_connections.load(Ordering::Relaxed),
             active: self.shared.active.load(Ordering::Relaxed),
+            pairs: self.shared.pairs.load(Ordering::Relaxed),
         }
     }
 
@@ -179,6 +191,7 @@ impl Server {
                 accepted: AtomicU64::new(0),
                 shed_connections: AtomicU64::new(0),
                 active: AtomicU64::new(0),
+                pairs: AtomicU64::new(0),
                 served: Mutex::new(LatencyHistogram::new()),
             }),
             config,
@@ -399,7 +412,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConf
         match reader.next_frame(&mut stream, &shared.shutdown, config) {
             Ok(FrameEvent::Frame) => {
                 // The deadline clock starts at frame receipt: time spent
-                // queued in the coalescer counts against it.
+                // waiting for a shared session counts against it.
                 let deadline = config.request_deadline.map(|d| Instant::now() + d);
                 let keep = process_frame(reader.payload(), shared, &mut wbuf, deadline);
                 // Drain semantics: the in-flight frame was answered;
@@ -435,16 +448,25 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConf
     }
 }
 
-fn serve_error_frame(wbuf: &mut Vec<u8>, request_id: u64, e: &ServeError) {
-    let code = match e {
-        ServeError::UnknownEdge { .. } | ServeError::UnknownEdgeId { .. } => {
+/// The error frame of a failed request to a service of `n` vertices.
+fn error_frame(wbuf: &mut Vec<u8>, request_id: u64, n: usize, e: SubmitError) {
+    let code = match &e {
+        SubmitError::Overloaded => ErrorCode::Overloaded,
+        SubmitError::Serve(ServeError::UnknownEdge { .. } | ServeError::UnknownEdgeId { .. }) => {
             ErrorCode::UnknownFault
         }
-        ServeError::VertexOutOfRange { .. } => ErrorCode::VertexOutOfRange,
-        ServeError::Query(_) => ErrorCode::QueryRejected,
-        ServeError::Corrupt(_) => ErrorCode::ArchiveCorrupt,
+        SubmitError::Serve(ServeError::VertexOutOfRange { .. }) => ErrorCode::VertexOutOfRange,
+        SubmitError::Serve(ServeError::Query(_)) => ErrorCode::QueryRejected,
+        SubmitError::Serve(ServeError::Corrupt(_)) => ErrorCode::ArchiveCorrupt,
     };
-    proto::encode_response_err(wbuf, request_id, code, &e.to_string());
+    let message = match e {
+        SubmitError::Overloaded => "request shed: server overloaded; retry with backoff".into(),
+        SubmitError::Serve(ServeError::VertexOutOfRange { v }) => {
+            format!("vertex {v} out of range (n = {n})")
+        }
+        SubmitError::Serve(e) => e.to_string(),
+    };
+    proto::encode_response_err(wbuf, request_id, code, &message);
 }
 
 /// Parses and answers one frame into `wbuf`; returns whether the
@@ -479,71 +501,47 @@ fn process_frame(
         );
         return true;
     };
-    // Pre-validate pair vertices so a coalesced batch can never fail on
-    // *another* request's bad argument (fault validation stays inside
-    // the service, which checks faults eagerly per batch).
-    let n = service.n();
-    if let Some(v) = req
-        .pairs()
-        .flat_map(|(s, t)| [s, t])
-        .find(|&v| v as usize >= n)
-    {
-        proto::encode_response_err(
-            wbuf,
-            id,
-            ErrorCode::VertexOutOfRange,
-            &format!("vertex {v} out of range (n = {n})"),
-        );
-        return true;
-    }
-    let faults: Vec<(usize, usize)> = req
-        .faults()
-        .map(|(u, v)| (u as usize, v as usize))
-        .collect();
-    let pairs: Vec<(usize, usize)> = req.pairs().map(|(s, t)| (s as usize, t as usize)).collect();
-
-    if req.want_certificates() {
-        // The certificate path bypasses coalescing (it is the debug /
-        // verification surface; answers stay per-request).
-        match service.query_certified(&faults, &pairs) {
-            Ok(certs) => {
-                let answers: Vec<bool> = certs.iter().map(|c| c.is_some()).collect();
-                shared.record_served(started);
-                if proto::encode_response_ok(wbuf, id, &answers, Some(&certs)).is_err() {
-                    // Certificates blew the frame cap; the answers alone
-                    // (one byte per requested pair) always fit.
-                    proto::encode_response_err(
-                        wbuf,
-                        id,
-                        ErrorCode::QueryRejected,
-                        proto::MSG_RETRY_WITHOUT_CERTIFICATES,
-                    );
-                }
+    let widen = |(a, b): (u32, u32)| (a as usize, b as usize);
+    let want_certificates = req.want_certificates();
+    let start = proto::begin_response_ok(wbuf, id, req.pair_count(), want_certificates);
+    let mut certs = Vec::new();
+    let answered = service.answer(
+        req.faults().map(widen),
+        req.pairs().map(widen),
+        || {
+            shared
+                .coalescer
+                .session(&service, req.faults().map(widen), deadline)
+        },
+        |cert| {
+            wbuf.push(u8::from(cert.is_some()));
+            if let (true, Some(cert)) = (want_certificates, cert) {
+                proto::push_certificate(&mut certs, cert);
             }
-            Err(e) => serve_error_frame(wbuf, id, &e),
+        },
+    );
+    match answered {
+        Ok(()) => {
+            wbuf.extend_from_slice(&certs);
+            if proto::finish_response_ok(wbuf, start).is_ok() {
+                shared.record_served(started);
+                let pairs = req.pair_count() as u64;
+                shared.pairs.fetch_add(pairs, Ordering::Relaxed);
+            } else {
+                // Only certificates can blow the frame cap: the answers
+                // alone (one byte per requested pair) always fit.
+                proto::encode_response_err(
+                    wbuf,
+                    id,
+                    ErrorCode::QueryRejected,
+                    proto::MSG_RETRY_WITHOUT_CERTIFICATES,
+                );
+            }
         }
-        return true;
-    }
-    match shared
-        .coalescer
-        .submit_deadline(&service, req.graph(), &faults, &pairs, deadline)
-    {
-        Ok(answers) => {
-            // One answer byte per requested pair: strictly smaller than
-            // the request frame that carried the pairs.
-            shared.record_served(started);
-            proto::encode_response_ok(wbuf, id, &answers, None)
-                .expect("plain response within frame cap");
+        Err(e) => {
+            wbuf.truncate(start);
+            error_frame(wbuf, id, service.n(), e);
         }
-        Err(SubmitError::Overloaded) => {
-            proto::encode_response_err(
-                wbuf,
-                id,
-                ErrorCode::Overloaded,
-                "request shed: server overloaded; retry with backoff",
-            );
-        }
-        Err(SubmitError::Serve(e)) => serve_error_frame(wbuf, id, &e),
     }
     true
 }
@@ -621,6 +619,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::proto::ResponseBody;
     use ftc_core::{FtcScheme, Params};
     use ftc_graph::Graph;
     use ftc_serve::ConnectivityService;
@@ -654,9 +653,8 @@ mod tests {
             .query("torus", &[(0, 1), (0, 4)], &[(0, 10), (3, 3)])
             .unwrap();
         assert_eq!(answers, vec![true, true]);
-        let stats = handle.stats();
-        assert_eq!(stats.requests, 1);
-        assert_eq!(stats.pairs, 2);
+        assert_eq!(handle.stats().requests, 1);
+        assert_eq!(handle.server_stats().pairs, 2);
         handle.shutdown();
         join.join().unwrap().unwrap();
         // A fresh connection after shutdown cannot complete a query.
@@ -665,6 +663,74 @@ mod tests {
                 .query("torus", &[], &[(0, 1)])
                 .map_err(|_| std::io::Error::other("refused")))
             .is_err());
+    }
+
+    /// A certified and a plain request with one fault set answer from
+    /// one shared session, each straight from its own frame. The build
+    /// they join is held until both have joined, so the sharing does not
+    /// depend on scheduling.
+    #[test]
+    fn certified_and_plain_requests_share_one_session() {
+        let scheme = FtcScheme::build(&Graph::torus(3, 4), &Params::deterministic(2)).unwrap();
+        let svc = ConnectivityService::from_labels(scheme.into_labels());
+        let registry = Arc::new(ServiceRegistry::new());
+        registry.insert("torus", svc.clone());
+        let server = Server::bind(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = &*server.shared;
+        let faults = [(0usize, 1usize), (0, 4)];
+        let pairs = [(0usize, 10usize), (3, 3), (1, 7), (2, 9)];
+        let frame = |flags| {
+            let mut frame = Vec::new();
+            proto::encode_request(&mut frame, 7, "torus", flags, &faults, &pairs).unwrap();
+            frame
+        };
+        let (plain, certified) = (frame(0), frame(proto::FLAG_CERTIFICATES));
+        let answer = |frame: &[u8]| {
+            let mut wbuf = Vec::new();
+            assert!(process_frame(&frame[4..], shared, &mut wbuf, None));
+            proto::decode_response(&wbuf[4..]).unwrap()
+        };
+        let (plain, certified) = std::thread::scope(|s| {
+            let build = s.spawn(|| {
+                shared.coalescer.session_with(&svc, faults, None, |f| {
+                    while shared.coalescer.stats().coalesced < 2 {
+                        std::thread::yield_now();
+                    }
+                    svc.session(f.iter().copied())
+                })
+            });
+            while shared.coalescer.stats().batches < 1 {
+                std::thread::yield_now();
+            }
+            let plain = s.spawn(|| answer(&plain));
+            let certified = s.spawn(|| answer(&certified));
+            let shared_session = build.join().unwrap().unwrap();
+            let (plain, certified) = (plain.join().unwrap(), certified.join().unwrap());
+            // The build's holders are gone; the session's last one was
+            // the stand-in leader.
+            assert_eq!(Arc::strong_count(&shared_session), 1);
+            (plain, certified)
+        });
+        let stats = shared.coalescer.stats();
+        assert_eq!((stats.batches, stats.coalesced, stats.requests), (1, 2, 3));
+
+        let want = svc.query(&faults, &pairs).unwrap().into_vec();
+        let want_certs: Vec<_> = svc.query_certified(&faults, &pairs).unwrap();
+        assert_eq!(
+            plain.body,
+            ResponseBody::Answers {
+                answers: want.clone(),
+                certificates: None
+            }
+        );
+        assert_eq!(
+            certified.body,
+            ResponseBody::Answers {
+                answers: want,
+                certificates: Some(want_certs)
+            }
+        );
+        assert_eq!(shared.pairs.load(Ordering::Relaxed), 2 * pairs.len() as u64);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ftc_core::{
     BuildError, FtcScheme, Params, QueryError, SerialError, SizeReport, VertexLabelRead,
 };
 use ftc_graph::{EdgeId, Graph, RootedTree, VertexId};
-use ftc_serve::{ConnectivityService, ServeError, Served};
+use ftc_serve::{ConnectivityService, PooledSession, ServeError};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -300,7 +300,7 @@ impl ForbiddenSetRouter {
     /// fault-avoiding path (the second half of [`ForbiddenSetRouter::route`]).
     fn expand_route(
         &self,
-        served: Served<'_>,
+        served: &PooledSession,
         s: VertexId,
         t: VertexId,
         faults: &[EdgeId],

@@ -15,7 +15,11 @@
 //!   [`ConnectivityService::query`] answers a batch of pairs under a
 //!   fault set, internally checking a [`ftc_core::SessionScratch`] out
 //!   of a lock-free pool so concurrent callers keep the zero-allocation
-//!   warm session-build path without managing scratches themselves;
+//!   warm session-build path without managing scratches themselves.
+//!   Every query runs one answer pass, [`ConnectivityService::answer`],
+//!   over borrowed pairs, and every session is checked out as a
+//!   [`PooledSession`] lease that several threads may answer from at
+//!   once;
 //! * [`ServiceRegistry`] — string graph IDs to services
 //!   (insert / open-from-path / evict), the multi-tenant surface of one
 //!   serving process.
@@ -48,4 +52,4 @@ pub mod registry;
 pub mod service;
 
 pub use registry::{RegistryError, ServiceRegistry};
-pub use service::{Answers, ConnectivityService, ServeError, Served};
+pub use service::{Answers, ConnectivityService, PooledSession, ServeError};

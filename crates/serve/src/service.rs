@@ -8,7 +8,9 @@ use ftc_core::serial::{VertexLabelView, VertexRecords};
 use ftc_core::store::{EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_core::{
     Certificate, LabelHeader, LabelSet, QueryError, QuerySession, RsVector, SerialError,
+    SessionScratch,
 };
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -165,56 +167,6 @@ fn check_header(archive: &AnyArchive, session: &QuerySession) -> Result<(), Serv
     Ok(())
 }
 
-/// A prepared fault set inside [`ConnectivityService::with_session`] /
-/// [`ConnectivityService::with_session_ids`]: the session plus vertex
-/// resolution against the service's archive.
-#[derive(Clone, Copy, Debug)]
-pub struct Served<'a> {
-    archive: &'a AnyArchive,
-    session: &'a QuerySession,
-}
-
-impl<'a> Served<'a> {
-    /// The prepared [`QuerySession`] (for consumers — like the routing
-    /// layer — that need certificates and the fragment decomposition).
-    pub fn session(&self) -> &'a QuerySession {
-        self.session
-    }
-
-    /// The label of vertex `v`, resolved from the service's archive;
-    /// `Ok(None)` when `v` is out of range.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] if a v2 archive's vertex section fails
-    /// lazy validation.
-    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'a>>, ServeError> {
-        self.archive.vertex(v).map_err(ServeError::Corrupt)
-    }
-
-    /// Answers one s–t query by vertex ID.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::VertexOutOfRange`] on bad IDs, [`ServeError::Query`]
-    /// from the session.
-    pub fn connected(&self, s: usize, t: usize) -> Result<bool, ServeError> {
-        Ok(self.certified(s, t)?.is_some())
-    }
-
-    /// Like [`Served::connected`], but returns the borrowed merge
-    /// certificate when connected.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Served::connected`].
-    pub fn certified(&self, s: usize, t: usize) -> Result<Option<&'a [(u32, u32)]>, ServeError> {
-        let (sa, ta) = pair_anc(self.archive, s, t)?;
-        check_header(self.archive, self.session)?;
-        Ok(self.session.certified_anc(sa, ta))
-    }
-}
-
 /// A shareable, thread-safe connectivity serving handle.
 ///
 /// The service holds exactly one [`AnyArchive`] — the artifact the
@@ -364,8 +316,14 @@ impl ConnectivityService {
         faults: &[(usize, usize)],
         pairs: &[(usize, usize)],
     ) -> Result<Answers, ServeError> {
-        let certs = self.answer(faults, pairs, |cert| cert.is_some())?;
-        Ok(Answers { answers: certs })
+        let mut answers = Vec::with_capacity(pairs.len());
+        self.answer(
+            faults.iter().copied(),
+            pairs.iter().copied(),
+            || self.session(faults.iter().copied()),
+            |cert| answers.push(cert.is_some()),
+        )?;
+        Ok(Answers { answers })
     }
 
     /// Like [`ConnectivityService::query`], but returning the merge
@@ -380,72 +338,115 @@ impl ConnectivityService {
         faults: &[(usize, usize)],
         pairs: &[(usize, usize)],
     ) -> Result<Vec<Option<Certificate>>, ServeError> {
-        self.answer(faults, pairs, |cert| cert.map(<[(u32, u32)]>::to_vec))
+        let mut certs = Vec::with_capacity(pairs.len());
+        self.answer(
+            faults.iter().copied(),
+            pairs.iter().copied(),
+            || self.session(faults.iter().copied()),
+            |cert| certs.push(cert.map(<[(u32, u32)]>::to_vec)),
+        )?;
+        Ok(certs)
     }
 
-    /// Shared implementation of the query entry points, one resolver per
-    /// request: eager fault validation, one range pass over the pairs,
-    /// then one answer pass over the archive's vertex records that
-    /// answers trivial pairs on their own and checks one pooled session
-    /// out at the first pair that needs the decoder. Answers are mapped
-    /// through `extract` straight into the output.
-    fn answer<R>(
+    /// The one answer pass behind every query: eager validation of
+    /// `faults`, one range pass over the borrowed `pairs`, then one pass
+    /// that answers trivial pairs on their own and calls `session` (a
+    /// session of this service for `faults`) at the first pair that
+    /// needs the decoder. Each answer's certificate (`None` =
+    /// disconnected) goes to `extract` in pair order; on an error,
+    /// `extract` may have seen the trivial pairs before it.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ConnectivityService::query`], in its order, plus
+    /// whatever `session` returns.
+    ///
+    /// # Panics
+    ///
+    /// If `session` returns a session of another service.
+    pub fn answer<S, E>(
         &self,
-        faults: &[(usize, usize)],
-        pairs: &[(usize, usize)],
-        mut extract: impl FnMut(Option<&[(u32, u32)]>) -> R,
-    ) -> Result<Vec<R>, ServeError> {
+        faults: impl IntoIterator<Item = (usize, usize)>,
+        pairs: impl Iterator<Item = (usize, usize)> + Clone,
+        session: impl FnOnce() -> Result<S, E>,
+        mut extract: impl FnMut(Option<&[(u32, u32)]>),
+    ) -> Result<(), E>
+    where
+        S: Borrow<PooledSession>,
+        E: From<ServeError>,
+    {
         let archive = &self.inner.archive;
         // The session build would report unknown faults too, but it is
         // skipped when every pair is trivial.
-        for &(u, v) in faults {
+        for (u, v) in faults {
             if archive
                 .edge_id(u, v)
                 .map_err(ServeError::Corrupt)?
                 .is_none()
             {
-                return Err(ServeError::UnknownEdge { u, v });
+                return Err(ServeError::UnknownEdge { u, v }.into());
             }
         }
-        let Some(&(first, _)) = pairs.first() else {
-            return Ok(Vec::new());
+        let Some((first, _)) = pairs.clone().next() else {
+            return Ok(());
         };
         let records = vertex_records(archive, first)?;
         // Range pass, in pair order with `s` before `t`: every range
         // error comes before any session error.
         let n = records.len();
-        if let Some(v) = pairs.iter().flat_map(|&(s, t)| [s, t]).find(|&v| v >= n) {
-            return Err(ServeError::VertexOutOfRange { v });
+        if let Some(v) = pairs.clone().flat_map(|(s, t)| [s, t]).find(|&v| v >= n) {
+            return Err(ServeError::VertexOutOfRange { v }.into());
         }
         let anc = |v: usize| records.anc(v).expect("range-checked above");
-        let mut out = Vec::with_capacity(pairs.len());
         // Trivial pairs answer on their own up to the first pair that
-        // needs the decoder; one pooled session answers that pair and
-        // every later one.
-        let mut rest = pairs;
-        while let Some((&(s, t), tail)) = rest.split_first() {
-            let Some(trivial) = QuerySession::trivial_anc(anc(s), anc(t)) else {
-                break;
+        // needs the decoder.
+        let mut pairs = pairs;
+        let (sa, ta) = loop {
+            let Some((s, t)) = pairs.next() else {
+                return Ok(());
             };
-            out.push(extract(trivial.then_some(&[])));
-            rest = tail;
+            let (sa, ta) = (anc(s), anc(t));
+            match QuerySession::trivial_anc(sa, ta) {
+                Some(trivial) => extract(trivial.then_some(&[])),
+                None => break (sa, ta),
+            }
+        };
+        let pooled = session()?;
+        let pooled = pooled.borrow();
+        assert!(
+            pooled.service.is_same(self),
+            "a session answers only for the service that built it"
+        );
+        check_header(archive, pooled.session())?;
+        let session = pooled.session();
+        extract(session.certified_anc(sa, ta));
+        for (s, t) in pairs {
+            extract(session.certified_anc(anc(s), anc(t)));
         }
-        if !rest.is_empty() {
-            self.with_session(faults, |served| {
-                check_header(archive, served.session)?;
-                let session = served.session;
-                out.extend(
-                    rest.iter()
-                        .map(|&(s, t)| extract(session.certified_anc(anc(s), anc(t)))),
-                );
-                Ok::<(), ServeError>(())
-            })??;
-        }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Whether `other` is a handle on this very service, not merely one
+    /// over equal bytes.
+    pub fn is_same(&self, other: &ConnectivityService) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Checks a session for endpoint-pair `faults` out of the pool.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownEdge`] on unresolvable faults,
+    /// [`ServeError::Query`] on session-construction failures.
+    pub fn session(
+        &self,
+        faults: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<PooledSession, ServeError> {
+        self.checkout(|archive, scratch| archive.session_in(faults, scratch))
     }
 
     /// Prepares a session for endpoint-pair `faults` out of the pool and
-    /// hands it to `f` as a [`Served`] — the lower-level entry point for
+    /// hands it to `f` — the lower-level entry point for
     /// consumers that need the session itself (certificates, fragment
     /// decomposition) while keeping pooled scratch reuse.
     ///
@@ -456,12 +457,9 @@ impl ConnectivityService {
     pub fn with_session<R>(
         &self,
         faults: &[(usize, usize)],
-        f: impl FnOnce(Served<'_>) -> R,
+        f: impl FnOnce(&PooledSession) -> R,
     ) -> Result<R, ServeError> {
-        self.run_session(
-            |archive, scratch| archive.session_in(faults.iter().copied(), scratch),
-            f,
-        )
+        Ok(f(&self.session(faults.iter().copied())?))
     }
 
     /// Like [`ConnectivityService::with_session`], naming faults by
@@ -475,38 +473,103 @@ impl ConnectivityService {
     pub fn with_session_ids<R>(
         &self,
         faults: &[usize],
-        f: impl FnOnce(Served<'_>) -> R,
+        f: impl FnOnce(&PooledSession) -> R,
     ) -> Result<R, ServeError> {
-        self.run_session(
-            |archive, scratch| archive.session_in_by_ids(faults.iter().copied(), scratch),
-            f,
-        )
+        let pooled = self.checkout(|archive, scratch| {
+            archive.session_in_by_ids(faults.iter().copied(), scratch)
+        })?;
+        Ok(f(&pooled))
     }
 
-    fn run_session<R>(
+    /// The one session checkout: `build` prepares a session in a pooled
+    /// scratch.
+    fn checkout(
         &self,
         build: impl FnOnce(
             &AnyArchive,
-            &mut ftc_core::SessionScratch<RsVector>,
+            &mut SessionScratch<RsVector>,
         ) -> Result<QuerySession, StoreError>,
-        f: impl FnOnce(Served<'_>) -> R,
-    ) -> Result<R, ServeError> {
-        let archive = &self.inner.archive;
+    ) -> Result<PooledSession, ServeError> {
         let mut scratch = self.inner.pool.checkout();
-        let session = match build(archive, &mut scratch) {
-            Ok(session) => session,
+        match build(&self.inner.archive, &mut scratch) {
+            Ok(session) => Ok(PooledSession {
+                service: self.clone(),
+                parts: Some((session, scratch)),
+            }),
             Err(e) => {
                 self.inner.pool.put_back(scratch);
-                return Err(e.into());
+                Err(e.into())
             }
-        };
-        let r = f(Served {
-            archive,
-            session: &session,
-        });
-        scratch.recycle(session);
-        self.inner.pool.put_back(scratch);
-        Ok(r)
+        }
+    }
+}
+
+/// A session checked out of a [`ConnectivityService`]'s pool with its
+/// scratch. It keeps its service alive, several threads may answer from
+/// it at once, and it goes back to the pool when it drops.
+#[derive(Debug)]
+pub struct PooledSession {
+    service: ConnectivityService,
+    /// `None` only inside `drop`.
+    parts: Option<(QuerySession, Box<SessionScratch<RsVector>>)>,
+}
+
+impl PooledSession {
+    /// The service whose archive the session was built from.
+    pub fn service(&self) -> &ConnectivityService {
+        &self.service
+    }
+
+    /// The prepared [`QuerySession`] (for consumers — like the routing
+    /// layer — that need certificates and the fragment decomposition).
+    pub fn session(&self) -> &QuerySession {
+        &self.parts.as_ref().expect("taken only on drop").0
+    }
+
+    /// The label of vertex `v`, resolved from the service's archive;
+    /// `Ok(None)` when `v` is out of range.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Corrupt`] if a v2 archive's vertex section fails
+    /// lazy validation.
+    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, ServeError> {
+        self.service
+            .archive()
+            .vertex(v)
+            .map_err(ServeError::Corrupt)
+    }
+
+    /// Answers one s–t query by vertex ID.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::VertexOutOfRange`] on bad IDs, [`ServeError::Query`]
+    /// from the session.
+    pub fn connected(&self, s: usize, t: usize) -> Result<bool, ServeError> {
+        Ok(self.certified(s, t)?.is_some())
+    }
+
+    /// Like [`PooledSession::connected`], but returns the borrowed merge
+    /// certificate when connected.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PooledSession::connected`].
+    pub fn certified(&self, s: usize, t: usize) -> Result<Option<&[(u32, u32)]>, ServeError> {
+        let archive = self.service.archive();
+        let (sa, ta) = pair_anc(archive, s, t)?;
+        check_header(archive, self.session())?;
+        Ok(self.session().certified_anc(sa, ta))
+    }
+}
+
+impl Drop for PooledSession {
+    fn drop(&mut self) {
+        if let Some((session, mut scratch)) = self.parts.take() {
+            scratch.recycle(session);
+            self.service.inner.pool.put_back(scratch);
+        }
     }
 }
 
@@ -516,6 +579,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_clone<T: Clone>() {}
     assert_send_sync::<ConnectivityService>();
+    assert_send_sync::<PooledSession>();
     assert_send_sync::<Answers>();
     assert_send_sync::<ServeError>();
     assert_clone::<ConnectivityService>();

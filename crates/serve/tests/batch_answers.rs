@@ -2,8 +2,8 @@
 //! per-pair path and the BFS oracle, plus the error order it must keep.
 //!
 //! `query` resolves every pair through one read of the archive's vertex
-//! records and one pooled session; `Served::connected` /
-//! `Served::certified` answer one pair at a time. Both must agree with
+//! records and one pooled session; `PooledSession::connected` /
+//! `PooledSession::certified` answer one pair at a time. Both must agree with
 //! each other — certificates included — and with breadth-first search,
 //! over every archive source ({v1, v2} × {Full, Compact}) and fault sets
 //! of every size up to the budget.

@@ -10,6 +10,9 @@
 //! * a warm `ConnectivityService::query` allocates exactly once, for the
 //!   answers it returns, however many pairs it answers — over a v1 or a
 //!   v2 archive, whose session builds allocate nothing;
+//! * a warm wire request, answered from its parsed frame through a
+//!   coalesced session into a reused response buffer, allocates the same
+//!   for 16 pairs as for 8192;
 //! * the **build pipeline** allocates the label payload **once** — one
 //!   contiguous slab (or the archive blob itself for `build_store`) plus
 //!   O(levels + threads) worker scratch; the historical per-edge
@@ -26,6 +29,8 @@ use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, SessionScratch, ThresholdPolicy};
 use ftc::dyn_::{DynConfig, DynamicScheme};
 use ftc::graph::generators;
+use ftc::net::proto::{self, RequestView};
+use ftc::net::Coalescer;
 use ftc::serve::ConnectivityService;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -191,6 +196,68 @@ fn warm_service_queries_allocate_only_their_answers() {
             assert_eq!(answers.len(), pairs.len());
         }
     }
+}
+
+/// A warm wire request is answered straight from its frame: parsing it,
+/// sharing its session through the coalescer and appending its answers
+/// to a reused response buffer cost the same allocations for 16 pairs as
+/// for 8192, so nothing is allocated per pair.
+#[test]
+fn warm_wire_answers_allocate_nothing_per_pair() {
+    let g = generators::random_connected(120, 200, 5);
+    let params = Params::deterministic(4).with_threshold(ThresholdPolicy::Fixed(64));
+    let scheme = FtcScheme::build(&g, &params).unwrap();
+    let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    let faults: Vec<(usize, usize)> = generators::random_fault_set(&g, 4, 1)
+        .iter()
+        .map(|&e| endpoint_of[e])
+        .collect();
+    let service =
+        ConnectivityService::from_store(LabelStore::archive(scheme.labels(), EdgeEncoding::Full));
+    let coalescer = Coalescer::new();
+    let frames: Vec<Vec<u8>> = [8192usize, 16]
+        .iter()
+        .map(|&count| {
+            let pairs: Vec<(usize, usize)> = (0..count)
+                .map(|i| ((i * 31 + 3) % g.n(), (i * 57 + 11) % g.n()))
+                .collect();
+            let mut frame = Vec::new();
+            proto::encode_request(&mut frame, 1, "g", 0, &faults, &pairs).unwrap();
+            frame
+        })
+        .collect();
+    let widen = |(a, b): (u32, u32)| (a as usize, b as usize);
+    let serve = |frame: &[u8], wbuf: &mut Vec<u8>| {
+        let req = RequestView::parse(&frame[4..]).unwrap();
+        wbuf.clear();
+        let start = proto::begin_response_ok(wbuf, req.request_id(), req.pair_count(), false);
+        service
+            .answer(
+                req.faults().map(widen),
+                req.pairs().map(widen),
+                || coalescer.session(&service, req.faults().map(widen), None),
+                |cert| wbuf.push(u8::from(cert.is_some())),
+            )
+            .unwrap();
+        proto::finish_response_ok(wbuf, start).unwrap();
+    };
+    // Warm-up: the pool's scratch, the coalescer's table and the frame
+    // buffer at its 8192-answer size.
+    let mut wbuf = Vec::new();
+    for _ in 0..2 {
+        for frame in &frames {
+            serve(frame, &mut wbuf);
+        }
+    }
+    let counts: Vec<u64> = frames
+        .iter()
+        .map(|frame| count_allocs(|| serve(frame, &mut wbuf)).0)
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "8192 pairs allocated {} times, 16 pairs {}",
+        counts[0], counts[1]
+    );
 }
 
 #[test]

@@ -92,9 +92,8 @@ fn concurrent_clients_match_bfs_oracle_across_graphs() {
         }
     });
 
-    let stats = handle.stats();
-    assert_eq!(stats.requests, 100);
-    assert_eq!(stats.pairs, 600);
+    assert_eq!(handle.stats().requests, 100);
+    assert_eq!(handle.server_stats().pairs, 600);
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
@@ -611,4 +610,146 @@ fn graceful_shutdown_drains_concurrent_traffic() {
     let stats = handle.stats();
     assert!(stats.requests > 0);
     assert!(stats.batches <= stats.requests);
+}
+
+/// The remote error code of a failed query.
+fn remote_code(e: ClientError) -> (ErrorCode, String) {
+    match e {
+        ClientError::Remote { code, message, .. } => (code, message),
+        e => panic!("expected a remote error, got {e}"),
+    }
+}
+
+/// Requests with one fault set in flight together share sessions, but a
+/// bad vertex fails only its own request: it is rejected in its own
+/// range pass, before it ever asks for a session, while the requests
+/// around it answer as the BFS oracle does.
+#[test]
+fn a_bad_vertex_fails_only_its_own_request() {
+    let g = generators::random_connected(30, 45, 5);
+    let registry = Arc::new(ServiceRegistry::new());
+    registry.insert("g", service_of(&g, 2));
+    let (handle, join) = spawn(registry);
+    let all: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    let fset = generators::random_fault_set(&g, 2, 11);
+    let faults: Vec<(usize, usize)> = fset.iter().map(|&e| all[e]).collect();
+    let (workers, rounds) = (4usize, 50usize);
+
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let (g, fset, faults) = (&g, &fset, &faults);
+            let addr = handle.addr();
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..rounds {
+                    // Distinct endpoints: every good request needs the
+                    // decoder, so it asks for a session.
+                    let mut pairs: Vec<(usize, usize)> = (0..3)
+                        .map(|p| ((i + p + worker) % g.n(), (i + 2 * p + worker + 1) % g.n()))
+                        .filter(|&(s, t)| s != t)
+                        .collect();
+                    pairs.insert(0, (worker, worker + 7));
+                    if worker == 0 {
+                        pairs.insert(1, (3, 10_000 + i));
+                        let (code, message) =
+                            remote_code(client.query("g", faults, &pairs).unwrap_err());
+                        assert_eq!(code, ErrorCode::VertexOutOfRange);
+                        assert_eq!(
+                            message,
+                            format!("vertex {} out of range (n = 30)", 10_000 + i)
+                        );
+                        continue;
+                    }
+                    let answers = client.query("g", faults, &pairs).unwrap();
+                    for (&(s, t), &got) in pairs.iter().zip(&answers) {
+                        assert_eq!(got, connectivity::connected_avoiding(g, s, t, fset));
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = handle.stats();
+    assert_eq!(stats.requests, ((workers - 1) * rounds) as u64);
+    assert_eq!(stats.coalesced + stats.batches, stats.requests);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A fault set over the budget fails a request only when one of its
+/// pairs needs the decoder: requests whose pairs all answer trivially
+/// succeed, whatever requests with the same fault set run beside them.
+#[test]
+fn over_budget_requests_with_trivial_pairs_still_succeed() {
+    let g = Graph::torus(3, 4);
+    let registry = Arc::new(ServiceRegistry::new());
+    registry.insert("g", service_of(&g, 2));
+    let (handle, join) = spawn(registry);
+    let all: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    let over_budget = &all[..3];
+
+    std::thread::scope(|scope| {
+        for worker in 0..4usize {
+            let addr = handle.addr();
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..50usize {
+                    if (worker + i) % 2 == 0 {
+                        let trivial = [(i % 12, i % 12), (5, 5)];
+                        let answers = client.query("g", over_budget, &trivial).unwrap();
+                        assert_eq!(answers, vec![true, true]);
+                    } else {
+                        let (code, _) = remote_code(
+                            client
+                                .query("g", over_budget, &[(3, 3), (0, 5)])
+                                .unwrap_err(),
+                        );
+                        assert_eq!(code, ErrorCode::QueryRejected);
+                    }
+                }
+            });
+        }
+    });
+
+    // Only the requests that needed the decoder asked for a session.
+    let stats = handle.stats();
+    assert_eq!(stats.requests, 100);
+    assert_eq!(stats.coalesced + stats.batches, stats.requests);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// Wire errors follow the service's order: an unknown fault, then the
+/// first out-of-range vertex in pair order (`s` before `t`), then the
+/// decoder.
+#[test]
+fn wire_errors_follow_the_service_order() {
+    let g = Graph::torus(3, 4);
+    let registry = Arc::new(ServiceRegistry::new());
+    registry.insert("g", service_of(&g, 2));
+    let (handle, join) = spawn(registry);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let all: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+    let mut query = |faults: &[(usize, usize)], pairs: &[(usize, usize)]| {
+        remote_code(client.query("g", faults, pairs).unwrap_err())
+    };
+
+    // Both bad: the unknown fault wins over the out-of-range vertex.
+    let (code, message) = query(&[all[0], (0, 0)], &[(0, 10_000)]);
+    assert_eq!(code, ErrorCode::UnknownFault);
+    assert!(message.contains("0–0"), "{message}");
+    // The first bad vertex in pair order, `t` of the first pair before
+    // `s` of the second.
+    let (code, message) = query(&[], &[(0, 20_000), (10_000, 1)]);
+    assert_eq!(code, ErrorCode::VertexOutOfRange);
+    assert_eq!(message, "vertex 20000 out of range (n = 12)");
+    // A bad vertex wins over the decoder's budget check, even behind
+    // the pair that needs the decoder.
+    let (code, _) = query(&all[..3], &[(0, 5), (0, 10_000)]);
+    assert_eq!(code, ErrorCode::VertexOutOfRange);
+    let (code, _) = query(&all[..3], &[(0, 5)]);
+    assert_eq!(code, ErrorCode::QueryRejected);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
 }
