@@ -389,6 +389,29 @@ fn tampered_bytes_do_not_panic() {
     }
 }
 
+/// Loose labels are an interchange format: their bytes must not drift
+/// when the archive layout changes. One digest covers every vertex label
+/// and every edge label in both encodings of a seeded labeling.
+#[test]
+fn loose_label_bytes_are_pinned() {
+    let g = generators::random_connected(24, 20, 7);
+    let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
+    let l = scheme.labels();
+    let mut all = Vec::new();
+    for v in 0..g.n() {
+        all.extend(vertex_to_bytes(l.vertex_label(v)));
+    }
+    for e in 0..g.m() {
+        all.extend(edge_to_bytes(l.edge_label_by_id(e)));
+        all.extend(edge_to_bytes_compact(l.edge_label_by_id(e)));
+    }
+    assert_eq!(
+        (all.len(), ftc::compress::checksum64(&all)),
+        (809_980, 5_768_956_184_086_708_270),
+        "loose label bytes drifted"
+    );
+}
+
 // The network frame parsers are held to the same standard as the label
 // parsers above: arbitrary bytes never panic, encode∘decode is the
 // identity, and every strict prefix of a valid frame is rejected with an
