@@ -12,27 +12,26 @@
 //!
 //! ```text
 //! offset size          field
-//! 0      40            v1-compatible prologue (magic "FTCL", version 2,
-//!                      encoding, LabelHeader, n, m, stride, idx count)
-//! 40     4             k   (codec threshold, uniform over all records)
-//! 44     4             levels
-//! 48     4             section count (= 3 + levels)
-//! 52     8             v1_len: byte length of the equivalent v1 archive
-//! 60     count·32      section table: kind u8, transform u8, pad u16,
-//!                      level u32, raw_len u64, comp_len u64, checksum u64
+//! 0      44            the v1 archive header (magic "FTCL", version 4,
+//!                      encoding, LabelHeader, n, m, k, levels, idx count)
+//! 44     count·32      section table, count = 3 + levels: kind u8,
+//!                      transform u8, pad u16, level u32, raw_len u64,
+//!                      comp_len u64, checksum u64
 //! …      8             table checksum over every preceding byte
 //! …      Σ comp_len    section payloads, in table order
 //! ```
 //!
-//! Sections: the endpoint index, the vertex labels, the per-edge record
-//! prefixes ("edge meta"), and one section per hierarchy level holding
-//! all `m` syndrome rows of that level (transposed from v1's per-edge
-//! grouping — rows of one level compress together far better than rows
-//! of one edge).
+//! Sections: the endpoint index, the vertex records, the edge records'
+//! ancestry pairs ("edge meta"), and one section per hierarchy level
+//! holding all `m` syndrome rows of that level (transposed from v1's
+//! per-edge grouping — rows of one level compress together far better
+//! than rows of one edge). The header is the labeling's one identity, as
+//! in v1: no section repeats it, and every raw section length follows
+//! from it.
 //!
 //! # Lazy validation state machine
 //!
-//! [`CompressedStore::open`] reads the prologue and section table
+//! [`CompressedStore::open`] reads the header and section table
 //! and verifies the table checksum — O(header), independent of archive
 //! size. Each section then moves `untouched → validated` on first use:
 //! its stored bytes are checksummed, decoded, structurally validated,
@@ -65,21 +64,24 @@
 //! ```
 
 use crate::ancestry::AncestryLabel;
-use crate::labels::{EdgeLabelRead, EndpointIndex, LabelHeader, RsVector, VertexLabelRead};
+use crate::labels::{EdgeLabelRead, EndpointIndex, LabelHeader, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
-use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords};
+use crate::serial::{
+    self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords, EDGE_PREFIX_BYTES,
+    VERTEX_RECORD_BYTES,
+};
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{self, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
+use crate::store::{self, ArchiveMeta, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version tag of the compressed container.
-pub const STORE_VERSION_V2: u16 = 2;
-/// Fixed prologue bytes before the section table.
-const PROLOGUE_BYTES: usize = 60;
+pub const STORE_VERSION_V2: u16 = 4;
+/// The section table follows the archive header.
+const TABLE_AT: usize = store::FIXED_HEADER_BYTES;
 /// Bytes per section-table entry.
 const SECTION_ENTRY_BYTES: usize = 32;
 /// Table-checksum trailer bytes.
@@ -91,18 +93,14 @@ const SEC_VERTICES: usize = 1;
 const SEC_EDGEMETA: usize = 2;
 const SEC_LEVEL0: usize = 3;
 
-fn put_u32(buf: &mut [u8], at: usize, x: u32) {
-    buf[at..at + 4].copy_from_slice(&x.to_le_bytes());
-}
-
 /// What a v2 section holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SectionKind {
     /// Sorted `(u, v, edge id)` endpoint triples.
     EndpointIndex,
-    /// Fixed-stride vertex label records.
+    /// Fixed-stride vertex records (ancestry labels).
     VertexLabels,
-    /// Per-edge record prefixes (magic, header, ancestries, geometry).
+    /// Per-edge record prefixes (the ancestry pair of `σ(e)`).
     EdgeMeta,
     /// All `m` syndrome rows of one hierarchy level.
     LevelRows,
@@ -168,15 +166,8 @@ struct SectionEntry {
 
 #[derive(Clone, Debug)]
 struct V2Meta {
-    header: LabelHeader,
-    encoding: EdgeEncoding,
-    n: usize,
-    m: usize,
-    idx_count: usize,
-    k: usize,
-    levels: usize,
-    /// Byte length of the equivalent v1 archive.
-    v1_len: usize,
+    /// The archive header, and the layout of the equivalent v1 archive.
+    layout: ArchiveMeta,
     /// Stored words per edge per level (`2k` full, `k` compact).
     row_words: usize,
     sections: Vec<SectionEntry>,
@@ -209,9 +200,9 @@ pub struct CompressedStore {
 impl std::fmt::Debug for CompressedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompressedStore")
-            .field("n", &self.inner.meta.n)
-            .field("m", &self.inner.meta.m)
-            .field("levels", &self.inner.meta.levels)
+            .field("n", &self.inner.meta.layout.n)
+            .field("m", &self.inner.meta.layout.m)
+            .field("levels", &self.inner.meta.layout.levels)
             .field("archive_bytes", &self.inner.buf.bytes().len())
             .finish()
     }
@@ -219,7 +210,7 @@ impl std::fmt::Debug for CompressedStore {
 
 impl CompressedStore {
     /// Takes ownership of a v2 archive without copying it, validating
-    /// **only** the prologue and section table (plus the table
+    /// **only** the header and section table (plus the table
     /// checksum): O(header), independent of the archive size. Section
     /// payloads are validated lazily on first touch.
     ///
@@ -254,32 +245,36 @@ impl CompressedStore {
 
     /// The shared labeling header.
     pub fn header(&self) -> LabelHeader {
-        self.inner.meta.header
+        self.layout().header
     }
 
     /// The edge encoding of the underlying records.
     pub fn encoding(&self) -> EdgeEncoding {
-        self.inner.meta.encoding
+        self.layout().encoding
     }
 
     /// Number of archived vertex labels.
     pub fn n(&self) -> usize {
-        self.inner.meta.n
+        self.layout().n
     }
 
     /// Number of archived edge labels.
     pub fn m(&self) -> usize {
-        self.inner.meta.m
+        self.layout().m
     }
 
     /// Codec threshold `k`, uniform over all records.
     pub fn k(&self) -> usize {
-        self.inner.meta.k
+        self.layout().k
     }
 
     /// Hierarchy level count.
     pub fn levels(&self) -> usize {
-        self.inner.meta.levels
+        self.layout().levels
+    }
+
+    fn layout(&self) -> &ArchiveMeta {
+        &self.inner.meta.layout
     }
 
     /// Total archive size in bytes (compressed).
@@ -290,7 +285,7 @@ impl CompressedStore {
     /// Byte length of the equivalent v1 (uncompressed) archive — the
     /// denominator of the compression ratio.
     pub fn v1_len(&self) -> usize {
-        self.inner.meta.v1_len
+        self.layout().len
     }
 
     /// The section table, for tooling (`ftc-cli info`).
@@ -330,8 +325,9 @@ impl CompressedStore {
     }
 
     /// First-touch pipeline for one section: stored-byte checksum, then
-    /// transform/entropy decode, then structural validation of the
-    /// decoded content (mirroring what v1 `open` checks eagerly).
+    /// transform/entropy decode, then — for the endpoint index, the one
+    /// section with invariants of its own — structural validation
+    /// (mirroring what v1 `open` checks eagerly).
     fn decode_section(&self, idx: usize) -> Result<DecodedSection, SerialError> {
         let meta = &self.inner.meta;
         let entry = &meta.sections[idx];
@@ -348,81 +344,10 @@ impl CompressedStore {
                 entry.payload_at + e.offset.min(entry.comp_len),
             )
         };
-        let inconsistent = SerialError::new(SerialErrorKind::Inconsistent, entry.payload_at);
-        match entry.kind {
-            SectionKind::EndpointIndex => {
-                let bytes = decode_bytes(
-                    payload,
-                    entry.transform,
-                    entry.raw_len,
-                    store::ENDPOINT_ENTRY_BYTES,
-                )
-                .map_err(rebase)?;
-                // Strictly sorted normalized pairs, edge IDs in range —
-                // the invariants `edge_id`'s binary search relies on.
-                let mut prev: Option<(u32, u32)> = None;
-                for rec in bytes.chunks_exact(store::ENDPOINT_ENTRY_BYTES) {
-                    let u = store::u32_at(rec, 0);
-                    let v = store::u32_at(rec, 4);
-                    let e = store::u32_at(rec, 8) as usize;
-                    if u >= v || e >= meta.m || prev.is_some_and(|p| p >= (u, v)) {
-                        return Err(inconsistent);
-                    }
-                    prev = Some((u, v));
-                }
-                Ok(DecodedSection::Bytes(bytes.into_boxed_slice()))
-            }
-            SectionKind::VertexLabels => {
-                let bytes = decode_bytes(
-                    payload,
-                    entry.transform,
-                    entry.raw_len,
-                    serial::VERTEX_LABEL_BYTES,
-                )
-                .map_err(rebase)?;
-                for rec in bytes.chunks_exact(serial::VERTEX_LABEL_BYTES) {
-                    let vl = VertexLabelView::new(rec).map_err(|_| inconsistent)?;
-                    if VertexLabelRead::header(&vl) != meta.header {
-                        return Err(inconsistent);
-                    }
-                }
-                Ok(DecodedSection::Bytes(bytes.into_boxed_slice()))
-            }
-            SectionKind::EdgeMeta => {
-                let bytes = decode_bytes(
-                    payload,
-                    entry.transform,
-                    entry.raw_len,
-                    serial::EDGE_WORDS_OFFSET,
-                )
-                .map_err(rebase)?;
-                let expect_magic = match meta.encoding {
-                    EdgeEncoding::Full => serial::EDGE_MAGIC,
-                    EdgeEncoding::Compact => serial::COMPACT_EDGE_MAGIC,
-                };
-                let expect_geom = match meta.encoding {
-                    EdgeEncoding::Full => (2 * meta.k * meta.levels) as u32,
-                    EdgeEncoding::Compact => meta.levels as u32,
-                };
-                for rec in bytes.chunks_exact(serial::EDGE_WORDS_OFFSET) {
-                    let magic = u16::from_le_bytes([rec[0], rec[1]]);
-                    let header = LabelHeader {
-                        f: store::u32_at(rec, 2),
-                        aux_n: store::u32_at(rec, 6),
-                        tag: store::u64_at(rec, 10),
-                    };
-                    let k = store::u32_at(rec, serial::EDGE_WORDS_OFFSET - 8) as usize;
-                    let geom = store::u32_at(rec, serial::EDGE_WORDS_OFFSET - 4);
-                    if magic != expect_magic
-                        || header != meta.header
-                        || k != meta.k
-                        || geom != expect_geom
-                    {
-                        return Err(inconsistent);
-                    }
-                }
-                Ok(DecodedSection::Bytes(bytes.into_boxed_slice()))
-            }
+        let stride = match entry.kind {
+            SectionKind::EndpointIndex => store::ENDPOINT_ENTRY_BYTES,
+            SectionKind::VertexLabels => VERTEX_RECORD_BYTES,
+            SectionKind::EdgeMeta => EDGE_PREFIX_BYTES,
             SectionKind::LevelRows => {
                 let words = decode_words(
                     payload,
@@ -431,9 +356,16 @@ impl CompressedStore {
                     meta.row_words.max(1),
                 )
                 .map_err(rebase)?;
-                Ok(DecodedSection::Words(words.into_boxed_slice()))
+                return Ok(DecodedSection::Words(words.into_boxed_slice()));
             }
+        };
+        let bytes =
+            decode_bytes(payload, entry.transform, entry.raw_len, stride).map_err(rebase)?;
+        if entry.kind == SectionKind::EndpointIndex {
+            store::check_endpoint_index(&bytes, meta.layout.m)
+                .map_err(|_| SerialError::new(SerialErrorKind::Inconsistent, entry.payload_at))?;
         }
+        Ok(DecodedSection::Bytes(bytes.into_boxed_slice()))
     }
 
     /// The vertex records — the vertex section, decoded and validated
@@ -443,7 +375,10 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if the vertex section fails lazy validation.
     pub fn vertex_records(&self) -> Result<VertexRecords<'_>, SerialError> {
-        Ok(VertexRecords::new(self.section_bytes(SEC_VERTICES)?))
+        Ok(VertexRecords::new(
+            self.header(),
+            self.section_bytes(SEC_VERTICES)?,
+        ))
     }
 
     /// The label of vertex `v` — O(1) after the vertex section's
@@ -454,7 +389,7 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if the vertex section fails lazy validation.
     pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, SerialError> {
-        if v >= self.inner.meta.n {
+        if v >= self.n() {
             return Ok(None);
         }
         Ok(self.vertex_records()?.get(v))
@@ -484,20 +419,18 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if any touched section fails lazy validation.
     pub fn gather_edge(&self, e: usize) -> Result<Option<GatheredEdge<'_>>, SerialError> {
-        let meta = &self.inner.meta;
-        if e >= meta.m {
+        if e >= self.m() {
             return Ok(None);
         }
-        let meta_bytes = self.section_bytes(SEC_EDGEMETA)?;
+        let anc = self.section_bytes(SEC_EDGEMETA)?;
         // Touch every level section now, so the view's reads cannot fail.
-        for level in 0..meta.levels {
+        for level in 0..self.levels() {
             self.section_words(SEC_LEVEL0 + level)?;
         }
-        let rec = serial::EDGE_WORDS_OFFSET;
         Ok(Some(GatheredEdge {
             store: self,
             e,
-            meta: &meta_bytes[e * rec..(e + 1) * rec],
+            anc: &anc[e * EDGE_PREFIX_BYTES..(e + 1) * EDGE_PREFIX_BYTES],
         }))
     }
 
@@ -529,7 +462,7 @@ impl CompressedStore {
                 .map_err(StoreError::Corrupt)?
                 .expect("edge_id returns in-range IDs"))
         };
-        store::stream_session(self.inner.meta.header, faults, gather, scratch)
+        store::stream_session(self.header(), faults, gather, scratch)
     }
 
     /// Like [`CompressedStore::session_in`] with a throwaway scratch.
@@ -563,7 +496,7 @@ impl CompressedStore {
                 .map_err(StoreError::Corrupt)?
                 .ok_or(StoreError::UnknownEdgeId { id })
         };
-        store::stream_session(self.inner.meta.header, faults, gather, scratch)
+        store::stream_session(self.header(), faults, gather, scratch)
     }
 
     /// Reconstructs the byte-identical v1 archive this container was
@@ -573,48 +506,26 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if any section fails validation.
     pub fn to_v1_vec(&self) -> Result<Vec<u8>, SerialError> {
-        let meta = &self.inner.meta;
-        let (n, m) = (meta.n, meta.m);
-        let row_bytes = meta.row_words * 8;
-        let record_len = serial::EDGE_WORDS_OFFSET + meta.levels * row_bytes;
-        let offsets_at = store::FIXED_HEADER_BYTES;
-        let endpoint_at = offsets_at + (m + 1) * 8;
-        let vertices_at = endpoint_at + meta.idx_count * store::ENDPOINT_ENTRY_BYTES;
-        let edges_at = vertices_at + n * serial::VERTEX_LABEL_BYTES;
-        let total = edges_at + m * record_len + store::TRAILING_CHECKSUM_BYTES;
-        debug_assert_eq!(total, meta.v1_len, "validated at open");
-
-        let mut out = vec![0u8; total];
-        store::write_fixed_header(
-            &mut out,
-            store::STORE_VERSION,
-            meta.header,
-            meta.encoding,
-            n,
-            m,
-            meta.idx_count,
-        );
-        for e in 0..=m {
-            store::put_u64(&mut out, offsets_at + 8 * e, (e * record_len) as u64);
+        let layout = self.layout();
+        let row_words = self.inner.meta.row_words;
+        let mut out = vec![0u8; layout.len];
+        store::write_fixed_header(&mut out, store::STORE_VERSION, layout);
+        out[store::FIXED_HEADER_BYTES..layout.vertices_at]
+            .copy_from_slice(self.section_bytes(SEC_ENDPOINT)?);
+        out[layout.vertices_at..layout.edges_at].copy_from_slice(self.section_bytes(SEC_VERTICES)?);
+        let record = |e: usize| layout.edges_at + e * layout.record_len;
+        for (e, anc) in self
+            .section_bytes(SEC_EDGEMETA)?
+            .chunks_exact(EDGE_PREFIX_BYTES)
+            .enumerate()
+        {
+            out[record(e)..record(e) + EDGE_PREFIX_BYTES].copy_from_slice(anc);
         }
-        out[endpoint_at..vertices_at].copy_from_slice(self.section_bytes(SEC_ENDPOINT)?);
-        out[vertices_at..edges_at].copy_from_slice(self.section_bytes(SEC_VERTICES)?);
-        let meta_bytes = self.section_bytes(SEC_EDGEMETA)?;
-        for e in 0..m {
-            let at = edges_at + e * record_len;
-            out[at..at + serial::EDGE_WORDS_OFFSET].copy_from_slice(
-                &meta_bytes[e * serial::EDGE_WORDS_OFFSET..(e + 1) * serial::EDGE_WORDS_OFFSET],
-            );
-        }
-        for level in 0..meta.levels {
+        for level in 0..layout.levels {
             let words = self.section_words(SEC_LEVEL0 + level)?;
-            for e in 0..m {
-                let base =
-                    edges_at + e * record_len + serial::EDGE_WORDS_OFFSET + level * row_bytes;
-                for (j, &w) in words[e * meta.row_words..(e + 1) * meta.row_words]
-                    .iter()
-                    .enumerate()
-                {
+            for (e, row) in words.chunks_exact(row_words.max(1)).enumerate() {
+                let base = record(e) + EDGE_PREFIX_BYTES + level * row_words * 8;
+                for (j, &w) in row.iter().enumerate() {
                     store::put_u64(&mut out, base + 8 * j, w);
                 }
             }
@@ -625,15 +536,16 @@ impl CompressedStore {
 }
 
 /// An edge record read in place from a v2 archive's decoded sections:
-/// the fixed fields from the edge-meta section, each level's row from its
-/// level section (expanded from odd power sums for the compact
-/// encoding). Reads like any archived edge view.
+/// the ancestry pair from the edge-meta section, each level's row from
+/// its level section (expanded from odd power sums for the compact
+/// encoding), the header and geometry from the archive header. Reads
+/// like any archived edge view.
 #[derive(Clone, Copy, Debug)]
 pub struct GatheredEdge<'a> {
     store: &'a CompressedStore,
     e: usize,
-    /// The edge's record up to its syndrome words (v1 layout).
-    meta: &'a [u8],
+    /// The edge's ancestry pair (upper, lower).
+    anc: &'a [u8],
 }
 
 impl GatheredEdge<'_> {
@@ -652,29 +564,27 @@ impl EdgeLabelRead for GatheredEdge<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        serial::read_header_at(self.meta, 2)
+        self.store.header()
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        serial::read_anc_at(self.meta, 2 + serial::HEADER_BYTES)
+        serial::read_anc_at(self.anc, 0)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        serial::read_anc_at(self.meta, 2 + serial::HEADER_BYTES + serial::ANC_BYTES)
+        serial::read_anc_at(self.anc, serial::ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
-        let meta = &self.store.inner.meta;
-        2 * meta.k * meta.levels
+        2 * self.store.k() * self.store.levels()
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
-        let meta = &self.store.inner.meta;
-        let k = meta.k;
-        assert_eq!(dst.len(), 2 * k * meta.levels, "mixed vector widths");
+        let k = self.store.k();
+        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
         for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
             let row = self.row(level);
-            match meta.encoding {
+            match self.store.encoding() {
                 EdgeEncoding::Full => {
                     for (d, &w) in out.iter_mut().zip(row) {
                         *d ^= w;
@@ -686,8 +596,8 @@ impl EdgeLabelRead for GatheredEdge<'_> {
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        let meta = &self.store.inner.meta;
-        det.configure(meta.k, meta.levels, meta.header.aux_n);
+        let store = self.store;
+        det.configure(store.k(), store.levels(), store.header().aux_n);
     }
 }
 
@@ -763,20 +673,18 @@ impl AnyArchive {
         }
     }
 
-    /// Codec threshold `k`, uniform over all edge labels (0 without
-    /// edges in a v1 archive).
+    /// Codec threshold `k`, from the archive header.
     pub fn k(&self) -> usize {
         match self {
-            AnyArchive::V1(v) => v.edge_by_id(0).map_or(0, |e| e.k()),
+            AnyArchive::V1(v) => v.k(),
             AnyArchive::V2(v) => v.k(),
         }
     }
 
-    /// Hierarchy level count, uniform over all edge labels (0 without
-    /// edges in a v1 archive).
+    /// Hierarchy level count, from the archive header.
     pub fn levels(&self) -> usize {
         match self {
-            AnyArchive::V1(v) => v.edge_by_id(0).map_or(0, |e| e.levels()),
+            AnyArchive::V1(v) => v.levels(),
             AnyArchive::V2(v) => v.levels(),
         }
     }
@@ -884,77 +792,29 @@ pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<AnyArchive, StoreO
     Ok(AnyArchive::open_buf(buf)?)
 }
 
-/// O(header) parse + validation of a v2 archive's prologue and section
+/// O(header) parse + validation of a v2 archive's header and section
 /// table.
 fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
     let truncated = |at: usize| SerialError::new(SerialErrorKind::Truncated, at);
     let inconsistent = |at: usize| SerialError::new(SerialErrorKind::Inconsistent, at);
-    if bytes.len() < PROLOGUE_BYTES {
-        return Err(truncated(bytes.len()));
-    }
-    if bytes[..4] != store::STORE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    if u16::from_le_bytes([bytes[4], bytes[5]]) != STORE_VERSION_V2 {
-        return Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4));
-    }
-    let encoding = EdgeEncoding::from_tag(bytes[6]).ok_or(inconsistent(6))?;
-    if bytes[7] != 0 {
-        return Err(inconsistent(7));
-    }
-    let header = LabelHeader {
-        f: store::u32_at(bytes, 8),
-        aux_n: store::u32_at(bytes, 12),
-        tag: store::u64_at(bytes, 16),
-    };
-    let n = store::u32_at(bytes, 24) as usize;
-    let m = store::u32_at(bytes, 28) as usize;
-    if store::u32_at(bytes, 32) as usize != serial::VERTEX_LABEL_BYTES {
-        return Err(inconsistent(32));
-    }
-    let idx_count = store::u32_at(bytes, 36) as usize;
-    if idx_count > m {
-        return Err(inconsistent(36));
-    }
-    let k = store::u32_at(bytes, 40) as usize;
-    let levels = store::u32_at(bytes, 44) as usize;
-    let section_count = store::u32_at(bytes, 48) as usize;
-    if section_count != SEC_LEVEL0 + levels {
-        return Err(inconsistent(48));
-    }
-    let v1_len = store::u64_at(bytes, 52);
-    let Ok(v1_len) = usize::try_from(v1_len) else {
-        return Err(inconsistent(52));
-    };
-
-    let table_end = PROLOGUE_BYTES + section_count * SECTION_ENTRY_BYTES;
+    let layout = ArchiveMeta::parse(bytes, STORE_VERSION_V2)?;
+    let section_count = SEC_LEVEL0 + layout.levels;
+    let table_end = TABLE_AT + section_count * SECTION_ENTRY_BYTES;
     if bytes.len() < table_end + TOC_CHECKSUM_BYTES {
         return Err(truncated(bytes.len()));
     }
     // The table checksum guards everything `open` trusts without
-    // touching payloads: a bit flip anywhere in the prologue or table is
+    // touching payloads: a bit flip anywhere in the header or table is
     // caught here, in O(header).
     if store::u64_at(bytes, table_end) != checksum64(&bytes[..table_end]) {
         return Err(SerialError::new(SerialErrorKind::Checksum, table_end));
     }
 
-    let row_words = store::payload_words(encoding, k, 1);
-    let row_bytes = row_words * 8;
-    let record_len = serial::EDGE_WORDS_OFFSET + levels * row_bytes;
-    let expected_v1 = store::FIXED_HEADER_BYTES
-        + (m + 1) * 8
-        + idx_count * store::ENDPOINT_ENTRY_BYTES
-        + n * serial::VERTEX_LABEL_BYTES
-        + m * record_len
-        + store::TRAILING_CHECKSUM_BYTES;
-    if v1_len != expected_v1 {
-        return Err(inconsistent(52));
-    }
-
+    let row_words = store::payload_words(layout.encoding, layout.k, 1);
     let mut sections = Vec::with_capacity(section_count);
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
     for i in 0..section_count {
-        let at = PROLOGUE_BYTES + i * SECTION_ENTRY_BYTES;
+        let at = TABLE_AT + i * SECTION_ENTRY_BYTES;
         let kind = SectionKind::from_tag(bytes[at]).ok_or(inconsistent(at))?;
         let transform = bytes[at + 1];
         if bytes[at + 2] != 0 || bytes[at + 3] != 0 {
@@ -968,20 +828,24 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
         else {
             return Err(inconsistent(at + 8));
         };
-        // Fixed slot assignment and geometry-derived raw lengths: the
+        // Fixed slot assignment and header-derived raw lengths: the
         // decoder can then trust index arithmetic into decoded sections.
         let (expect_kind, expect_level, expect_raw) = match i {
             SEC_ENDPOINT => (
                 SectionKind::EndpointIndex,
                 0,
-                idx_count * store::ENDPOINT_ENTRY_BYTES,
+                layout.vertices_at - store::FIXED_HEADER_BYTES,
             ),
-            SEC_VERTICES => (SectionKind::VertexLabels, 0, n * serial::VERTEX_LABEL_BYTES),
-            SEC_EDGEMETA => (SectionKind::EdgeMeta, 0, m * serial::EDGE_WORDS_OFFSET),
+            SEC_VERTICES => (
+                SectionKind::VertexLabels,
+                0,
+                layout.edges_at - layout.vertices_at,
+            ),
+            SEC_EDGEMETA => (SectionKind::EdgeMeta, 0, layout.m * EDGE_PREFIX_BYTES),
             _ => (
                 SectionKind::LevelRows,
                 (i - SEC_LEVEL0) as u32,
-                m * row_bytes,
+                layout.m * row_words * 8,
             ),
         };
         if kind != expect_kind || level != expect_level || raw_len != expect_raw {
@@ -1009,55 +873,23 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
     }
 
     Ok(V2Meta {
-        header,
-        encoding,
-        n,
-        m,
-        idx_count,
-        k,
-        levels,
-        v1_len,
+        layout,
         row_words,
         sections,
     })
 }
 
-/// Serializes prologue + table + payloads from encoded section blocks.
-#[allow(clippy::too_many_arguments)]
-fn assemble_v2(
-    header: LabelHeader,
-    encoding: EdgeEncoding,
-    n: usize,
-    m: usize,
-    idx_count: usize,
-    k: usize,
-    levels: usize,
-    v1_len: usize,
-    blocks: &[ftc_compress::EncodedBlock],
-) -> Vec<u8> {
-    debug_assert_eq!(blocks.len(), SEC_LEVEL0 + levels);
-    let section_count = blocks.len();
-    let table_end = PROLOGUE_BYTES + section_count * SECTION_ENTRY_BYTES;
+/// Serializes header + table + payloads from encoded section blocks.
+fn assemble_v2(layout: &ArchiveMeta, blocks: &[ftc_compress::EncodedBlock]) -> Vec<u8> {
+    debug_assert_eq!(blocks.len(), SEC_LEVEL0 + layout.levels);
+    let table_end = TABLE_AT + blocks.len() * SECTION_ENTRY_BYTES;
     let payload_len: usize = blocks.iter().map(|b| b.payload.len()).sum();
     let mut out = vec![0u8; table_end + TOC_CHECKSUM_BYTES + payload_len];
-
-    store::write_fixed_header(
-        &mut out,
-        STORE_VERSION_V2,
-        header,
-        encoding,
-        n,
-        m,
-        idx_count,
-    );
-    put_u32(&mut out, 40, k as u32);
-    put_u32(&mut out, 44, levels as u32);
-    put_u32(&mut out, 48, section_count as u32);
-    store::put_u64(&mut out, 52, v1_len as u64);
+    store::write_fixed_header(&mut out, STORE_VERSION_V2, layout);
 
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
     for (i, block) in blocks.iter().enumerate() {
-        let at = PROLOGUE_BYTES + i * SECTION_ENTRY_BYTES;
+        let at = TABLE_AT + i * SECTION_ENTRY_BYTES;
         let (kind, level) = match i {
             SEC_ENDPOINT => (SectionKind::EndpointIndex, 0),
             SEC_VERTICES => (SectionKind::VertexLabels, 0),
@@ -1066,7 +898,7 @@ fn assemble_v2(
         };
         out[at] = kind.tag();
         out[at + 1] = block.transform;
-        put_u32(&mut out, at + 4, level);
+        store::put_u32(&mut out, at + 4, level);
         store::put_u64(&mut out, at + 8, block.raw_len);
         store::put_u64(&mut out, at + 16, block.payload.len() as u64);
         store::put_u64(&mut out, at + 24, checksum64(&block.payload));
@@ -1082,57 +914,33 @@ fn assemble_v2(
 /// Lossless: [`CompressedStore::to_v1_vec`] reproduces the input byte
 /// for byte.
 pub fn compress_archive(v1: &LabelStore) -> CompressedStore {
-    let meta = v1.meta();
+    let layout = v1.meta();
     let bytes = v1.as_bytes();
-    let (n, m) = (meta.n, meta.m);
-    let encoding = meta.encoding;
+    let m = layout.m;
+    let row_words = store::payload_words(layout.encoding, layout.k, 1);
+    let record = |e: usize| layout.edges_at + e * layout.record_len;
 
-    // Uniform record geometry is a v1 open invariant, so reading it off
-    // record 0 describes every record.
-    let (k, levels) = if m == 0 {
-        (0, 0)
-    } else {
-        let (at, _) = v1.edge_span(0);
-        let k = store::u32_at(bytes, at + serial::EDGE_WORDS_OFFSET - 8) as usize;
-        let geom = store::u32_at(bytes, at + serial::EDGE_WORDS_OFFSET - 4) as usize;
-        let levels = match encoding {
-            EdgeEncoding::Full => {
-                if k == 0 {
-                    0
-                } else {
-                    geom / (2 * k)
-                }
-            }
-            EdgeEncoding::Compact => geom,
-        };
-        (k, levels)
-    };
-    let row_words = store::payload_words(encoding, k, 1);
-
-    let mut blocks = Vec::with_capacity(SEC_LEVEL0 + levels);
+    let mut blocks = Vec::with_capacity(SEC_LEVEL0 + layout.levels);
     blocks.push(encode_bytes(
-        &bytes[meta.endpoint_at..meta.vertices_at],
+        &bytes[store::FIXED_HEADER_BYTES..layout.vertices_at],
         store::ENDPOINT_ENTRY_BYTES,
     ));
     blocks.push(encode_bytes(
-        &bytes[meta.vertices_at..meta.edges_at],
-        serial::VERTEX_LABEL_BYTES,
+        &bytes[layout.vertices_at..layout.edges_at],
+        VERTEX_RECORD_BYTES,
     ));
-    let mut meta_buf = vec![0u8; m * serial::EDGE_WORDS_OFFSET];
-    for e in 0..m {
-        let (at, _) = v1.edge_span(e);
-        meta_buf[e * serial::EDGE_WORDS_OFFSET..(e + 1) * serial::EDGE_WORDS_OFFSET]
-            .copy_from_slice(&bytes[at..at + serial::EDGE_WORDS_OFFSET]);
-    }
-    blocks.push(encode_bytes(&meta_buf, serial::EDGE_WORDS_OFFSET));
-    drop(meta_buf);
+    let anc: Vec<u8> = (0..m)
+        .flat_map(|e| &bytes[record(e)..record(e) + EDGE_PREFIX_BYTES])
+        .copied()
+        .collect();
+    blocks.push(encode_bytes(&anc, EDGE_PREFIX_BYTES));
+    drop(anc);
 
     // Transpose: one section per level, all edges' rows for that level.
     let mut words = vec![0u64; m * row_words];
-    for level in 0..levels {
+    for level in 0..layout.levels {
         for e in 0..m {
-            let (at, _) = v1.edge_span(e);
-            let base = at + serial::EDGE_WORDS_OFFSET + level * row_words * 8;
+            let base = record(e) + EDGE_PREFIX_BYTES + level * row_words * 8;
             for (j, w) in words[e * row_words..(e + 1) * row_words]
                 .iter_mut()
                 .enumerate()
@@ -1143,21 +951,11 @@ pub fn compress_archive(v1: &LabelStore) -> CompressedStore {
         blocks.push(encode_words(
             &words,
             row_words,
-            encoding == EdgeEncoding::Full,
+            layout.encoding == EdgeEncoding::Full,
         ));
     }
 
-    let out = assemble_v2(
-        meta.header,
-        encoding,
-        n,
-        m,
-        meta.idx_count,
-        k,
-        levels,
-        bytes.len(),
-        &blocks,
-    );
+    let out = assemble_v2(layout, &blocks);
     CompressedStore::open(out).expect("freshly assembled archives are well-formed")
 }
 
@@ -1217,10 +1015,11 @@ pub(crate) fn stream_compressed_from_build(
     encoding: EdgeEncoding,
 ) -> CompressedStore {
     let (n, m) = (g.n(), g.m());
-    let (k, levels, header) = (ctx.k, ctx.levels, ctx.header);
+    let (k, levels) = (ctx.k, ctx.levels);
     let row_words = store::payload_words(encoding, k, 1);
-    let record_len = serial::EDGE_WORDS_OFFSET + levels * row_words * 8;
     let index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
+    let layout = ArchiveMeta::new(ctx.header, encoding, (n, m, index.len()), (k, levels))
+        .expect("archive length fits in memory");
 
     let sink = CompressingSink {
         m,
@@ -1237,27 +1036,23 @@ pub(crate) fn stream_compressed_from_build(
     blocks.push(encode_bytes(&endpoint_buf, store::ENDPOINT_ENTRY_BYTES));
     drop(endpoint_buf);
 
-    let mut vertex_buf = vec![0u8; n * serial::VERTEX_LABEL_BYTES];
-    store::write_vertex_labels(&mut vertex_buf, 0, n, header, |v| ctx.aux.anc[v]);
-    blocks.push(encode_bytes(&vertex_buf, serial::VERTEX_LABEL_BYTES));
+    let mut vertex_buf = vec![0u8; n * VERTEX_RECORD_BYTES];
+    store::write_vertex_labels(&mut vertex_buf, 0, n, |v| ctx.aux.anc[v]);
+    blocks.push(encode_bytes(&vertex_buf, VERTEX_RECORD_BYTES));
     drop(vertex_buf);
 
-    let mut meta_buf = vec![0u8; m * serial::EDGE_WORDS_OFFSET];
+    let mut anc_buf = vec![0u8; m * EDGE_PREFIX_BYTES];
     for (e, &lower) in ctx.aux.sigma_lower.iter().enumerate() {
         let upper = ctx.aux.tree.parent(lower).expect("σ(e) lower has a parent");
         store::write_edge_prefix(
-            &mut meta_buf,
-            e * serial::EDGE_WORDS_OFFSET,
-            header,
+            &mut anc_buf,
+            e * EDGE_PREFIX_BYTES,
             &ctx.aux.anc[upper],
             &ctx.aux.anc[lower],
-            encoding,
-            k,
-            levels,
         );
     }
-    blocks.push(encode_bytes(&meta_buf, serial::EDGE_WORDS_OFFSET));
-    drop(meta_buf);
+    blocks.push(encode_bytes(&anc_buf, EDGE_PREFIX_BYTES));
+    drop(anc_buf);
 
     for slot in sink.encoded {
         let block = slot
@@ -1267,23 +1062,7 @@ pub(crate) fn stream_compressed_from_build(
         blocks.push(block);
     }
 
-    let v1_len = store::FIXED_HEADER_BYTES
-        + (m + 1) * 8
-        + index.len() * store::ENDPOINT_ENTRY_BYTES
-        + n * serial::VERTEX_LABEL_BYTES
-        + m * record_len
-        + store::TRAILING_CHECKSUM_BYTES;
-    let out = assemble_v2(
-        header,
-        encoding,
-        n,
-        m,
-        index.len(),
-        k,
-        levels,
-        v1_len,
-        &blocks,
-    );
+    let out = assemble_v2(&layout, &blocks);
     CompressedStore::open(out).expect("freshly assembled archives are well-formed")
 }
 
@@ -1465,10 +1244,10 @@ mod tests {
     fn header_corruption_rejected_at_open() {
         let (_, blob) = v1_blob(EdgeEncoding::Full);
         let bytes = compress_archive(&LabelStore::open(blob.clone()).unwrap()).into_vec();
-        // Any flip in the prologue or table is caught at open by the
+        // Any flip in the header or table is caught at open by the
         // table checksum (or an earlier structural check) — never a
         // panic, always an in-bounds offset.
-        let table_end = PROLOGUE_BYTES
+        let table_end = TABLE_AT
             + (SEC_LEVEL0 + CompressedStore::open(bytes.clone()).unwrap().levels())
                 * SECTION_ENTRY_BYTES;
         for at in 0..table_end + TOC_CHECKSUM_BYTES {

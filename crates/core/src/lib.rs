@@ -99,7 +99,7 @@ pub use labels::{
     RsVector, SizeReport, SlabDetect, VertexLabel, VertexLabelRead,
 };
 pub use params::{Params, ThresholdPolicy};
-pub use patch::{assemble_archive, assemble_archive_into, EdgeRecordSpec};
+pub use patch::{assemble_archive_into, EdgeRecordSpec};
 pub use scheme::{BuildDiagnostics, FtcScheme, SchemeBuilder};
 pub use serial::{
     CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,

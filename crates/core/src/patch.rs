@@ -5,14 +5,16 @@
 //! instead keeps the labeling *parts* alive across edge churn — ancestry
 //! labels, endpoint pairs, and a payload slab of syndrome words that is
 //! already in archive word order — and re-emits an archive after each batch
-//! of updates. [`assemble_archive`] is that write end: it lays the parts out
-//! with exactly the arithmetic of the streaming build path
+//! of updates. [`assemble_archive_into`] is that write end: it lays the
+//! parts out with exactly the arithmetic of the streaming build path
 //! (`stream_from_build`), so a dynamic commit produces the same framing
 //! bytes a from-scratch build of the same labeling would, and skips the
 //! O(archive) re-validation pass of [`LabelStore::open`] because every
-//! invariant it checks holds by construction.
+//! invariant it checks holds by construction. The labeling's identity
+//! (header, geometry) lives in the archive header alone, so a commit that
+//! stamps a new tag rewrites that header and no record.
 //!
-//! The payload slab layout is the uniform-record v1 layout: edge `e`'s
+//! The payload slab layout is the v1 record layout: edge `e`'s
 //! words occupy `payload[e*w..(e+1)*w]` where `w` is
 //! `payload_words(encoding, k, levels)`, level-major within the record
 //! (level 0 first), `2k` words per level for [`EdgeEncoding::Full`] and `k`
@@ -20,11 +22,9 @@
 
 use crate::ancestry::AncestryLabel;
 use crate::labels::{EndpointIndex, LabelHeader};
-use crate::serial;
-use crate::serial::VERTEX_LABEL_BYTES;
+use crate::serial::EDGE_PREFIX_BYTES;
 use crate::store::{
-    payload_words, seal_v1_checksum, write_edge_prefix, write_framing, ArchiveMeta, EdgeEncoding,
-    LabelStore, ENDPOINT_ENTRY_BYTES, FIXED_HEADER_BYTES, TRAILING_CHECKSUM_BYTES,
+    seal_v1_checksum, write_edge_prefix, write_framing, ArchiveMeta, EdgeEncoding, LabelStore,
 };
 
 /// One edge record of an assembled archive: its endpoint pair (archive
@@ -42,12 +42,22 @@ pub struct EdgeRecordSpec {
     pub anc_lower: AncestryLabel,
 }
 
-/// Assembles a sealed v1 archive from labeling parts.
+/// Assembles a sealed v1 archive from labeling parts, writing into a
+/// recycled allocation.
 ///
 /// `payload` is the caller-maintained syndrome slab described in the
 /// [module docs](self): `edges.len() * payload_words(encoding, k, levels)`
 /// words, record-major then level-major. The returned store is fully
 /// usable (views, sessions, serving) without a re-validation pass.
+///
+/// Multi-megabyte archives sit above the allocator's mmap threshold, so
+/// a fresh `Vec` per commit pays a fresh set of soft page faults for
+/// the whole blob — at steady churn rates that tax is most of the commit.
+/// Passing a retired archive's buffer (see
+/// `DynamicScheme::recycle` in `ftc-dyn`, which feeds
+/// [`LabelStore::into_vec`] back here) keeps the pages mapped and warm
+/// across commits. `scratch` may be empty, too small, or oversized; its
+/// contents are irrelevant.
 ///
 /// # Panics
 ///
@@ -55,38 +65,6 @@ pub struct EdgeRecordSpec {
 /// geometry, if `k == 0`, or if duplicate endpoint pairs are supplied
 /// (the endpoint index must cover every record — parallel edges are the
 /// static builder's domain).
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_archive(
-    header: LabelHeader,
-    encoding: EdgeEncoding,
-    k: usize,
-    levels: usize,
-    vertex_anc: &[AncestryLabel],
-    edges: &[EdgeRecordSpec],
-    payload: &[u64],
-) -> LabelStore {
-    assemble_archive_into(
-        Vec::new(),
-        header,
-        encoding,
-        k,
-        levels,
-        vertex_anc,
-        edges,
-        payload,
-    )
-}
-
-/// [`assemble_archive`] writing into a recycled allocation.
-///
-/// Multi-megabyte archives sit above the allocator's mmap threshold, so
-/// a fresh `Vec` per commit pays a fresh set of soft page faults for the
-/// whole blob — at steady churn rates that tax is most of the commit.
-/// Passing a retired archive's buffer (see
-/// `DynamicScheme::recycle` in `ftc-dyn`, which feeds
-/// [`LabelStore::into_vec`] back here) keeps the pages mapped and warm
-/// across commits. `scratch` may be empty, too small, or oversized; its
-/// contents are irrelevant.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_archive_into(
     scratch: Vec<u8>,
@@ -98,58 +76,38 @@ pub fn assemble_archive_into(
     edges: &[EdgeRecordSpec],
     payload: &[u64],
 ) -> LabelStore {
-    assert!(k > 0, "assemble_archive: k must be positive");
-    let n = vertex_anc.len();
-    let m = edges.len();
-    let words = payload_words(encoding, k, levels);
-    assert_eq!(
-        payload.len(),
-        m * words,
-        "assemble_archive: payload slab does not match m * payload_words"
-    );
+    assert!(k > 0, "assemble_archive_into: k must be positive");
     let index = EndpointIndex::from_edges(edges.iter().map(|e| (e.u as usize, e.v as usize)));
     assert_eq!(
         index.len(),
-        m,
-        "assemble_archive: duplicate endpoint pairs in edge records"
+        edges.len(),
+        "assemble_archive_into: duplicate endpoint pairs in edge records"
     );
-
-    let record_len = serial::EDGE_WORDS_OFFSET + 8 * words;
-    let offsets_at = FIXED_HEADER_BYTES;
-    let endpoint_at = offsets_at + (m + 1) * 8;
-    let vertices_at = endpoint_at + index.len() * ENDPOINT_ENTRY_BYTES;
-    let edges_at = vertices_at + n * VERTEX_LABEL_BYTES;
-    let total = edges_at + m * record_len + TRAILING_CHECKSUM_BYTES;
+    let meta = ArchiveMeta::new(
+        header,
+        encoding,
+        (vertex_anc.len(), edges.len(), index.len()),
+        (k, levels),
+    )
+    .expect("archive length fits in memory");
+    let words = meta.words();
+    assert_eq!(
+        payload.len(),
+        meta.m * words,
+        "assemble_archive_into: payload slab does not match m * payload_words"
+    );
     // Reuse the caller's scratch allocation when it is large enough.
-    // Every byte of the archive below `total` is written before sealing
+    // Every byte of the archive below `len` is written before sealing
     // (framing, record prefixes, payload words, trailing checksum), so
     // stale scratch contents never leak into the output — only the grown
     // tail of an undersized scratch needs the `resize` zero-fill.
     let mut buf = scratch;
-    buf.resize(total, 0);
-    write_framing(
-        &mut buf,
-        header,
-        encoding,
-        n,
-        m,
-        &index,
-        |e| (e * record_len) as u64,
-        |v| vertex_anc[v],
-    );
+    buf.resize(meta.len, 0);
+    write_framing(&mut buf, &meta, &index, |v| vertex_anc[v]);
     for (e, spec) in edges.iter().enumerate() {
-        let at = edges_at + e * record_len;
-        write_edge_prefix(
-            &mut buf,
-            at,
-            header,
-            &spec.anc_upper,
-            &spec.anc_lower,
-            encoding,
-            k,
-            levels,
-        );
-        let dst = &mut buf[at + serial::EDGE_WORDS_OFFSET..at + record_len];
+        let at = meta.edges_at + e * meta.record_len;
+        write_edge_prefix(&mut buf, at, &spec.anc_upper, &spec.anc_lower);
+        let dst = &mut buf[at + EDGE_PREFIX_BYTES..at + meta.record_len];
         let src = &payload[e * words..(e + 1) * words];
         #[cfg(target_endian = "little")]
         {
@@ -170,17 +128,6 @@ pub fn assemble_archive_into(
         }
     }
     seal_v1_checksum(&mut buf);
-    let meta = ArchiveMeta {
-        header,
-        encoding,
-        n,
-        m,
-        idx_count: index.len(),
-        offsets_at,
-        endpoint_at,
-        vertices_at,
-        edges_at,
-    };
     LabelStore::from_parts_trusted(buf, meta)
 }
 
@@ -189,6 +136,7 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
+    use crate::store::payload_words;
     use ftc_graph::Graph;
 
     /// Re-assembling a built labeling from its extracted parts reproduces
@@ -201,10 +149,7 @@ mod tests {
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             let blob = LabelStore::to_vec(scheme.labels(), encoding);
             let view = LabelStore::open(blob.clone()).unwrap();
-            let (k, levels) = {
-                let e0 = view.edge_by_id(0).unwrap();
-                (e0.k(), e0.levels())
-            };
+            let (k, levels) = (view.k(), view.levels());
             let words = payload_words(encoding, k, levels);
             let vertex_anc: Vec<AncestryLabel> = (0..view.n())
                 .map(|v| view.vertex(v).unwrap().to_label().anc)
@@ -248,7 +193,8 @@ mod tests {
                     }
                 }
             }
-            let store = assemble_archive(
+            let store = assemble_archive_into(
+                Vec::new(),
                 view.header(),
                 encoding,
                 k,

@@ -126,11 +126,12 @@ fn read_anc(r: &mut Reader) -> Result<AncestryLabel, SerialError> {
     })
 }
 
-/// Serializes a vertex label — byte-identical to its record in a label
-/// archive (one writer serves both).
+/// Serializes a vertex label: magic and header, then the label's
+/// archive record (one record writer serves both).
 pub fn vertex_to_bytes(l: &VertexLabel) -> Vec<u8> {
     let mut buf = vec![0u8; VERTEX_LABEL_BYTES];
-    store::write_vertex_record(&mut buf, 0, l.header, &l.anc);
+    write_loose_prefix(&mut buf, VERTEX_MAGIC, l.header);
+    store::write_vertex_record(&mut buf, LOOSE_PREFIX_BYTES, &l.anc);
     buf
 }
 
@@ -151,15 +152,34 @@ pub fn vertex_from_bytes(bytes: &[u8]) -> Result<VertexLabel, SerialError> {
     Ok(VertexLabel { header, anc })
 }
 
-/// Serializes one edge label as an archive record of `encoding`.
+/// Writes the magic and header that make a loose label self-describing.
+fn write_loose_prefix(buf: &mut [u8], magic: u16, header: LabelHeader) {
+    buf[..2].copy_from_slice(&magic.to_le_bytes());
+    store::put_header(buf, 2, header);
+}
+
+/// Serializes one edge label under `encoding`: magic and header, the
+/// record's ancestry pair, the geometry fields (`k`, then the stored
+/// word count for full labels or the level count for compact ones), and
+/// the record's payload words.
 fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
-    let mut buf = vec![0u8; store::record_len(encoding, l.vec.k(), l.vec.levels())];
-    store::write_edge_record(&mut buf, 0, l.header, l, encoding);
+    let (k, levels) = (l.vec.k(), l.vec.levels());
+    let words = store::payload_words(encoding, k, levels);
+    let mut buf = vec![0u8; LOOSE_EDGE_WORDS_OFFSET + 8 * words];
+    let (magic, geometry) = match encoding {
+        EdgeEncoding::Full => (EDGE_MAGIC, words),
+        EdgeEncoding::Compact => (COMPACT_EDGE_MAGIC, levels),
+    };
+    write_loose_prefix(&mut buf, magic, l.header);
+    store::write_edge_prefix(&mut buf, LOOSE_PREFIX_BYTES, &l.anc_upper, &l.anc_lower);
+    store::put_u32(&mut buf, LOOSE_EDGE_WORDS_OFFSET - 8, k as u32);
+    store::put_u32(&mut buf, LOOSE_EDGE_WORDS_OFFSET - 4, geometry as u32);
+    store::write_edge_words(&mut buf, LOOSE_EDGE_WORDS_OFFSET, &l.vec, encoding);
     buf
 }
 
-/// Serializes an edge label of the deterministic scheme — byte-identical
-/// to its record in a full-encoding label archive.
+/// Serializes an edge label of the deterministic scheme in the full
+/// encoding.
 pub fn edge_to_bytes(l: &EdgeLabel<RsVector>) -> Vec<u8> {
     edge_record(l, EdgeEncoding::Full)
 }
@@ -200,8 +220,7 @@ pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError>
 /// Serializes an edge label at half width using the characteristic-two
 /// syndrome compression (extension E12): per hierarchy level only the `k`
 /// odd power sums are stored; [`compact_edge_from_bytes`] reconstructs the
-/// even ones via `s_{2j} = s_j²`. Byte-identical to the label's record
-/// in a compact-encoding label archive.
+/// even ones via `s_{2j} = s_j²`.
 pub fn edge_to_bytes_compact(l: &EdgeLabel<RsVector>) -> Vec<u8> {
     edge_record(l, EdgeEncoding::Compact)
 }
@@ -247,15 +266,19 @@ pub fn compact_edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, Seri
 // Fixed field offsets of the serialized layouts (little-endian).
 pub(crate) const HEADER_BYTES: usize = 4 + 4 + 8;
 pub(crate) const ANC_BYTES: usize = 3 * 4;
-const VERTEX_TOTAL_BYTES: usize = 2 + HEADER_BYTES + ANC_BYTES;
-/// Byte offset of the syndrome words inside an edge record — equally the
-/// length of the fixed per-edge prefix (magic, header, two ancestry
-/// labels, `k`, payload-geometry field).
-pub(crate) const EDGE_WORDS_OFFSET: usize = 2 + HEADER_BYTES + 2 * ANC_BYTES + 4 + 4;
+/// Magic and header: what a loose label carries before its record.
+const LOOSE_PREFIX_BYTES: usize = 2 + HEADER_BYTES;
+/// Byte length of a vertex record: its ancestry label.
+pub(crate) const VERTEX_RECORD_BYTES: usize = ANC_BYTES;
+/// Byte length of an edge record before its payload words: the ancestry
+/// labels of both endpoints of `σ(e)`.
+pub(crate) const EDGE_PREFIX_BYTES: usize = 2 * ANC_BYTES;
+/// Byte offset of the syndrome words inside a loose edge label: prefix,
+/// ancestry pair, `k` and the payload-geometry field.
+const LOOSE_EDGE_WORDS_OFFSET: usize = LOOSE_PREFIX_BYTES + EDGE_PREFIX_BYTES + 4 + 4;
 
-/// Exact byte length of every serialized vertex label (the archive
-/// format exploits the fixed stride for O(1) vertex lookups).
-pub const VERTEX_LABEL_BYTES: usize = VERTEX_TOTAL_BYTES;
+/// Exact byte length of every serialized vertex label.
+pub const VERTEX_LABEL_BYTES: usize = LOOSE_PREFIX_BYTES + VERTEX_RECORD_BYTES;
 
 fn read_u32_at(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(buf[at..at + 4].try_into().unwrap())
@@ -323,18 +346,20 @@ fn owned_label(view: &impl EdgeLabelRead, k: usize) -> EdgeLabel<RsVector> {
     }
 }
 
-/// A validated zero-copy view of a serialized vertex label
-/// ([`vertex_to_bytes`] layout). Implements
-/// [`VertexLabelRead`], so it can be passed to
-/// [`crate::session::QuerySession::connected`] directly — no owned
-/// [`VertexLabel`] is ever materialized.
+/// A zero-copy view of a vertex label: the labeling header beside the
+/// label's record, its 12-byte ancestry label. A loose label
+/// ([`vertex_to_bytes`] layout) supplies its own header; an archive
+/// record takes its archive's. Implements [`VertexLabelRead`], so it can
+/// be passed to [`crate::session::QuerySession::connected`] directly —
+/// no owned [`VertexLabel`] is ever materialized.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexLabelView<'a> {
-    buf: &'a [u8],
+    header: LabelHeader,
+    rec: &'a [u8],
 }
 
 impl<'a> VertexLabelView<'a> {
-    /// Validates magic and length over the borrowed bytes.
+    /// Validates magic and length of a loose label.
     ///
     /// # Errors
     ///
@@ -342,14 +367,17 @@ impl<'a> VertexLabelView<'a> {
     /// truncation, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<VertexLabelView<'a>, SerialError> {
         check_magic(bytes, VERTEX_MAGIC)?;
-        check_exact_len(bytes, VERTEX_TOTAL_BYTES)?;
-        Ok(VertexLabelView { buf: bytes })
+        check_exact_len(bytes, VERTEX_LABEL_BYTES)?;
+        Ok(VertexLabelView {
+            header: read_header_at(bytes, 2),
+            rec: &bytes[LOOSE_PREFIX_BYTES..],
+        })
     }
 
     /// Copies the view out into an owned label.
     pub fn to_label(&self) -> VertexLabel {
         VertexLabel {
-            header: VertexLabelRead::header(self),
+            header: self.header,
             anc: VertexLabelRead::anc(self),
         }
     }
@@ -357,34 +385,34 @@ impl<'a> VertexLabelView<'a> {
 
 impl VertexLabelRead for VertexLabelView<'_> {
     fn header(&self) -> LabelHeader {
-        read_header_at(self.buf, 2)
+        self.header
     }
 
     fn anc(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES)
+        read_anc_at(self.rec, 0)
     }
 }
 
-/// The vertex records of an archive: `n` serialized vertex labels back
-/// to back at the fixed [`VERTEX_LABEL_BYTES`] stride, every one
-/// already validated against the archive's header (v1 at open, v2 on
-/// the vertex section's first touch). Reads are zero-copy and never
-/// re-validate: [`VertexRecords::anc`] is the ancestry label straight
+/// The vertex records of an archive: `n` ancestry labels back to back
+/// at the fixed 12-byte stride, under the archive's one header. Reads
+/// are zero-copy: [`VertexRecords::anc`] is the ancestry label straight
 /// out of the bytes, the only part of a vertex label a query reads once
 /// the header is known to match.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexRecords<'a> {
+    header: LabelHeader,
     bytes: &'a [u8],
     n: usize,
 }
 
 impl<'a> VertexRecords<'a> {
-    /// Records over validated bytes (a whole number of records).
-    pub(crate) fn new(bytes: &'a [u8]) -> VertexRecords<'a> {
-        debug_assert_eq!(bytes.len() % VERTEX_TOTAL_BYTES, 0);
+    /// Records over a whole number of vertex records.
+    pub(crate) fn new(header: LabelHeader, bytes: &'a [u8]) -> VertexRecords<'a> {
+        debug_assert_eq!(bytes.len() % VERTEX_RECORD_BYTES, 0);
         VertexRecords {
+            header,
             bytes,
-            n: bytes.len() / VERTEX_TOTAL_BYTES,
+            n: bytes.len() / VERTEX_RECORD_BYTES,
         }
     }
 
@@ -403,77 +431,137 @@ impl<'a> VertexRecords<'a> {
     pub fn get(&self, v: usize) -> Option<VertexLabelView<'a>> {
         let at = self.at(v)?;
         Some(VertexLabelView {
-            buf: &self.bytes[at..at + VERTEX_TOTAL_BYTES],
+            header: self.header,
+            rec: &self.bytes[at..at + VERTEX_RECORD_BYTES],
         })
     }
 
     /// The ancestry label of vertex `v`; `None` when `v` is out of range.
     #[inline]
     pub fn anc(&self, v: usize) -> Option<AncestryLabel> {
-        Some(read_anc_at(self.bytes, self.at(v)? + 2 + HEADER_BYTES))
+        Some(read_anc_at(self.bytes, self.at(v)?))
     }
 
     #[inline]
     fn at(&self, v: usize) -> Option<usize> {
-        (v < self.n).then(|| v * VERTEX_TOTAL_BYTES)
+        (v < self.n).then(|| v * VERTEX_RECORD_BYTES)
     }
 }
 
-/// A validated zero-copy view of a serialized edge label of the
-/// deterministic scheme ([`edge_to_bytes`] layout). Implements
-/// [`EdgeLabelRead`]: the ancestry fields decode on demand, and the
-/// Reed–Solomon syndrome words XOR into a session's fragment accumulators
-/// straight out of the byte buffer — the `Vec<Gf64>` payload is never
-/// deserialized per label.
+/// What an edge view reads: the labeling header and codec geometry
+/// (from the loose label's own fields, or from its archive's header),
+/// the record's ancestry pair and its stored payload words.
 #[derive(Clone, Copy, Debug)]
-pub struct EdgeLabelView<'a> {
-    buf: &'a [u8],
+struct EdgeParts<'a> {
+    header: LabelHeader,
+    k: usize,
+    levels: usize,
+    anc: &'a [u8],
+    words: &'a [u8],
 }
 
+impl<'a> EdgeParts<'a> {
+    /// Parts of an archive record (ancestry pair, then payload words).
+    fn record(header: LabelHeader, k: usize, levels: usize, rec: &'a [u8]) -> EdgeParts<'a> {
+        let (anc, words) = rec.split_at(EDGE_PREFIX_BYTES);
+        EdgeParts {
+            header,
+            k,
+            levels,
+            anc,
+            words,
+        }
+    }
+
+    /// Parts of a loose label whose magic, `k` and geometry are already
+    /// checked: `k` and `levels` as parsed, and its words starting at
+    /// the loose word offset.
+    fn loose(bytes: &'a [u8], k: usize, levels: usize) -> EdgeParts<'a> {
+        EdgeParts {
+            header: read_header_at(bytes, 2),
+            k,
+            levels,
+            anc: &bytes[LOOSE_PREFIX_BYTES..LOOSE_PREFIX_BYTES + EDGE_PREFIX_BYTES],
+            words: &bytes[LOOSE_EDGE_WORDS_OFFSET..],
+        }
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        read_u64_at(self.words, 8 * i)
+    }
+}
+
+/// Reads a loose edge label's fixed prefix: magic, then `k` and the
+/// geometry field, reporting truncation before either.
+fn loose_geometry(bytes: &[u8], magic: u16) -> Result<(usize, usize), SerialError> {
+    check_magic(bytes, magic)?;
+    if bytes.len() < LOOSE_EDGE_WORDS_OFFSET {
+        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+    }
+    Ok((
+        read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 8) as usize,
+        read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 4) as usize,
+    ))
+}
+
+/// A zero-copy view of a full-encoding edge label of the deterministic
+/// scheme: a loose label ([`edge_to_bytes`] layout) or an archive
+/// record under its archive's header. Implements [`EdgeLabelRead`]: the
+/// ancestry fields decode on demand, and the Reed–Solomon syndrome words
+/// XOR into a session's fragment accumulators straight out of the byte
+/// buffer — the `Vec<Gf64>` payload is never deserialized per label.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeLabelView<'a>(EdgeParts<'a>);
+
 impl<'a> EdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry over
-    /// the borrowed bytes.
+    /// Validates magic, length consistency, and syndrome geometry of a
+    /// loose label.
     ///
     /// # Errors
     ///
     /// [`SerialError`] (with the offending byte offset) on bad magic,
     /// truncation, inconsistent lengths, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<EdgeLabelView<'a>, SerialError> {
-        check_magic(bytes, EDGE_MAGIC)?;
-        if bytes.len() < EDGE_WORDS_OFFSET {
-            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
-        }
-        let k = read_u32_at(bytes, EDGE_WORDS_OFFSET - 8) as usize;
-        let len = read_u32_at(bytes, EDGE_WORDS_OFFSET - 4) as usize;
+        let (k, len) = loose_geometry(bytes, EDGE_MAGIC)?;
         if !whole_levels(k, len) {
             return Err(SerialError::new(
                 SerialErrorKind::Inconsistent,
-                EDGE_WORDS_OFFSET - 4,
+                LOOSE_EDGE_WORDS_OFFSET - 4,
             ));
         }
-        check_exact_len(bytes, EDGE_WORDS_OFFSET + 8 * len)?;
-        Ok(EdgeLabelView { buf: bytes })
+        check_exact_len(bytes, LOOSE_EDGE_WORDS_OFFSET + 8 * len)?;
+        let levels = if k == 0 { 0 } else { len / (2 * k) };
+        Ok(EdgeLabelView(EdgeParts::loose(bytes, k, levels)))
+    }
+
+    /// An archive record under its archive's header and geometry.
+    pub(crate) fn record(
+        header: LabelHeader,
+        k: usize,
+        levels: usize,
+        rec: &'a [u8],
+    ) -> EdgeLabelView<'a> {
+        EdgeLabelView(EdgeParts::record(header, k, levels, rec))
     }
 
     /// The codec threshold `k` of the carried vector.
     pub fn k(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 8) as usize
+        self.0.k
+    }
+
+    /// Number of hierarchy levels carried.
+    pub fn levels(&self) -> usize {
+        self.0.levels
     }
 
     /// Number of syndrome words carried.
     pub fn num_words(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 4) as usize
-    }
-
-    /// Iterates the raw little-endian syndrome words.
-    fn words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        let n = self.num_words();
-        (0..n).map(|i| read_u64_at(self.buf, EDGE_WORDS_OFFSET + 8 * i))
+        2 * self.0.k * self.0.levels
     }
 
     /// Copies the view out into an owned label.
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        owned_label(self, self.k())
+        owned_label(self, self.0.k)
     }
 }
 
@@ -481,15 +569,15 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        read_header_at(self.buf, 2)
+        self.0.header
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES)
+        read_anc_at(self.0.anc, 0)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
+        read_anc_at(self.0.anc, ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
@@ -498,72 +586,70 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
         assert_eq!(dst.len(), self.num_words(), "mixed vector widths");
-        for (d, w) in dst.iter_mut().zip(self.words()) {
-            *d ^= w;
+        for (d, w) in dst.iter_mut().zip(self.0.words.chunks_exact(8)) {
+            *d ^= u64::from_le_bytes(w.try_into().unwrap());
         }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        let k = self.k();
-        let levels = if k == 0 {
-            0
-        } else {
-            self.num_words() / (2 * k)
-        };
-        det.configure(k, levels, self.header().aux_n);
+        det.configure(self.0.k, self.0.levels, self.0.header.aux_n);
     }
 }
 
-/// A validated zero-copy view of a *compact* serialized edge label
-/// ([`edge_to_bytes_compact`] layout). Implements [`EdgeLabelRead`]:
-/// the ancestry fields decode on demand; the half-width syndrome is
-/// expanded to the full `2k`-element form (via `s_{2j} = s_j²`) only when
-/// the vector is actually needed by the merge engine.
+/// A zero-copy view of a *compact* edge label: a loose label
+/// ([`edge_to_bytes_compact`] layout) or a compact archive record under
+/// its archive's header. Implements [`EdgeLabelRead`]: the ancestry
+/// fields decode on demand; the half-width syndrome is expanded to the
+/// full `2k`-element form (via `s_{2j} = s_j²`) only when the vector is
+/// actually needed by the merge engine.
 #[derive(Clone, Copy, Debug)]
-pub struct CompactEdgeLabelView<'a> {
-    buf: &'a [u8],
-}
+pub struct CompactEdgeLabelView<'a>(EdgeParts<'a>);
 
 impl<'a> CompactEdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry over
-    /// the borrowed bytes.
+    /// Validates magic, length consistency, and syndrome geometry of a
+    /// loose label.
     ///
     /// # Errors
     ///
     /// [`SerialError`] (with the offending byte offset) on bad magic,
     /// truncation, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<CompactEdgeLabelView<'a>, SerialError> {
-        check_magic(bytes, COMPACT_EDGE_MAGIC)?;
-        if bytes.len() < EDGE_WORDS_OFFSET {
-            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
-        }
-        let k = read_u32_at(bytes, EDGE_WORDS_OFFSET - 8) as usize;
-        let levels = read_u32_at(bytes, EDGE_WORDS_OFFSET - 4) as usize;
-        let words = k
+        let (k, levels) = loose_geometry(bytes, COMPACT_EDGE_MAGIC)?;
+        let len = k
             .checked_mul(levels)
             .and_then(|w| w.checked_mul(8))
-            .and_then(|w| w.checked_add(EDGE_WORDS_OFFSET))
+            .and_then(|w| w.checked_add(LOOSE_EDGE_WORDS_OFFSET))
             .ok_or(SerialError::new(
                 SerialErrorKind::Inconsistent,
-                EDGE_WORDS_OFFSET - 4,
+                LOOSE_EDGE_WORDS_OFFSET - 4,
             ))?;
-        check_exact_len(bytes, words)?;
-        Ok(CompactEdgeLabelView { buf: bytes })
+        check_exact_len(bytes, len)?;
+        Ok(CompactEdgeLabelView(EdgeParts::loose(bytes, k, levels)))
+    }
+
+    /// A compact archive record under its archive's header and geometry.
+    pub(crate) fn record(
+        header: LabelHeader,
+        k: usize,
+        levels: usize,
+        rec: &'a [u8],
+    ) -> CompactEdgeLabelView<'a> {
+        CompactEdgeLabelView(EdgeParts::record(header, k, levels, rec))
     }
 
     /// The codec threshold `k` of the carried vector.
     pub fn k(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 8) as usize
+        self.0.k
     }
 
     /// Number of hierarchy levels carried.
     pub fn levels(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 4) as usize
+        self.0.levels
     }
 
     /// Copies the view out into an owned label (expanding the syndrome).
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        owned_label(self, self.k())
+        owned_label(self, self.0.k)
     }
 }
 
@@ -571,19 +657,19 @@ impl EdgeLabelRead for CompactEdgeLabelView<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        read_header_at(self.buf, 2)
+        self.0.header
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES)
+        read_anc_at(self.0.anc, 0)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
+        read_anc_at(self.0.anc, ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
-        2 * self.k() * self.levels()
+        2 * self.0.k * self.0.levels
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
@@ -593,20 +679,18 @@ impl EdgeLabelRead for CompactEdgeLabelView<'_> {
         // squaring of a stored odd power sum. t ≤ log₂(2k) squarings per
         // entry keep this cheap, and each label is expanded exactly once
         // per session build (into the fault-word slab).
-        let k = self.k();
-        let levels = self.levels();
+        let (k, levels) = (self.0.k, self.0.levels);
         assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
         for lvl in 0..levels {
-            let lvl_at = EDGE_WORDS_OFFSET + 8 * lvl * k;
             xor_expanded_row(
-                |j| read_u64_at(self.buf, lvl_at + 8 * j),
+                |j| self.0.word(lvl * k + j),
                 &mut dst[2 * k * lvl..2 * k * (lvl + 1)],
             );
         }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        det.configure(self.k(), self.levels(), self.header().aux_n);
+        det.configure(self.0.k, self.0.levels, self.0.header.aux_n);
     }
 }
 

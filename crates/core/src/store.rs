@@ -4,12 +4,13 @@
 //! A labeling is built once and its labels are served forever after; the
 //! natural storage shape is therefore one indexed archive, not one byte
 //! buffer per label. [`LabelStore`] writes a [`crate::LabelSet`] as a
-//! single blob — magic, version, [`LabelHeader`], offset/endpoint index,
-//! concatenated label bytes — and [`LabelStore::open`] takes ownership
-//! of that blob without copying it, validates it **once**, and then
-//! serves
+//! single blob — one header (magic, version, [`LabelHeader`], codec
+//! geometry), an endpoint index, fixed-stride records — and
+//! [`LabelStore::open`] takes ownership of that blob without copying it,
+//! validates it **once**, and then serves
 //!
 //! * [`LabelStore::vertex`] — O(1) zero-copy [`VertexLabelView`]s,
+//! * [`LabelStore::edge_by_id`] — O(1) zero-copy edge views,
 //! * [`LabelStore::edge`] — O(log m) zero-copy edge views resolved by
 //!   endpoint pair (both the full and the compact half-width encodings,
 //!   behind the archive's encoding tag),
@@ -23,29 +24,39 @@
 //!
 //! # Byte layout (all little-endian)
 //!
+//! The archive header is the labeling's one identity: records hold data
+//! only, every vertex record at one stride and every edge record at
+//! another, so a record's position is arithmetic on its ID.
+//!
 //! ```text
 //! offset size        field
 //! 0      4           magic "FTCL"
-//! 4      2           format version (currently 1)
+//! 4      2           format version (currently 3)
 //! 6      1           edge encoding: 0 = full, 1 = compact
 //! 7      1           reserved (0)
 //! 8      16          LabelHeader { f: u32, aux_n: u32, tag: u64 }
-//! 24     4           n  (number of vertex labels)
-//! 28     4           m  (number of edge labels)
-//! 32     4           vertex stride (fixed vertex-label byte length)
-//! 36     4           endpoint-index entry count (distinct (u, v) pairs)
-//! 40     (m+1)·8     edge offsets into the edge region, monotone, [0] = 0
-//! …      count·12    endpoint index: (u: u32, v: u32, edge id: u32),
+//! 24     4           n  (number of vertex records)
+//! 28     4           m  (number of edge records)
+//! 32     4           k  (codec threshold)
+//! 36     4           levels (hierarchy levels per edge record)
+//! 40     4           endpoint-index entry count (distinct (u, v) pairs)
+//! 44     count·12    endpoint index: (u: u32, v: u32, edge id: u32),
 //!                    strictly sorted by (u, v) with u < v
-//! …      n·stride    concatenated vertex label bytes (per-label layout
-//!                    of `serial::vertex_to_bytes`, magic included)
-//! …      rest        concatenated edge label bytes, in edge-ID order
-//!                    (`serial::edge_to_bytes` or `edge_to_bytes_compact`)
+//! …      n·12        vertex records, in vertex order: the ancestry
+//!                    label (pre, last, comp: u32 each)
+//! …      m·(24+8w)   edge records, in edge-ID order: the ancestry labels
+//!                    of σ(e)'s upper and lower endpoint, then w payload
+//!                    words, level-major (w = 2k·levels full, k·levels
+//!                    compact: the odd power sums only)
 //! end-8  8           whole-blob checksum (`ftc_compress::checksum64` of
 //!                    every preceding byte), verified on open
 //! ```
 //!
-//! Version 2 of the container — entropy-coded sections with per-section
+//! Loose labels ([`crate::serial`]) stay self-describing: a loose label
+//! is a magic and a [`LabelHeader`] around the same record (a loose edge
+//! label also carries its geometry between ancestry pair and words).
+//!
+//! The compressed container — entropy-coded sections with per-section
 //! checksums and O(header) opening — lives in [`crate::compressed`],
 //! whose `open_path` memory-maps archives of either format so neither
 //! requires materializing the blob on the heap.
@@ -70,14 +81,12 @@
 
 use crate::ancestry::AncestryLabel;
 use crate::error::QueryError;
-use crate::labels::{
-    EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, RsVector, VertexLabelRead,
-};
+use crate::labels::{EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
-    self, CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-    VertexRecords, VERTEX_LABEL_BYTES,
+    CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
+    VertexRecords, EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
@@ -87,9 +96,10 @@ use std::io;
 use std::sync::Arc;
 
 pub(crate) const STORE_MAGIC: [u8; 4] = *b"FTCL";
-pub(crate) const STORE_VERSION: u16 = 1;
-/// Fixed-size prefix before the offset index.
-pub(crate) const FIXED_HEADER_BYTES: usize = 40;
+pub(crate) const STORE_VERSION: u16 = 3;
+/// The archive header both containers open with; the endpoint index
+/// follows it in the uncompressed container.
+pub(crate) const FIXED_HEADER_BYTES: usize = 44;
 /// Bytes per endpoint-index entry.
 pub(crate) const ENDPOINT_ENTRY_BYTES: usize = 12;
 /// Trailing whole-blob checksum ([`ftc_compress::checksum64`]).
@@ -236,43 +246,119 @@ impl From<SerialError> for StoreOpenError {
     }
 }
 
-/// Parsed archive framing: everything a [`LabelStore`] knows beyond the
-/// bytes themselves.
+/// The archive header and the layout it implies: everything a
+/// [`LabelStore`] knows beyond the bytes themselves. The compressed
+/// container opens with the same header and keeps this layout as the
+/// shape of its uncompressed equivalent.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ArchiveMeta {
     pub(crate) header: LabelHeader,
     pub(crate) encoding: EdgeEncoding,
     pub(crate) n: usize,
     pub(crate) m: usize,
+    pub(crate) k: usize,
+    pub(crate) levels: usize,
     pub(crate) idx_count: usize,
-    /// Byte position of the edge-offset table.
-    pub(crate) offsets_at: usize,
-    /// Byte position of the endpoint index.
-    pub(crate) endpoint_at: usize,
-    /// Byte position of the vertex label region.
+    /// Byte position of the vertex records.
     pub(crate) vertices_at: usize,
-    /// Byte position of the edge label region.
+    /// Byte position of the edge records.
     pub(crate) edges_at: usize,
+    /// Byte length of one edge record.
+    pub(crate) record_len: usize,
+    /// Byte length of the whole archive, trailing checksum included.
+    pub(crate) len: usize,
 }
 
 impl ArchiveMeta {
-    /// Byte span `[at, end)` of edge `e`'s record in `buf`.
-    fn edge_span(&self, buf: &[u8], e: usize) -> (usize, usize) {
-        let start = u64_at(buf, self.offsets_at + 8 * e) as usize;
-        let end = u64_at(buf, self.offsets_at + 8 * (e + 1)) as usize;
-        (self.edges_at + start, self.edges_at + end)
+    /// The layout of an archive with these counts and this geometry;
+    /// `None` when a length overflows.
+    pub(crate) fn new(
+        header: LabelHeader,
+        encoding: EdgeEncoding,
+        (n, m, idx_count): (usize, usize, usize),
+        (k, levels): (usize, usize),
+    ) -> Option<ArchiveMeta> {
+        let words = k.checked_mul(levels)?.checked_mul(match encoding {
+            EdgeEncoding::Full => 2,
+            EdgeEncoding::Compact => 1,
+        })?;
+        let record_len = words.checked_mul(8)?.checked_add(EDGE_PREFIX_BYTES)?;
+        let vertices_at = idx_count
+            .checked_mul(ENDPOINT_ENTRY_BYTES)?
+            .checked_add(FIXED_HEADER_BYTES)?;
+        let edges_at = n
+            .checked_mul(VERTEX_RECORD_BYTES)?
+            .checked_add(vertices_at)?;
+        let len = m
+            .checked_mul(record_len)?
+            .checked_add(edges_at)?
+            .checked_add(TRAILING_CHECKSUM_BYTES)?;
+        Some(ArchiveMeta {
+            header,
+            encoding,
+            n,
+            m,
+            k,
+            levels,
+            idx_count,
+            vertices_at,
+            edges_at,
+            record_len,
+            len,
+        })
     }
 
-    fn edge_view<'b>(
-        &self,
-        buf: &'b [u8],
-        (at, end): (usize, usize),
-    ) -> Result<ArchivedEdgeView<'b>, SerialError> {
-        let bytes = &buf[at..end];
-        Ok(match self.encoding {
-            EdgeEncoding::Full => ArchivedEdgeView::Full(EdgeLabelView::new(bytes)?),
-            EdgeEncoding::Compact => ArchivedEdgeView::Compact(CompactEdgeLabelView::new(bytes)?),
-        })
+    /// Reads the fixed header a container of `version` opens with and
+    /// checks everything it can say about itself: magic, version,
+    /// encoding tag, reserved byte, index count, and a geometry whose
+    /// layout fits in memory arithmetic.
+    pub(crate) fn parse(bytes: &[u8], version: u16) -> Result<ArchiveMeta, SerialError> {
+        let inconsistent = |at: usize| SerialError::new(SerialErrorKind::Inconsistent, at);
+        if bytes.len() < FIXED_HEADER_BYTES {
+            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+        }
+        if bytes[..4] != STORE_MAGIC {
+            return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+        }
+        if u16::from_le_bytes([bytes[4], bytes[5]]) != version {
+            return Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4));
+        }
+        let encoding = EdgeEncoding::from_tag(bytes[6]).ok_or(inconsistent(6))?;
+        if bytes[7] != 0 {
+            return Err(inconsistent(7));
+        }
+        let header = crate::serial::read_header_at(bytes, 8);
+        let field = |at: usize| u32_at(bytes, at) as usize;
+        let (n, m, k, levels, idx_count) = (field(24), field(28), field(32), field(36), field(40));
+        // A zero threshold has no levels: a detector configured so would
+        // ignore every stored word.
+        if k == 0 && levels != 0 {
+            return Err(inconsistent(36));
+        }
+        if idx_count > m {
+            return Err(inconsistent(40));
+        }
+        ArchiveMeta::new(header, encoding, (n, m, idx_count), (k, levels)).ok_or(inconsistent(32))
+    }
+
+    /// Stored payload words per edge record.
+    pub(crate) fn words(&self) -> usize {
+        payload_words(self.encoding, self.k, self.levels)
+    }
+
+    /// Edge `e`'s record in `buf` (an archive of this layout) as a view.
+    fn edge_view<'b>(&self, buf: &'b [u8], e: usize) -> ArchivedEdgeView<'b> {
+        let at = self.edges_at + e * self.record_len;
+        let rec = &buf[at..at + self.record_len];
+        let (header, k, levels) = (self.header, self.k, self.levels);
+        match self.encoding {
+            EdgeEncoding::Full => {
+                ArchivedEdgeView::Full(EdgeLabelView::record(header, k, levels, rec))
+            }
+            EdgeEncoding::Compact => {
+                ArchivedEdgeView::Compact(CompactEdgeLabelView::record(header, k, levels, rec))
+            }
+        }
     }
 }
 
@@ -341,146 +427,46 @@ pub(crate) fn stream_session<K, L: EdgeLabelRead<Vector = RsVector>>(
     Ok(session?)
 }
 
-/// Validates a whole v1 archive — framing, index monotonicity, and every
-/// contained label (magic, geometry, header agreement) — and returns its
-/// parsed framing. Once it passes, every lookup is infallible index
-/// arithmetic over pre-validated bytes.
+/// Validates a whole v1 archive — its header, its length against the
+/// layout the header implies, the endpoint index and the whole-blob
+/// checksum — and returns its layout. Records carry no fields to check:
+/// once this passes, every lookup is infallible index arithmetic.
 ///
 /// # Errors
 ///
 /// [`SerialError`] carrying the archive byte offset at which validation
 /// failed.
 pub(crate) fn parse_v1(bytes: &[u8]) -> Result<ArchiveMeta, SerialError> {
-    let truncated = |at: usize| SerialError::new(SerialErrorKind::Truncated, at);
-    let inconsistent = |at: usize| SerialError::new(SerialErrorKind::Inconsistent, at);
-    if bytes.len() < FIXED_HEADER_BYTES {
-        return Err(truncated(bytes.len()));
+    let meta = ArchiveMeta::parse(bytes, STORE_VERSION)?;
+    if bytes.len() < meta.len {
+        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
     }
-    if bytes[..4] != STORE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+    if bytes.len() > meta.len {
+        return Err(SerialError::new(SerialErrorKind::TrailingBytes, meta.len));
     }
-    if u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != STORE_VERSION {
-        return Err(SerialError::new(SerialErrorKind::UnsupportedVersion, 4));
-    }
-    let encoding = EdgeEncoding::from_tag(bytes[6]).ok_or(inconsistent(6))?;
-    if bytes[7] != 0 {
-        return Err(inconsistent(7));
-    }
-    let header = LabelHeader {
-        f: u32_at(bytes, 8),
-        aux_n: u32_at(bytes, 12),
-        tag: u64_at(bytes, 16),
-    };
-    let n = u32_at(bytes, 24) as usize;
-    let m = u32_at(bytes, 28) as usize;
-    let stride = u32_at(bytes, 32) as usize;
-    if stride != VERTEX_LABEL_BYTES {
-        return Err(inconsistent(32));
-    }
-    let idx_count = u32_at(bytes, 36) as usize;
-    if idx_count > m {
-        return Err(inconsistent(36));
-    }
-    // Everything after the fixed header and before the trailing
-    // whole-blob checksum is the archive body.
-    if bytes.len() < FIXED_HEADER_BYTES + TRAILING_CHECKSUM_BYTES {
-        return Err(truncated(bytes.len()));
-    }
-    let body_len = bytes.len() - TRAILING_CHECKSUM_BYTES;
-
-    let offsets_at = FIXED_HEADER_BYTES;
-    let offsets_len = (m as u64 + 1) * 8;
-    let endpoint_len = idx_count as u64 * ENDPOINT_ENTRY_BYTES as u64;
-    let vertex_len = n as u64 * stride as u64;
-    let endpoint_at = offsets_at as u64 + offsets_len;
-    let vertices_at = endpoint_at + endpoint_len;
-    let edges_at = vertices_at + vertex_len;
-    if edges_at > body_len as u64 {
-        return Err(truncated(bytes.len()));
-    }
-    let (endpoint_at, vertices_at, edges_at) = (
-        endpoint_at as usize,
-        vertices_at as usize,
-        edges_at as usize,
-    );
-
-    // Edge offsets: zero-based, monotone, ending exactly at the end of
-    // the body (the trailing checksum is not part of any region).
-    let edge_region_len = (body_len - edges_at) as u64;
-    let mut prev = 0u64;
-    for e in 0..=m {
-        let off = u64_at(bytes, offsets_at + 8 * e);
-        if (e == 0 && off != 0) || off < prev || off > edge_region_len {
-            return Err(inconsistent(offsets_at + 8 * e));
-        }
-        prev = off;
-    }
-    if prev != edge_region_len {
-        return Err(inconsistent(offsets_at + 8 * m));
-    }
-
-    // Endpoint index: strictly sorted normalized pairs, edge IDs in
-    // range.
-    let mut prev_pair: Option<(u32, u32)> = None;
-    for i in 0..idx_count {
-        let at = endpoint_at + ENDPOINT_ENTRY_BYTES * i;
-        let u = u32_at(bytes, at);
-        let v = u32_at(bytes, at + 4);
-        let e = u32_at(bytes, at + 8) as usize;
-        if u >= v || e >= m || prev_pair.is_some_and(|p| p >= (u, v)) {
-            return Err(inconsistent(at));
-        }
-        prev_pair = Some((u, v));
-    }
-
-    let meta = ArchiveMeta {
-        header,
-        encoding,
-        n,
-        m,
-        idx_count,
-        offsets_at,
-        endpoint_at,
-        vertices_at,
-        edges_at,
-    };
-
-    // Validate every label once; lookups then skip re-validation.
-    let rebase = |err: SerialError, base: usize| SerialError::new(err.kind, base + err.offset);
-    for v in 0..n {
-        let at = vertices_at + v * stride;
-        let vl = VertexLabelView::new(&bytes[at..at + stride]).map_err(|e| rebase(e, at))?;
-        if VertexLabelRead::header(&vl) != header {
-            return Err(inconsistent(at));
-        }
-    }
-    // Edge labels must additionally agree on the codec geometry
-    // (threshold k and level count): the merge engine asserts uniform
-    // widths, so a mixed-geometry archive must fail here — at open, with
-    // an offset — not panic inside a later session.
-    let mut geometry: Option<(usize, usize)> = None;
-    for e in 0..m {
-        let span = meta.edge_span(bytes, e);
-        let label = meta
-            .edge_view(bytes, span)
-            .map_err(|err| rebase(err, span.0))?;
-        if label.header() != header {
-            return Err(inconsistent(span.0));
-        }
-        let this = (label.k(), label.levels());
-        match geometry {
-            None => geometry = Some(this),
-            Some(first) if first != this => return Err(inconsistent(span.0)),
-            Some(_) => {}
-        }
-    }
-    // Last line of defense: payload corruption that keeps every
-    // structural invariant (a flipped syndrome word, say) is caught by
-    // the whole-blob checksum.
+    check_endpoint_index(&bytes[FIXED_HEADER_BYTES..meta.vertices_at], meta.m)
+        .map_err(|at| SerialError::new(SerialErrorKind::Inconsistent, FIXED_HEADER_BYTES + at))?;
+    // Payload corruption keeps every structural invariant (a flipped
+    // syndrome word, say); the whole-blob checksum catches it.
+    let body_len = meta.len - TRAILING_CHECKSUM_BYTES;
     if u64_at(bytes, body_len) != ftc_compress::checksum64(&bytes[..body_len]) {
         return Err(SerialError::new(SerialErrorKind::Checksum, body_len));
     }
     Ok(meta)
+}
+
+/// Checks an endpoint-index region: strictly sorted normalized pairs and
+/// edge IDs below `m`, the invariants `find_edge_id`'s binary search
+/// relies on. `Err` is the byte offset of the first bad entry.
+pub(crate) fn check_endpoint_index(index: &[u8], m: usize) -> Result<(), usize> {
+    let mut prev: Option<(usize, usize)> = None;
+    for (i, (u, v, e)) in endpoint_entries(index).enumerate() {
+        if u >= v || e >= m || prev.is_some_and(|p| p >= (u, v)) {
+            return Err(ENDPOINT_ENTRY_BYTES * i);
+        }
+        prev = Some((u, v));
+    }
+    Ok(())
 }
 
 impl LabelStore {
@@ -577,23 +563,29 @@ impl LabelStore {
         self.bytes.bytes()
     }
 
+    /// Codec threshold `k`, uniform over all edge records.
+    pub fn k(&self) -> usize {
+        self.meta.k
+    }
+
+    /// Hierarchy level count, uniform over all edge records.
+    pub fn levels(&self) -> usize {
+        self.meta.levels
+    }
+
     /// Byte accounting of the archive regions, in the shape of the v2
     /// section table ([`SectionInfo`](crate::compressed::SectionInfo)):
-    /// endpoint index, vertex labels, per-edge metadata prefixes, and one
-    /// entry per hierarchy level of payload rows. v1 stores everything
-    /// raw, so `comp_len == raw_len` and `transform == 0`. Level-row
-    /// entries account each level's share of every record's payload even
-    /// though v1 interleaves levels record-major rather than storing them
-    /// contiguously; the fixed header, offset table, and trailing
-    /// checksum are framing and appear in no section, so the sections sum
-    /// to less than [`archive_bytes`](Self::archive_bytes).
-    ///
-    /// Only the uniform-record geometry of builder/patch archives is
-    /// broken down per level; archives whose records disagree on
-    /// `(k, levels)` report a single `level-rows` entry covering all
-    /// payload bytes.
+    /// endpoint index, vertex records, the edge records' ancestry pairs,
+    /// and one entry per hierarchy level of payload rows. v1 stores
+    /// everything raw, so `comp_len == raw_len` and `transform == 0`.
+    /// Level-row entries account each level's share of every record's
+    /// payload even though v1 interleaves levels record-major rather than
+    /// storing them contiguously; the header and trailing checksum are
+    /// framing and appear in no section, so the sections sum to less than
+    /// [`archive_bytes`](Self::archive_bytes).
     pub fn sections(&self) -> Vec<crate::compressed::SectionInfo> {
         use crate::compressed::{SectionInfo, SectionKind};
+        let meta = &self.meta;
         let raw = |kind, level, raw_len| SectionInfo {
             kind,
             level,
@@ -601,53 +593,37 @@ impl LabelStore {
             comp_len: raw_len,
             transform: 0,
         };
-        let m = self.meta.m;
-        let mut out = vec![
+        let level_bytes = meta.m * 8 * payload_words(meta.encoding, meta.k, 1);
+        [
             raw(
                 SectionKind::EndpointIndex,
                 None,
-                self.meta.vertices_at - self.meta.endpoint_at,
+                meta.vertices_at - FIXED_HEADER_BYTES,
             ),
             raw(
                 SectionKind::VertexLabels,
                 None,
-                self.meta.edges_at - self.meta.vertices_at,
+                meta.edges_at - meta.vertices_at,
             ),
-            raw(SectionKind::EdgeMeta, None, m * serial::EDGE_WORDS_OFFSET),
-        ];
-        let payload = self.archive_bytes()
-            - self.meta.edges_at
-            - m * serial::EDGE_WORDS_OFFSET
-            - TRAILING_CHECKSUM_BYTES;
-        let uniform = self.edge_by_id(0).map(|e| (e.k(), e.levels()));
-        match uniform {
-            Some((k, levels))
-                if levels > 0
-                    && payload == m * 8 * payload_words(self.meta.encoding, k, levels) =>
-            {
-                let level_bytes = payload / levels;
-                out.extend(
-                    (0..levels).map(|lvl| raw(SectionKind::LevelRows, Some(lvl), level_bytes)),
-                );
-            }
-            _ => out.push(raw(SectionKind::LevelRows, None, payload)),
-        }
-        out
+            raw(SectionKind::EdgeMeta, None, meta.m * EDGE_PREFIX_BYTES),
+        ]
+        .into_iter()
+        .chain((0..meta.levels).map(|lvl| raw(SectionKind::LevelRows, Some(lvl), level_bytes)))
+        .collect()
     }
 
     pub(crate) fn meta(&self) -> &ArchiveMeta {
         &self.meta
     }
 
-    pub(crate) fn edge_span(&self, e: usize) -> (usize, usize) {
-        self.meta.edge_span(self.as_bytes(), e)
-    }
-
-    /// The vertex records — the blob's vertex region, validated at open
-    /// and read zero-copy.
+    /// The vertex records — the blob's vertex region, read zero-copy
+    /// under the archive header.
     pub fn vertex_records(&self) -> VertexRecords<'_> {
-        let at = self.meta.vertices_at;
-        VertexRecords::new(&self.as_bytes()[at..at + self.meta.n * VERTEX_LABEL_BYTES])
+        let meta = &self.meta;
+        VertexRecords::new(
+            meta.header,
+            &self.as_bytes()[meta.vertices_at..meta.edges_at],
+        )
     }
 
     /// The label of vertex `v` as a zero-copy view — O(1); `None` when
@@ -659,15 +635,7 @@ impl LabelStore {
     /// The label of the edge with original edge ID `e` as a zero-copy
     /// view — O(1); `None` when `e` is out of range.
     pub fn edge_by_id(&self, e: usize) -> Option<ArchivedEdgeView<'_>> {
-        if e >= self.meta.m {
-            return None;
-        }
-        let span = self.edge_span(e);
-        Some(
-            self.meta
-                .edge_view(self.as_bytes(), span)
-                .expect("validated at open"),
-        )
+        (e < self.meta.m).then(|| self.meta.edge_view(self.as_bytes(), e))
     }
 
     /// The edge ID of the edge joining `u` and `v` (either order) —
@@ -692,7 +660,7 @@ impl LabelStore {
     /// The raw endpoint-index region (the layout v2's endpoint section
     /// decodes to).
     pub(crate) fn endpoint_bytes(&self) -> &[u8] {
-        &self.as_bytes()[self.meta.endpoint_at..self.meta.vertices_at]
+        &self.as_bytes()[FIXED_HEADER_BYTES..self.meta.vertices_at]
     }
 
     /// Opens a [`QuerySession`] for a fault set named by endpoint pairs,
@@ -755,29 +723,6 @@ impl ArchivedEdgeView<'_> {
             ArchivedEdgeView::Compact(v) => v.to_label(),
         }
     }
-
-    /// The codec threshold `k` of the carried vector.
-    pub fn k(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => v.k(),
-            ArchivedEdgeView::Compact(v) => v.k(),
-        }
-    }
-
-    /// Number of hierarchy levels carried.
-    pub fn levels(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => {
-                let k = v.k();
-                if k == 0 {
-                    0
-                } else {
-                    v.num_words() / (2 * k)
-                }
-            }
-            ArchivedEdgeView::Compact(v) => v.levels(),
-        }
-    }
 }
 
 impl EdgeLabelRead for ArchivedEdgeView<'_> {
@@ -835,7 +780,7 @@ fn put_u16(buf: &mut [u8], at: usize, x: u16) {
     buf[at..at + 2].copy_from_slice(&x.to_le_bytes());
 }
 
-fn put_u32(buf: &mut [u8], at: usize, x: u32) {
+pub(crate) fn put_u32(buf: &mut [u8], at: usize, x: u32) {
     buf[at..at + 4].copy_from_slice(&x.to_le_bytes());
 }
 
@@ -843,7 +788,7 @@ pub(crate) fn put_u64(buf: &mut [u8], at: usize, x: u64) {
     buf[at..at + 8].copy_from_slice(&x.to_le_bytes());
 }
 
-fn put_header(buf: &mut [u8], at: usize, h: LabelHeader) {
+pub(crate) fn put_header(buf: &mut [u8], at: usize, h: LabelHeader) {
     put_u32(buf, at, h.f);
     put_u32(buf, at + 4, h.aux_n);
     put_u64(buf, at + 8, h.tag);
@@ -855,26 +800,20 @@ fn put_anc(buf: &mut [u8], at: usize, a: &AncestryLabel) {
     put_u32(buf, at + 8, a.comp);
 }
 
-/// Writes the 40-byte fixed v1 header at the start of `buf`. `version`
-/// is a parameter because the v2 container reuses the same prologue.
-pub(crate) fn write_fixed_header(
-    buf: &mut [u8],
-    version: u16,
-    header: LabelHeader,
-    encoding: EdgeEncoding,
-    n: usize,
-    m: usize,
-    idx_count: usize,
-) {
+/// Writes the archive header at the start of `buf`. `version` is a
+/// parameter because the compressed container opens with the same
+/// header.
+pub(crate) fn write_fixed_header(buf: &mut [u8], version: u16, meta: &ArchiveMeta) {
     buf[..4].copy_from_slice(&STORE_MAGIC);
     put_u16(buf, 4, version);
-    buf[6] = encoding.tag();
+    buf[6] = meta.encoding.tag();
     buf[7] = 0;
-    put_header(buf, 8, header);
-    put_u32(buf, 24, n as u32);
-    put_u32(buf, 28, m as u32);
-    put_u32(buf, 32, VERTEX_LABEL_BYTES as u32);
-    put_u32(buf, 36, idx_count as u32);
+    put_header(buf, 8, meta.header);
+    put_u32(buf, 24, meta.n as u32);
+    put_u32(buf, 28, meta.m as u32);
+    put_u32(buf, 32, meta.k as u32);
+    put_u32(buf, 36, meta.levels as u32);
+    put_u32(buf, 40, meta.idx_count as u32);
 }
 
 /// Writes the endpoint index region at `at`.
@@ -887,57 +826,38 @@ pub(crate) fn write_endpoint_index(buf: &mut [u8], at: usize, index: &EndpointIn
     }
 }
 
-/// Writes one vertex record at `at` — the only writer of the
-/// [`serial::vertex_to_bytes`] layout.
-pub(crate) fn write_vertex_record(
-    buf: &mut [u8],
-    at: usize,
-    header: LabelHeader,
-    anc: &AncestryLabel,
-) {
-    put_u16(buf, at, serial::VERTEX_MAGIC);
-    put_header(buf, at + 2, header);
-    put_anc(buf, at + 2 + serial::HEADER_BYTES, anc);
+/// Writes one vertex record at `at` — the only writer of a vertex
+/// label's ancestry bytes, loose or archived.
+pub(crate) fn write_vertex_record(buf: &mut [u8], at: usize, anc: &AncestryLabel) {
+    put_anc(buf, at, anc);
 }
 
-/// Writes the vertex-label region at `at`.
+/// Writes the vertex-record region at `at`.
 pub(crate) fn write_vertex_labels(
     buf: &mut [u8],
     at: usize,
     n: usize,
-    header: LabelHeader,
     vertex_anc: impl Fn(usize) -> AncestryLabel,
 ) {
     for v in 0..n {
-        write_vertex_record(buf, at + v * VERTEX_LABEL_BYTES, header, &vertex_anc(v));
+        write_vertex_record(buf, at + v * VERTEX_RECORD_BYTES, &vertex_anc(v));
     }
 }
 
-/// Writes the archive's fixed header, edge-offset table, endpoint index,
-/// and vertex-label region into a pre-sized blob. Shared by the owned
-/// [`encode`] path, the streaming [`stream_from_build`] path, and the
-/// v2 decompressor so all three produce identical framing bytes by
+/// Writes the archive header, endpoint index and vertex records into a
+/// pre-sized blob of `meta`'s layout. Shared by the owned [`encode`]
+/// path, the streaming [`stream_from_build`] path and the patch
+/// assembler, so all three produce identical framing bytes by
 /// construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn write_framing(
     buf: &mut [u8],
-    header: LabelHeader,
-    encoding: EdgeEncoding,
-    n: usize,
-    m: usize,
+    meta: &ArchiveMeta,
     index: &EndpointIndex,
-    edge_offset: impl Fn(usize) -> u64,
     vertex_anc: impl Fn(usize) -> AncestryLabel,
 ) {
-    write_fixed_header(buf, STORE_VERSION, header, encoding, n, m, index.len());
-    let offsets_at = FIXED_HEADER_BYTES;
-    for e in 0..=m {
-        put_u64(buf, offsets_at + 8 * e, edge_offset(e));
-    }
-    let endpoint_at = offsets_at + (m + 1) * 8;
-    write_endpoint_index(buf, endpoint_at, index);
-    let vertices_at = endpoint_at + index.len() * ENDPOINT_ENTRY_BYTES;
-    write_vertex_labels(buf, vertices_at, n, header, vertex_anc);
+    write_fixed_header(buf, STORE_VERSION, meta);
+    write_endpoint_index(buf, FIXED_HEADER_BYTES, index);
+    write_vertex_labels(buf, meta.vertices_at, meta.n, vertex_anc);
 }
 
 /// Computes and writes the trailing whole-blob checksum into the final
@@ -948,45 +868,16 @@ pub(crate) fn seal_v1_checksum(buf: &mut [u8]) {
     put_u64(buf, body_len, sum);
 }
 
-/// Writes one edge record's fixed prefix (everything before the syndrome
-/// words): magic, header, both ancestry labels, `k`, and the payload
-/// geometry field (`2k·levels` for full records, `levels` for compact).
-#[allow(clippy::too_many_arguments)]
+/// Writes one edge record's prefix (everything before the syndrome
+/// words): the ancestry labels of both endpoints of `σ(e)`.
 pub(crate) fn write_edge_prefix(
     buf: &mut [u8],
     at: usize,
-    header: LabelHeader,
     anc_upper: &AncestryLabel,
     anc_lower: &AncestryLabel,
-    encoding: EdgeEncoding,
-    k: usize,
-    levels: usize,
 ) {
-    put_u16(
-        buf,
-        at,
-        match encoding {
-            EdgeEncoding::Full => serial::EDGE_MAGIC,
-            EdgeEncoding::Compact => serial::COMPACT_EDGE_MAGIC,
-        },
-    );
-    put_header(buf, at + 2, header);
-    put_anc(buf, at + 2 + serial::HEADER_BYTES, anc_upper);
-    put_anc(
-        buf,
-        at + 2 + serial::HEADER_BYTES + serial::ANC_BYTES,
-        anc_lower,
-    );
-    let geom_at = at + serial::EDGE_WORDS_OFFSET - 8;
-    put_u32(buf, geom_at, k as u32);
-    put_u32(
-        buf,
-        geom_at + 4,
-        match encoding {
-            EdgeEncoding::Full => (2 * k * levels) as u32,
-            EdgeEncoding::Compact => levels as u32,
-        },
-    );
+    put_anc(buf, at, anc_upper);
+    put_anc(buf, at + crate::serial::ANC_BYTES, anc_lower);
 }
 
 /// Stored payload words per edge record under an encoding.
@@ -997,80 +888,45 @@ pub(crate) fn payload_words(encoding: EdgeEncoding, k: usize, levels: usize) -> 
     }
 }
 
-/// Byte length of one edge record under an encoding.
-pub(crate) fn record_len(encoding: EdgeEncoding, k: usize, levels: usize) -> usize {
-    serial::EDGE_WORDS_OFFSET + 8 * payload_words(encoding, k, levels)
-}
-
-/// Writes one owned edge label's complete record at `at`, prefix and
-/// syndrome words — the only writer of the [`serial::edge_to_bytes`]
-/// and [`serial::edge_to_bytes_compact`] layouts outside the streaming
-/// build.
-pub(crate) fn write_edge_record(
-    buf: &mut [u8],
-    at: usize,
-    header: LabelHeader,
-    label: &EdgeLabel<RsVector>,
-    encoding: EdgeEncoding,
-) {
-    let vec = &label.vec;
-    write_edge_prefix(
-        buf,
-        at,
-        header,
-        &label.anc_upper,
-        &label.anc_lower,
-        encoding,
-        vec.k(),
-        vec.levels(),
-    );
-    // Compact records keep the odd power sums only: s₁, s₃, … (even ones
-    // are Frobenius squares, reconstructed on read).
+/// Writes an owned vector's stored payload words at `at`: every word for
+/// full records, the odd power sums s₁, s₃, … for compact ones (even
+/// ones are Frobenius squares, reconstructed on read).
+pub(crate) fn write_edge_words(buf: &mut [u8], at: usize, vec: &RsVector, encoding: EdgeEncoding) {
     let step = match encoding {
         EdgeEncoding::Full => 1,
         EdgeEncoding::Compact => 2,
     };
-    let words_at = at + serial::EDGE_WORDS_OFFSET;
     for (i, x) in vec.raw().iter().step_by(step).enumerate() {
-        put_u64(buf, words_at + 8 * i, x.to_bits());
+        put_u64(buf, at + 8 * i, x.to_bits());
     }
 }
 
 /// Serializes a label set into the archive layout — one pre-sized output
-/// buffer, written in place (no per-edge byte buffers).
+/// buffer, written in place (no per-edge byte buffers). The codec
+/// geometry is edge 0's, which every edge of a built labeling shares; a
+/// labeling without edges has none and records `(0, 0)`.
 fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
-    let n = labels.n();
-    let m = labels.m();
-    let header = labels.header();
-
-    // Per-edge record lengths (uniform for every labeling our builders
-    // produce, but the offset table supports arbitrary lengths — keep
-    // the general form).
-    let mut edge_total = 0usize;
-    let mut offsets = Vec::with_capacity(m + 1);
-    for label in labels.edge_labels() {
-        offsets.push(edge_total as u64);
-        edge_total += record_len(encoding, label.vec.k(), label.vec.levels());
-    }
-    offsets.push(edge_total as u64);
-
-    let edges_at = FIXED_HEADER_BYTES
-        + (m + 1) * 8
-        + labels.edge_index.len() * ENDPOINT_ENTRY_BYTES
-        + n * VERTEX_LABEL_BYTES;
-    let mut out = vec![0u8; edges_at + edge_total + TRAILING_CHECKSUM_BYTES];
-    write_framing(
-        &mut out,
-        header,
-        encoding,
-        n,
-        m,
-        &labels.edge_index,
-        |e| offsets[e],
-        |v| labels.vertex_label(v).anc,
+    let geometry = labels
+        .edge_labels()
+        .next()
+        .map_or((0, 0), |l| (l.vec.k(), l.vec.levels()));
+    assert!(
+        labels
+            .edge_labels()
+            .all(|l| (l.vec.k(), l.vec.levels()) == geometry),
+        "an archived labeling has one codec geometry"
     );
-    for (label, &off) in labels.edge_labels().zip(&offsets) {
-        write_edge_record(&mut out, edges_at + off as usize, header, label, encoding);
+    let counts = (labels.n(), labels.m(), labels.edge_index.len());
+    let meta = ArchiveMeta::new(labels.header(), encoding, counts, geometry)
+        .expect("archive length fits in memory");
+    let mut out = vec![0u8; meta.len];
+    write_framing(&mut out, &meta, &labels.edge_index, |v| {
+        labels.vertex_label(v).anc
+    });
+    for (e, label) in labels.edge_labels().enumerate() {
+        let at = meta.edges_at + e * meta.record_len;
+        write_edge_prefix(&mut out, at, &label.anc_upper, &label.anc_lower);
+        write_edge_words(&mut out, at + EDGE_PREFIX_BYTES, &label.vec, encoding);
     }
     seal_v1_checksum(&mut out);
     out
@@ -1126,61 +982,53 @@ impl LevelSink for ArchivePayloadSink {
 }
 
 /// Lays out and fills a complete archive straight from a prepared build:
-/// framing, index, vertex labels, and every edge record's prefix are
-/// written up front; the subtree-sums workers then write each `(edge,
-/// level)` syndrome row into its final blob position. The labeling is
-/// never materialized as owned labels, so peak memory is one blob plus
-/// O(threads) worker accumulators.
+/// header, index, vertex records, and every edge record's ancestry pair
+/// are written up front; the subtree-sums workers then write each
+/// `(edge, level)` syndrome row into its final blob position. The
+/// labeling is never materialized as owned labels, so peak memory is one
+/// blob plus O(threads) worker accumulators.
 pub(crate) fn stream_from_build(
     g: &Graph,
     ctx: &BuildCtx,
     threads: usize,
     encoding: EdgeEncoding,
 ) -> LabelStore {
-    let (n, m) = (g.n(), g.m());
-    let (k, levels, header) = (ctx.k, ctx.levels, ctx.header);
-    let words = payload_words(encoding, k, levels);
-    let record_len = record_len(encoding, k, levels);
     let index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
-
-    let edges_at = FIXED_HEADER_BYTES
-        + (m + 1) * 8
-        + index.len() * ENDPOINT_ENTRY_BYTES
-        + n * VERTEX_LABEL_BYTES;
-    let mut buf = vec![0u8; edges_at + m * record_len + TRAILING_CHECKSUM_BYTES];
-    write_framing(
-        &mut buf,
-        header,
+    let meta = ArchiveMeta::new(
+        ctx.header,
         encoding,
-        n,
-        m,
-        &index,
-        |e| (e * record_len) as u64,
-        |v| ctx.aux.anc[v],
-    );
+        (g.n(), g.m(), index.len()),
+        (ctx.k, ctx.levels),
+    )
+    .expect("archive length fits in memory");
+    let mut buf = vec![0u8; meta.len];
+    write_framing(&mut buf, &meta, &index, |v| ctx.aux.anc[v]);
     for (e, &lower) in ctx.aux.sigma_lower.iter().enumerate() {
         let upper = ctx.aux.tree.parent(lower).expect("σ(e) lower has a parent");
         write_edge_prefix(
             &mut buf,
-            edges_at + e * record_len,
-            header,
+            meta.edges_at + e * meta.record_len,
             &ctx.aux.anc[upper],
             &ctx.aux.anc[lower],
-            encoding,
-            k,
-            levels,
         );
     }
     {
         let sink = ArchivePayloadSink {
             base: buf.as_mut_ptr(),
             len: buf.len(),
-            first_payload_at: edges_at + serial::EDGE_WORDS_OFFSET,
-            record_stride: record_len,
-            level_stride: 8 * words / levels.max(1),
+            first_payload_at: meta.edges_at + EDGE_PREFIX_BYTES,
+            record_stride: meta.record_len,
+            level_stride: 8 * payload_words(encoding, ctx.k, 1),
             encoding,
         };
-        crate::scheme::build_subtree_sums(&ctx.aux, &ctx.hierarchy, k, levels, threads, &sink);
+        crate::scheme::build_subtree_sums(
+            &ctx.aux,
+            &ctx.hierarchy,
+            ctx.k,
+            ctx.levels,
+            threads,
+            &sink,
+        );
     }
     seal_v1_checksum(&mut buf);
     LabelStore::open(buf).expect("freshly built archives are well-formed")
@@ -1191,6 +1039,7 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
+    use crate::serial;
     use ftc_graph::Graph;
 
     fn open(blob: &[u8]) -> Result<LabelStore, SerialError> {
@@ -1216,6 +1065,8 @@ mod tests {
             assert_eq!(view.n(), g.n());
             assert_eq!(view.m(), g.m());
             assert_eq!(view.header(), l.header());
+            let e0 = &l.edge_label_by_id(0).vec;
+            assert_eq!((view.k(), view.levels()), (e0.k(), e0.levels()));
             for v in 0..g.n() {
                 assert_eq!(&view.vertex(v).unwrap().to_label(), l.vertex_label(v));
             }
@@ -1238,8 +1089,9 @@ mod tests {
 
     #[test]
     fn loose_labels_match_archived_records() {
-        // The loose serializers and the archive writers must agree byte
-        // for byte, for the owned encoder and the streaming build alike.
+        // A loose label is its archive record behind a magic and header
+        // (edges also carry their geometry before the words), for the
+        // owned encoder and the streaming build alike.
         let g = Graph::torus(3, 4);
         let params = Params::deterministic(2);
         let scheme = FtcScheme::build(&g, &params).unwrap();
@@ -1251,21 +1103,31 @@ mod tests {
                 .build_store(encoding)
                 .unwrap();
             assert_eq!(streamed.as_bytes(), &owned[..]);
-            let view = &streamed;
-            let blob = view.as_bytes();
-            for e in 0..view.m() {
-                let (at, end) = view.edge_span(e);
+            let meta = streamed.meta();
+            let blob = streamed.as_bytes();
+            for e in 0..streamed.m() {
+                let at = meta.edges_at + e * meta.record_len;
+                let rec = &blob[at..at + meta.record_len];
                 let loose = match encoding {
                     EdgeEncoding::Full => serial::edge_to_bytes(l.edge_label_by_id(e)),
                     EdgeEncoding::Compact => serial::edge_to_bytes_compact(l.edge_label_by_id(e)),
                 };
-                assert_eq!(&blob[at..end], &loose[..], "{encoding:?} edge {e}");
-            }
-            for v in 0..view.n() {
-                let at = view.meta().vertices_at + v * VERTEX_LABEL_BYTES;
                 assert_eq!(
-                    &blob[at..at + VERTEX_LABEL_BYTES],
-                    &serial::vertex_to_bytes(l.vertex_label(v))[..],
+                    &loose[18..42],
+                    &rec[..EDGE_PREFIX_BYTES],
+                    "{encoding:?} edge {e}"
+                );
+                assert_eq!(
+                    &loose[50..],
+                    &rec[EDGE_PREFIX_BYTES..],
+                    "{encoding:?} edge {e}"
+                );
+            }
+            for v in 0..streamed.n() {
+                let at = meta.vertices_at + v * VERTEX_RECORD_BYTES;
+                assert_eq!(
+                    &blob[at..at + VERTEX_RECORD_BYTES],
+                    &serial::vertex_to_bytes(l.vertex_label(v))[18..],
                     "vertex {v}"
                 );
             }
@@ -1274,39 +1136,29 @@ mod tests {
 
     #[test]
     fn zero_threshold_records_with_words_rejected() {
-        // A full record claiming k = 0 but carrying syndrome words would
-        // configure a zero-level detector that ignores every stored word;
-        // it is rejected at the word-count field.
+        // A label claiming k = 0 but carrying syndrome levels would
+        // configure a zero-level detector that ignores every stored word.
         let g = Graph::cycle(5);
         let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
         let l = scheme.labels();
-        let want = |base: usize| {
-            SerialError::new(
-                SerialErrorKind::Inconsistent,
-                base + serial::EDGE_WORDS_OFFSET - 4,
-            )
-        };
-        let k_field =
-            |buf: &mut [u8], at: usize| put_u32(buf, at + serial::EDGE_WORDS_OFFSET - 8, 0);
 
-        // Loose bytes: the zero-copy view and the owned parser.
+        // Loose bytes, rejected at the word-count field: the zero-copy
+        // view and the owned parser.
         let mut loose = serial::edge_to_bytes(l.edge_label_by_id(0));
-        k_field(&mut loose, 0);
-        assert_eq!(EdgeLabelView::new(&loose).unwrap_err(), want(0));
-        assert_eq!(serial::edge_from_bytes(&loose).unwrap_err(), want(0));
+        put_u32(&mut loose, 42, 0);
+        let want = SerialError::new(SerialErrorKind::Inconsistent, 46);
+        assert_eq!(EdgeLabelView::new(&loose).unwrap_err(), want);
+        assert_eq!(serial::edge_from_bytes(&loose).unwrap_err(), want);
 
-        // A resealed v1 archive whose every record claims k = 0 (so the
-        // uniform-geometry check cannot catch it).
+        // A resealed archive whose header claims k = 0, rejected at the
+        // level-count field.
         let mut blob = LabelStore::to_vec(l, EdgeEncoding::Full);
-        let spans: Vec<_> = {
-            let view = open(&blob).unwrap();
-            (0..view.m()).map(|e| view.edge_span(e).0).collect()
-        };
-        for &at in &spans {
-            k_field(&mut blob, at);
-        }
+        put_u32(&mut blob, 32, 0);
         seal_v1_checksum(&mut blob);
-        assert_eq!(open(&blob).unwrap_err(), want(spans[0]));
+        assert_eq!(
+            open(&blob).unwrap_err(),
+            SerialError::new(SerialErrorKind::Inconsistent, 36)
+        );
     }
 
     #[test]
@@ -1378,28 +1230,29 @@ mod tests {
 
     #[test]
     fn mixed_codec_geometry_rejected_at_open() {
-        // A crafted archive whose edge labels disagree on the codec
-        // threshold k must be rejected at open() — never reach the merge
-        // engine's width assertions. Natural archives cannot mix k
-        // (the header tag fingerprints it), so forge one: rewrite edge
-        // 0's k field to a divisor of its word count, which keeps the
-        // per-label geometry checks satisfied.
+        // The codec geometry lives once, in the archive header, so no
+        // record can disagree with another: a header geometry that does
+        // not describe the stored records changes the layout's length
+        // and is rejected at open() — it never reaches the merge
+        // engine's width assertions, even resealed.
         let g = Graph::cycle(5);
         let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
-        let l = scheme.labels();
-        let k = l.edge_label_by_id(0).vec.k();
-        assert!(k > 1, "need k > 1 to forge a divisor");
-        let mut blob = LabelStore::to_vec(l, EdgeEncoding::Full);
-        let view = open(&blob).unwrap();
-        let (n, m, idx) = (view.n(), view.m(), view.endpoint_index().len());
-        // k field of edge 0: edge region start + per-label offset of k
-        // (magic 2 + header 16 + two ancestry labels 24 = 42).
-        let edges_at =
-            FIXED_HEADER_BYTES + (m + 1) * 8 + idx * ENDPOINT_ENTRY_BYTES + n * VERTEX_LABEL_BYTES;
-        let k_at = edges_at + 42;
-        assert_eq!(u32_at(&blob, k_at) as usize, k);
-        blob[k_at..k_at + 4].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(open(&blob).unwrap_err().kind, SerialErrorKind::Inconsistent);
+        let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
+        let k = open(&blob).unwrap().k();
+        assert!(k > 1, "need k > 1 to forge a smaller threshold");
+        for forged in [1, k + 1] {
+            let mut bad = blob.clone();
+            put_u32(&mut bad, 32, forged as u32);
+            seal_v1_checksum(&mut bad);
+            let err = open(&bad).unwrap_err().kind;
+            assert!(
+                matches!(
+                    err,
+                    SerialErrorKind::TrailingBytes | SerialErrorKind::Truncated
+                ),
+                "k = {forged}: {err:?}"
+            );
+        }
     }
 
     #[test]

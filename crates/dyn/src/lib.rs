@@ -838,8 +838,10 @@ impl DynamicScheme {
     /// Commits the current labeling as a sealed v1 archive. O(archive
     /// bytes): the maintained row slab is laid out and checksummed; no
     /// syndrome is recomputed and nothing is re-validated. Each commit
-    /// stamps a fresh label tag, so labels from different commits never
-    /// silently mix in one query session.
+    /// stamps a fresh label tag into the archive header, so labels from
+    /// different commits never silently mix in one query session. The
+    /// tag lives in that header alone: two commits differ only in it, the
+    /// records the updates between them touched, and the index framing.
     pub fn commit(&mut self) -> LabelStore {
         self.update_counter += 1;
         self.stats.commits += 1;
@@ -1070,6 +1072,75 @@ mod tests {
         let a = scheme.commit();
         let b = scheme.commit();
         assert_ne!(a.header().tag, b.header().tag);
+    }
+
+    /// The archive header is the one place a generation's identity
+    /// lives: two consecutive commits around one chord insert differ
+    /// only in the header, the endpoint index (one entry more), the
+    /// dirty records — tree edges on the u→lca and v→lca paths, in their
+    /// rows at levels `0..=ℓ(e)` — the new record, and the checksum.
+    #[test]
+    fn consecutive_commits_differ_only_where_the_insert_wrote() {
+        let n = 40;
+        let g = generators::random_connected(n, 30, 11);
+        let mut scheme = DynamicScheme::new(&g, DynConfig::new(2, 8)).unwrap();
+        let before = scheme.commit();
+        let (u, v) = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| !scheme.has_edge(u, v))
+            .unwrap();
+        scheme.insert_edge(u, v).unwrap();
+        assert_eq!(scheme.stats().incremental_ops, 1, "the insert is a chord");
+        let level = scheme.edges.last().unwrap().level as usize;
+        let after = scheme.commit();
+        assert_ne!(before.header().tag, after.header().tag);
+
+        // The endpoint index gains exactly the new pair.
+        let m = before.m();
+        let mut index: Vec<_> = before.endpoint_index().collect();
+        index.push((u.min(v), u.max(v), m));
+        index.sort_unstable();
+        assert!(after.endpoint_index().eq(index));
+
+        // Regions after the index, in each commit.
+        fn region(store: &LabelStore) -> (&[u8], Vec<&[u8]>) {
+            let bytes = store.as_bytes();
+            let vertices_at = 44 + 12 * store.endpoint_index().len();
+            let edges_at = vertices_at + 12 * store.n();
+            let record_len = (bytes.len() - 8 - edges_at) / store.m();
+            let vertices = &bytes[vertices_at..edges_at];
+            let records: Vec<&[u8]> = bytes[edges_at..bytes.len() - 8]
+                .chunks_exact(record_len)
+                .collect();
+            (vertices, records)
+        }
+        let (vertices, old) = region(&before);
+        let (vertices_after, new) = region(&after);
+        assert_eq!(vertices, vertices_after, "vertex records are untouched");
+        assert_eq!(new.len(), m + 1);
+
+        // A record is dirty iff its lower endpoint's subtree holds exactly
+        // one of u, v (ancestry intervals over the archive's labels).
+        let anc = |rec: &[u8], at: usize| {
+            let word = |i: usize| u32::from_le_bytes(rec[at + i..at + i + 4].try_into().unwrap());
+            (word(0), word(4))
+        };
+        let pre = |x: usize| anc(vertices, 12 * x).0;
+        let row_bytes = (old[0].len() - 24) / scheme.levels();
+        let mut dirty = 0;
+        for (e, (a, b)) in old.iter().zip(&new[..m]).enumerate() {
+            assert_eq!(a[..24], b[..24], "record {e}: ancestry pair");
+            let (lo, hi) = anc(a, 12);
+            let below = |x: usize| (lo..=hi).contains(&pre(x));
+            let words_at = 24 + row_bytes * (level + 1);
+            if below(u) != below(v) {
+                dirty += usize::from(a != b);
+                assert_eq!(a[words_at..], b[words_at..], "record {e}: rows above ℓ(e)");
+            } else {
+                assert_eq!(a, b, "record {e} is not on the u–v path");
+            }
+        }
+        assert!(dirty > 0, "the insert rewrote some path record");
     }
 
     #[test]

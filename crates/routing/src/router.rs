@@ -12,9 +12,7 @@
 use ftc_core::auxgraph::AuxGraph;
 use ftc_core::compressed::AnyArchive;
 use ftc_core::store::EdgeEncoding;
-use ftc_core::{
-    BuildError, FtcScheme, Params, QueryError, SerialError, SizeReport, VertexLabelRead,
-};
+use ftc_core::{BuildError, FtcScheme, Params, QueryError, SerialError, SizeReport};
 use ftc_graph::{EdgeId, Graph, RootedTree, VertexId};
 use ftc_serve::{ConnectivityService, PooledSession, ServeError};
 use std::collections::{HashMap, VecDeque};
@@ -189,14 +187,9 @@ impl ForbiddenSetRouter {
         // The archive must carry this graph's labels, not merely one of
         // the same shape: every vertex's ancestry label must match the
         // structure derived from `g`.
-        for v in 0..g.n() {
-            let label = archive
-                .vertex(v)
-                .map_err(RestoreError::Corrupt)?
-                .expect("shape checked");
-            if label.anc() != aux.anc[v] {
-                return Err(RestoreError::LabelingMismatch);
-            }
+        let records = archive.vertex_records().map_err(RestoreError::Corrupt)?;
+        if (0..g.n()).any(|v| records.anc(v) != Some(aux.anc[v])) {
+            return Err(RestoreError::LabelingMismatch);
         }
         // And the archive's edge-ID assignment must match `g`'s edge
         // list, or fault IDs would resolve to the wrong labels: the

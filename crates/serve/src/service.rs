@@ -155,10 +155,9 @@ fn pair_anc(
     Ok((anc(s)?, anc(t)?))
 }
 
-/// The one header check of a request. Every vertex record carries the
-/// archive's header (validated at open, or on the vertex section's
-/// first touch), so checking the session against the archive once
-/// stands for the per-pair header compares of
+/// The one header check of a request. Every vertex record reads under
+/// the archive's one header, so checking the session against the
+/// archive once stands for the per-pair header compares of
 /// [`QuerySession::certified`].
 fn check_header(archive: &AnyArchive, session: &QuerySession) -> Result<(), ServeError> {
     if session.header().is_some_and(|h| h != archive.header()) {

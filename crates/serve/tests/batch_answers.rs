@@ -195,11 +195,11 @@ fn a_corrupt_vertex_section_never_answers() {
     let scheme = FtcScheme::build(&g, &Params::deterministic(F)).unwrap();
     let v1 = LabelStore::archive(scheme.labels(), EdgeEncoding::Full);
     let v2 = compress_archive(&v1);
-    // Payloads follow the 60-byte prologue, the 32-byte table entries
-    // and the 8-byte table checksum, in table order: the endpoint index,
-    // then the vertex labels.
+    // Payloads follow the 44-byte archive header, the 32-byte table
+    // entries and the 8-byte table checksum, in table order: the
+    // endpoint index, then the vertex records.
     let lens: Vec<usize> = v2.sections().map(|s| s.comp_len).collect();
-    let vertices_at = 60 + 32 * lens.len() + 8 + lens[0];
+    let vertices_at = 44 + 32 * lens.len() + 8 + lens[0];
     let mut bytes = v2.into_vec();
     bytes[vertices_at + lens[1] / 2] ^= 0x40;
     let svc = ConnectivityService::from_archive_bytes(bytes).unwrap();
