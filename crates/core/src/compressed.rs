@@ -673,7 +673,7 @@ impl AnyArchive {
         }
     }
 
-    /// Codec threshold `k`, from the archive header.
+    /// Codec threshold `k`, from the archive header (0 without edges).
     pub fn k(&self) -> usize {
         match self {
             AnyArchive::V1(v) => v.k(),
@@ -681,7 +681,8 @@ impl AnyArchive {
         }
     }
 
-    /// Hierarchy level count, from the archive header.
+    /// Hierarchy level count, from the archive header (0 without
+    /// edges).
     pub fn levels(&self) -> usize {
         match self {
             AnyArchive::V1(v) => v.levels(),
@@ -1271,5 +1272,23 @@ mod tests {
         let view = v2;
         assert_eq!(view.m(), 0);
         assert_eq!(view.to_v1_vec().unwrap(), blob);
+        // Without edges there is no geometry to record, so the streamed
+        // builds match the owned encoder and the transcoder.
+        let builder = || FtcScheme::builder(&g).params(&Params::deterministic(1));
+        let (streamed, _) = builder().build_store(EdgeEncoding::Full).unwrap();
+        assert_eq!(streamed.as_bytes(), &blob[..]);
+        assert_eq!((streamed.k(), streamed.levels()), (0, 0));
+        let (streamed, _) = builder()
+            .build_store_compressed(EdgeEncoding::Full)
+            .unwrap();
+        assert_eq!(streamed.as_bytes(), view.as_bytes());
+        // A header claiming a geometry without edges is rejected.
+        let mut forged = blob;
+        store::put_u32(&mut forged, 32, 8);
+        store::seal_v1_checksum(&mut forged);
+        assert_eq!(
+            LabelStore::open(forged).unwrap_err(),
+            SerialError::new(SerialErrorKind::Inconsistent, 32)
+        );
     }
 }

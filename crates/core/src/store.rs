@@ -278,6 +278,9 @@ impl ArchiveMeta {
         (n, m, idx_count): (usize, usize, usize),
         (k, levels): (usize, usize),
     ) -> Option<ArchiveMeta> {
+        // A labeling without edge records has no codec geometry, whoever
+        // writes it: an owned label set has no edge to read one from.
+        let (k, levels) = if m == 0 { (0, 0) } else { (k, levels) };
         let words = k.checked_mul(levels)?.checked_mul(match encoding {
             EdgeEncoding::Full => 2,
             EdgeEncoding::Compact => 1,
@@ -334,6 +337,9 @@ impl ArchiveMeta {
         // ignore every stored word.
         if k == 0 && levels != 0 {
             return Err(inconsistent(36));
+        }
+        if m == 0 && k != 0 {
+            return Err(inconsistent(32));
         }
         if idx_count > m {
             return Err(inconsistent(40));
@@ -563,12 +569,14 @@ impl LabelStore {
         self.bytes.bytes()
     }
 
-    /// Codec threshold `k`, uniform over all edge records.
+    /// Codec threshold `k`, uniform over all edge records (0 without
+    /// edges).
     pub fn k(&self) -> usize {
         self.meta.k
     }
 
-    /// Hierarchy level count, uniform over all edge records.
+    /// Hierarchy level count, uniform over all edge records (0 without
+    /// edges).
     pub fn levels(&self) -> usize {
         self.meta.levels
     }
@@ -903,8 +911,7 @@ pub(crate) fn write_edge_words(buf: &mut [u8], at: usize, vec: &RsVector, encodi
 
 /// Serializes a label set into the archive layout — one pre-sized output
 /// buffer, written in place (no per-edge byte buffers). The codec
-/// geometry is edge 0's, which every edge of a built labeling shares; a
-/// labeling without edges has none and records `(0, 0)`.
+/// geometry is edge 0's, which every edge of a built labeling shares.
 fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     let geometry = labels
         .edge_labels()
