@@ -34,9 +34,9 @@
 //! [`CompressedStore::open`] reads the header and section table
 //! and verifies the table checksum — O(header), independent of archive
 //! size. Each section then moves `untouched → validated` on first use:
-//! its stored bytes are checksummed, decoded, structurally validated,
-//! and cached (or the typed [`SerialError`] is cached, with an archive
-//! byte offset). Queries touch the three small metadata sections plus
+//! its stored bytes are checksummed, decoded (the endpoint index is also
+//! checked for order), and cached (or the typed [`SerialError`] is
+//! cached, with an archive byte offset). Queries touch the three small metadata sections plus
 //! every level section of the faulted edges — a session decodes each
 //! needed section exactly once, so steady-state query cost matches the
 //! uncompressed archive.
@@ -1178,12 +1178,16 @@ mod tests {
         assert!(matches!(z, AnyArchive::V2(_)));
         assert_eq!((v1.k(), v1.levels()), (z.k(), z.levels()));
         assert!(v1.endpoint_index().unwrap().eq(z.endpoint_index().unwrap()));
-        let mut bad = blob;
-        bad[4] = 9;
-        assert_eq!(
-            AnyArchive::open(bad).unwrap_err().kind,
-            SerialErrorKind::UnsupportedVersion
-        );
+        // Unknown versions, and the versions whose records repeated the
+        // header (1 and 2), are refused at the version field.
+        for version in [1u8, 2, 9] {
+            let mut bad = blob.clone();
+            bad[4] = version;
+            assert_eq!(
+                AnyArchive::open(bad).unwrap_err(),
+                SerialError::new(SerialErrorKind::UnsupportedVersion, 4)
+            );
+        }
     }
 
     #[test]
