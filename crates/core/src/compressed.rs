@@ -63,16 +63,18 @@
 //! assert!(session.connected(s, t).unwrap());
 //! ```
 
-use crate::ancestry::AncestryLabel;
-use crate::labels::{EdgeLabelRead, EndpointIndex, LabelHeader, RsVector};
+use crate::labels::{EndpointIndex, LabelHeader, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
-    self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords, EDGE_PREFIX_BYTES,
+    SerialError, SerialErrorKind, VertexLabelView, VertexRecords, EDGE_PREFIX_BYTES,
     VERTEX_RECORD_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{self, ArchiveMeta, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
+use crate::store::{
+    self, ArchiveMeta, ArchivedEdgeView, EdgeEncoding, EdgeRows, LabelStore, StoreError,
+    StoreOpenError,
+};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
@@ -152,13 +154,38 @@ pub struct SectionInfo {
     pub transform: u8,
 }
 
+/// The sections of an archive of `layout`, in table order, as stored
+/// uncompressed (`comp_len == raw_len`, no transform): every kind, level
+/// and raw length follows from the header. v2 stores exactly these
+/// sections, and v1 lays the same bytes out record-major.
+pub(crate) fn raw_sections(layout: &ArchiveMeta) -> impl Iterator<Item = SectionInfo> + '_ {
+    (0..SEC_LEVEL0 + layout.levels).map(|i| {
+        let (kind, level) = match i {
+            SEC_ENDPOINT => (SectionKind::EndpointIndex, None),
+            SEC_VERTICES => (SectionKind::VertexLabels, None),
+            SEC_EDGEMETA => (SectionKind::EdgeMeta, None),
+            _ => (SectionKind::LevelRows, Some(i - SEC_LEVEL0)),
+        };
+        let raw_len = match kind {
+            SectionKind::EdgeMeta => layout.m * EDGE_PREFIX_BYTES,
+            SectionKind::LevelRows => {
+                layout.m * 8 * store::payload_words(layout.encoding, layout.k, 1)
+            }
+            _ => layout.region(kind).len(),
+        };
+        SectionInfo {
+            kind,
+            level,
+            raw_len,
+            comp_len: raw_len,
+            transform: 0,
+        }
+    })
+}
+
 #[derive(Clone, Copy, Debug)]
 struct SectionEntry {
-    kind: SectionKind,
-    transform: u8,
-    level: u32,
-    raw_len: usize,
-    comp_len: usize,
+    info: SectionInfo,
     checksum: u64,
     /// Absolute byte offset of the stored payload inside the archive.
     payload_at: usize,
@@ -243,36 +270,6 @@ impl CompressedStore {
         }
     }
 
-    /// The shared labeling header.
-    pub fn header(&self) -> LabelHeader {
-        self.layout().header
-    }
-
-    /// The edge encoding of the underlying records.
-    pub fn encoding(&self) -> EdgeEncoding {
-        self.layout().encoding
-    }
-
-    /// Number of archived vertex labels.
-    pub fn n(&self) -> usize {
-        self.layout().n
-    }
-
-    /// Number of archived edge labels.
-    pub fn m(&self) -> usize {
-        self.layout().m
-    }
-
-    /// Codec threshold `k`, uniform over all records.
-    pub fn k(&self) -> usize {
-        self.layout().k
-    }
-
-    /// Hierarchy level count.
-    pub fn levels(&self) -> usize {
-        self.layout().levels
-    }
-
     fn layout(&self) -> &ArchiveMeta {
         &self.inner.meta.layout
     }
@@ -290,13 +287,7 @@ impl CompressedStore {
 
     /// The section table, for tooling (`ftc-cli info`).
     pub fn sections(&self) -> impl ExactSizeIterator<Item = SectionInfo> + '_ {
-        self.inner.meta.sections.iter().map(|s| SectionInfo {
-            kind: s.kind,
-            level: (s.kind == SectionKind::LevelRows).then_some(s.level as usize),
-            raw_len: s.raw_len,
-            comp_len: s.comp_len,
-            transform: s.transform,
-        })
+        self.inner.meta.sections.iter().map(|s| s.info)
     }
 
     /// Decodes (once) and returns a section. The `Result` is cached, so
@@ -330,55 +321,52 @@ impl CompressedStore {
     /// (mirroring what v1 `open` checks eagerly).
     fn decode_section(&self, idx: usize) -> Result<DecodedSection, SerialError> {
         let meta = &self.inner.meta;
-        let entry = &meta.sections[idx];
-        let payload = &self.as_bytes()[entry.payload_at..entry.payload_at + entry.comp_len];
-        if checksum64(payload) != entry.checksum {
-            return Err(SerialError::new(
-                SerialErrorKind::Checksum,
-                entry.payload_at,
-            ));
+        let SectionEntry {
+            info,
+            checksum,
+            payload_at,
+        } = meta.sections[idx];
+        let payload = &self.as_bytes()[payload_at..payload_at + info.comp_len];
+        if checksum64(payload) != checksum {
+            return Err(SerialError::new(SerialErrorKind::Checksum, payload_at));
         }
         let rebase = |e: ftc_compress::CodecError| {
             SerialError::new(
                 SerialErrorKind::Inconsistent,
-                entry.payload_at + e.offset.min(entry.comp_len),
+                payload_at + e.offset.min(info.comp_len),
             )
         };
-        let stride = match entry.kind {
+        let stride = match info.kind {
             SectionKind::EndpointIndex => store::ENDPOINT_ENTRY_BYTES,
             SectionKind::VertexLabels => VERTEX_RECORD_BYTES,
             SectionKind::EdgeMeta => EDGE_PREFIX_BYTES,
             SectionKind::LevelRows => {
                 let words = decode_words(
                     payload,
-                    entry.transform,
-                    entry.raw_len / 8,
+                    info.transform,
+                    info.raw_len / 8,
                     meta.row_words.max(1),
                 )
                 .map_err(rebase)?;
                 return Ok(DecodedSection::Words(words.into_boxed_slice()));
             }
         };
-        let bytes =
-            decode_bytes(payload, entry.transform, entry.raw_len, stride).map_err(rebase)?;
-        if entry.kind == SectionKind::EndpointIndex {
+        let bytes = decode_bytes(payload, info.transform, info.raw_len, stride).map_err(rebase)?;
+        if info.kind == SectionKind::EndpointIndex {
             store::check_endpoint_index(&bytes, meta.layout.m)
-                .map_err(|_| SerialError::new(SerialErrorKind::Inconsistent, entry.payload_at))?;
+                .map_err(|_| SerialError::new(SerialErrorKind::Inconsistent, payload_at))?;
         }
         Ok(DecodedSection::Bytes(bytes.into_boxed_slice()))
     }
 
-    /// The vertex records — the vertex section, decoded and validated
-    /// on first touch and read zero-copy after.
-    ///
-    /// # Errors
-    ///
-    /// [`SerialError`] if the vertex section fails lazy validation.
-    pub fn vertex_records(&self) -> Result<VertexRecords<'_>, SerialError> {
-        Ok(VertexRecords::new(
-            self.header(),
-            self.section_bytes(SEC_VERTICES)?,
-        ))
+    /// The decoded endpoint-index or vertex-record section — what v1
+    /// stores as a contiguous region.
+    pub(crate) fn region(&self, kind: SectionKind) -> Result<&[u8], SerialError> {
+        self.section_bytes(match kind {
+            SectionKind::EndpointIndex => SEC_ENDPOINT,
+            SectionKind::VertexLabels => SEC_VERTICES,
+            _ => unreachable!("edges read through edge_by_id"),
+        })
     }
 
     /// The label of vertex `v` — O(1) after the vertex section's
@@ -389,49 +377,46 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if the vertex section fails lazy validation.
     pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, SerialError> {
-        if v >= self.n() {
+        let layout = self.layout();
+        if v >= layout.n {
             return Ok(None);
         }
-        Ok(self.vertex_records()?.get(v))
+        let records = self.region(SectionKind::VertexLabels)?;
+        Ok(VertexRecords::new(layout.header, records).get(v))
     }
 
-    /// Resolves an endpoint pair to its edge ID — O(log m) after the
-    /// endpoint section's first-touch decode; `Ok(None)` for pairs the
-    /// labeling does not contain.
-    ///
-    /// # Errors
-    ///
-    /// [`SerialError`] if the endpoint section fails lazy validation.
-    pub fn edge_id(&self, u: usize, v: usize) -> Result<Option<usize>, SerialError> {
-        Ok(store::find_edge_id(self.section_bytes(SEC_ENDPOINT)?, u, v))
-    }
-
-    /// The decoded endpoint section (v1's endpoint-index layout).
-    pub(crate) fn endpoint_bytes(&self) -> Result<&[u8], SerialError> {
-        self.section_bytes(SEC_ENDPOINT)
-    }
-
-    /// Edge `e`'s record as a borrowed view over the decoded edge-meta and
-    /// level sections — what a session reads a v2 fault through, without
-    /// copying its rows. `None` when `e` is out of range.
+    /// Edge `e`'s label read in place from the decoded edge-meta and
+    /// level sections, without copying its rows — what a session reads a
+    /// v2 fault through. `Ok(None)` when `e` is out of range (without
+    /// touching a section).
     ///
     /// # Errors
     ///
     /// [`SerialError`] if any touched section fails lazy validation.
-    pub fn gather_edge(&self, e: usize) -> Result<Option<GatheredEdge<'_>>, SerialError> {
-        if e >= self.m() {
+    pub fn edge_by_id(&self, e: usize) -> Result<Option<ArchivedEdgeView<'_>>, SerialError> {
+        if e >= self.layout().m {
             return Ok(None);
         }
         let anc = self.section_bytes(SEC_EDGEMETA)?;
         // Touch every level section now, so the view's reads cannot fail.
-        for level in 0..self.levels() {
+        for level in 0..self.layout().levels {
             self.section_words(SEC_LEVEL0 + level)?;
         }
-        Ok(Some(GatheredEdge {
-            store: self,
-            e,
+        Ok(Some(ArchivedEdgeView {
+            meta: self.layout(),
             anc: &anc[e * EDGE_PREFIX_BYTES..(e + 1) * EDGE_PREFIX_BYTES],
+            rows: EdgeRows::Sections(self, e),
         }))
+    }
+
+    /// Edge `e`'s stored row at `level`, from a level section
+    /// [`CompressedStore::edge_by_id`] decoded.
+    pub(crate) fn level_row(&self, level: usize, e: usize) -> &[u64] {
+        let rw = self.inner.meta.row_words;
+        let words = self
+            .section_words(SEC_LEVEL0 + level)
+            .expect("level sections are decoded by edge_by_id");
+        &words[e * rw..(e + 1) * rw]
     }
 
     /// Builds a [`QuerySession`] for faults named by endpoint pairs,
@@ -452,51 +437,10 @@ impl CompressedStore {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let gather = |(u, v)| {
-            let e = self
-                .edge_id(u, v)
-                .map_err(StoreError::Corrupt)?
-                .ok_or(StoreError::UnknownEdge { u, v })?;
-            Ok(self
-                .gather_edge(e)
-                .map_err(StoreError::Corrupt)?
-                .expect("edge_id returns in-range IDs"))
-        };
-        store::stream_session(self.header(), faults, gather, scratch)
-    }
-
-    /// Like [`CompressedStore::session_in`] with a throwaway scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompressedStore::session_in`].
-    pub fn session<I>(&self, faults: I) -> Result<QuerySession, StoreError>
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
-        self.session_in(faults, &mut SessionScratch::new())
-    }
-
-    /// Builds a session for faults named by edge IDs.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownEdgeId`] for an ID outside `0..m`, otherwise
-    /// as [`CompressedStore::session_in`].
-    pub fn session_in_by_ids<I>(
-        &self,
-        faults: I,
-        scratch: &mut SessionScratch<RsVector>,
-    ) -> Result<QuerySession, StoreError>
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let gather = |id| {
-            self.gather_edge(id)
-                .map_err(StoreError::Corrupt)?
-                .ok_or(StoreError::UnknownEdgeId { id })
-        };
-        store::stream_session(self.header(), faults, gather, scratch)
+        let endpoints = SectionKind::EndpointIndex;
+        let edge_id = |u, v| Ok(store::find_edge_id(self.region(endpoints)?, u, v));
+        let header = self.layout().header;
+        store::pair_session(header, faults, edge_id, |e| self.edge_by_id(e), scratch)
     }
 
     /// Reconstructs the byte-identical v1 archive this container was
@@ -510,9 +454,9 @@ impl CompressedStore {
         let row_words = self.inner.meta.row_words;
         let mut out = vec![0u8; layout.len];
         store::write_fixed_header(&mut out, store::STORE_VERSION, layout);
-        out[store::FIXED_HEADER_BYTES..layout.vertices_at]
-            .copy_from_slice(self.section_bytes(SEC_ENDPOINT)?);
-        out[layout.vertices_at..layout.edges_at].copy_from_slice(self.section_bytes(SEC_VERTICES)?);
+        for kind in [SectionKind::EndpointIndex, SectionKind::VertexLabels] {
+            out[layout.region(kind)].copy_from_slice(self.region(kind)?);
+        }
         let record = |e: usize| layout.edges_at + e * layout.record_len;
         for (e, anc) in self
             .section_bytes(SEC_EDGEMETA)?
@@ -535,78 +479,15 @@ impl CompressedStore {
     }
 }
 
-/// An edge record read in place from a v2 archive's decoded sections:
-/// the ancestry pair from the edge-meta section, each level's row from
-/// its level section (expanded from odd power sums for the compact
-/// encoding), the header and geometry from the archive header. Reads
-/// like any archived edge view.
-#[derive(Clone, Copy, Debug)]
-pub struct GatheredEdge<'a> {
-    store: &'a CompressedStore,
-    e: usize,
-    /// The edge's ancestry pair (upper, lower).
-    anc: &'a [u8],
-}
-
-impl GatheredEdge<'_> {
-    /// Edge `e`'s stored row at `level`.
-    fn row(&self, level: usize) -> &[u64] {
-        let rw = self.store.inner.meta.row_words;
-        let words = self
-            .store
-            .section_words(SEC_LEVEL0 + level)
-            .expect("level sections are decoded at gather");
-        &words[self.e * rw..(self.e + 1) * rw]
-    }
-}
-
-impl EdgeLabelRead for GatheredEdge<'_> {
-    type Vector = RsVector;
-
-    fn header(&self) -> LabelHeader {
-        self.store.header()
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        serial::read_anc_at(self.anc, 0)
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        serial::read_anc_at(self.anc, serial::ANC_BYTES)
-    }
-
-    fn slab_words(&self) -> usize {
-        2 * self.store.k() * self.store.levels()
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        let k = self.store.k();
-        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
-        for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
-            let row = self.row(level);
-            match self.store.encoding() {
-                EdgeEncoding::Full => {
-                    for (d, &w) in out.iter_mut().zip(row) {
-                        *d ^= w;
-                    }
-                }
-                EdgeEncoding::Compact => serial::xor_expanded_row(|j| row[j], out),
-            }
-        }
-    }
-
-    fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        let store = self.store;
-        det.configure(store.k(), store.levels(), store.header().aux_n);
-    }
-}
-
 /// Either archive format behind one read surface: the one place that
-/// decides between v1 and v2. Every method is one two-arm match, so a
-/// serving layer holding an `AnyArchive` never branches on the format.
-/// Fallible reads err only when a lazily validated v2 section turns out
-/// corrupt, and session builds report unknown faults as typed
-/// [`StoreError`]s for both formats.
+/// decides between v1 and v2. Four reads dispatch on the format
+/// — the archive header (`ArchiveMeta`), the raw bytes, the endpoint
+/// and vertex regions, and [`AnyArchive::edge_by_id`] — and every other
+/// method is written once over them, so a serving layer holding an
+/// `AnyArchive` never branches on the format. Fallible reads err only
+/// when a lazily validated v2 section turns out corrupt, and session
+/// builds report unknown faults as typed [`StoreError`]s for both
+/// formats.
 #[derive(Clone, Debug)]
 pub enum AnyArchive {
     /// A v1 (uncompressed) archive.
@@ -641,61 +522,79 @@ impl AnyArchive {
         }
     }
 
+    /// The archive header and the (v1) layout it implies.
+    fn meta(&self) -> &ArchiveMeta {
+        match self {
+            AnyArchive::V1(v) => v.meta(),
+            AnyArchive::V2(v) => v.layout(),
+        }
+    }
+
+    /// The raw archive bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            AnyArchive::V1(v) => v.as_bytes(),
+            AnyArchive::V2(v) => v.as_bytes(),
+        }
+    }
+
+    /// The endpoint index or the vertex records: v1's region in place,
+    /// v2's section decoded and validated on first touch.
+    fn region(&self, kind: SectionKind) -> Result<&[u8], SerialError> {
+        match self {
+            AnyArchive::V1(v) => Ok(v.region(kind)),
+            AnyArchive::V2(v) => v.region(kind),
+        }
+    }
+
+    /// The label of edge `e`, read in place; `Ok(None)` when `e` is out
+    /// of range.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if a v2 section the edge reads fails lazy
+    /// validation.
+    pub fn edge_by_id(&self, e: usize) -> Result<Option<ArchivedEdgeView<'_>>, SerialError> {
+        match self {
+            AnyArchive::V1(v) => Ok(v.edge_by_id(e)),
+            AnyArchive::V2(v) => v.edge_by_id(e),
+        }
+    }
+
     /// Number of vertex labels.
     pub fn n(&self) -> usize {
-        match self {
-            AnyArchive::V1(v) => v.n(),
-            AnyArchive::V2(v) => v.n(),
-        }
+        self.meta().n
     }
 
     /// Number of edge labels.
     pub fn m(&self) -> usize {
-        match self {
-            AnyArchive::V1(v) => v.m(),
-            AnyArchive::V2(v) => v.m(),
-        }
+        self.meta().m
     }
 
     /// The shared labeling header.
     pub fn header(&self) -> LabelHeader {
-        match self {
-            AnyArchive::V1(v) => v.header(),
-            AnyArchive::V2(v) => v.header(),
-        }
+        self.meta().header
     }
 
     /// The edge encoding of the stored records.
     pub fn encoding(&self) -> EdgeEncoding {
-        match self {
-            AnyArchive::V1(v) => v.encoding(),
-            AnyArchive::V2(v) => v.encoding(),
-        }
+        self.meta().encoding
     }
 
     /// Codec threshold `k`, from the archive header (0 without edges).
     pub fn k(&self) -> usize {
-        match self {
-            AnyArchive::V1(v) => v.k(),
-            AnyArchive::V2(v) => v.k(),
-        }
+        self.meta().k
     }
 
     /// Hierarchy level count, from the archive header (0 without
     /// edges).
     pub fn levels(&self) -> usize {
-        match self {
-            AnyArchive::V1(v) => v.levels(),
-            AnyArchive::V2(v) => v.levels(),
-        }
+        self.meta().levels
     }
 
     /// On-disk archive size in bytes.
     pub fn archive_bytes(&self) -> usize {
-        match self {
-            AnyArchive::V1(v) => v.archive_bytes(),
-            AnyArchive::V2(v) => v.archive_bytes(),
-        }
+        self.as_bytes().len()
     }
 
     /// The vertex records: v1's vertex region or v2's vertex section,
@@ -706,27 +605,24 @@ impl AnyArchive {
     ///
     /// [`SerialError`] if a v2 vertex section fails lazy validation.
     pub fn vertex_records(&self) -> Result<VertexRecords<'_>, SerialError> {
-        match self {
-            AnyArchive::V1(view) => Ok(view.vertex_records()),
-            AnyArchive::V2(view) => view.vertex_records(),
-        }
+        let records = self.region(SectionKind::VertexLabels)?;
+        Ok(VertexRecords::new(self.header(), records))
     }
 
-    /// The label of vertex `v`; `Ok(None)` when `v` is out of range.
+    /// The label of vertex `v`; `Ok(None)` when `v` is out of range
+    /// (without touching a v2 section).
     pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, SerialError> {
-        match self {
-            AnyArchive::V1(view) => Ok(view.vertex(v)),
-            AnyArchive::V2(view) => view.vertex(v),
+        if v >= self.n() {
+            return Ok(None);
         }
+        Ok(self.vertex_records()?.get(v))
     }
 
     /// The edge ID of the edge joining `u` and `v` (either order);
     /// `Ok(None)` for pairs the labeling does not contain.
     pub fn edge_id(&self, u: usize, v: usize) -> Result<Option<usize>, SerialError> {
-        match self {
-            AnyArchive::V1(view) => Ok(view.edge_id(u, v)),
-            AnyArchive::V2(view) => view.edge_id(u, v),
-        }
+        let index = self.region(SectionKind::EndpointIndex)?;
+        Ok(store::find_edge_id(index, u, v))
     }
 
     /// The endpoint index as `(u, v, edge id)` triples, in sorted
@@ -734,11 +630,8 @@ impl AnyArchive {
     pub fn endpoint_index(
         &self,
     ) -> Result<impl ExactSizeIterator<Item = (usize, usize, usize)> + '_, SerialError> {
-        let bytes = match self {
-            AnyArchive::V1(view) => view.endpoint_bytes(),
-            AnyArchive::V2(view) => view.endpoint_bytes()?,
-        };
-        Ok(store::endpoint_entries(bytes))
+        let index = self.region(SectionKind::EndpointIndex)?;
+        Ok(store::endpoint_entries(index))
     }
 
     /// Builds a [`QuerySession`] for faults named by endpoint pairs,
@@ -751,13 +644,18 @@ impl AnyArchive {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        match self {
-            AnyArchive::V1(view) => view.session_in(faults, scratch),
-            AnyArchive::V2(view) => view.session_in(faults, scratch),
-        }
+        let edge_id = |u, v| self.edge_id(u, v);
+        store::pair_session(
+            self.header(),
+            faults,
+            edge_id,
+            |e| self.edge_by_id(e),
+            scratch,
+        )
     }
 
-    /// Like [`AnyArchive::session_in`], naming faults by edge ID.
+    /// Like [`AnyArchive::session_in`], naming faults by edge ID
+    /// ([`StoreError::UnknownEdgeId`] for an ID outside `0..m`).
     pub fn session_in_by_ids<I>(
         &self,
         faults: I,
@@ -766,15 +664,12 @@ impl AnyArchive {
     where
         I: IntoIterator<Item = usize>,
     {
-        match self {
-            AnyArchive::V1(view) => store::stream_session(
-                view.header(),
-                faults,
-                |id| view.edge_by_id(id).ok_or(StoreError::UnknownEdgeId { id }),
-                scratch,
-            ),
-            AnyArchive::V2(view) => view.session_in_by_ids(faults, scratch),
-        }
+        let lookup = |id| {
+            self.edge_by_id(id)
+                .map_err(StoreError::Corrupt)?
+                .ok_or(StoreError::UnknownEdgeId { id })
+        };
+        store::stream_session(self.header(), faults, lookup, scratch)
     }
 }
 
@@ -814,7 +709,7 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
     let row_words = store::payload_words(layout.encoding, layout.k, 1);
     let mut sections = Vec::with_capacity(section_count);
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
-    for i in 0..section_count {
+    for (i, expect) in raw_sections(&layout).enumerate() {
         let at = TABLE_AT + i * SECTION_ENTRY_BYTES;
         let kind = SectionKind::from_tag(bytes[at]).ok_or(inconsistent(at))?;
         let transform = bytes[at + 1];
@@ -831,25 +726,8 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
         };
         // Fixed slot assignment and header-derived raw lengths: the
         // decoder can then trust index arithmetic into decoded sections.
-        let (expect_kind, expect_level, expect_raw) = match i {
-            SEC_ENDPOINT => (
-                SectionKind::EndpointIndex,
-                0,
-                layout.vertices_at - store::FIXED_HEADER_BYTES,
-            ),
-            SEC_VERTICES => (
-                SectionKind::VertexLabels,
-                0,
-                layout.edges_at - layout.vertices_at,
-            ),
-            SEC_EDGEMETA => (SectionKind::EdgeMeta, 0, layout.m * EDGE_PREFIX_BYTES),
-            _ => (
-                SectionKind::LevelRows,
-                (i - SEC_LEVEL0) as u32,
-                layout.m * row_words * 8,
-            ),
-        };
-        if kind != expect_kind || level != expect_level || raw_len != expect_raw {
+        let expect_level = expect.level.unwrap_or(0);
+        if kind != expect.kind || level as usize != expect_level || raw_len != expect.raw_len {
             return Err(inconsistent(at));
         }
         let Some(end) = payload_at.checked_add(comp_len) else {
@@ -859,11 +737,11 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
             return Err(truncated(bytes.len()));
         }
         sections.push(SectionEntry {
-            kind,
-            transform,
-            level,
-            raw_len,
-            comp_len,
+            info: SectionInfo {
+                comp_len,
+                transform,
+                ..expect
+            },
             checksum,
             payload_at,
         });
@@ -889,17 +767,11 @@ fn assemble_v2(layout: &ArchiveMeta, blocks: &[ftc_compress::EncodedBlock]) -> V
     store::write_fixed_header(&mut out, STORE_VERSION_V2, layout);
 
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
-    for (i, block) in blocks.iter().enumerate() {
+    for (i, (block, info)) in blocks.iter().zip(raw_sections(layout)).enumerate() {
         let at = TABLE_AT + i * SECTION_ENTRY_BYTES;
-        let (kind, level) = match i {
-            SEC_ENDPOINT => (SectionKind::EndpointIndex, 0),
-            SEC_VERTICES => (SectionKind::VertexLabels, 0),
-            SEC_EDGEMETA => (SectionKind::EdgeMeta, 0),
-            _ => (SectionKind::LevelRows, (i - SEC_LEVEL0) as u32),
-        };
-        out[at] = kind.tag();
+        out[at] = info.kind.tag();
         out[at + 1] = block.transform;
-        store::put_u32(&mut out, at + 4, level);
+        store::put_u32(&mut out, at + 4, info.level.unwrap_or(0) as u32);
         store::put_u64(&mut out, at + 8, block.raw_len);
         store::put_u64(&mut out, at + 16, block.payload.len() as u64);
         store::put_u64(&mut out, at + 24, checksum64(&block.payload));
@@ -922,14 +794,12 @@ pub fn compress_archive(v1: &LabelStore) -> CompressedStore {
     let record = |e: usize| layout.edges_at + e * layout.record_len;
 
     let mut blocks = Vec::with_capacity(SEC_LEVEL0 + layout.levels);
-    blocks.push(encode_bytes(
-        &bytes[store::FIXED_HEADER_BYTES..layout.vertices_at],
-        store::ENDPOINT_ENTRY_BYTES,
-    ));
-    blocks.push(encode_bytes(
-        &bytes[layout.vertices_at..layout.edges_at],
-        VERTEX_RECORD_BYTES,
-    ));
+    for (kind, stride) in [
+        (SectionKind::EndpointIndex, store::ENDPOINT_ENTRY_BYTES),
+        (SectionKind::VertexLabels, VERTEX_RECORD_BYTES),
+    ] {
+        blocks.push(encode_bytes(v1.region(kind), stride));
+    }
     let anc: Vec<u8> = (0..m)
         .flat_map(|e| &bytes[record(e)..record(e) + EDGE_PREFIX_BYTES])
         .copied()
@@ -1121,12 +991,12 @@ mod tests {
         let (g, blob) = v1_blob(EdgeEncoding::Full);
         let v1 = LabelStore::open(blob.clone()).unwrap();
         let v2 = compress_archive(&v1);
-        assert_eq!(v1.n(), v2.n());
-        assert_eq!(v1.m(), v2.m());
-        assert_eq!(v1.header(), v2.header());
+        let layout = v2.layout();
+        assert_eq!((v1.n(), v1.m()), (layout.n, layout.m));
+        assert_eq!(v1.header(), layout.header);
         let mut scratch = SessionScratch::new();
         let faults = [(0usize, 1usize), (0, 5), (1, 2)];
-        let s1 = v1.session(faults).unwrap();
+        let s1 = v1.session_in(faults, &mut SessionScratch::new()).unwrap();
         let s2 = v2.session_in(faults, &mut scratch).unwrap();
         for s in 0..g.n() {
             for t in (s + 1)..g.n() {
@@ -1228,19 +1098,21 @@ mod tests {
         let view = CompressedStore::open(bytes.clone()).unwrap();
         // … but first touch of that section reports a typed checksum
         // error at an in-bounds offset.
-        let top = view.levels() - 1;
-        let err = match view.gather_edge(0) {
+        let top = view.layout().levels - 1;
+        let err = match view.edge_by_id(0) {
             Err(e) => e,
             Ok(_) => panic!("corrupt level {top} section served"),
         };
         assert_eq!(err.kind, SerialErrorKind::Checksum);
         assert!(err.offset < bytes.len());
 
-        // Sessions surface it as StoreError::Corrupt.
+        // Sessions surface it as StoreError::Corrupt, once a fault reads
+        // the section.
+        let archive = AnyArchive::V2(view);
+        let mut scratch = SessionScratch::new();
+        assert!(archive.session_in([], &mut scratch).is_ok());
         assert!(matches!(
-            view.session([]).map(drop).and_then(|()| view
-                .session_in_by_ids([0], &mut SessionScratch::new())
-                .map(drop)),
+            archive.session_in_by_ids([0], &mut scratch),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -1253,7 +1125,11 @@ mod tests {
         // table checksum (or an earlier structural check) — never a
         // panic, always an in-bounds offset.
         let table_end = TABLE_AT
-            + (SEC_LEVEL0 + CompressedStore::open(bytes.clone()).unwrap().levels())
+            + (SEC_LEVEL0
+                + CompressedStore::open(bytes.clone())
+                    .unwrap()
+                    .layout()
+                    .levels)
                 * SECTION_ENTRY_BYTES;
         for at in 0..table_end + TOC_CHECKSUM_BYTES {
             let mut bad = bytes.clone();
@@ -1274,7 +1150,7 @@ mod tests {
         let blob = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
         let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
         let view = v2;
-        assert_eq!(view.m(), 0);
+        assert_eq!(view.layout().m, 0);
         assert_eq!(view.to_v1_vec().unwrap(), blob);
         // Without edges there is no geometry to record, so the streamed
         // builds match the owned encoder and the transcoder.

@@ -26,12 +26,14 @@
 //!   compares against (Table 1, rows 1–2);
 //! * [`serial`] — byte-level label serialization plus the zero-copy
 //!   [`serial::VertexLabelView`] / [`serial::EdgeLabelView`] /
-//!   [`serial::CompactEdgeLabelView`] readers (used to demonstrate the
-//!   decoder is genuinely graph-free);
+//!   [`serial::CompactEdgeLabelView`] readers of loose labels (used to
+//!   demonstrate the decoder is genuinely graph-free);
 //! * [`store`] — the single-blob label archive: [`store::LabelStore`]
 //!   writes a whole labeling as one indexed byte blob, and is the one
 //!   owned handle that opens it without copying, serving O(1)/O(log m)
-//!   zero-copy label views and archive-native [`QuerySession`]s;
+//!   zero-copy label views and archive-native [`QuerySession`]s; its
+//!   [`store::ArchivedEdgeView`] is the one edge reader of both archive
+//!   formats and both edge encodings;
 //! * [`io`] — durable archive I/O: the [`io::AtomicFile`] writer
 //!   (tempfile → fsync → rename → directory fsync) behind the
 //!   [`io::Vfs`] trait, with a production filesystem and a seeded
@@ -42,8 +44,9 @@
 //! * [`compressed`] — the v2 sectioned container: entropy-coded archive
 //!   sections ([`ftc_compress`] transforms + rANS), O(header) opening
 //!   with per-section lazy checksum validation behind the
-//!   [`compressed::CompressedStore`] handle, and memory-mapped
-//!   [`compressed::open_path`] dispatching over both formats.
+//!   [`compressed::CompressedStore`] handle, and the
+//!   [`compressed::AnyArchive`] read surface (memory-mapped by
+//!   [`compressed::open_path`]) written once over both formats.
 //!
 //! ## Quickstart
 //!

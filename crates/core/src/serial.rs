@@ -335,7 +335,7 @@ pub(crate) fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
 
 /// Copies an edge view out into an owned label whose threshold is `k`:
 /// the vector is the view's slab words, XORed into a zeroed row.
-fn owned_label(view: &impl EdgeLabelRead, k: usize) -> EdgeLabel<RsVector> {
+pub(crate) fn owned_label(view: &impl EdgeLabelRead, k: usize) -> EdgeLabel<RsVector> {
     let mut words = vec![0u64; view.slab_words()];
     view.xor_into_slab(&mut words);
     EdgeLabel {
@@ -448,9 +448,9 @@ impl<'a> VertexRecords<'a> {
     }
 }
 
-/// What an edge view reads: the labeling header and codec geometry
-/// (from the loose label's own fields, or from its archive's header),
-/// the record's ancestry pair and its stored payload words.
+/// What a loose edge view reads: the labeling header and codec geometry
+/// from the label's own fields, the record's ancestry pair and its
+/// stored payload words.
 #[derive(Clone, Copy, Debug)]
 struct EdgeParts<'a> {
     header: LabelHeader,
@@ -461,18 +461,6 @@ struct EdgeParts<'a> {
 }
 
 impl<'a> EdgeParts<'a> {
-    /// Parts of an archive record (ancestry pair, then payload words).
-    fn record(header: LabelHeader, k: usize, levels: usize, rec: &'a [u8]) -> EdgeParts<'a> {
-        let (anc, words) = rec.split_at(EDGE_PREFIX_BYTES);
-        EdgeParts {
-            header,
-            k,
-            levels,
-            anc,
-            words,
-        }
-    }
-
     /// Parts of a loose label whose magic, `k` and geometry are already
     /// checked: `k` and `levels` as parsed, and its words starting at
     /// the loose word offset.
@@ -504,12 +492,13 @@ fn loose_geometry(bytes: &[u8], magic: u16) -> Result<(usize, usize), SerialErro
     ))
 }
 
-/// A zero-copy view of a full-encoding edge label of the deterministic
-/// scheme: a loose label ([`edge_to_bytes`] layout) or an archive
-/// record under its archive's header. Implements [`EdgeLabelRead`]: the
-/// ancestry fields decode on demand, and the Reed–Solomon syndrome words
-/// XOR into a session's fragment accumulators straight out of the byte
-/// buffer — the `Vec<Gf64>` payload is never deserialized per label.
+/// A zero-copy view of a loose full-encoding edge label of the
+/// deterministic scheme ([`edge_to_bytes`] layout; an archived edge reads
+/// through [`crate::store::ArchivedEdgeView`]). Implements
+/// [`EdgeLabelRead`]: the ancestry fields decode on demand, and the
+/// Reed–Solomon syndrome words XOR into a session's fragment
+/// accumulators straight out of the byte buffer — the `Vec<Gf64>`
+/// payload is never deserialized per label.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeLabelView<'a>(EdgeParts<'a>);
 
@@ -532,16 +521,6 @@ impl<'a> EdgeLabelView<'a> {
         check_exact_len(bytes, LOOSE_EDGE_WORDS_OFFSET + 8 * len)?;
         let levels = if k == 0 { 0 } else { len / (2 * k) };
         Ok(EdgeLabelView(EdgeParts::loose(bytes, k, levels)))
-    }
-
-    /// An archive record under its archive's header and geometry.
-    pub(crate) fn record(
-        header: LabelHeader,
-        k: usize,
-        levels: usize,
-        rec: &'a [u8],
-    ) -> EdgeLabelView<'a> {
-        EdgeLabelView(EdgeParts::record(header, k, levels, rec))
     }
 
     /// The codec threshold `k` of the carried vector.
@@ -596,12 +575,11 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
     }
 }
 
-/// A zero-copy view of a *compact* edge label: a loose label
-/// ([`edge_to_bytes_compact`] layout) or a compact archive record under
-/// its archive's header. Implements [`EdgeLabelRead`]: the ancestry
-/// fields decode on demand; the half-width syndrome is expanded to the
-/// full `2k`-element form (via `s_{2j} = s_j²`) only when the vector is
-/// actually needed by the merge engine.
+/// A zero-copy view of a loose *compact* edge label
+/// ([`edge_to_bytes_compact`] layout). Implements [`EdgeLabelRead`]: the
+/// ancestry fields decode on demand; the half-width syndrome is expanded
+/// to the full `2k`-element form (via `s_{2j} = s_j²`) only when the
+/// vector is actually needed by the merge engine.
 #[derive(Clone, Copy, Debug)]
 pub struct CompactEdgeLabelView<'a>(EdgeParts<'a>);
 
@@ -625,16 +603,6 @@ impl<'a> CompactEdgeLabelView<'a> {
             ))?;
         check_exact_len(bytes, len)?;
         Ok(CompactEdgeLabelView(EdgeParts::loose(bytes, k, levels)))
-    }
-
-    /// A compact archive record under its archive's header and geometry.
-    pub(crate) fn record(
-        header: LabelHeader,
-        k: usize,
-        levels: usize,
-        rec: &'a [u8],
-    ) -> CompactEdgeLabelView<'a> {
-        CompactEdgeLabelView(EdgeParts::record(header, k, levels, rec))
     }
 
     /// The codec threshold `k` of the carried vector.

@@ -10,11 +10,11 @@
 //! validates it **once**, and then serves
 //!
 //! * [`LabelStore::vertex`] — O(1) zero-copy [`VertexLabelView`]s,
-//! * [`LabelStore::edge_by_id`] — O(1) zero-copy edge views,
-//! * [`LabelStore::edge`] — O(log m) zero-copy edge views resolved by
-//!   endpoint pair (both the full and the compact half-width encodings,
-//!   behind the archive's encoding tag),
-//! * [`LabelStore::session`] — a ready [`QuerySession`] for a fault
+//! * [`LabelStore::edge_by_id`] — O(1) zero-copy [`ArchivedEdgeView`]s
+//!   (the full and the compact half-width encoding alike, read as the
+//!   archive's encoding tag says),
+//! * [`LabelStore::edge_id`] — O(log m) endpoint-pair lookups,
+//! * [`LabelStore::session_in`] — a ready [`QuerySession`] for a fault
 //!   set named by endpoint pairs, built straight over the archive bytes,
 //!
 //! without materializing a single owned label. This is the canonical
@@ -74,25 +74,28 @@
 //!
 //! // Later — possibly in another process — open and query zero-copy.
 //! let store = LabelStore::open(blob).unwrap();
-//! let session = store.session([(0, 1), (3, 4)]).unwrap();
+//! let mut scratch = Default::default();
+//! let session = store.session_in([(0, 1), (3, 4)], &mut scratch).unwrap();
 //! assert!(!session.connected(store.vertex(1).unwrap(), store.vertex(4).unwrap()).unwrap());
 //! assert!(session.connected(store.vertex(1).unwrap(), store.vertex(3).unwrap()).unwrap());
 //! ```
 
 use crate::ancestry::AncestryLabel;
+use crate::compressed::{CompressedStore, SectionKind};
 use crate::error::QueryError;
 use crate::labels::{EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
-    CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-    VertexRecords, EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
+    self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords, ANC_BYTES,
+    EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 pub(crate) const STORE_MAGIC: [u8; 4] = *b"FTCL";
@@ -352,18 +355,14 @@ impl ArchiveMeta {
         payload_words(self.encoding, self.k, self.levels)
     }
 
-    /// Edge `e`'s record in `buf` (an archive of this layout) as a view.
-    fn edge_view<'b>(&self, buf: &'b [u8], e: usize) -> ArchivedEdgeView<'b> {
-        let at = self.edges_at + e * self.record_len;
-        let rec = &buf[at..at + self.record_len];
-        let (header, k, levels) = (self.header, self.k, self.levels);
-        match self.encoding {
-            EdgeEncoding::Full => {
-                ArchivedEdgeView::Full(EdgeLabelView::record(header, k, levels, rec))
-            }
-            EdgeEncoding::Compact => {
-                ArchivedEdgeView::Compact(CompactEdgeLabelView::record(header, k, levels, rec))
-            }
+    /// Byte range of the endpoint index or of the vertex records in a v1
+    /// archive of this layout — the two metadata regions both formats
+    /// store contiguously (v2 as whole sections).
+    pub(crate) fn region(&self, kind: SectionKind) -> Range<usize> {
+        match kind {
+            SectionKind::EndpointIndex => FIXED_HEADER_BYTES..self.vertices_at,
+            SectionKind::VertexLabels => self.vertices_at..self.edges_at,
+            _ => unreachable!("v1 interleaves {kind:?} into the edge records"),
         }
     }
 }
@@ -431,6 +430,29 @@ pub(crate) fn stream_session<K, L: EdgeLabelRead<Vector = RsVector>>(
         return Err(e);
     }
     Ok(session?)
+}
+
+/// Streams faults named by endpoint pairs into one session build: each
+/// pair resolves through `edge_id`, then `edge_by_id` — the one
+/// pair-fault path of every archive reader. A pair is unknown before any
+/// edge section is touched; section failures surface as
+/// [`StoreError::Corrupt`].
+pub(crate) fn pair_session<'a>(
+    header: LabelHeader,
+    faults: impl IntoIterator<Item = (usize, usize)>,
+    edge_id: impl Fn(usize, usize) -> Result<Option<usize>, SerialError>,
+    edge_by_id: impl Fn(usize) -> Result<Option<ArchivedEdgeView<'a>>, SerialError>,
+    scratch: &mut SessionScratch<RsVector>,
+) -> Result<QuerySession, StoreError> {
+    let lookup = |(u, v)| {
+        let e = edge_id(u, v)
+            .map_err(StoreError::Corrupt)?
+            .ok_or(StoreError::UnknownEdge { u, v })?;
+        Ok(edge_by_id(e)
+            .map_err(StoreError::Corrupt)?
+            .expect("edge_id returns in-range IDs"))
+    };
+    stream_session(header, faults, lookup, scratch)
 }
 
 /// Validates a whole v1 archive — its header, its length against the
@@ -592,32 +614,7 @@ impl LabelStore {
     /// framing and appear in no section, so the sections sum to less than
     /// [`archive_bytes`](Self::archive_bytes).
     pub fn sections(&self) -> Vec<crate::compressed::SectionInfo> {
-        use crate::compressed::{SectionInfo, SectionKind};
-        let meta = &self.meta;
-        let raw = |kind, level, raw_len| SectionInfo {
-            kind,
-            level,
-            raw_len,
-            comp_len: raw_len,
-            transform: 0,
-        };
-        let level_bytes = meta.m * 8 * payload_words(meta.encoding, meta.k, 1);
-        [
-            raw(
-                SectionKind::EndpointIndex,
-                None,
-                meta.vertices_at - FIXED_HEADER_BYTES,
-            ),
-            raw(
-                SectionKind::VertexLabels,
-                None,
-                meta.edges_at - meta.vertices_at,
-            ),
-            raw(SectionKind::EdgeMeta, None, meta.m * EDGE_PREFIX_BYTES),
-        ]
-        .into_iter()
-        .chain((0..meta.levels).map(|lvl| raw(SectionKind::LevelRows, Some(lvl), level_bytes)))
-        .collect()
+        crate::compressed::raw_sections(&self.meta).collect()
     }
 
     pub(crate) fn meta(&self) -> &ArchiveMeta {
@@ -627,11 +624,7 @@ impl LabelStore {
     /// The vertex records — the blob's vertex region, read zero-copy
     /// under the archive header.
     pub fn vertex_records(&self) -> VertexRecords<'_> {
-        let meta = &self.meta;
-        VertexRecords::new(
-            meta.header,
-            &self.as_bytes()[meta.vertices_at..meta.edges_at],
-        )
+        VertexRecords::new(self.meta.header, self.region(SectionKind::VertexLabels))
     }
 
     /// The label of vertex `v` as a zero-copy view — O(1); `None` when
@@ -643,58 +636,49 @@ impl LabelStore {
     /// The label of the edge with original edge ID `e` as a zero-copy
     /// view — O(1); `None` when `e` is out of range.
     pub fn edge_by_id(&self, e: usize) -> Option<ArchivedEdgeView<'_>> {
-        (e < self.meta.m).then(|| self.meta.edge_view(self.as_bytes(), e))
+        let meta = &self.meta;
+        (e < meta.m).then(|| {
+            let at = meta.edges_at + e * meta.record_len;
+            let (anc, words) =
+                self.as_bytes()[at..at + meta.record_len].split_at(EDGE_PREFIX_BYTES);
+            ArchivedEdgeView {
+                meta,
+                anc,
+                rows: EdgeRows::Record(words.as_chunks().0),
+            }
+        })
     }
 
     /// The edge ID of the edge joining `u` and `v` (either order) —
     /// O(log m) binary search over the endpoint index; `None` when no
     /// such edge is archived.
     pub fn edge_id(&self, u: usize, v: usize) -> Option<usize> {
-        find_edge_id(self.endpoint_bytes(), u, v)
-    }
-
-    /// The label of the edge joining `u` and `v` (either order) as a
-    /// zero-copy view — O(log m); `None` when no such edge is archived.
-    pub fn edge(&self, u: usize, v: usize) -> Option<ArchivedEdgeView<'_>> {
-        self.edge_by_id(self.edge_id(u, v)?)
+        find_edge_id(self.region(SectionKind::EndpointIndex), u, v)
     }
 
     /// Iterates the endpoint index as `(u, v, edge id)` triples, in
     /// sorted endpoint order.
     pub fn endpoint_index(&self) -> impl ExactSizeIterator<Item = (usize, usize, usize)> + '_ {
-        endpoint_entries(self.endpoint_bytes())
+        endpoint_entries(self.region(SectionKind::EndpointIndex))
     }
 
-    /// The raw endpoint-index region (the layout v2's endpoint section
-    /// decodes to).
-    pub(crate) fn endpoint_bytes(&self) -> &[u8] {
-        &self.as_bytes()[FIXED_HEADER_BYTES..self.meta.vertices_at]
+    /// The endpoint-index or vertex-record region of the blob.
+    pub(crate) fn region(&self, kind: SectionKind) -> &[u8] {
+        &self.as_bytes()[self.meta.region(kind)]
     }
 
     /// Opens a [`QuerySession`] for a fault set named by endpoint pairs,
     /// built straight over the archive bytes — the archive-native
-    /// equivalent of [`LabelSet::session`]. An empty fault set is valid.
+    /// equivalent of [`LabelSet::session_in`]. Fault views resolve
+    /// through the endpoint index and stream straight into the merge
+    /// engine; with a warm `scratch` the whole build performs zero heap
+    /// allocations. An empty fault set is valid.
     ///
     /// # Errors
     ///
     /// * [`StoreError::UnknownEdge`] if a pair is not an archived edge;
     /// * [`StoreError::Query`] on session-construction failures
     ///   (over-budget fault sets, calibrated-threshold decode failures).
-    pub fn session<I>(&self, faults: I) -> Result<QuerySession, StoreError>
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
-        self.session_in(faults, &mut SessionScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`LabelStore::session`]: the
-    /// archive-native serving hot path. Fault views resolve through the
-    /// endpoint index and stream straight into the merge engine; with a
-    /// warm `scratch` the whole build performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LabelStore::session`].
     pub fn session_in<I>(
         &self,
         faults: I,
@@ -703,33 +687,44 @@ impl LabelStore {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        stream_session(
-            self.meta.header,
+        let edge_id = |u, v| Ok(self.edge_id(u, v));
+        pair_session(
+            self.header(),
             faults,
-            |(u, v)| self.edge(u, v).ok_or(StoreError::UnknownEdge { u, v }),
+            edge_id,
+            |e| Ok(self.edge_by_id(e)),
             scratch,
         )
     }
 }
 
-/// A zero-copy edge label view resolved out of an archive: full or
-/// compact encoding behind one tag. Implements [`EdgeLabelRead`], so it
-/// feeds [`QuerySession`]s directly.
+/// An edge label read in place from an archive of either format: the
+/// header, codec geometry and encoding from the archive header, the
+/// 24-byte ancestry pair, and the syndrome rows — a v1 record's payload
+/// words, or edge `e`'s row in each of a v2 archive's decoded level
+/// sections. Implements [`EdgeLabelRead`], so it feeds
+/// [`QuerySession`]s directly; nothing is copied per fault.
 #[derive(Clone, Copy, Debug)]
-pub enum ArchivedEdgeView<'a> {
-    /// Full `2k`-syndrome encoding.
-    Full(EdgeLabelView<'a>),
-    /// Half-width characteristic-two encoding.
-    Compact(CompactEdgeLabelView<'a>),
+pub struct ArchivedEdgeView<'a> {
+    pub(crate) meta: &'a ArchiveMeta,
+    /// The ancestry pair (upper, lower).
+    pub(crate) anc: &'a [u8],
+    pub(crate) rows: EdgeRows<'a>,
+}
+
+/// Where an archived edge's syndrome rows are stored.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EdgeRows<'a> {
+    /// A v1 record's payload words, level-major, little-endian.
+    Record(&'a [[u8; 8]]),
+    /// Edge `e` of a v2 archive, whose level sections are decoded.
+    Sections(&'a CompressedStore, usize),
 }
 
 impl ArchivedEdgeView<'_> {
     /// Copies the view out into an owned label.
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        match self {
-            ArchivedEdgeView::Full(v) => v.to_label(),
-            ArchivedEdgeView::Compact(v) => v.to_label(),
-        }
+        serial::owned_label(self, self.meta.k)
     }
 }
 
@@ -737,45 +732,56 @@ impl EdgeLabelRead for ArchivedEdgeView<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        match self {
-            ArchivedEdgeView::Full(v) => v.header(),
-            ArchivedEdgeView::Compact(v) => v.header(),
-        }
+        self.meta.header
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        match self {
-            ArchivedEdgeView::Full(v) => v.anc_upper(),
-            ArchivedEdgeView::Compact(v) => v.anc_upper(),
-        }
+        serial::read_anc_at(self.anc, 0)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        match self {
-            ArchivedEdgeView::Full(v) => v.anc_lower(),
-            ArchivedEdgeView::Compact(v) => v.anc_lower(),
-        }
+        serial::read_anc_at(self.anc, ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => EdgeLabelRead::slab_words(v),
-            ArchivedEdgeView::Compact(v) => EdgeLabelRead::slab_words(v),
-        }
+        2 * self.meta.k * self.meta.levels
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
-        match self {
-            ArchivedEdgeView::Full(v) => v.xor_into_slab(dst),
-            ArchivedEdgeView::Compact(v) => v.xor_into_slab(dst),
+        let ArchiveMeta { encoding, k, .. } = *self.meta;
+        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
+        let row_words = payload_words(encoding, k, 1);
+        for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
+            match self.rows {
+                EdgeRows::Record(words) => xor_row(
+                    encoding,
+                    &words[level * row_words..(level + 1) * row_words],
+                    u64::from_le_bytes,
+                    out,
+                ),
+                EdgeRows::Sections(store, e) => {
+                    xor_row(encoding, store.level_row(level, e), |w| w, out)
+                }
+            }
         }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        match self {
-            ArchivedEdgeView::Full(v) => EdgeLabelRead::configure_detector(v, det),
-            ArchivedEdgeView::Compact(v) => EdgeLabelRead::configure_detector(v, det),
+        det.configure(self.meta.k, self.meta.levels, self.meta.header.aux_n);
+    }
+}
+
+/// XORs one stored level row into its full `2k`-word slab slice `out`:
+/// a full row word for word, a compact row expanded from its `k` odd
+/// power sums. `word` reads one stored word.
+fn xor_row<W: Copy>(encoding: EdgeEncoding, row: &[W], word: impl Fn(W) -> u64, out: &mut [u64]) {
+    match encoding {
+        EdgeEncoding::Full => {
+            for (d, &w) in out.iter_mut().zip(row) {
+                *d ^= word(w);
+            }
         }
+        EdgeEncoding::Compact => serial::xor_expanded_row(|j| word(row[j]), out),
     }
 }
 
@@ -1046,7 +1052,7 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
-    use crate::serial;
+    use crate::serial::{self, EdgeLabelView};
     use ftc_graph::Graph;
 
     fn open(blob: &[u8]) -> Result<LabelStore, SerialError> {
@@ -1084,12 +1090,13 @@ mod tests {
                 );
             }
             for (_, u, v) in g.edge_iter() {
-                let via_pair = view.edge(u, v).unwrap().to_label();
-                assert_eq!(Some(&via_pair), l.edge_label(u, v));
+                let via_pair = view.edge_by_id(view.edge_id(u, v).unwrap());
+                assert_eq!(Some(&via_pair.unwrap().to_label()), l.edge_label(u, v));
                 // Reversed endpoint order resolves too.
                 assert_eq!(view.edge_id(v, u), view.edge_id(u, v));
             }
-            assert!(view.edge(0, 99).is_none());
+            assert!(view.edge_id(0, 99).is_none());
+            assert!(view.edge_by_id(g.m()).is_none());
             assert!(view.vertex(g.n()).is_none());
         }
     }
@@ -1186,14 +1193,15 @@ mod tests {
             let (_, blob) = archive(encoding);
             let view = open(&blob).unwrap();
             // Torus(3,4) is 4-edge-connected; two faults keep it connected.
-            let session = view.session([(0, 1), (0, 4)]).unwrap();
+            let mut scratch = SessionScratch::new();
+            let session = view.session_in([(0, 1), (0, 4)], &mut scratch).unwrap();
             assert_eq!(
                 session.connected(view.vertex(0).unwrap(), view.vertex(7).unwrap()),
                 Ok(true)
             );
             // Unknown fault edges are named, not silently dropped.
             assert_eq!(
-                view.session([(0, 99)]).unwrap_err(),
+                view.session_in([(0, 99)], &mut scratch).unwrap_err(),
                 StoreError::UnknownEdge { u: 0, v: 99 }
             );
         }
@@ -1282,7 +1290,9 @@ mod tests {
                 store.vertex(v).unwrap().to_label()
             );
         }
-        let session = store.session([(0, 1), (0, 4)]).unwrap();
+        let session = store
+            .session_in([(0, 1), (0, 4)], &mut SessionScratch::new())
+            .unwrap();
         assert_eq!(
             session.connected(store.vertex(0).unwrap(), store.vertex(7).unwrap()),
             Ok(true)

@@ -1153,7 +1153,7 @@ mod tests {
         let view = LabelStore::open(store.as_bytes().to_vec()).unwrap();
         assert_eq!(view.n(), 30);
         assert_eq!(view.m(), 50);
-        let z = scheme.commit_compressed();
+        let z = AnyArchive::V2(scheme.commit_compressed());
         assert_eq!(z.n(), 30);
         assert!(z.as_bytes().len() < store.as_bytes().len());
     }

@@ -7,13 +7,29 @@ use ftc_core::{FtcScheme, Params};
 use ftc_graph::Graph;
 use ftc_net::Client;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-/// Temp-dir path that survives until the test process exits.
-fn scratch_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ftc-net-bin-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// One test's temp directory, removed when the test ends — also when it
+/// panics. Declare it before the server it feeds, so it outlives it.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("ftc-net-bin-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn write_archive(path: &std::path::Path) -> Graph {
@@ -50,7 +66,8 @@ fn spawn_server(args: &[&str]) -> (Child, String) {
 
 #[test]
 fn server_binary_serves_and_drains_on_sigterm() {
-    let archive = scratch_path("torus.ftc");
+    let scratch = ScratchDir::new("serves");
+    let archive = scratch.path("torus.ftc");
     write_archive(&archive);
     let spec = format!("torus={}", archive.display());
     let (mut child, addr) = spawn_server(&[&spec]);
@@ -106,7 +123,8 @@ fn next_line_containing(stderr: &mut impl BufRead, needle: &str) -> String {
 /// good archive swaps forward.
 #[test]
 fn sighup_with_corrupt_archive_keeps_previous_generation() {
-    let archive = scratch_path("reload.ftc");
+    let scratch = ScratchDir::new("reload");
+    let archive = scratch.path("reload.ftc");
     write_archive(&archive);
     let spec = format!("g={}", archive.display());
     let (mut child, addr) = spawn_server(&[&spec]);
@@ -125,7 +143,7 @@ fn sighup_with_corrupt_archive_keeps_previous_generation() {
     // generation's mmap stays valid. (An in-place truncating write
     // would yank pages out from under the live mapping — exactly the
     // hazard the atomic-writer discipline exists to rule out.)
-    let garbage = scratch_path("reload.ftc.garbage");
+    let garbage = scratch.path("reload.ftc.garbage");
     std::fs::write(&garbage, b"FTC?this is not an archive").unwrap();
     std::fs::rename(&garbage, &archive).unwrap();
     assert!(Command::new("kill")
@@ -192,7 +210,8 @@ fn server_binary_rejects_bad_usage() {
 
 #[test]
 fn client_pipelines_against_the_binary() {
-    let archive = scratch_path("torus2.ftc");
+    let scratch = ScratchDir::new("pipelines");
+    let archive = scratch.path("torus2.ftc");
     write_archive(&archive);
     let spec = format!("torus={}", archive.display());
     let (mut child, addr) = spawn_server(&[&spec]);

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ftc::core::store::{EdgeEncoding, LabelStore};
-use ftc::core::{FtcScheme, Params};
+use ftc::core::{FtcScheme, Params, SessionScratch};
 use ftc::graph::Graph;
 use ftc::serve::ConnectivityService;
 
@@ -41,8 +41,10 @@ fn main() {
 
     // Three faults around vertex 0 — the torus stays connected. Faults
     // are named by endpoint pairs; the archive's index resolves them.
+    // The session's buffers come from a scratch a later build can reuse.
+    let mut scratch = SessionScratch::new();
     let session = store
-        .session([(0, 1), (0, 4), (0, 12)])
+        .session_in([(0, 1), (0, 4), (0, 12)], &mut scratch)
         .expect("well-formed fault set");
     let ok = session
         .connected(store.vertex(0).unwrap(), store.vertex(10).unwrap())

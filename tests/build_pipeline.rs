@@ -12,7 +12,7 @@
 //!   oracle.
 
 use ftc::core::store::{EdgeEncoding, LabelStore};
-use ftc::core::{FtcScheme, Params, ThresholdPolicy};
+use ftc::core::{FtcScheme, Params, SessionScratch, ThresholdPolicy};
 use ftc::graph::connectivity::ConnectivityOracle;
 use ftc::graph::{generators, Graph};
 
@@ -86,10 +86,11 @@ fn build_store_archives_serve_sessions() {
             .unwrap();
         let view = &store;
         let endpoint_of: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+        let mut scratch = SessionScratch::new();
         for seed in 0..6u64 {
             let faults = generators::random_fault_set(&g, 2, seed);
             let session = view
-                .session(faults.iter().map(|&e| endpoint_of[e]))
+                .session_in(faults.iter().map(|&e| endpoint_of[e]), &mut scratch)
                 .unwrap();
             let owned_session = l
                 .session(faults.iter().map(|&e| l.edge_label_by_id(e)))
@@ -142,7 +143,8 @@ fn parallel_edge_endpoint_semantics_are_pinned() {
         assert_eq!(view.edge_id(2, 1), Some(5));
         // Every archived label matches its owned counterpart, parallel
         // edges included.
-        assert_eq!(&view.edge(1, 2).unwrap().to_label(), l.edge_label_by_id(5));
+        let parallel = view.edge_by_id(view.edge_id(1, 2).unwrap()).unwrap();
+        assert_eq!(&parallel.to_label(), l.edge_label_by_id(5));
         for e in 0..g.m() {
             assert_eq!(
                 &view.edge_by_id(e).unwrap().to_label(),
@@ -211,11 +213,12 @@ fn large_n_build_matches_oracle() {
     // the oracle cost is one O(m α) sweep per fault set, not a BFS per
     // pair, so the differential stays linear at this scale.
     let mut oracle = ConnectivityOracle::new(&g);
+    let mut scratch = SessionScratch::new();
     for seed in 0..8u64 {
         let faults = generators::random_fault_set(&g, 2, seed);
         oracle.prepare(&faults);
         let session = view
-            .session(faults.iter().map(|&e| endpoint_of[e]))
+            .session_in(faults.iter().map(|&e| endpoint_of[e]), &mut scratch)
             .unwrap();
         for i in 0..400usize {
             let s = (i * 7919 + 3) % n;

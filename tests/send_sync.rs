@@ -39,6 +39,9 @@ fn serving_layer_types_are_send_sync() {
     assert_send_sync::<LabelStore>();
     assert_send_sync::<CompressedStore>();
     assert_send_sync::<AnyArchive>();
+    // The one archived edge view of both formats: it borrows the archive
+    // header and a v1 record, or — in its v2 case — the CompressedStore
+    // whose decoded level sections it reads.
     assert_send_sync::<ArchivedEdgeView<'static>>();
     assert_send_sync::<VertexLabelView<'static>>();
     assert_send_sync::<EdgeLabelView<'static>>();
