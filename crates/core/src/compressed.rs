@@ -63,7 +63,8 @@
 //! assert!(session.connected(s, t).unwrap());
 //! ```
 
-use crate::labels::{EndpointIndex, LabelHeader, RsVector};
+use crate::ancestry::AncestryLabel;
+use crate::labels::{LabelHeader, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
@@ -77,7 +78,6 @@ use crate::store::{
 };
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
-use ftc_graph::Graph;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version tag of the compressed container.
@@ -168,9 +168,7 @@ pub(crate) fn raw_sections(layout: &ArchiveMeta) -> impl Iterator<Item = Section
         };
         let raw_len = match kind {
             SectionKind::EdgeMeta => layout.m * EDGE_PREFIX_BYTES,
-            SectionKind::LevelRows => {
-                layout.m * 8 * store::payload_words(layout.encoding, layout.k, 1)
-            }
+            SectionKind::LevelRows => layout.m * 8 * layout.row_words(),
             _ => layout.region(kind).len(),
         };
         SectionInfo {
@@ -195,8 +193,6 @@ struct SectionEntry {
 struct V2Meta {
     /// The archive header, and the layout of the equivalent v1 archive.
     layout: ArchiveMeta,
-    /// Stored words per edge per level (`2k` full, `k` compact).
-    row_words: usize,
     sections: Vec<SectionEntry>,
 }
 
@@ -345,7 +341,7 @@ impl CompressedStore {
                     payload,
                     info.transform,
                     info.raw_len / 8,
-                    meta.row_words.max(1),
+                    meta.layout.row_words().max(1),
                 )
                 .map_err(rebase)?;
                 return Ok(DecodedSection::Words(words.into_boxed_slice()));
@@ -412,7 +408,7 @@ impl CompressedStore {
     /// Edge `e`'s stored row at `level`, from a level section
     /// [`CompressedStore::edge_by_id`] decoded.
     pub(crate) fn level_row(&self, level: usize, e: usize) -> &[u64] {
-        let rw = self.inner.meta.row_words;
+        let rw = self.layout().row_words();
         let words = self
             .section_words(SEC_LEVEL0 + level)
             .expect("level sections are decoded by edge_by_id");
@@ -450,32 +446,30 @@ impl CompressedStore {
     ///
     /// [`SerialError`] if any section fails validation.
     pub fn to_v1_vec(&self) -> Result<Vec<u8>, SerialError> {
-        let layout = self.layout();
-        let row_words = self.inner.meta.row_words;
-        let mut out = vec![0u8; layout.len];
-        store::write_fixed_header(&mut out, store::STORE_VERSION, layout);
-        for kind in [SectionKind::EndpointIndex, SectionKind::VertexLabels] {
-            out[layout.region(kind)].copy_from_slice(self.region(kind)?);
-        }
-        let record = |e: usize| layout.edges_at + e * layout.record_len;
-        for (e, anc) in self
-            .section_bytes(SEC_EDGEMETA)?
-            .chunks_exact(EDGE_PREFIX_BYTES)
-            .enumerate()
-        {
-            out[record(e)..record(e) + EDGE_PREFIX_BYTES].copy_from_slice(anc);
-        }
-        for level in 0..layout.levels {
-            let words = self.section_words(SEC_LEVEL0 + level)?;
-            for (e, row) in words.chunks_exact(row_words.max(1)).enumerate() {
-                let base = record(e) + EDGE_PREFIX_BYTES + level * row_words * 8;
-                for (j, &w) in row.iter().enumerate() {
-                    store::put_u64(&mut out, base + 8 * j, w);
+        let layout = *self.layout();
+        let row_words = layout.row_words();
+        let index = self.region(SectionKind::EndpointIndex)?;
+        let vertices = VertexRecords::new(layout.header, self.region(SectionKind::VertexLabels)?);
+        let anc = self.section_bytes(SEC_EDGEMETA)?;
+        let rows = (0..layout.levels)
+            .map(|level| self.section_words(SEC_LEVEL0 + level))
+            .collect::<Result<Vec<_>, _>>()?;
+        let store = store::write_v1(
+            Vec::new(),
+            layout,
+            store::endpoint_entries(index),
+            |v| vertices.anc(v).expect("vertex records cover 0..n"),
+            |e| store::read_edge_prefix(anc, e * EDGE_PREFIX_BYTES),
+            |records| {
+                for (level, words) in rows.iter().enumerate() {
+                    let at = 8 * row_words * level;
+                    for (e, row) in words.chunks_exact(row_words).enumerate() {
+                        store::put_words(&mut records.words_mut(e)[at..at + 8 * row_words], row);
+                    }
                 }
-            }
-        }
-        store::seal_v1_checksum(&mut out);
-        Ok(out)
+            },
+        );
+        Ok(store.into_vec())
     }
 }
 
@@ -706,7 +700,6 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
         return Err(SerialError::new(SerialErrorKind::Checksum, table_end));
     }
 
-    let row_words = store::payload_words(layout.encoding, layout.k, 1);
     let mut sections = Vec::with_capacity(section_count);
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
     for (i, expect) in raw_sections(&layout).enumerate() {
@@ -751,21 +744,41 @@ fn parse_v2(bytes: &[u8]) -> Result<V2Meta, SerialError> {
         return Err(SerialError::new(SerialErrorKind::TrailingBytes, payload_at));
     }
 
-    Ok(V2Meta {
-        layout,
-        row_words,
-        sections,
-    })
+    Ok(V2Meta { layout, sections })
 }
 
-/// Serializes header + table + payloads from encoded section blocks.
-fn assemble_v2(layout: &ArchiveMeta, blocks: &[ftc_compress::EncodedBlock]) -> Vec<u8> {
+/// Writes a v2 archive of `layout` — the one v2 writer, behind
+/// [`compress_archive`] and the streaming compressed build. It builds
+/// the endpoint-index block from `entries`, the vertex block from
+/// `vertex_anc` and the edge-meta block from `edge_anc` (each edge's
+/// ancestry pair, upper then lower), takes one already encoded block per
+/// hierarchy level from `level_blocks`, and assembles header, section
+/// table and payloads.
+fn write_v2(
+    layout: &ArchiveMeta,
+    entries: impl Iterator<Item = (usize, usize, usize)>,
+    vertex_anc: impl Fn(usize) -> AncestryLabel,
+    edge_anc: impl Fn(usize) -> (AncestryLabel, AncestryLabel),
+    level_blocks: impl Iterator<Item = ftc_compress::EncodedBlock>,
+) -> CompressedStore {
+    let mut blocks = Vec::with_capacity(SEC_LEVEL0 + layout.levels);
+    let mut raw = vec![0u8; layout.idx_count * store::ENDPOINT_ENTRY_BYTES];
+    store::write_endpoint_index(&mut raw, 0, entries);
+    blocks.push(encode_bytes(&raw, store::ENDPOINT_ENTRY_BYTES));
+    raw = vec![0u8; layout.n * VERTEX_RECORD_BYTES];
+    store::write_vertex_labels(&mut raw, 0, layout.n, vertex_anc);
+    blocks.push(encode_bytes(&raw, VERTEX_RECORD_BYTES));
+    raw = vec![0u8; layout.m * EDGE_PREFIX_BYTES];
+    store::write_edge_prefixes(&mut raw, (0, EDGE_PREFIX_BYTES), layout.m, edge_anc);
+    blocks.push(encode_bytes(&raw, EDGE_PREFIX_BYTES));
+    drop(raw);
+    blocks.extend(level_blocks);
     debug_assert_eq!(blocks.len(), SEC_LEVEL0 + layout.levels);
+
     let table_end = TABLE_AT + blocks.len() * SECTION_ENTRY_BYTES;
     let payload_len: usize = blocks.iter().map(|b| b.payload.len()).sum();
     let mut out = vec![0u8; table_end + TOC_CHECKSUM_BYTES + payload_len];
     store::write_fixed_header(&mut out, STORE_VERSION_V2, layout);
-
     let mut payload_at = table_end + TOC_CHECKSUM_BYTES;
     for (i, (block, info)) in blocks.iter().zip(raw_sections(layout)).enumerate() {
         let at = TABLE_AT + i * SECTION_ENTRY_BYTES;
@@ -780,7 +793,13 @@ fn assemble_v2(layout: &ArchiveMeta, blocks: &[ftc_compress::EncodedBlock]) -> V
     }
     let toc = checksum64(&out[..table_end]);
     store::put_u64(&mut out, table_end, toc);
-    out
+    CompressedStore::open(out).expect("freshly assembled archives are well-formed")
+}
+
+/// Encodes one level section's rows (`row_words` stored words per edge).
+fn encode_level(words: &[u64], layout: &ArchiveMeta) -> ftc_compress::EncodedBlock {
+    let full = layout.encoding == EdgeEncoding::Full;
+    encode_words(words, layout.row_words().max(1), full)
 }
 
 /// Transcodes a validated v1 archive into the v2 compressed container.
@@ -788,89 +807,59 @@ fn assemble_v2(layout: &ArchiveMeta, blocks: &[ftc_compress::EncodedBlock]) -> V
 /// for byte.
 pub fn compress_archive(v1: &LabelStore) -> CompressedStore {
     let layout = v1.meta();
-    let bytes = v1.as_bytes();
-    let m = layout.m;
-    let row_words = store::payload_words(layout.encoding, layout.k, 1);
+    let (m, row_words) = (layout.m, layout.row_words());
+    let vertices = v1.vertex_records();
     let record = |e: usize| layout.edges_at + e * layout.record_len;
-
-    let mut blocks = Vec::with_capacity(SEC_LEVEL0 + layout.levels);
-    for (kind, stride) in [
-        (SectionKind::EndpointIndex, store::ENDPOINT_ENTRY_BYTES),
-        (SectionKind::VertexLabels, VERTEX_RECORD_BYTES),
-    ] {
-        blocks.push(encode_bytes(v1.region(kind), stride));
-    }
-    let anc: Vec<u8> = (0..m)
-        .flat_map(|e| &bytes[record(e)..record(e) + EDGE_PREFIX_BYTES])
-        .copied()
-        .collect();
-    blocks.push(encode_bytes(&anc, EDGE_PREFIX_BYTES));
-    drop(anc);
 
     // Transpose: one section per level, all edges' rows for that level.
     let mut words = vec![0u64; m * row_words];
-    for level in 0..layout.levels {
+    let level_blocks = (0..layout.levels).map(|level| {
         for e in 0..m {
             let base = record(e) + EDGE_PREFIX_BYTES + level * row_words * 8;
             for (j, w) in words[e * row_words..(e + 1) * row_words]
                 .iter_mut()
                 .enumerate()
             {
-                *w = store::u64_at(bytes, base + 8 * j);
+                *w = store::u64_at(v1.as_bytes(), base + 8 * j);
             }
         }
-        blocks.push(encode_words(
-            &words,
-            row_words,
-            layout.encoding == EdgeEncoding::Full,
-        ));
-    }
-
-    let out = assemble_v2(layout, &blocks);
-    CompressedStore::open(out).expect("freshly assembled archives are well-formed")
+        encode_level(&words, layout)
+    });
+    write_v2(
+        layout,
+        v1.endpoint_index(),
+        |v| vertices.anc(v).expect("vertex records cover 0..n"),
+        |e| store::read_edge_prefix(v1.as_bytes(), record(e)),
+        level_blocks,
+    )
 }
 
 /// [`LevelSink`] staging each level's rows and compressing them the
 /// moment the level completes — the streaming compressed-build path.
 /// Peak memory is one (full-width) level buffer per worker thread plus
 /// the already-encoded blocks, never the uncompressed blob.
-struct CompressingSink {
-    m: usize,
-    /// Words stored per edge per level (`2k` full / `k` compact).
-    row_words: usize,
-    encoding: EdgeEncoding,
+struct CompressingSink<'a> {
+    layout: &'a ArchiveMeta,
     staging: Vec<Mutex<Vec<u64>>>,
     encoded: Vec<Mutex<Option<ftc_compress::EncodedBlock>>>,
 }
 
-impl LevelSink for CompressingSink {
+impl LevelSink for CompressingSink<'_> {
     fn write_row(&self, e: usize, level: usize, row: &[Gf64]) {
+        let row_words = self.layout.row_words();
         let mut stage = self.staging[level].lock().expect("sink poisoned");
         if stage.is_empty() {
-            stage.resize(self.m * self.row_words, 0);
+            stage.resize(self.layout.m * row_words, 0);
         }
-        let dst = &mut stage[e * self.row_words..(e + 1) * self.row_words];
-        match self.encoding {
-            EdgeEncoding::Full => {
-                for (d, x) in dst.iter_mut().zip(row) {
-                    *d = x.to_bits();
-                }
-            }
-            EdgeEncoding::Compact => {
-                for (d, x) in dst.iter_mut().zip(row.iter().step_by(2)) {
-                    *d = x.to_bits();
-                }
-            }
+        let dst = &mut stage[e * row_words..(e + 1) * row_words];
+        for (d, x) in dst.iter_mut().zip(self.layout.encoding.stored(row)) {
+            *d = x.to_bits();
         }
     }
 
     fn finish_level(&self, level: usize) {
         let words = std::mem::take(&mut *self.staging[level].lock().expect("sink poisoned"));
-        let block = encode_words(
-            &words,
-            self.row_words.max(1),
-            self.encoding == EdgeEncoding::Full,
-        );
+        let block = encode_level(&words, self.layout);
         *self.encoded[level].lock().expect("sink poisoned") = Some(block);
     }
 }
@@ -880,61 +869,28 @@ impl LevelSink for CompressingSink {
 /// to [`compress_archive`] of the equivalent streamed v1 archive, for
 /// every thread count.
 pub(crate) fn stream_compressed_from_build(
-    g: &Graph,
     ctx: &BuildCtx,
-    threads: usize,
     encoding: EdgeEncoding,
 ) -> CompressedStore {
-    let (n, m) = (g.n(), g.m());
-    let (k, levels) = (ctx.k, ctx.levels);
-    let row_words = store::payload_words(encoding, k, 1);
-    let index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
-    let layout = ArchiveMeta::new(ctx.header, encoding, (n, m, index.len()), (k, levels))
-        .expect("archive length fits in memory");
-
+    let layout = ctx.archive_meta(encoding);
     let sink = CompressingSink {
-        m,
-        row_words,
-        encoding,
-        staging: (0..levels).map(|_| Mutex::new(Vec::new())).collect(),
-        encoded: (0..levels).map(|_| Mutex::new(None)).collect(),
+        layout: &layout,
+        staging: (0..layout.levels).map(|_| Mutex::new(Vec::new())).collect(),
+        encoded: (0..layout.levels).map(|_| Mutex::new(None)).collect(),
     };
-    crate::scheme::build_subtree_sums(&ctx.aux, &ctx.hierarchy, k, levels, threads, &sink);
-
-    let mut blocks = Vec::with_capacity(SEC_LEVEL0 + levels);
-    let mut endpoint_buf = vec![0u8; index.len() * store::ENDPOINT_ENTRY_BYTES];
-    store::write_endpoint_index(&mut endpoint_buf, 0, &index);
-    blocks.push(encode_bytes(&endpoint_buf, store::ENDPOINT_ENTRY_BYTES));
-    drop(endpoint_buf);
-
-    let mut vertex_buf = vec![0u8; n * VERTEX_RECORD_BYTES];
-    store::write_vertex_labels(&mut vertex_buf, 0, n, |v| ctx.aux.anc[v]);
-    blocks.push(encode_bytes(&vertex_buf, VERTEX_RECORD_BYTES));
-    drop(vertex_buf);
-
-    let mut anc_buf = vec![0u8; m * EDGE_PREFIX_BYTES];
-    for (e, &lower) in ctx.aux.sigma_lower.iter().enumerate() {
-        let upper = ctx.aux.tree.parent(lower).expect("σ(e) lower has a parent");
-        store::write_edge_prefix(
-            &mut anc_buf,
-            e * EDGE_PREFIX_BYTES,
-            &ctx.aux.anc[upper],
-            &ctx.aux.anc[lower],
-        );
-    }
-    blocks.push(encode_bytes(&anc_buf, EDGE_PREFIX_BYTES));
-    drop(anc_buf);
-
-    for slot in sink.encoded {
-        let block = slot
-            .into_inner()
+    ctx.subtree_sums(&sink);
+    let level_blocks = sink.encoded.into_iter().map(|slot| {
+        slot.into_inner()
             .expect("sink poisoned")
-            .unwrap_or_else(|| encode_words(&[], row_words.max(1), false));
-        blocks.push(block);
-    }
-
-    let out = assemble_v2(&layout, &blocks);
-    CompressedStore::open(out).expect("freshly assembled archives are well-formed")
+            .expect("the subtree sums finish every level")
+    });
+    write_v2(
+        &layout,
+        ctx.index.iter(),
+        |v| ctx.aux.anc[v],
+        |e| ctx.edge_anc(e),
+        level_blocks,
+    )
 }
 
 #[cfg(test)]
@@ -942,6 +898,14 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
+    use ftc_graph::{generators, Graph};
+
+    /// A labeling with two hierarchy levels at f = 2, so a writer that
+    /// put one level's rows at another level's offset fails the pins
+    /// that use it.
+    fn multi_level_graph() -> Graph {
+        generators::random_connected(60, 100, 7)
+    }
 
     fn v1_blob(encoding: EdgeEncoding) -> (Graph, Vec<u8>) {
         let g = Graph::torus(4, 5);
@@ -952,17 +916,19 @@ mod tests {
 
     #[test]
     fn transcode_round_trips_byte_identical() {
+        let scheme = FtcScheme::build(&multi_level_graph(), &Params::deterministic(2)).unwrap();
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
-            let (_, blob) = v1_blob(encoding);
-            let v2 = compress_archive(&LabelStore::open(blob.clone()).unwrap());
+            let blob = LabelStore::to_vec(scheme.labels(), encoding);
+            let v1 = LabelStore::open(blob.clone()).unwrap();
+            assert!(v1.levels() >= 2, "the fixture must build several levels");
+            let v2 = compress_archive(&v1);
             assert!(
                 v2.as_bytes().len() < blob.len(),
                 "{encoding:?}: {} >= {}",
                 v2.as_bytes().len(),
                 blob.len()
             );
-            let view = v2;
-            let back = view.to_v1_vec().unwrap();
+            let back = v2.to_v1_vec().unwrap();
             assert_eq!(back, blob, "{encoding:?} transcode not byte-identical");
         }
     }
@@ -1062,7 +1028,7 @@ mod tests {
 
     #[test]
     fn streamed_compressed_build_matches_transcoded_v1() {
-        let g = Graph::torus(4, 4);
+        let g = multi_level_graph();
         for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
             for threads in [1usize, 3] {
                 let (v1_store, _) = FtcScheme::builder(&g)
@@ -1070,6 +1036,10 @@ mod tests {
                     .threads(threads)
                     .build_store(encoding)
                     .unwrap();
+                assert!(
+                    v1_store.levels() >= 2,
+                    "the fixture must build several levels"
+                );
                 let transcoded = compress_archive(&v1_store);
                 let (streamed, _) = FtcScheme::builder(&g)
                     .params(&Params::deterministic(2))

@@ -28,9 +28,11 @@
 //!   [`serial::VertexLabelView`] / [`serial::EdgeLabelView`] /
 //!   [`serial::CompactEdgeLabelView`] readers of loose labels (used to
 //!   demonstrate the decoder is genuinely graph-free);
-//! * [`store`] — the single-blob label archive: [`store::LabelStore`]
-//!   writes a whole labeling as one indexed byte blob, and is the one
-//!   owned handle that opens it without copying, serving O(1)/O(log m)
+//! * [`store`] — the single-blob label archive: [`store::write_v1`] is
+//!   the one writer of the blob (owned labels, streaming builds,
+//!   `ftc-dyn` commits and decompression all go through it), and
+//!   [`store::LabelStore`] is the one owned handle that opens it
+//!   without copying, serving O(1)/O(log m)
 //!   zero-copy label views and archive-native [`QuerySession`]s; its
 //!   [`store::ArchivedEdgeView`] is the one edge reader of both archive
 //!   formats and both edge encodings;
@@ -38,9 +40,6 @@
 //!   (tempfile → fsync → rename → directory fsync) behind the
 //!   [`io::Vfs`] trait, with a production filesystem and a seeded
 //!   fault-injecting / power-cut simulation;
-//! * [`patch`] — archive assembly from externally maintained label parts:
-//!   the write end of `ftc-dyn`'s incremental maintenance, sharing the
-//!   streaming build path's layout arithmetic;
 //! * [`compressed`] — the v2 sectioned container: entropy-coded archive
 //!   sections ([`ftc_compress`] transforms + rANS), O(header) opening
 //!   with per-section lazy checksum validation behind the
@@ -84,7 +83,6 @@ pub mod labels;
 pub(crate) mod mmap;
 pub(crate) mod par;
 pub mod params;
-pub mod patch;
 pub mod scheme;
 pub mod serial;
 pub mod session;
@@ -102,7 +100,6 @@ pub use labels::{
     RsVector, SizeReport, SlabDetect, VertexLabel, VertexLabelRead,
 };
 pub use params::{Params, ThresholdPolicy};
-pub use patch::{assemble_archive_into, EdgeRecordSpec};
 pub use scheme::{BuildDiagnostics, FtcScheme, SchemeBuilder};
 pub use serial::{
     CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,

@@ -22,6 +22,7 @@
 //! [`FtcScheme::build_with_tree`] remain as thin wrappers over the
 //! builder.
 
+use crate::ancestry::AncestryLabel;
 use crate::auxgraph::AuxGraph;
 use crate::error::BuildError;
 use crate::hierarchy::{
@@ -31,7 +32,7 @@ use crate::labels::{
     EdgeLabel, EndpointIndex, LabelHeader, LabelSet, RsVector, SizeReport, VertexLabel,
 };
 use crate::params::{Params, ThresholdPolicy};
-use crate::store::{EdgeEncoding, LabelStore};
+use crate::store::{ArchiveMeta, EdgeEncoding, LabelStore};
 use ftc_codes::ThresholdCodec;
 use ftc_field::Gf64;
 use ftc_graph::{Graph, RootedTree};
@@ -143,16 +144,59 @@ impl<'a> SchemeBuilder<'a> {
     /// * [`BuildError::GraphTooLarge`] if the auxiliary graph exceeds the
     ///   2³¹-vertex encoding limit.
     pub fn build(self) -> Result<FtcScheme, BuildError> {
-        let threads = self.resolved_threads();
-        match self.tree {
-            Some(tree) => FtcScheme::build_pipeline(self.g, tree, &self.params, threads),
-            None => {
-                // `RootedTree::bfs` handles the empty graph, so no
-                // special case.
-                let tree = RootedTree::bfs(self.g, 0);
-                FtcScheme::build_pipeline(self.g, &tree, &self.params, threads)
-            }
-        }
+        let ctx = self.prepare()?;
+        let (k, levels) = (ctx.k, ctx.levels);
+        let m = ctx.aux.sigma_lower.len();
+        let window = 2 * k * levels;
+
+        // One contiguous payload slab for all edge labels: edge `e`
+        // occupies `slab[e·window..(e+1)·window]` (levels contiguous
+        // within the edge window, topmost last). The workers write every
+        // window in place — no per-edge payload allocation, no second
+        // copy of the dominant build artifact.
+        let mut slab_vec = vec![Gf64::ZERO; m * window];
+        ctx.subtree_sums(&SlabSink {
+            base: slab_vec.as_mut_ptr(),
+            len: slab_vec.len(),
+            window,
+            width: 2 * k,
+        });
+        let slab: Arc<[Gf64]> = slab_vec.into();
+
+        let header = ctx.header;
+        let mut vertex_labels = vec![
+            VertexLabel {
+                header,
+                anc: Default::default()
+            };
+            ctx.n
+        ];
+        crate::par::par_fill(&mut vertex_labels, ctx.threads, |v| VertexLabel {
+            header,
+            anc: ctx.aux.anc[v],
+        });
+
+        let edge_labels = (0..m)
+            .map(|e| {
+                let (anc_upper, anc_lower) = ctx.edge_anc(e);
+                EdgeLabel {
+                    header,
+                    anc_upper,
+                    anc_lower,
+                    vec: RsVector::from_slab(k, &slab, e * window, window),
+                }
+            })
+            .collect();
+
+        let diag = ctx.diagnostics(&self.params);
+        let labels = LabelSet {
+            header,
+            vertex_labels,
+            edge_labels,
+            edge_index: ctx.index,
+        };
+        let size = labels.size_report(k, levels);
+        Ok(FtcScheme { labels, diag, size })
     }
 
     /// Runs the pipeline **streaming straight into a label archive**: the
@@ -171,16 +215,9 @@ impl<'a> SchemeBuilder<'a> {
         self,
         encoding: EdgeEncoding,
     ) -> Result<(LabelStore, BuildDiagnostics), BuildError> {
-        let threads = self.resolved_threads();
-        match self.tree {
-            Some(tree) => {
-                FtcScheme::build_store_pipeline(self.g, tree, &self.params, threads, encoding)
-            }
-            None => {
-                let tree = RootedTree::bfs(self.g, 0);
-                FtcScheme::build_store_pipeline(self.g, &tree, &self.params, threads, encoding)
-            }
-        }
+        let ctx = self.prepare()?;
+        let store = crate::store::stream_from_build(&ctx, encoding);
+        Ok((store, ctx.diagnostics(&self.params)))
     }
 
     /// Like [`SchemeBuilder::build_store`], but streaming into the **v2
@@ -196,33 +233,73 @@ impl<'a> SchemeBuilder<'a> {
         self,
         encoding: EdgeEncoding,
     ) -> Result<(crate::compressed::CompressedStore, BuildDiagnostics), BuildError> {
-        let threads = self.resolved_threads();
-        match self.tree {
-            Some(tree) => FtcScheme::build_store_compressed_pipeline(
-                self.g,
-                tree,
-                &self.params,
-                threads,
-                encoding,
-            ),
-            None => {
-                let tree = RootedTree::bfs(self.g, 0);
-                FtcScheme::build_store_compressed_pipeline(
-                    self.g,
-                    &tree,
-                    &self.params,
-                    threads,
-                    encoding,
-                )
-            }
-        }
+        let ctx = self.prepare()?;
+        let store = crate::compressed::stream_compressed_from_build(&ctx, encoding);
+        Ok((store, ctx.diagnostics(&self.params)))
     }
 
-    fn resolved_threads(&self) -> usize {
-        match self.threads {
+    /// The shared prefix of every build: the spanning forest (BFS rooted
+    /// at vertex 0 unless one was supplied), the worker count, the
+    /// auxiliary graph, the hierarchy and the codec threshold —
+    /// everything up to (but not including) the syndrome payload.
+    fn prepare(&self) -> Result<BuildCtx, BuildError> {
+        let (g, params) = (self.g, &self.params);
+        if params.f == 0 {
+            return Err(BuildError::InvalidFaultBudget);
+        }
+        let threads = match self.threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             t => t,
+        };
+        // `RootedTree::bfs` handles the empty graph, so no special case.
+        let bfs;
+        let tree = match self.tree {
+            Some(tree) => tree,
+            None => {
+                bfs = RootedTree::bfs(g, 0);
+                &bfs
+            }
+        };
+        let aux = AuxGraph::build_with_threads(g, tree, threads);
+        if aux.aux_n >= (1usize << 31) {
+            return Err(BuildError::GraphTooLarge {
+                aux_vertices: aux.aux_n,
+            });
         }
+        let pieces = rectangle_pieces(params.f);
+        // The hierarchy is always built at the paper's rectangle-hitting
+        // threshold: it is universal (independent of f and k) and keeps the
+        // depth logarithmic. A calibrated `Fixed(k)` only truncates the
+        // *codec* threshold; decodes are verified, so an under-calibration
+        // surfaces as `OutdetectFailed`, never as a wrong answer.
+        let base_t = match params.backend {
+            HierarchyBackend::Sampling { .. } => 0,
+            _ => paper_threshold(aux.nontree.len()),
+        };
+        let hierarchy = build_hierarchy_with_threads(&aux, params.backend, base_t, threads);
+        let k = match params.threshold {
+            ThresholdPolicy::Fixed(k) => k.max(1),
+            ThresholdPolicy::Theory => match params.backend {
+                HierarchyBackend::Sampling { .. } => sampling_threshold(params.f, aux.aux_n).max(1),
+                _ => (pieces * hierarchy.max_threshold).max(1),
+            },
+        };
+        let levels = hierarchy.depth().saturating_sub(1); // drop trailing empty level
+        let header = LabelHeader {
+            f: params.f as u32,
+            aux_n: aux.aux_n as u32,
+            tag: labeling_tag(g, params, k),
+        };
+        Ok(BuildCtx {
+            aux,
+            hierarchy,
+            k,
+            levels,
+            header,
+            n: g.n(),
+            index: EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v))),
+            threads,
+        })
     }
 }
 
@@ -264,98 +341,6 @@ impl FtcScheme {
         Self::builder(g).params(params).tree(tree).build()
     }
 
-    fn build_pipeline(
-        g: &Graph,
-        tree: &RootedTree,
-        params: &Params,
-        threads: usize,
-    ) -> Result<FtcScheme, BuildError> {
-        let ctx = BuildCtx::prepare(g, tree, params, threads)?;
-        let (k, levels) = (ctx.k, ctx.levels);
-        let aux = &ctx.aux;
-        let m = g.m();
-        let window = 2 * k * levels;
-
-        // One contiguous payload slab for all edge labels: edge `e`
-        // occupies `slab[e·window..(e+1)·window]` (levels contiguous
-        // within the edge window, topmost last). The workers write every
-        // window in place — no per-edge payload allocation, no second
-        // copy of the dominant build artifact.
-        let mut slab_vec = vec![Gf64::ZERO; m * window];
-        {
-            let sink = SlabSink {
-                base: slab_vec.as_mut_ptr(),
-                len: slab_vec.len(),
-                window,
-                width: 2 * k,
-            };
-            build_subtree_sums(aux, &ctx.hierarchy, k, levels, threads, &sink);
-        }
-        let slab: Arc<[Gf64]> = slab_vec.into();
-
-        let header = ctx.header;
-        let mut vertex_labels = vec![
-            VertexLabel {
-                header,
-                anc: Default::default()
-            };
-            g.n()
-        ];
-        crate::par::par_fill(&mut vertex_labels, threads, |v| VertexLabel {
-            header,
-            anc: aux.anc[v],
-        });
-
-        let mut edge_labels = Vec::with_capacity(m);
-        for (e, &lower) in aux.sigma_lower.iter().enumerate() {
-            let upper = aux.tree.parent(lower).expect("σ(e) lower has a parent");
-            edge_labels.push(EdgeLabel {
-                header,
-                anc_upper: aux.anc[upper],
-                anc_lower: aux.anc[lower],
-                vec: RsVector::from_slab(k, &slab, e * window, window),
-            });
-        }
-
-        let edge_index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
-
-        let labels = LabelSet {
-            header,
-            vertex_labels,
-            edge_labels,
-            edge_index,
-        };
-        let size = labels.size_report(k, levels);
-        let diag = ctx.diagnostics(params);
-        Ok(FtcScheme { labels, diag, size })
-    }
-
-    fn build_store_pipeline(
-        g: &Graph,
-        tree: &RootedTree,
-        params: &Params,
-        threads: usize,
-        encoding: EdgeEncoding,
-    ) -> Result<(LabelStore, BuildDiagnostics), BuildError> {
-        let ctx = BuildCtx::prepare(g, tree, params, threads)?;
-        let diag = ctx.diagnostics(params);
-        let store = crate::store::stream_from_build(g, &ctx, threads, encoding);
-        Ok((store, diag))
-    }
-
-    fn build_store_compressed_pipeline(
-        g: &Graph,
-        tree: &RootedTree,
-        params: &Params,
-        threads: usize,
-        encoding: EdgeEncoding,
-    ) -> Result<(crate::compressed::CompressedStore, BuildDiagnostics), BuildError> {
-        let ctx = BuildCtx::prepare(g, tree, params, threads)?;
-        let diag = ctx.diagnostics(params);
-        let store = crate::compressed::stream_compressed_from_build(g, &ctx, threads, encoding);
-        Ok((store, diag))
-    }
-
     /// The labels (the only artifact a decoder needs).
     pub fn labels(&self) -> &LabelSet<RsVector> {
         &self.labels
@@ -377,66 +362,23 @@ impl FtcScheme {
     }
 }
 
-/// The shared prefix of both build pipelines: everything up to (but not
-/// including) label materialization. [`crate::store::stream_from_build`]
-/// reads it to lay out a streaming archive.
+/// What [`SchemeBuilder`]'s prepare step hands every build: the
+/// auxiliary graph, hierarchy and codec geometry, the labeling header,
+/// the endpoint index and the worker count — everything but the
+/// syndrome payload, which each build writes into its own target.
 pub(crate) struct BuildCtx {
     pub(crate) aux: AuxGraph,
     pub(crate) hierarchy: Hierarchy,
     pub(crate) k: usize,
     pub(crate) levels: usize,
     pub(crate) header: LabelHeader,
+    /// Vertex count of the input graph.
+    pub(crate) n: usize,
+    pub(crate) index: EndpointIndex,
+    pub(crate) threads: usize,
 }
 
 impl BuildCtx {
-    fn prepare(
-        g: &Graph,
-        tree: &RootedTree,
-        params: &Params,
-        threads: usize,
-    ) -> Result<BuildCtx, BuildError> {
-        if params.f == 0 {
-            return Err(BuildError::InvalidFaultBudget);
-        }
-        let aux = AuxGraph::build_with_threads(g, tree, threads);
-        if aux.aux_n >= (1usize << 31) {
-            return Err(BuildError::GraphTooLarge {
-                aux_vertices: aux.aux_n,
-            });
-        }
-        let pieces = rectangle_pieces(params.f);
-        // The hierarchy is always built at the paper's rectangle-hitting
-        // threshold: it is universal (independent of f and k) and keeps the
-        // depth logarithmic. A calibrated `Fixed(k)` only truncates the
-        // *codec* threshold; decodes are verified, so an under-calibration
-        // surfaces as `OutdetectFailed`, never as a wrong answer.
-        let base_t = match params.backend {
-            HierarchyBackend::Sampling { .. } => 0,
-            _ => paper_threshold(aux.nontree.len()),
-        };
-        let hierarchy = build_hierarchy_with_threads(&aux, params.backend, base_t, threads);
-        let k = match params.threshold {
-            ThresholdPolicy::Fixed(k) => k.max(1),
-            ThresholdPolicy::Theory => match params.backend {
-                HierarchyBackend::Sampling { .. } => sampling_threshold(params.f, aux.aux_n).max(1),
-                _ => (pieces * hierarchy.max_threshold).max(1),
-            },
-        };
-        let levels = hierarchy.depth().saturating_sub(1); // drop trailing empty level
-        let header = LabelHeader {
-            f: params.f as u32,
-            aux_n: aux.aux_n as u32,
-            tag: labeling_tag(g, params, k),
-        };
-        Ok(BuildCtx {
-            aux,
-            hierarchy,
-            k,
-            levels,
-            header,
-        })
-    }
-
     fn diagnostics(&self, params: &Params) -> BuildDiagnostics {
         BuildDiagnostics {
             k: self.k,
@@ -445,6 +387,36 @@ impl BuildCtx {
             effective_rect_threshold: self.hierarchy.max_threshold,
             backend: params.backend,
         }
+    }
+
+    /// The layout of this labeling's archive under `encoding`.
+    pub(crate) fn archive_meta(&self, encoding: EdgeEncoding) -> ArchiveMeta {
+        let counts = (self.n, self.aux.sigma_lower.len(), self.index.len());
+        ArchiveMeta::new(self.header, encoding, counts, (self.k, self.levels))
+            .expect("archive length fits in memory")
+    }
+
+    /// The ancestry labels (upper, lower) of edge `e`'s tree edge `σ(e)`.
+    pub(crate) fn edge_anc(&self, e: usize) -> (AncestryLabel, AncestryLabel) {
+        let lower = self.aux.sigma_lower[e];
+        let upper = self
+            .aux
+            .tree
+            .parent(lower)
+            .expect("σ(e) lower has a parent");
+        (self.aux.anc[upper], self.aux.anc[lower])
+    }
+
+    /// Runs the subtree-sums stage into `sink` on the prepared workers.
+    pub(crate) fn subtree_sums(&self, sink: &impl LevelSink) {
+        build_subtree_sums(
+            &self.aux,
+            &self.hierarchy,
+            self.k,
+            self.levels,
+            self.threads,
+            sink,
+        );
     }
 }
 
@@ -521,7 +493,7 @@ impl LevelSink for SlabSink {
 /// pure function of `(aux, level edges, k)` and every `(edge, level)`
 /// window is disjoint, so the result is identical — byte for byte once
 /// serialized — for every thread count.
-pub(crate) fn build_subtree_sums(
+fn build_subtree_sums(
     aux: &AuxGraph,
     hierarchy: &Hierarchy,
     k: usize,

@@ -74,58 +74,6 @@ impl std::fmt::Display for SerialError {
 
 impl std::error::Error for SerialError {}
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SerialError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(SerialError::new(SerialErrorKind::Truncated, self.pos))?;
-        if end > self.buf.len() {
-            return Err(SerialError::new(SerialErrorKind::Truncated, self.pos));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u16(&mut self) -> Result<u16, SerialError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, SerialError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SerialError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn done(&self) -> Result<(), SerialError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SerialError::new(SerialErrorKind::TrailingBytes, self.pos))
-        }
-    }
-}
-
-fn read_header(r: &mut Reader) -> Result<LabelHeader, SerialError> {
-    Ok(LabelHeader {
-        f: r.u32()?,
-        aux_n: r.u32()?,
-        tag: r.u64()?,
-    })
-}
-
-fn read_anc(r: &mut Reader) -> Result<AncestryLabel, SerialError> {
-    Ok(AncestryLabel {
-        pre: r.u32()?,
-        last: r.u32()?,
-        comp: r.u32()?,
-    })
-}
-
 /// Serializes a vertex label: magic and header, then the label's
 /// archive record (one record writer serves both).
 pub fn vertex_to_bytes(l: &VertexLabel) -> Vec<u8> {
@@ -142,14 +90,7 @@ pub fn vertex_to_bytes(l: &VertexLabel) -> Vec<u8> {
 /// [`SerialError`] (with the offending byte offset) on bad magic,
 /// truncation, or trailing bytes.
 pub fn vertex_from_bytes(bytes: &[u8]) -> Result<VertexLabel, SerialError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.u16()? != VERTEX_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    let header = read_header(&mut r)?;
-    let anc = read_anc(&mut r)?;
-    r.done()?;
-    Ok(VertexLabel { header, anc })
+    Ok(VertexLabelView::new(bytes)?.to_label())
 }
 
 /// Writes the magic and header that make a loose label self-describing.
@@ -164,7 +105,7 @@ fn write_loose_prefix(buf: &mut [u8], magic: u16, header: LabelHeader) {
 /// the record's payload words.
 fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     let (k, levels) = (l.vec.k(), l.vec.levels());
-    let words = store::payload_words(encoding, k, levels);
+    let words = encoding.row_words(k) * levels;
     let mut buf = vec![0u8; LOOSE_EDGE_WORDS_OFFSET + 8 * words];
     let (magic, geometry) = match encoding {
         EdgeEncoding::Full => (EDGE_MAGIC, words),
@@ -174,7 +115,7 @@ fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     store::write_edge_prefix(&mut buf, LOOSE_PREFIX_BYTES, &l.anc_upper, &l.anc_lower);
     store::put_u32(&mut buf, LOOSE_EDGE_WORDS_OFFSET - 8, k as u32);
     store::put_u32(&mut buf, LOOSE_EDGE_WORDS_OFFSET - 4, geometry as u32);
-    store::write_edge_words(&mut buf, LOOSE_EDGE_WORDS_OFFSET, &l.vec, encoding);
+    store::put_stored(&mut buf[LOOSE_EDGE_WORDS_OFFSET..], encoding, l.vec.raw());
     buf
 }
 
@@ -191,30 +132,7 @@ pub fn edge_to_bytes(l: &EdgeLabel<RsVector>) -> Vec<u8> {
 /// [`SerialError`] (with the offending byte offset) on bad magic, truncation, inconsistent
 /// lengths, or trailing bytes.
 pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.u16()? != EDGE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    let header = read_header(&mut r)?;
-    let anc_upper = read_anc(&mut r)?;
-    let anc_lower = read_anc(&mut r)?;
-    let k = r.u32()? as usize;
-    let len_at = r.pos;
-    let len = r.u32()? as usize;
-    if !whole_levels(k, len) {
-        return Err(SerialError::new(SerialErrorKind::Inconsistent, len_at));
-    }
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(Gf64::new(r.u64()?));
-    }
-    r.done()?;
-    Ok(EdgeLabel {
-        header,
-        anc_upper,
-        anc_lower,
-        vec: RsVector::from_raw(k, data),
-    })
+    Ok(EdgeLabelView::new(bytes)?.to_label())
 }
 
 /// Serializes an edge label at half width using the characteristic-two
@@ -233,30 +151,7 @@ pub fn edge_to_bytes_compact(l: &EdgeLabel<RsVector>) -> Vec<u8> {
 /// [`SerialError`] (with the offending byte offset) on bad magic,
 /// truncation, or trailing bytes.
 pub fn compact_edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.u16()? != COMPACT_EDGE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    let header = read_header(&mut r)?;
-    let anc_upper = read_anc(&mut r)?;
-    let anc_lower = read_anc(&mut r)?;
-    let k = r.u32()? as usize;
-    let levels = r.u32()? as usize;
-    let mut data = Vec::with_capacity(2 * k * levels);
-    for _ in 0..levels {
-        let mut odd = Vec::with_capacity(k);
-        for _ in 0..k {
-            odd.push(Gf64::new(r.u64()?));
-        }
-        data.extend(ftc_codes::compact::expand(&odd));
-    }
-    r.done()?;
-    Ok(EdgeLabel {
-        header,
-        anc_upper,
-        anc_lower,
-        vec: RsVector::from_raw(k, data),
-    })
+    Ok(CompactEdgeLabelView::new(bytes)?.to_label())
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +624,8 @@ mod tests {
             edge_from_bytes(&[0x45, 0x46]),
             Err(SerialError::new(SerialErrorKind::Truncated, 2))
         );
-        // Truncated edge payload: the reader stops inside the last word.
+        // Truncated edge payload: reported at the input's length, like
+        // every other truncation.
         let g = Graph::cycle(4);
         let s = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
         let bytes = edge_to_bytes(s.labels().edge_label_by_id(0));
@@ -737,7 +633,7 @@ mod tests {
             edge_from_bytes(&bytes[..bytes.len() - 1]),
             Err(SerialError::new(
                 SerialErrorKind::Truncated,
-                bytes.len() - 8
+                bytes.len() - 1
             ))
         );
         // Trailing garbage is flagged at the first surplus byte.

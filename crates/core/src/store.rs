@@ -83,7 +83,7 @@
 use crate::ancestry::AncestryLabel;
 use crate::compressed::{CompressedStore, SectionKind};
 use crate::error::QueryError;
-use crate::labels::{EdgeLabel, EdgeLabelRead, EndpointIndex, LabelHeader, LabelSet, RsVector};
+use crate::labels::{EdgeLabel, EdgeLabelRead, LabelHeader, LabelSet, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
@@ -92,7 +92,6 @@ use crate::serial::{
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
-use ftc_graph::Graph;
 use std::fmt;
 use std::io;
 use std::ops::Range;
@@ -135,6 +134,26 @@ impl EdgeEncoding {
             1 => Some(EdgeEncoding::Compact),
             _ => None,
         }
+    }
+
+    /// Words stored per hierarchy level of a threshold-`k` syndrome row:
+    /// all `2k` in the full encoding, the `k` odd power sums in the
+    /// compact one.
+    pub fn row_words(self, k: usize) -> usize {
+        match self {
+            EdgeEncoding::Full => 2 * k,
+            EdgeEncoding::Compact => k,
+        }
+    }
+
+    /// The stored words of a full `2k`-word row (or of consecutive full
+    /// rows), in stored order: every word in the full encoding, the odd
+    /// power sums `s₁, s₃, …` (even positions) in the compact one.
+    pub fn stored<T>(self, row: &[T]) -> std::iter::StepBy<std::slice::Iter<'_, T>> {
+        row.iter().step_by(match self {
+            EdgeEncoding::Full => 1,
+            EdgeEncoding::Compact => 2,
+        })
     }
 }
 
@@ -252,9 +271,10 @@ impl From<SerialError> for StoreOpenError {
 /// The archive header and the layout it implies: everything a
 /// [`LabelStore`] knows beyond the bytes themselves. The compressed
 /// container opens with the same header and keeps this layout as the
-/// shape of its uncompressed equivalent.
+/// shape of its uncompressed equivalent; [`write_v1`] lays a v1 archive
+/// out by it.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ArchiveMeta {
+pub struct ArchiveMeta {
     pub(crate) header: LabelHeader,
     pub(crate) encoding: EdgeEncoding,
     pub(crate) n: usize,
@@ -273,9 +293,10 @@ pub(crate) struct ArchiveMeta {
 }
 
 impl ArchiveMeta {
-    /// The layout of an archive with these counts and this geometry;
-    /// `None` when a length overflows.
-    pub(crate) fn new(
+    /// The layout of an archive with `n` vertices, `m` edges and
+    /// `idx_count` endpoint-index entries, of threshold `k` and `levels`
+    /// hierarchy levels; `None` when a length overflows.
+    pub fn new(
         header: LabelHeader,
         encoding: EdgeEncoding,
         (n, m, idx_count): (usize, usize, usize),
@@ -284,10 +305,7 @@ impl ArchiveMeta {
         // A labeling without edge records has no codec geometry, whoever
         // writes it: an owned label set has no edge to read one from.
         let (k, levels) = if m == 0 { (0, 0) } else { (k, levels) };
-        let words = k.checked_mul(levels)?.checked_mul(match encoding {
-            EdgeEncoding::Full => 2,
-            EdgeEncoding::Compact => 1,
-        })?;
+        let words = encoding.row_words(k).checked_mul(levels)?;
         let record_len = words.checked_mul(8)?.checked_add(EDGE_PREFIX_BYTES)?;
         let vertices_at = idx_count
             .checked_mul(ENDPOINT_ENTRY_BYTES)?
@@ -350,9 +368,9 @@ impl ArchiveMeta {
         ArchiveMeta::new(header, encoding, (n, m, idx_count), (k, levels)).ok_or(inconsistent(32))
     }
 
-    /// Stored payload words per edge record.
-    pub(crate) fn words(&self) -> usize {
-        payload_words(self.encoding, self.k, self.levels)
+    /// Stored words per edge record and hierarchy level.
+    pub(crate) fn row_words(&self) -> usize {
+        self.encoding.row_words(self.k)
     }
 
     /// Byte range of the endpoint index or of the vertex records in a v1
@@ -500,13 +518,12 @@ pub(crate) fn check_endpoint_index(index: &[u8], m: usize) -> Result<(), usize> 
 impl LabelStore {
     /// Archives a label set under the given edge encoding.
     pub fn archive(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> LabelStore {
-        LabelStore::open(encode(labels, encoding))
-            .expect("freshly encoded archives are well-formed")
+        encode(labels, encoding)
     }
 
     /// Serializes a label set into a fresh byte vector.
     pub fn to_vec(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
-        encode(labels, encoding)
+        encode(labels, encoding).into_vec()
     }
 
     /// Takes ownership of an archive blob, validating it in full, without
@@ -528,11 +545,11 @@ impl LabelStore {
         Ok(LabelStore { bytes, meta })
     }
 
-    /// Wraps a blob whose framing was just written by this crate's own
-    /// archive writers, skipping the full `open` validation pass (which
-    /// is O(archive) and would double the cost of every dynamic commit).
-    /// The caller guarantees `meta` describes `bytes` exactly.
-    pub(crate) fn from_parts_trusted(bytes: Vec<u8>, meta: ArchiveMeta) -> LabelStore {
+    /// Wraps a blob [`write_v1`] just wrote, skipping the full `open`
+    /// validation pass (which is O(archive) and would double the cost of
+    /// every dynamic commit). The caller guarantees `meta` describes
+    /// `bytes` exactly.
+    fn from_parts_trusted(bytes: Vec<u8>, meta: ArchiveMeta) -> LabelStore {
         debug_assert!(
             parse_v1(&bytes).is_ok(),
             "trusted archive parts must form a well-formed blob"
@@ -750,7 +767,7 @@ impl EdgeLabelRead for ArchivedEdgeView<'_> {
     fn xor_into_slab(&self, dst: &mut [u64]) {
         let ArchiveMeta { encoding, k, .. } = *self.meta;
         assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
-        let row_words = payload_words(encoding, k, 1);
+        let row_words = self.meta.row_words();
         for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
             match self.rows {
                 EdgeRows::Record(words) => xor_row(
@@ -814,6 +831,36 @@ fn put_anc(buf: &mut [u8], at: usize, a: &AncestryLabel) {
     put_u32(buf, at + 8, a.comp);
 }
 
+/// Copies `src` into `dst` as little-endian words (`dst.len() == 8 ·
+/// src.len()`).
+pub(crate) fn put_words(dst: &mut [u8], src: &[u64]) {
+    assert_eq!(dst.len(), 8 * src.len(), "word run length");
+    #[cfg(target_endian = "little")]
+    {
+        // The archive stores words little-endian, so on LE hosts the
+        // words' in-memory bytes are already the stored bytes — one bulk
+        // copy instead of a word loop.
+        // SAFETY: `src` is a valid, initialized `&[u64]`; every byte of a
+        // u64 is initialized, and u8 has no alignment requirement, so
+        // reinterpreting the region as `8 * src.len()` bytes is sound.
+        let src_bytes =
+            unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), 8 * src.len()) };
+        dst.copy_from_slice(src_bytes);
+    }
+    #[cfg(not(target_endian = "little"))]
+    for (chunk, &w) in dst.chunks_exact_mut(8).zip(src) {
+        chunk.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Writes the stored words of the full syndrome rows `rows` into `dst`,
+/// little-endian.
+pub(crate) fn put_stored(dst: &mut [u8], encoding: EdgeEncoding, rows: &[Gf64]) {
+    for (d, x) in dst.chunks_exact_mut(8).zip(encoding.stored(rows)) {
+        d.copy_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
 /// Writes the archive header at the start of `buf`. `version` is a
 /// parameter because the compressed container opens with the same
 /// header.
@@ -830,9 +877,14 @@ pub(crate) fn write_fixed_header(buf: &mut [u8], version: u16, meta: &ArchiveMet
     put_u32(buf, 40, meta.idx_count as u32);
 }
 
-/// Writes the endpoint index region at `at`.
-pub(crate) fn write_endpoint_index(buf: &mut [u8], at: usize, index: &EndpointIndex) {
-    for (i, (u, v, e)) in index.iter().enumerate() {
+/// Writes an endpoint-index region (12-byte `(u, v, edge id)` entries)
+/// at `at`.
+pub(crate) fn write_endpoint_index(
+    buf: &mut [u8],
+    at: usize,
+    entries: impl Iterator<Item = (usize, usize, usize)>,
+) {
+    for (i, (u, v, e)) in entries.enumerate() {
         let rec = at + ENDPOINT_ENTRY_BYTES * i;
         put_u32(buf, rec, u as u32);
         put_u32(buf, rec + 4, v as u32);
@@ -858,20 +910,38 @@ pub(crate) fn write_vertex_labels(
     }
 }
 
-/// Writes the archive header, endpoint index and vertex records into a
-/// pre-sized blob of `meta`'s layout. Shared by the owned [`encode`]
-/// path, the streaming [`stream_from_build`] path and the patch
-/// assembler, so all three produce identical framing bytes by
-/// construction.
-pub(crate) fn write_framing(
+/// Writes one edge record's prefix (everything before the syndrome
+/// words): the ancestry labels of both endpoints of `σ(e)`.
+pub(crate) fn write_edge_prefix(
     buf: &mut [u8],
-    meta: &ArchiveMeta,
-    index: &EndpointIndex,
-    vertex_anc: impl Fn(usize) -> AncestryLabel,
+    at: usize,
+    anc_upper: &AncestryLabel,
+    anc_lower: &AncestryLabel,
 ) {
-    write_fixed_header(buf, STORE_VERSION, meta);
-    write_endpoint_index(buf, FIXED_HEADER_BYTES, index);
-    write_vertex_labels(buf, meta.vertices_at, meta.n, vertex_anc);
+    put_anc(buf, at, anc_upper);
+    put_anc(buf, at + ANC_BYTES, anc_lower);
+}
+
+/// Writes `m` edge prefixes from `at`, `stride` bytes apart: a v1
+/// archive's records, or a v2 archive's edge-meta section.
+pub(crate) fn write_edge_prefixes(
+    buf: &mut [u8],
+    (at, stride): (usize, usize),
+    m: usize,
+    edge_anc: impl Fn(usize) -> (AncestryLabel, AncestryLabel),
+) {
+    for e in 0..m {
+        let (upper, lower) = edge_anc(e);
+        write_edge_prefix(buf, at + e * stride, &upper, &lower);
+    }
+}
+
+/// The ancestry pair (upper, lower) of an edge prefix at `at`.
+pub(crate) fn read_edge_prefix(buf: &[u8], at: usize) -> (AncestryLabel, AncestryLabel) {
+    (
+        serial::read_anc_at(buf, at),
+        serial::read_anc_at(buf, at + ANC_BYTES),
+    )
 }
 
 /// Computes and writes the trailing whole-blob checksum into the final
@@ -882,43 +952,102 @@ pub(crate) fn seal_v1_checksum(buf: &mut [u8]) {
     put_u64(buf, body_len, sum);
 }
 
-/// Writes one edge record's prefix (everything before the syndrome
-/// words): the ancestry labels of both endpoints of `σ(e)`.
-pub(crate) fn write_edge_prefix(
+/// Writes everything of a v1 blob of `meta`'s layout but the payload
+/// words and the checksum: the archive header, the endpoint index, the
+/// vertex records and every edge record's ancestry pair.
+fn write_framing(
     buf: &mut [u8],
-    at: usize,
-    anc_upper: &AncestryLabel,
-    anc_lower: &AncestryLabel,
+    meta: &ArchiveMeta,
+    entries: impl ExactSizeIterator<Item = (usize, usize, usize)>,
+    vertex_anc: impl Fn(usize) -> AncestryLabel,
+    edge_anc: impl Fn(usize) -> (AncestryLabel, AncestryLabel),
 ) {
-    put_anc(buf, at, anc_upper);
-    put_anc(buf, at + crate::serial::ANC_BYTES, anc_lower);
+    assert_eq!(entries.len(), meta.idx_count, "endpoint entry count");
+    write_fixed_header(buf, STORE_VERSION, meta);
+    write_endpoint_index(buf, FIXED_HEADER_BYTES, entries);
+    write_vertex_labels(buf, meta.vertices_at, meta.n, vertex_anc);
+    write_edge_prefixes(buf, (meta.edges_at, meta.record_len), meta.m, edge_anc);
 }
 
-/// Stored payload words per edge record under an encoding.
-pub(crate) fn payload_words(encoding: EdgeEncoding, k: usize, levels: usize) -> usize {
-    match encoding {
-        EdgeEncoding::Full => 2 * k * levels,
-        EdgeEncoding::Compact => k * levels,
+/// The edge records of a v1 archive being written, as the payload step
+/// of [`write_v1`] sees them: record `e`'s stored words, level-major
+/// and little-endian, are written by [`EdgeRecords::put_words`]. The
+/// step must write every stored word of every record.
+pub struct EdgeRecords<'a> {
+    /// The blob's edge-record region.
+    bytes: &'a mut [u8],
+    record_len: usize,
+}
+
+impl EdgeRecords<'_> {
+    /// Record `e`'s stored words as bytes: each level's stored row in
+    /// turn, little-endian.
+    pub(crate) fn words_mut(&mut self, e: usize) -> &mut [u8] {
+        let at = e * self.record_len;
+        &mut self.bytes[at + EDGE_PREFIX_BYTES..at + self.record_len]
+    }
+
+    /// Stores `words` as record `e`'s payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly the record's stored word
+    /// count.
+    pub fn put_words(&mut self, e: usize, words: &[u64]) {
+        put_words(self.words_mut(e), words);
     }
 }
 
-/// Writes an owned vector's stored payload words at `at`: every word for
-/// full records, the odd power sums s₁, s₃, … for compact ones (even
-/// ones are Frobenius squares, reconstructed on read).
-pub(crate) fn write_edge_words(buf: &mut [u8], at: usize, vec: &RsVector, encoding: EdgeEncoding) {
-    let step = match encoding {
-        EdgeEncoding::Full => 1,
-        EdgeEncoding::Compact => 2,
-    };
-    for (i, x) in vec.raw().iter().step_by(step).enumerate() {
-        put_u64(buf, at + 8 * i, x.to_bits());
+/// Writes a v1 archive — the one v1 writer, behind every producer: owned
+/// labels ([`LabelStore::archive`]), the streaming build, dynamic
+/// commits (`ftc-dyn`) and the v2 decompressor
+/// ([`CompressedStore::to_v1_vec`]).
+///
+/// It lays out `meta`'s header, the endpoint index from `entries`
+/// (sorted `(u, v, edge id)` triples, `meta.idx_count` of them), every
+/// vertex record from `vertex_anc` and every edge record's ancestry pair
+/// (upper, lower) from `edge_anc`; then `payload` writes every record's
+/// stored words, and the whole-blob checksum seals the result.
+///
+/// The store is returned without the O(archive) validation pass of
+/// [`LabelStore::open`] (debug builds still run it): every invariant it
+/// checks holds by construction. Bytes read back from disk are validated
+/// when they are opened.
+///
+/// `buf` is a recycled allocation (or an empty `Vec`): its contents are
+/// irrelevant, because every byte of the archive is written.
+/// Multi-megabyte archives sit above the allocator's mmap threshold, so
+/// a fresh buffer per write pays soft page faults for the whole blob;
+/// handing a retired archive's buffer back (see
+/// [`LabelStore::try_into_vec`]) keeps its pages mapped and warm.
+pub fn write_v1(
+    mut buf: Vec<u8>,
+    meta: ArchiveMeta,
+    entries: impl ExactSizeIterator<Item = (usize, usize, usize)>,
+    vertex_anc: impl Fn(usize) -> AncestryLabel,
+    edge_anc: impl Fn(usize) -> (AncestryLabel, AncestryLabel),
+    payload: impl FnOnce(&mut EdgeRecords<'_>),
+) -> LabelStore {
+    // A recycled buffer is resized in place (a large one grows by
+    // remapping, its pages staying warm); without one, the zeroed
+    // allocation takes fresh zero pages instead of writing zeros.
+    if buf.capacity() == 0 {
+        buf = vec![0u8; meta.len];
+    } else {
+        buf.resize(meta.len, 0);
     }
+    write_framing(&mut buf, &meta, entries, vertex_anc, edge_anc);
+    payload(&mut EdgeRecords {
+        bytes: &mut buf[meta.edges_at..meta.len - TRAILING_CHECKSUM_BYTES],
+        record_len: meta.record_len,
+    });
+    seal_v1_checksum(&mut buf);
+    LabelStore::from_parts_trusted(buf, meta)
 }
 
-/// Serializes a label set into the archive layout — one pre-sized output
-/// buffer, written in place (no per-edge byte buffers). The codec
-/// geometry is edge 0's, which every edge of a built labeling shares.
-fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
+/// Archives an owned label set. The codec geometry is edge 0's, which
+/// every edge of a built labeling shares.
+fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> LabelStore {
     let geometry = labels
         .edge_labels()
         .next()
@@ -932,32 +1061,33 @@ fn encode(labels: &LabelSet<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     let counts = (labels.n(), labels.m(), labels.edge_index.len());
     let meta = ArchiveMeta::new(labels.header(), encoding, counts, geometry)
         .expect("archive length fits in memory");
-    let mut out = vec![0u8; meta.len];
-    write_framing(&mut out, &meta, &labels.edge_index, |v| {
-        labels.vertex_label(v).anc
-    });
-    for (e, label) in labels.edge_labels().enumerate() {
-        let at = meta.edges_at + e * meta.record_len;
-        write_edge_prefix(&mut out, at, &label.anc_upper, &label.anc_lower);
-        write_edge_words(&mut out, at + EDGE_PREFIX_BYTES, &label.vec, encoding);
-    }
-    seal_v1_checksum(&mut out);
-    out
+    write_v1(
+        Vec::new(),
+        meta,
+        labels.edge_index.iter(),
+        |v| labels.vertex_label(v).anc,
+        |e| {
+            let l = labels.edge_label_by_id(e);
+            (l.anc_upper, l.anc_lower)
+        },
+        |records| {
+            for (e, l) in labels.edge_labels().enumerate() {
+                put_stored(records.words_mut(e), encoding, l.vec.raw());
+            }
+        },
+    )
 }
 
 /// [`LevelSink`] writing syndrome rows straight into their final
-/// positions inside a serialized archive blob — the streaming
-/// build-to-archive path. Full records store the whole `2k`-element row;
-/// compact records store the `k` odd power sums.
+/// positions inside a v1 archive's edge records — the streaming
+/// build-to-archive path.
 struct ArchivePayloadSink {
     base: *mut u8,
     len: usize,
-    /// Byte position of edge 0's first payload word.
-    first_payload_at: usize,
-    /// Bytes between consecutive edges' payloads (one record length).
-    record_stride: usize,
+    /// Bytes between consecutive edges' records.
+    record_len: usize,
     /// Bytes between consecutive level rows within a record.
-    level_stride: usize,
+    row_bytes: usize,
     encoding: EdgeEncoding,
 }
 
@@ -967,84 +1097,39 @@ unsafe impl Sync for ArchivePayloadSink {}
 
 impl LevelSink for ArchivePayloadSink {
     fn write_row(&self, e: usize, level: usize, row: &[Gf64]) {
-        let at = self.first_payload_at + e * self.record_stride + level * self.level_stride;
-        debug_assert!(at + self.level_stride <= self.len);
-        let write_word = |i: usize, x: Gf64| {
-            let bytes = x.to_bits().to_le_bytes();
-            // SAFETY: `at + 8i + 8 ≤ at + level_stride ≤ len` (debug-
-            // asserted above; guaranteed by the layout arithmetic in
-            // `stream_from_build`), and no other worker touches this
-            // window.
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.base.add(at + 8 * i), 8);
-            }
-        };
-        match self.encoding {
-            EdgeEncoding::Full => {
-                for (i, &x) in row.iter().enumerate() {
-                    write_word(i, x);
-                }
-            }
-            EdgeEncoding::Compact => {
-                for (i, &x) in row.iter().step_by(2).enumerate() {
-                    write_word(i, x);
-                }
-            }
-        }
+        let at = e * self.record_len + EDGE_PREFIX_BYTES + level * self.row_bytes;
+        assert!(at + self.row_bytes <= self.len, "row outside the records");
+        // SAFETY: `at + row_bytes ≤ len` (asserted above), and no other
+        // worker touches this `(edge, level)` window while the slice
+        // lives.
+        let dst = unsafe { std::slice::from_raw_parts_mut(self.base.add(at), self.row_bytes) };
+        put_stored(dst, self.encoding, row);
     }
 }
 
-/// Lays out and fills a complete archive straight from a prepared build:
-/// header, index, vertex records, and every edge record's ancestry pair
-/// are written up front; the subtree-sums workers then write each
-/// `(edge, level)` syndrome row into its final blob position. The
-/// labeling is never materialized as owned labels, so peak memory is one
-/// blob plus O(threads) worker accumulators.
-pub(crate) fn stream_from_build(
-    g: &Graph,
-    ctx: &BuildCtx,
-    threads: usize,
-    encoding: EdgeEncoding,
-) -> LabelStore {
-    let index = EndpointIndex::from_edges(g.edge_iter().map(|(_, u, v)| (u, v)));
-    let meta = ArchiveMeta::new(
-        ctx.header,
-        encoding,
-        (g.n(), g.m(), index.len()),
-        (ctx.k, ctx.levels),
+/// Writes a v1 archive straight from a prepared build: the subtree-sums
+/// workers write each `(edge, level)` syndrome row into its final blob
+/// position. The labeling is never materialized as owned labels, so
+/// peak memory is one blob plus O(threads) worker accumulators.
+pub(crate) fn stream_from_build(ctx: &BuildCtx, encoding: EdgeEncoding) -> LabelStore {
+    let meta = ctx.archive_meta(encoding);
+    write_v1(
+        Vec::new(),
+        meta,
+        ctx.index.iter(),
+        |v| ctx.aux.anc[v],
+        |e| ctx.edge_anc(e),
+        |records| {
+            let sink = ArchivePayloadSink {
+                base: records.bytes.as_mut_ptr(),
+                len: records.bytes.len(),
+                record_len: meta.record_len,
+                row_bytes: 8 * meta.row_words(),
+                encoding,
+            };
+            ctx.subtree_sums(&sink);
+        },
     )
-    .expect("archive length fits in memory");
-    let mut buf = vec![0u8; meta.len];
-    write_framing(&mut buf, &meta, &index, |v| ctx.aux.anc[v]);
-    for (e, &lower) in ctx.aux.sigma_lower.iter().enumerate() {
-        let upper = ctx.aux.tree.parent(lower).expect("σ(e) lower has a parent");
-        write_edge_prefix(
-            &mut buf,
-            meta.edges_at + e * meta.record_len,
-            &ctx.aux.anc[upper],
-            &ctx.aux.anc[lower],
-        );
-    }
-    {
-        let sink = ArchivePayloadSink {
-            base: buf.as_mut_ptr(),
-            len: buf.len(),
-            first_payload_at: meta.edges_at + EDGE_PREFIX_BYTES,
-            record_stride: meta.record_len,
-            level_stride: 8 * payload_words(encoding, ctx.k, 1),
-            encoding,
-        };
-        crate::scheme::build_subtree_sums(
-            &ctx.aux,
-            &ctx.hierarchy,
-            ctx.k,
-            ctx.levels,
-            threads,
-            &sink,
-        );
-    }
-    seal_v1_checksum(&mut buf);
-    LabelStore::open(buf).expect("freshly built archives are well-formed")
 }
 
 #[cfg(test)]
@@ -1143,6 +1228,71 @@ mod tests {
                     &blob[at..at + VERTEX_RECORD_BYTES],
                     &serial::vertex_to_bytes(l.vertex_label(v))[18..],
                     "vertex {v}"
+                );
+            }
+        }
+    }
+
+    /// The parts of a built labeling — endpoint index, ancestry labels
+    /// and a record-major slab of stored words, the form `ftc-dyn`
+    /// maintains — written through the one v1 writer reproduce the
+    /// owned encoder's and the streaming build's archive byte for byte,
+    /// from a fresh buffer and from dirty recycled ones of either size.
+    #[test]
+    fn reassembled_parts_match_builder_bytes() {
+        let g = ftc_graph::generators::random_connected(60, 100, 7);
+        let params = Params::deterministic(2);
+        let scheme = FtcScheme::build(&g, &params).unwrap();
+        let l = scheme.labels();
+        for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+            let blob = LabelStore::to_vec(l, encoding);
+            let (streamed, _) = FtcScheme::builder(&g)
+                .params(&params)
+                .threads(2)
+                .build_store(encoding)
+                .unwrap();
+            assert_eq!(streamed.as_bytes(), &blob[..], "{encoding:?} streamed");
+            let (k, levels) = (streamed.k(), streamed.levels());
+            assert!(levels >= 2, "the fixture must build several levels");
+            // Project each level's full 2k-word row down to its stored
+            // words: all of them, or the odd power sums at even indices.
+            let step = match encoding {
+                EdgeEncoding::Full => 1,
+                EdgeEncoding::Compact => 2,
+            };
+            let mut slab = Vec::new();
+            for label in l.edge_labels() {
+                for row in label.vec.raw().chunks_exact(2 * k) {
+                    slab.extend(row.iter().step_by(step).map(|x| x.to_bits()));
+                }
+            }
+            let counts = (l.n(), l.m(), l.endpoint_index().len());
+            let meta = ArchiveMeta::new(l.header(), encoding, counts, (k, levels)).unwrap();
+            let words = meta.row_words() * levels;
+            let write = |buf: Vec<u8>| {
+                let edge_anc = |e| {
+                    let label = l.edge_label_by_id(e);
+                    (label.anc_upper, label.anc_lower)
+                };
+                write_v1(
+                    buf,
+                    meta,
+                    l.endpoint_index().iter(),
+                    |v| l.vertex_label(v).anc,
+                    edge_anc,
+                    |records| {
+                        for (e, row) in slab.chunks_exact(words).enumerate() {
+                            records.put_words(e, row);
+                        }
+                    },
+                )
+            };
+            assert_eq!(write(Vec::new()).as_bytes(), &blob[..], "{encoding:?}");
+            for scratch in [vec![0xAB; blob.len() + 4096], vec![0xCD; blob.len() / 2]] {
+                assert_eq!(
+                    write(scratch).as_bytes(),
+                    &blob[..],
+                    "recycled, {encoding:?}"
                 );
             }
         }

@@ -6,9 +6,9 @@
 //! syndrome rows — and applies [`insert_edge`](DynamicScheme::insert_edge)
 //! / [`delete_edge`](DynamicScheme::delete_edge) by recomputing only what
 //! an update invalidates, then re-emits a servable archive with
-//! [`commit`](DynamicScheme::commit) (assembled through
-//! [`ftc_core::patch`], never re-validated, never re-encoded from a
-//! `LabelSet`).
+//! [`commit`](DynamicScheme::commit) (written by the one v1 writer,
+//! [`ftc_core::store::write_v1`], never re-validated, never re-encoded
+//! from a `LabelSet`).
 //!
 //! ## How updates stay small
 //!
@@ -91,9 +91,8 @@ pub use journal::{FsyncPolicy, JournalError, JournalErrorKind, JournalOp, Journa
 use ftc_codes::ThresholdCodec;
 use ftc_core::ancestry::AncestryLabel;
 use ftc_core::compressed::{compress_archive, AnyArchive, CompressedStore};
-use ftc_core::patch::{assemble_archive_into, EdgeRecordSpec};
-use ftc_core::store::{EdgeEncoding, LabelStore};
-use ftc_core::{LabelHeader, SerialError};
+use ftc_core::store::{write_v1, ArchiveMeta, EdgeEncoding, LabelStore};
+use ftc_core::{EndpointIndex, LabelHeader, SerialError};
 use ftc_field::Gf64;
 use ftc_graph::{Graph, RootedTree};
 use ftc_serve::ConnectivityService;
@@ -283,18 +282,12 @@ fn norm_pair(u: u32, v: u32) -> (u32, u32) {
     }
 }
 
-/// XOR `src` (a full `2k`-word row) into `dst` (one stored level window),
-/// projecting to the compact odd-power-sum layout when asked.
+/// XOR the stored words of `src` (a full `2k`-word row) into `dst` (one
+/// stored level window).
 #[inline]
-fn project_xor(dst: &mut [u64], src: &[u64], compact: bool) {
-    if compact {
-        for (d, s) in dst.iter_mut().zip(src.iter().step_by(2)) {
-            *d ^= *s;
-        }
-    } else {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= *s;
-        }
+fn project_xor(dst: &mut [u64], src: &[u64], encoding: EdgeEncoding) {
+    for (d, s) in dst.iter_mut().zip(encoding.stored(src)) {
+        *d ^= *s;
     }
 }
 
@@ -491,10 +484,7 @@ impl DynamicScheme {
     }
 
     fn level_width(&self) -> usize {
-        match self.encoding {
-            EdgeEncoding::Full => 2 * self.k,
-            EdgeEncoding::Compact => self.k,
-        }
+        self.encoding.row_words(self.k)
     }
 
     fn check_pair(&self, u: usize, v: usize) -> Result<(u32, u32), DynError> {
@@ -652,12 +642,15 @@ impl DynamicScheme {
             b = self.parent[b] as usize;
         }
         let (width, words) = (self.level_width(), self.words_per_edge());
-        let compact = matches!(self.encoding, EdgeEncoding::Compact);
         for rec in records {
             let base = rec * words;
             for lvl in 0..=e.level as usize {
                 let at = base + lvl * width;
-                project_xor(&mut self.rows[at..at + width], &self.row_bits, compact);
+                project_xor(
+                    &mut self.rows[at..at + width],
+                    &self.row_bits,
+                    self.encoding,
+                );
             }
         }
     }
@@ -752,7 +745,7 @@ impl DynamicScheme {
         // endpoints' accumulators, fold bottom-up in reverse preorder, and
         // emit each vertex's accumulated sum as its parent edge's record.
         let (two_k, width, words) = (2 * self.k, self.level_width(), self.words_per_edge());
-        let compact = matches!(self.encoding, EdgeEncoding::Compact);
+        let encoding = self.encoding;
         let m = self.edges.len();
         self.rows.clear();
         self.rows.resize(m * words, 0);
@@ -776,7 +769,7 @@ impl DynamicScheme {
             let row = &chord_rows[c * two_k..(c + 1) * two_k];
             for lvl in 0..=self.edges[j].level as usize {
                 let at = j * words + lvl * width;
-                project_xor(&mut self.rows[at..at + width], row, compact);
+                project_xor(&mut self.rows[at..at + width], row, encoding);
             }
         }
         let mut acc = vec![0u64; n * two_k];
@@ -809,7 +802,7 @@ impl DynamicScheme {
                     &acc[v * two_k..(v + 1) * two_k],
                     &mut self.rows[at..at + width],
                 );
-                project_xor(dst, src, compact);
+                project_xor(dst, src, encoding);
                 let (head, tail) = if (p as usize) < v {
                     let (h, t) = acc.split_at_mut(v * two_k);
                     (
@@ -835,6 +828,28 @@ impl DynamicScheme {
         }
     }
 
+    /// The ancestry labels (upper, lower) of edge `j`'s record: a tree
+    /// edge's parent and child, or a chord's attachment vertex and its
+    /// subdivider `x_e` (a leaf at slot `slot` of the attachment's gap).
+    fn edge_anc(&self, j: usize) -> (AncestryLabel, AncestryLabel) {
+        match self.edges[j].kind {
+            EdgeKind::Tree { child } => {
+                let c = child as usize;
+                (self.vertex_anc(self.parent[c] as usize), self.vertex_anc(c))
+            }
+            EdgeKind::NonTree { attach, slot } => {
+                let a = attach as usize;
+                let x = self.gap * self.pre[a] + slot;
+                let subdivider = AncestryLabel {
+                    pre: x,
+                    last: x,
+                    comp: self.gap * self.comp[a],
+                };
+                (self.vertex_anc(a), subdivider)
+            }
+        }
+    }
+
     /// Commits the current labeling as a sealed v1 archive. O(archive
     /// bytes): the maintained row slab is laid out and checksummed; no
     /// syndrome is recomputed and nothing is re-validated. Each commit
@@ -850,46 +865,22 @@ impl DynamicScheme {
             aux_n: self.gap * self.n as u32,
             tag: fnv1a64(&[self.tag_base, self.update_counter]),
         };
-        let vertex_anc: Vec<AncestryLabel> = (0..self.n).map(|v| self.vertex_anc(v)).collect();
-        let specs: Vec<EdgeRecordSpec> = self
-            .edges
-            .iter()
-            .map(|e| {
-                let (anc_upper, anc_lower) = match e.kind {
-                    EdgeKind::Tree { child } => {
-                        let c = child as usize;
-                        (self.vertex_anc(self.parent[c] as usize), self.vertex_anc(c))
-                    }
-                    EdgeKind::NonTree { attach, slot } => {
-                        let a = attach as usize;
-                        let x = self.gap * self.pre[a] + slot;
-                        (
-                            self.vertex_anc(a),
-                            AncestryLabel {
-                                pre: x,
-                                last: x,
-                                comp: self.gap * self.comp[a],
-                            },
-                        )
-                    }
-                };
-                EdgeRecordSpec {
-                    u: e.u,
-                    v: e.v,
-                    anc_upper,
-                    anc_lower,
-                }
-            })
-            .collect();
-        assemble_archive_into(
+        let index = EndpointIndex::from_edges(self.edge_pairs());
+        let counts = (self.n, self.m(), index.len());
+        let meta = ArchiveMeta::new(header, self.encoding, counts, (self.k, self.levels))
+            .expect("archive length fits in memory");
+        let words = self.words_per_edge();
+        write_v1(
             std::mem::take(&mut self.commit_scratch),
-            header,
-            self.encoding,
-            self.k,
-            self.levels,
-            &vertex_anc,
-            &specs,
-            &self.rows,
+            meta,
+            index.iter(),
+            |v| self.vertex_anc(v),
+            |e| self.edge_anc(e),
+            |records| {
+                for (e, row) in self.rows.chunks_exact(words).enumerate() {
+                    records.put_words(e, row);
+                }
+            },
         )
     }
 
@@ -1149,7 +1140,7 @@ mod tests {
         let mut scheme = DynamicScheme::new(&g, DynConfig::new(2, 8)).unwrap();
         scheme.insert_edge(1, 28).unwrap();
         let store = scheme.commit();
-        // A fresh open must accept every byte the patch writer emitted.
+        // A fresh open must accept every byte the commit wrote.
         let view = LabelStore::open(store.as_bytes().to_vec()).unwrap();
         assert_eq!(view.n(), 30);
         assert_eq!(view.m(), 50);

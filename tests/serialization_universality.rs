@@ -389,6 +389,41 @@ fn tampered_bytes_do_not_panic() {
     }
 }
 
+/// A loose edge label whose geometry fields claim more words than the
+/// input holds is refused as truncated at the input's end — before any
+/// allocation sized by those fields. Both crafted labels are the 50-byte
+/// fixed prefix alone: a compact label with k = levels = 2^20 (2^40
+/// stored words) and a full label with k = 1 and 2^32 − 2 words.
+#[test]
+fn crafted_geometry_is_truncated_not_allocated() {
+    let label = |magic: [u8; 2], k: u32, geometry: u32| {
+        let mut bytes = vec![0u8; 50];
+        bytes[..2].copy_from_slice(&magic);
+        bytes[42..46].copy_from_slice(&k.to_le_bytes());
+        bytes[46..50].copy_from_slice(&geometry.to_le_bytes());
+        bytes
+    };
+    let compact = label([0x43, 0x46], 1 << 20, 1 << 20);
+    let full = label([0x45, 0x46], 1, u32::MAX - 1);
+    let truncated = |e: ftc::core::SerialError| (e.kind, e.offset);
+    let want = (ftc::core::SerialErrorKind::Truncated, 50);
+    assert_eq!(
+        compact_edge_from_bytes(&compact).map_err(truncated),
+        Err(want)
+    );
+    assert_eq!(
+        CompactEdgeLabelView::new(&compact)
+            .map(|_| ())
+            .map_err(truncated),
+        Err(want)
+    );
+    assert_eq!(edge_from_bytes(&full).map_err(truncated), Err(want));
+    assert_eq!(
+        EdgeLabelView::new(&full).map(|_| ()).map_err(truncated),
+        Err(want)
+    );
+}
+
 /// Loose labels are an interchange format: their bytes must not drift
 /// when the archive layout changes. One digest covers every vertex label
 /// and every edge label in both encodings of a seeded labeling.
