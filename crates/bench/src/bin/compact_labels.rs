@@ -10,8 +10,8 @@
 //! Run: `cargo run -p ftc-bench --release --bin compact_labels`
 
 use ftc_bench::{header, row, standard_graph, Flavor};
-use ftc_core::serial::{compact_edge_from_bytes, edge_to_bytes, edge_to_bytes_compact};
-use ftc_core::FtcScheme;
+use ftc_core::serial::{edge_from_bytes, edge_to_bytes};
+use ftc_core::{EdgeEncoding, FtcScheme};
 use ftc_graph::generators;
 
 fn main() {
@@ -32,10 +32,10 @@ fn main() {
 
         // Serialize every edge label both ways.
         let full_bits: usize = (0..g.m())
-            .map(|e| edge_to_bytes(l.edge_label_by_id(e)).len() * 8)
+            .map(|e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full).len() * 8)
             .sum();
         let compact_bits: usize = (0..g.m())
-            .map(|e| edge_to_bytes_compact(l.edge_label_by_id(e)).len() * 8)
+            .map(|e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Compact).len() * 8)
             .sum();
 
         // Random query workload: answers from compact-expanded labels must
@@ -48,8 +48,8 @@ fn main() {
                 .expect("theory threshold");
             let reloaded = l
                 .session(fset.iter().map(|&e| {
-                    compact_edge_from_bytes(&edge_to_bytes_compact(l.edge_label_by_id(e)))
-                        .expect("lossless")
+                    let compact = edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Compact);
+                    edge_from_bytes(&compact).expect("lossless")
                 }))
                 .expect("theory threshold");
             for s in 0..g.n() {

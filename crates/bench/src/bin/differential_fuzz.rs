@@ -11,8 +11,7 @@
 
 use ftc_core::compressed::{compress_archive, open_path, AnyArchive};
 use ftc_core::serial::{
-    edge_from_bytes, edge_to_bytes, edge_to_bytes_compact, vertex_to_bytes, CompactEdgeLabelView,
-    EdgeLabelView, VertexLabelView,
+    edge_from_bytes, edge_to_bytes, vertex_to_bytes, EdgeLabelView, VertexLabelView,
 };
 use ftc_core::store::{EdgeEncoding, LabelStore};
 use ftc_core::{FtcScheme, LabelSet, Params, QuerySession, RsVector, SessionScratch};
@@ -67,32 +66,26 @@ fn main() {
             let l = scheme.labels();
             // Serialization round trip on the fault labels (empty fault
             // sets included — the session must handle them).
-            let faults: Vec<_> = fset
+            let fault_bytes = |encoding| -> Vec<Vec<u8>> {
+                fset.iter()
+                    .map(|&e| edge_to_bytes(l.edge_label_by_id(e), encoding))
+                    .collect()
+            };
+            let full_bytes = fault_bytes(EdgeEncoding::Full);
+            let faults: Vec<_> = full_bytes
                 .iter()
-                .map(|&e| edge_from_bytes(&edge_to_bytes(l.edge_label_by_id(e))).expect("bytes"))
+                .map(|b| edge_from_bytes(b).expect("bytes"))
                 .collect();
             let session = l.session(&faults).expect("session");
-            // Zero-copy path: the same session built from raw bytes.
-            let fault_bytes: Vec<Vec<u8>> = fset
-                .iter()
-                .map(|&e| edge_to_bytes(l.edge_label_by_id(e)))
-                .collect();
-            let views: Vec<EdgeLabelView> = fault_bytes
-                .iter()
-                .map(|b| EdgeLabelView::new(b).expect("view"))
-                .collect();
-            let view_session = QuerySession::new(l.header(), views).expect("view session");
-            // The same again from half-width compact bytes.
-            let compact_bytes: Vec<Vec<u8>> = fset
-                .iter()
-                .map(|&e| edge_to_bytes_compact(l.edge_label_by_id(e)))
-                .collect();
-            let compact_views: Vec<CompactEdgeLabelView> = compact_bytes
-                .iter()
-                .map(|b| CompactEdgeLabelView::new(b).expect("compact view"))
-                .collect();
-            let compact_session =
-                QuerySession::new(l.header(), compact_views).expect("compact session");
+            // Zero-copy path: the same session built from raw bytes, full
+            // and half-width compact, through the one edge view.
+            let from_views = |bytes: &[Vec<u8>]| {
+                let views = bytes.iter().map(|b| EdgeLabelView::new(b).expect("view"));
+                QuerySession::new(l.header(), views).expect("view session")
+            };
+            let compact_bytes = fault_bytes(EdgeEncoding::Compact);
+            let (view_session, compact_session) =
+                (from_views(&full_bytes), from_views(&compact_bytes));
             let vertex_bytes: Vec<Vec<u8>> = (0..g.n())
                 .map(|v| vertex_to_bytes(l.vertex_label(v)))
                 .collect();

@@ -68,14 +68,11 @@ use crate::labels::{LabelHeader, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
-    SerialError, SerialErrorKind, VertexLabelView, VertexRecords, EDGE_PREFIX_BYTES,
-    VERTEX_RECORD_BYTES,
+    EdgeLabelView, EdgeRows, SerialError, SerialErrorKind, VertexLabelView, VertexRecords,
+    EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{
-    self, ArchiveMeta, ArchivedEdgeView, EdgeEncoding, EdgeRows, LabelStore, StoreError,
-    StoreOpenError,
-};
+use crate::store::{self, ArchiveMeta, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -389,7 +386,7 @@ impl CompressedStore {
     /// # Errors
     ///
     /// [`SerialError`] if any touched section fails lazy validation.
-    pub fn edge_by_id(&self, e: usize) -> Result<Option<ArchivedEdgeView<'_>>, SerialError> {
+    pub fn edge_by_id(&self, e: usize) -> Result<Option<EdgeLabelView<'_>>, SerialError> {
         if e >= self.layout().m {
             return Ok(None);
         }
@@ -398,11 +395,11 @@ impl CompressedStore {
         for level in 0..self.layout().levels {
             self.section_words(SEC_LEVEL0 + level)?;
         }
-        Ok(Some(ArchivedEdgeView {
-            meta: self.layout(),
-            anc: &anc[e * EDGE_PREFIX_BYTES..(e + 1) * EDGE_PREFIX_BYTES],
-            rows: EdgeRows::Sections(self, e),
-        }))
+        Ok(Some(EdgeLabelView::archived(
+            self.layout(),
+            &anc[e * EDGE_PREFIX_BYTES..(e + 1) * EDGE_PREFIX_BYTES],
+            EdgeRows::Sections(self, e),
+        )))
     }
 
     /// Edge `e`'s stored row at `level`, from a level section
@@ -548,7 +545,7 @@ impl AnyArchive {
     ///
     /// [`SerialError`] if a v2 section the edge reads fails lazy
     /// validation.
-    pub fn edge_by_id(&self, e: usize) -> Result<Option<ArchivedEdgeView<'_>>, SerialError> {
+    pub fn edge_by_id(&self, e: usize) -> Result<Option<EdgeLabelView<'_>>, SerialError> {
         match self {
             AnyArchive::V1(v) => Ok(v.edge_by_id(e)),
             AnyArchive::V2(v) => v.edge_by_id(e),

@@ -101,11 +101,12 @@ impl<T: VertexLabelRead + ?Sized> VertexLabelRead for &T {
 
 /// Read access to an edge label, independent of its representation.
 ///
-/// Implemented by the owned [`EdgeLabel`] and by the zero-copy
-/// [`crate::serial::EdgeLabelView`] over serialized bytes. The vector is
-/// read only through the slab accessors, shaped for the merge engine's
-/// accumulate loop: a view XORs its syndrome words straight out of the
-/// byte buffer without ever materializing an owned vector per label.
+/// Implemented by the owned [`EdgeLabel`], by references, and by the
+/// zero-copy [`crate::serial::EdgeLabelView`] over loose label bytes or
+/// either archive format. The vector is read only through the slab
+/// accessors, shaped for the merge engine's accumulate loop: a view XORs
+/// its syndrome words straight out of the byte buffer without ever
+/// materializing an owned vector per label.
 pub trait EdgeLabelRead {
     /// The outdetect-vector representation this label carries.
     type Vector: OutdetectVector;

@@ -25,17 +25,16 @@
 //! * [`baseline`] — the Dory–Parter-style whp sketch scheme the paper
 //!   compares against (Table 1, rows 1–2);
 //! * [`serial`] — byte-level label serialization plus the zero-copy
-//!   [`serial::VertexLabelView`] / [`serial::EdgeLabelView`] /
-//!   [`serial::CompactEdgeLabelView`] readers of loose labels (used to
-//!   demonstrate the decoder is genuinely graph-free);
+//!   [`serial::VertexLabelView`] and [`serial::EdgeLabelView`]: the one
+//!   edge reader of loose labels of either encoding and of both archive
+//!   formats (loose labels demonstrate the decoder is genuinely
+//!   graph-free);
 //! * [`store`] — the single-blob label archive: [`store::write_v1`] is
 //!   the one writer of the blob (owned labels, streaming builds,
 //!   `ftc-dyn` commits and decompression all go through it), and
 //!   [`store::LabelStore`] is the one owned handle that opens it
 //!   without copying, serving O(1)/O(log m)
-//!   zero-copy label views and archive-native [`QuerySession`]s; its
-//!   [`store::ArchivedEdgeView`] is the one edge reader of both archive
-//!   formats and both edge encodings;
+//!   zero-copy label views and archive-native [`QuerySession`]s;
 //! * [`io`] — durable archive I/O: the [`io::AtomicFile`] writer
 //!   (tempfile → fsync → rename → directory fsync) behind the
 //!   [`io::Vfs`] trait, with a production filesystem and a seeded
@@ -101,9 +100,6 @@ pub use labels::{
 };
 pub use params::{Params, ThresholdPolicy};
 pub use scheme::{BuildDiagnostics, FtcScheme, SchemeBuilder};
-pub use serial::{
-    CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-    VertexRecords,
-};
+pub use serial::{EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView, VertexRecords};
 pub use session::{Certificate, QuerySession, SessionScratch};
-pub use store::{ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError, StoreOpenError};
+pub use store::{EdgeEncoding, LabelStore, StoreError, StoreOpenError};

@@ -3,17 +3,23 @@
 //! Labels are *the* artifact of a labeling scheme: they must be storable,
 //! shippable, and decodable with no access to the graph. This module
 //! provides a compact little-endian layout for the deterministic scheme's
-//! labels, plus [`VertexLabelView`] / [`EdgeLabelView`] — validated
-//! borrowed views implementing the label-read traits directly over the
-//! serialized bytes, so a decoder ([`crate::session::QuerySession`]) can
-//! answer queries straight from stored or transmitted label bytes without
-//! materializing owned labels.
+//! labels — one vertex codec and one edge codec pair
+//! ([`edge_to_bytes`] under either [`EdgeEncoding`], [`edge_from_bytes`]
+//! of either magic) — plus [`VertexLabelView`] / [`EdgeLabelView`]:
+//! validated borrowed views implementing the label-read traits directly
+//! over the serialized bytes, so a decoder
+//! ([`crate::session::QuerySession`]) can answer queries straight from
+//! stored or transmitted label bytes without materializing owned labels.
+//! The same two views are what the archives of [`crate::store`] and
+//! [`crate::compressed`] hand out: [`EdgeLabelView`] is the one edge
+//! reader of loose labels and both archive formats.
 
 use crate::ancestry::AncestryLabel;
+use crate::compressed::CompressedStore;
 use crate::labels::{
     whole_levels, EdgeLabel, EdgeLabelRead, LabelHeader, RsVector, VertexLabel, VertexLabelRead,
 };
-use crate::store::{self, EdgeEncoding};
+use crate::store::{self, ArchiveMeta, EdgeEncoding};
 use ftc_field::Gf64;
 
 pub(crate) const VERTEX_MAGIC: u16 = 0x4656; // "FV"
@@ -99,11 +105,13 @@ fn write_loose_prefix(buf: &mut [u8], magic: u16, header: LabelHeader) {
     store::put_header(buf, 2, header);
 }
 
-/// Serializes one edge label under `encoding`: magic and header, the
-/// record's ancestry pair, the geometry fields (`k`, then the stored
-/// word count for full labels or the level count for compact ones), and
-/// the record's payload words.
-fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
+/// Serializes an edge label under `encoding`: magic and header, the
+/// record's ancestry pair, the geometry fields (`k`, then the stored word
+/// count for the full encoding or the level count for the compact one),
+/// and the record's stored words. The compact encoding keeps only the `k`
+/// odd power sums of each level (extension E12); a reader rebuilds the
+/// even ones as `s_{2j} = s_j²`.
+pub fn edge_to_bytes(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     let (k, levels) = (l.vec.k(), l.vec.levels());
     let words = encoding.row_words(k) * levels;
     let mut buf = vec![0u8; LOOSE_EDGE_WORDS_OFFSET + 8 * words];
@@ -119,39 +127,15 @@ fn edge_record(l: &EdgeLabel<RsVector>, encoding: EdgeEncoding) -> Vec<u8> {
     buf
 }
 
-/// Serializes an edge label of the deterministic scheme in the full
-/// encoding.
-pub fn edge_to_bytes(l: &EdgeLabel<RsVector>) -> Vec<u8> {
-    edge_record(l, EdgeEncoding::Full)
-}
-
-/// Deserializes an edge label of the deterministic scheme.
-///
-/// # Errors
-///
-/// [`SerialError`] (with the offending byte offset) on bad magic, truncation, inconsistent
-/// lengths, or trailing bytes.
-pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
-    Ok(EdgeLabelView::new(bytes)?.to_label())
-}
-
-/// Serializes an edge label at half width using the characteristic-two
-/// syndrome compression (extension E12): per hierarchy level only the `k`
-/// odd power sums are stored; [`compact_edge_from_bytes`] reconstructs the
-/// even ones via `s_{2j} = s_j²`.
-pub fn edge_to_bytes_compact(l: &EdgeLabel<RsVector>) -> Vec<u8> {
-    edge_record(l, EdgeEncoding::Compact)
-}
-
-/// Deserializes a compact edge label, expanding each level back to the
-/// full `2k`-element syndrome.
+/// Deserializes an edge label of either encoding, a compact one expanded
+/// back to full `2k`-element syndromes.
 ///
 /// # Errors
 ///
 /// [`SerialError`] (with the offending byte offset) on bad magic,
-/// truncation, or trailing bytes.
-pub fn compact_edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
-    Ok(CompactEdgeLabelView::new(bytes)?.to_label())
+/// truncation, inconsistent geometry, or trailing bytes.
+pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
+    Ok(EdgeLabelView::new(bytes)?.to_label())
 }
 
 // ---------------------------------------------------------------------------
@@ -179,16 +163,13 @@ fn read_u32_at(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(buf[at..at + 4].try_into().unwrap())
 }
 
-/// Checks the leading two-byte magic, reporting truncation at the input
-/// length or a magic mismatch at offset 0.
-fn check_magic(bytes: &[u8], magic: u16) -> Result<(), SerialError> {
-    if bytes.len() < 2 {
-        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+/// The leading two-byte magic, or truncation at the input length; a
+/// caller refuses a magic it does not read as `BadMagic` at offset 0.
+fn read_magic(bytes: &[u8]) -> Result<u16, SerialError> {
+    match bytes {
+        [a, b, ..] => Ok(u16::from_le_bytes([*a, *b])),
+        _ => Err(SerialError::new(SerialErrorKind::Truncated, bytes.len())),
     }
-    if u16::from_le_bytes(bytes[..2].try_into().unwrap()) != magic {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    Ok(())
 }
 
 /// Checks an exact expected length: a short input is truncated at its
@@ -228,19 +209,6 @@ pub(crate) fn read_anc_at(buf: &[u8], at: usize) -> AncestryLabel {
     }
 }
 
-/// Copies an edge view out into an owned label whose threshold is `k`:
-/// the vector is the view's slab words, XORed into a zeroed row.
-pub(crate) fn owned_label(view: &impl EdgeLabelRead, k: usize) -> EdgeLabel<RsVector> {
-    let mut words = vec![0u64; view.slab_words()];
-    view.xor_into_slab(&mut words);
-    EdgeLabel {
-        header: view.header(),
-        anc_upper: view.anc_upper(),
-        anc_lower: view.anc_lower(),
-        vec: RsVector::from_raw(k, words.into_iter().map(Gf64::new).collect()),
-    }
-}
-
 /// A zero-copy view of a vertex label: the labeling header beside the
 /// label's record, its 12-byte ancestry label. A loose label
 /// ([`vertex_to_bytes`] layout) supplies its own header; an archive
@@ -261,7 +229,9 @@ impl<'a> VertexLabelView<'a> {
     /// [`SerialError`] (with the offending byte offset) on bad magic,
     /// truncation, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<VertexLabelView<'a>, SerialError> {
-        check_magic(bytes, VERTEX_MAGIC)?;
+        if read_magic(bytes)? != VERTEX_MAGIC {
+            return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+        }
         check_exact_len(bytes, VERTEX_LABEL_BYTES)?;
         Ok(VertexLabelView {
             header: read_header_at(bytes, 2),
@@ -343,99 +313,110 @@ impl<'a> VertexRecords<'a> {
     }
 }
 
-/// What a loose edge view reads: the labeling header and codec geometry
-/// from the label's own fields, the record's ancestry pair and its
-/// stored payload words.
+/// A zero-copy view of an edge label, loose or archived: the labeling
+/// header, edge encoding and codec geometry beside the 24-byte ancestry
+/// pair and the syndrome rows — a loose label's or a v1 record's stored
+/// words, or edge `e`'s row in each of a v2 archive's decoded level
+/// sections. A loose label ([`edge_to_bytes`] layout, either magic)
+/// supplies its own header and geometry; an archived edge takes its
+/// archive's. Implements [`EdgeLabelRead`]: the ancestry fields decode on
+/// demand, and each stored row XORs into a session's fault slab straight
+/// out of the bytes ([`crate::store`]'s one row reader expands a compact
+/// row from its odd power sums), so no owned label is materialized per
+/// fault.
 #[derive(Clone, Copy, Debug)]
-struct EdgeParts<'a> {
+pub struct EdgeLabelView<'a> {
     header: LabelHeader,
+    encoding: EdgeEncoding,
     k: usize,
     levels: usize,
+    /// The ancestry pair (upper, lower).
     anc: &'a [u8],
-    words: &'a [u8],
+    rows: EdgeRows<'a>,
 }
 
-impl<'a> EdgeParts<'a> {
-    /// Parts of a loose label whose magic, `k` and geometry are already
-    /// checked: `k` and `levels` as parsed, and its words starting at
-    /// the loose word offset.
-    fn loose(bytes: &'a [u8], k: usize, levels: usize) -> EdgeParts<'a> {
-        EdgeParts {
-            header: read_header_at(bytes, 2),
-            k,
-            levels,
-            anc: &bytes[LOOSE_PREFIX_BYTES..LOOSE_PREFIX_BYTES + EDGE_PREFIX_BYTES],
-            words: &bytes[LOOSE_EDGE_WORDS_OFFSET..],
-        }
-    }
-
-    fn word(&self, i: usize) -> u64 {
-        read_u64_at(self.words, 8 * i)
-    }
-}
-
-/// Reads a loose edge label's fixed prefix: magic, then `k` and the
-/// geometry field, reporting truncation before either.
-fn loose_geometry(bytes: &[u8], magic: u16) -> Result<(usize, usize), SerialError> {
-    check_magic(bytes, magic)?;
-    if bytes.len() < LOOSE_EDGE_WORDS_OFFSET {
-        return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
-    }
-    Ok((
-        read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 8) as usize,
-        read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 4) as usize,
-    ))
-}
-
-/// A zero-copy view of a loose full-encoding edge label of the
-/// deterministic scheme ([`edge_to_bytes`] layout; an archived edge reads
-/// through [`crate::store::ArchivedEdgeView`]). Implements
-/// [`EdgeLabelRead`]: the ancestry fields decode on demand, and the
-/// Reed–Solomon syndrome words XOR into a session's fragment
-/// accumulators straight out of the byte buffer — the `Vec<Gf64>`
-/// payload is never deserialized per label.
+/// Where an edge view's syndrome rows are stored.
 #[derive(Clone, Copy, Debug)]
-pub struct EdgeLabelView<'a>(EdgeParts<'a>);
+pub(crate) enum EdgeRows<'a> {
+    /// A loose label's or a v1 record's stored words, level-major,
+    /// little-endian.
+    Record(&'a [[u8; 8]]),
+    /// Edge `e` of a v2 archive, whose level sections are decoded.
+    Sections(&'a CompressedStore, usize),
+}
 
 impl<'a> EdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry of a
+    /// Validates the magic (full or compact), geometry and length of a
     /// loose label.
     ///
     /// # Errors
     ///
     /// [`SerialError`] (with the offending byte offset) on bad magic,
-    /// truncation, inconsistent lengths, or trailing bytes.
+    /// truncation, inconsistent geometry, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<EdgeLabelView<'a>, SerialError> {
-        let (k, len) = loose_geometry(bytes, EDGE_MAGIC)?;
-        if !whole_levels(k, len) {
-            return Err(SerialError::new(
-                SerialErrorKind::Inconsistent,
-                LOOSE_EDGE_WORDS_OFFSET - 4,
-            ));
+        let encoding = match read_magic(bytes)? {
+            EDGE_MAGIC => EdgeEncoding::Full,
+            COMPACT_EDGE_MAGIC => EdgeEncoding::Compact,
+            _ => return Err(SerialError::new(SerialErrorKind::BadMagic, 0)),
+        };
+        if bytes.len() < LOOSE_EDGE_WORDS_OFFSET {
+            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
         }
-        check_exact_len(bytes, LOOSE_EDGE_WORDS_OFFSET + 8 * len)?;
-        let levels = if k == 0 { 0 } else { len / (2 * k) };
-        Ok(EdgeLabelView(EdgeParts::loose(bytes, k, levels)))
+        let inconsistent =
+            SerialError::new(SerialErrorKind::Inconsistent, LOOSE_EDGE_WORDS_OFFSET - 4);
+        let k = read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 8) as usize;
+        let field = read_u32_at(bytes, LOOSE_EDGE_WORDS_OFFSET - 4) as usize;
+        // A full label stores its word count, a compact one its level
+        // count; both then meet the archive header's geometry rule.
+        let levels = match encoding {
+            EdgeEncoding::Full if !whole_levels(k, field) => return Err(inconsistent),
+            EdgeEncoding::Full => field.checked_div(2 * k).unwrap_or(0),
+            EdgeEncoding::Compact => field,
+        };
+        if !store::valid_geometry(k, levels) {
+            return Err(inconsistent);
+        }
+        let len = encoding
+            .row_words(k)
+            .checked_mul(levels)
+            .and_then(|w| w.checked_mul(8))
+            .and_then(|w| w.checked_add(LOOSE_EDGE_WORDS_OFFSET))
+            .ok_or(inconsistent)?;
+        check_exact_len(bytes, len)?;
+        Ok(EdgeLabelView {
+            header: read_header_at(bytes, 2),
+            encoding,
+            k,
+            levels,
+            anc: &bytes[LOOSE_PREFIX_BYTES..LOOSE_PREFIX_BYTES + EDGE_PREFIX_BYTES],
+            rows: EdgeRows::Record(bytes[LOOSE_EDGE_WORDS_OFFSET..].as_chunks().0),
+        })
     }
 
-    /// The codec threshold `k` of the carried vector.
-    pub fn k(&self) -> usize {
-        self.0.k
+    /// An archived edge: `anc` and `rows` read under `meta`'s header,
+    /// encoding and geometry.
+    pub(crate) fn archived(meta: &ArchiveMeta, anc: &'a [u8], rows: EdgeRows<'a>) -> Self {
+        EdgeLabelView {
+            header: meta.header,
+            encoding: meta.encoding,
+            k: meta.k,
+            levels: meta.levels,
+            anc,
+            rows,
+        }
     }
 
-    /// Number of hierarchy levels carried.
-    pub fn levels(&self) -> usize {
-        self.0.levels
-    }
-
-    /// Number of syndrome words carried.
-    pub fn num_words(&self) -> usize {
-        2 * self.0.k * self.0.levels
-    }
-
-    /// Copies the view out into an owned label.
+    /// Copies the view out into an owned label, its rows expanded to full
+    /// `2k`-element syndromes.
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        owned_label(self, self.0.k)
+        let mut words = vec![0u64; self.slab_words()];
+        self.xor_into_slab(&mut words);
+        EdgeLabel {
+            header: self.header,
+            anc_upper: self.anc_upper(),
+            anc_lower: self.anc_lower(),
+            vec: RsVector::from_raw(self.k, words.into_iter().map(Gf64::new).collect()),
+        }
     }
 }
 
@@ -443,133 +424,41 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
     type Vector = RsVector;
 
     fn header(&self) -> LabelHeader {
-        self.0.header
+        self.header
     }
 
     fn anc_upper(&self) -> AncestryLabel {
-        read_anc_at(self.0.anc, 0)
+        read_anc_at(self.anc, 0)
     }
 
     fn anc_lower(&self) -> AncestryLabel {
-        read_anc_at(self.0.anc, ANC_BYTES)
+        read_anc_at(self.anc, ANC_BYTES)
     }
 
     fn slab_words(&self) -> usize {
-        self.num_words()
+        2 * self.k * self.levels
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
-        assert_eq!(dst.len(), self.num_words(), "mixed vector widths");
-        for (d, w) in dst.iter_mut().zip(self.0.words.chunks_exact(8)) {
-            *d ^= u64::from_le_bytes(w.try_into().unwrap());
+        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
+        let row_words = self.encoding.row_words(self.k);
+        for (level, out) in dst.chunks_exact_mut(2 * self.k.max(1)).enumerate() {
+            match self.rows {
+                EdgeRows::Record(words) => store::xor_row(
+                    self.encoding,
+                    &words[level * row_words..(level + 1) * row_words],
+                    u64::from_le_bytes,
+                    out,
+                ),
+                EdgeRows::Sections(archive, e) => {
+                    store::xor_row(self.encoding, archive.level_row(level, e), |w| w, out)
+                }
+            }
         }
     }
 
     fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        det.configure(self.0.k, self.0.levels, self.0.header.aux_n);
-    }
-}
-
-/// A zero-copy view of a loose *compact* edge label
-/// ([`edge_to_bytes_compact`] layout). Implements [`EdgeLabelRead`]: the
-/// ancestry fields decode on demand; the half-width syndrome is expanded
-/// to the full `2k`-element form (via `s_{2j} = s_j²`) only when the
-/// vector is actually needed by the merge engine.
-#[derive(Clone, Copy, Debug)]
-pub struct CompactEdgeLabelView<'a>(EdgeParts<'a>);
-
-impl<'a> CompactEdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry of a
-    /// loose label.
-    ///
-    /// # Errors
-    ///
-    /// [`SerialError`] (with the offending byte offset) on bad magic,
-    /// truncation, or trailing bytes.
-    pub fn new(bytes: &'a [u8]) -> Result<CompactEdgeLabelView<'a>, SerialError> {
-        let (k, levels) = loose_geometry(bytes, COMPACT_EDGE_MAGIC)?;
-        let len = k
-            .checked_mul(levels)
-            .and_then(|w| w.checked_mul(8))
-            .and_then(|w| w.checked_add(LOOSE_EDGE_WORDS_OFFSET))
-            .ok_or(SerialError::new(
-                SerialErrorKind::Inconsistent,
-                LOOSE_EDGE_WORDS_OFFSET - 4,
-            ))?;
-        check_exact_len(bytes, len)?;
-        Ok(CompactEdgeLabelView(EdgeParts::loose(bytes, k, levels)))
-    }
-
-    /// The codec threshold `k` of the carried vector.
-    pub fn k(&self) -> usize {
-        self.0.k
-    }
-
-    /// Number of hierarchy levels carried.
-    pub fn levels(&self) -> usize {
-        self.0.levels
-    }
-
-    /// Copies the view out into an owned label (expanding the syndrome).
-    pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        owned_label(self, self.0.k)
-    }
-}
-
-impl EdgeLabelRead for CompactEdgeLabelView<'_> {
-    type Vector = RsVector;
-
-    fn header(&self) -> LabelHeader {
-        self.0.header
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        read_anc_at(self.0.anc, 0)
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        read_anc_at(self.0.anc, ANC_BYTES)
-    }
-
-    fn slab_words(&self) -> usize {
-        2 * self.0.k * self.0.levels
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        // Expand the half-width encoding on the fly, with no scratch: in
-        // the full layout, entry `i` (1-based power sum `s_i`) equals
-        // `s_o^(2^t)` where `i = o·2^t` with `o` odd — repeated Frobenius
-        // squaring of a stored odd power sum. t ≤ log₂(2k) squarings per
-        // entry keep this cheap, and each label is expanded exactly once
-        // per session build (into the fault-word slab).
-        let (k, levels) = (self.0.k, self.0.levels);
-        assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
-        for lvl in 0..levels {
-            xor_expanded_row(
-                |j| self.0.word(lvl * k + j),
-                &mut dst[2 * k * lvl..2 * k * (lvl + 1)],
-            );
-        }
-    }
-
-    fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        det.configure(self.0.k, self.0.levels, self.0.header.aux_n);
-    }
-}
-
-/// XORs one level's full `2k`-entry syndrome into `out` (length `2k`),
-/// expanded from its `k` stored odd power sums, `odd(j) = s_{2j+1}`:
-/// entry `i` (1-based power-sum index) is `s_o^(2^t)` for `i = o·2^t`
-/// with `o` odd, since `s_{2j} = s_j²` in characteristic two.
-pub(crate) fn xor_expanded_row(odd: impl Fn(usize) -> u64, out: &mut [u64]) {
-    for (idx, slot) in out.iter_mut().enumerate() {
-        let i = idx + 1;
-        let t = i.trailing_zeros();
-        let mut v = Gf64::new(odd((i >> t) / 2));
-        for _ in 0..t {
-            v = v.square();
-        }
-        *slot ^= v.to_bits();
+        det.configure(self.k, self.levels, self.header.aux_n);
     }
 }
 
@@ -604,8 +493,10 @@ mod tests {
         let s = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         for e in 0..5 {
             let l = s.labels().edge_label_by_id(e);
-            let bytes = edge_to_bytes(l);
-            assert_eq!(&edge_from_bytes(&bytes).unwrap(), l);
+            for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+                let bytes = edge_to_bytes(l, encoding);
+                assert_eq!(&edge_from_bytes(&bytes).unwrap(), l, "{encoding:?}");
+            }
         }
     }
 
@@ -628,7 +519,7 @@ mod tests {
         // every other truncation.
         let g = Graph::cycle(4);
         let s = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
-        let bytes = edge_to_bytes(s.labels().edge_label_by_id(0));
+        let bytes = edge_to_bytes(s.labels().edge_label_by_id(0), EdgeEncoding::Full);
         assert_eq!(
             edge_from_bytes(&bytes[..bytes.len() - 1]),
             Err(SerialError::new(
@@ -666,15 +557,15 @@ mod tests {
         let s = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         for e in 0..g.m() {
             let l = s.labels().edge_label_by_id(e);
-            let compact = edge_to_bytes_compact(l);
-            let full = edge_to_bytes(l);
+            let compact = edge_to_bytes(l, EdgeEncoding::Compact);
+            let full = edge_to_bytes(l, EdgeEncoding::Full);
             assert!(
                 compact.len() < full.len() / 2 + 64,
                 "compact ({}) should be about half of full ({})",
                 compact.len(),
                 full.len()
             );
-            assert_eq!(&compact_edge_from_bytes(&compact).unwrap(), l);
+            assert_eq!(&edge_from_bytes(&compact).unwrap(), l);
         }
     }
 
@@ -683,8 +574,9 @@ mod tests {
         let g = Graph::cycle(7);
         let s = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let l = s.labels();
-        let f0 = compact_edge_from_bytes(&edge_to_bytes_compact(l.edge_label_by_id(0))).unwrap();
-        let f3 = compact_edge_from_bytes(&edge_to_bytes_compact(l.edge_label_by_id(3))).unwrap();
+        let compact = |e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Compact);
+        let f0 = edge_from_bytes(&compact(0)).unwrap();
+        let f3 = edge_from_bytes(&compact(3)).unwrap();
         let session = l.session([&f0, &f3]).unwrap();
         assert_eq!(
             session.connected(l.vertex_label(1), l.vertex_label(5)),
@@ -706,18 +598,13 @@ mod tests {
             Err(SerialError::new(SerialErrorKind::BadMagic, 0))
         );
         assert!(EdgeLabelView::new(&vb).is_err());
-        let eb = edge_to_bytes(s.labels().edge_label_by_id(0));
+        let label = s.labels().edge_label_by_id(0);
+        let eb = edge_to_bytes(label, EdgeEncoding::Full);
         assert!(VertexLabelView::new(&eb).is_err());
-        // A full-encoding edge is not a compact one and vice versa.
-        assert_eq!(
-            CompactEdgeLabelView::new(&eb).unwrap_err().kind,
-            SerialErrorKind::BadMagic
-        );
-        let cb = edge_to_bytes_compact(s.labels().edge_label_by_id(0));
-        assert_eq!(
-            EdgeLabelView::new(&cb).unwrap_err().kind,
-            SerialErrorKind::BadMagic
-        );
+        // Both edge magics read as the same label.
+        let cb = edge_to_bytes(label, EdgeEncoding::Compact);
+        assert_eq!(&EdgeLabelView::new(&eb).unwrap().to_label(), label);
+        assert_eq!(&EdgeLabelView::new(&cb).unwrap().to_label(), label);
     }
 
     #[test]
@@ -732,7 +619,7 @@ mod tests {
             assert_eq!(VertexLabelRead::header(&view), l.header());
         }
         for e in 0..g.m() {
-            let bytes = edge_to_bytes(l.edge_label_by_id(e));
+            let bytes = edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full);
             let view = EdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
             // The zero-copy slab path agrees with the owned vector.
@@ -752,7 +639,7 @@ mod tests {
         );
         let g = Graph::cycle(4);
         let s = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
-        let bytes = edge_to_bytes(s.labels().edge_label_by_id(0));
+        let bytes = edge_to_bytes(s.labels().edge_label_by_id(0), EdgeEncoding::Full);
         assert_eq!(
             EdgeLabelView::new(&bytes[..bytes.len() - 1]).unwrap_err(),
             SerialError::new(SerialErrorKind::Truncated, bytes.len() - 1)
@@ -768,10 +655,10 @@ mod tests {
             VertexLabelView::new(&vb[..vb.len() - 1]).unwrap_err(),
             SerialError::new(SerialErrorKind::Truncated, vb.len() - 1)
         );
-        // Compact views locate truncation the same way.
-        let cb = edge_to_bytes_compact(s.labels().edge_label_by_id(0));
+        // Compact labels locate truncation the same way.
+        let cb = edge_to_bytes(s.labels().edge_label_by_id(0), EdgeEncoding::Compact);
         assert_eq!(
-            CompactEdgeLabelView::new(&cb[..cb.len() - 1]).unwrap_err(),
+            EdgeLabelView::new(&cb[..cb.len() - 1]).unwrap_err(),
             SerialError::new(SerialErrorKind::Truncated, cb.len() - 1)
         );
     }
@@ -782,18 +669,18 @@ mod tests {
         let s = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
         let l = s.labels();
         for e in 0..g.m() {
-            let bytes = edge_to_bytes_compact(l.edge_label_by_id(e));
-            let view = CompactEdgeLabelView::new(&bytes).unwrap();
+            let bytes = edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Compact);
+            let view = EdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
             // The on-the-fly slab expansion agrees with the owned vector.
             assert_eq!(slab_of(&view), slab_of(l.edge_label_by_id(e)));
         }
         // Compact views drive sessions exactly like full ones.
-        let b0 = edge_to_bytes_compact(l.edge_label_by_id(0));
-        let b3 = edge_to_bytes_compact(l.edge_label_by_id(3));
+        let b0 = edge_to_bytes(l.edge_label_by_id(0), EdgeEncoding::Compact);
+        let b3 = edge_to_bytes(l.edge_label_by_id(3), EdgeEncoding::Compact);
         let views = [
-            CompactEdgeLabelView::new(&b0).unwrap(),
-            CompactEdgeLabelView::new(&b3).unwrap(),
+            EdgeLabelView::new(&b0).unwrap(),
+            EdgeLabelView::new(&b3).unwrap(),
         ];
         let session = crate::session::QuerySession::new(l.header(), views).unwrap();
         let owned = l
@@ -816,7 +703,7 @@ mod tests {
         let l = s.labels();
         let fault_bytes: Vec<Vec<u8>> = [0usize, 3]
             .iter()
-            .map(|&e| edge_to_bytes(l.edge_label_by_id(e)))
+            .map(|&e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full))
             .collect();
         let vertex_bytes: Vec<Vec<u8>> = (0..g.n())
             .map(|v| vertex_to_bytes(l.vertex_label(v)))

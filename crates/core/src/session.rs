@@ -26,10 +26,11 @@
 //!   session's labeling — a server reading an archive's validated
 //!   [`crate::serial::VertexRecords`] — calls the step directly and
 //!   checks the header once per request, not twice per pair;
-//! * fault inputs are generic: owned [`EdgeLabel`]s, references, or
-//!   zero-copy [`crate::serial::EdgeLabelView`]s straight over stored
-//!   bytes — anything implementing [`EdgeLabelRead`] — and vertex
-//!   arguments are anything implementing
+//! * every session carries the [`LabelHeader`] of its labeling, and
+//!   fault inputs are generic: owned [`crate::EdgeLabel`]s, references,
+//!   or zero-copy [`crate::serial::EdgeLabelView`]s over loose label
+//!   bytes or either archive format — anything implementing
+//!   [`EdgeLabelRead`] — and vertex arguments are anything implementing
 //!   [`crate::labels::VertexLabelRead`].
 //!
 //! # Scratch reuse — the serving hot path
@@ -82,14 +83,11 @@ use crate::auxgraph::AuxGraph;
 use crate::error::QueryError;
 use crate::fragments::{FragId, FragmentBuildScratch, Fragments};
 use crate::labels::{
-    EdgeLabel, EdgeLabelRead, LabelHeader, LabelSet, OutdetectVector, RsVector, SlabDetect,
-    VertexLabelRead,
+    EdgeLabelRead, LabelHeader, LabelSet, OutdetectVector, RsVector, SlabDetect, VertexLabelRead,
 };
 use ftc_graph::UnionFind;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 use std::mem;
 
 /// An owned connectivity certificate: the sequence of auxiliary-graph
@@ -121,9 +119,8 @@ struct CompRef {
 /// full contract.
 #[derive(Clone, Debug)]
 pub struct QuerySession {
-    /// The shared labeling header; `None` when the session was inferred
-    /// from an empty fault set and accepts any single labeling.
-    header: Option<LabelHeader>,
+    /// The labeling header every fault and queried vertex must carry.
+    header: LabelHeader,
     /// Fragment decomposition of `T′ − F`.
     frag: Fragments,
     /// Per affected component (sorted by ID): window into the arenas.
@@ -224,11 +221,7 @@ impl QuerySession {
         I: IntoIterator,
         I::Item: EdgeLabelRead,
     {
-        Self::build_in(
-            Some(header),
-            faults,
-            &mut SessionScratch::<<I::Item as EdgeLabelRead>::Vector>::default(),
-        )
+        Self::new_in(header, faults, &mut SessionScratch::default())
     }
 
     /// Like [`QuerySession::new`], but drawing every build buffer from
@@ -249,38 +242,7 @@ impl QuerySession {
         I: IntoIterator,
         I::Item: EdgeLabelRead,
     {
-        Self::build_in(Some(header), faults, scratch)
-    }
-
-    /// Like [`QuerySession::new`], inferring the header from the first
-    /// fault label. With an empty fault set the session has no header and
-    /// answers for any single labeling via component equality.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuerySession::new`].
-    pub fn from_faults<I>(faults: I) -> Result<QuerySession, QueryError>
-    where
-        I: IntoIterator,
-        I::Item: EdgeLabelRead,
-    {
-        Self::build_in(
-            None,
-            faults,
-            &mut SessionScratch::<<I::Item as EdgeLabelRead>::Vector>::default(),
-        )
-    }
-
-    fn build_in<I>(
-        header: Option<LabelHeader>,
-        faults: I,
-        s: &mut SessionScratch<<I::Item as EdgeLabelRead>::Vector>,
-    ) -> Result<QuerySession, QueryError>
-    where
-        I: IntoIterator,
-        I::Item: EdgeLabelRead,
-    {
-        let mut header = header;
+        let s = scratch;
         // Ingest: one pass copies each fault's lower ancestry label and
         // flattened vector words into the scratch, so the merge engine
         // never touches the (possibly byte-view) labels again.
@@ -288,11 +250,8 @@ impl QuerySession {
         s.fault_words.clear();
         let mut w = 0usize;
         for e in faults {
-            let h = e.header();
-            match header {
-                Some(hh) if hh != h => return Err(QueryError::MismatchedLabels),
-                None => header = Some(h),
-                _ => {}
+            if e.header() != header {
+                return Err(QueryError::MismatchedLabels);
             }
             if s.anc.is_empty() {
                 w = e.slab_words();
@@ -312,13 +271,11 @@ impl QuerySession {
         let anc = &s.anc;
         s.order.sort_unstable_by_key(|&i| anc[i as usize].pre);
         s.order.dedup_by_key(|i| anc[*i as usize].pre);
-        if let Some(h) = header {
-            if s.order.len() > h.f as usize {
-                return Err(QueryError::TooManyFaults {
-                    supplied: s.order.len(),
-                    budget: h.f as usize,
-                });
-            }
+        if s.order.len() > header.f as usize {
+            return Err(QueryError::TooManyFaults {
+                supplied: s.order.len(),
+                budget: header.f as usize,
+            });
         }
 
         // Fragment decomposition, rebuilt in recycled storage.
@@ -340,7 +297,7 @@ impl QuerySession {
         comps.clear();
         slots.clear();
         certs.clear();
-        let aux_n = header.map_or(0, |h| h.aux_n as usize);
+        let aux_n = header.aux_n as usize;
         let mut run = || -> Result<(), QueryError> {
             for idx in 0..s.comp_ids.len() {
                 let comp = s.comp_ids[idx];
@@ -417,10 +374,8 @@ impl QuerySession {
         }
     }
 
-    /// The labeling header this session validates queries against
-    /// (`None` only for header-less empty sessions from
-    /// [`QuerySession::from_faults`]).
-    pub fn header(&self) -> Option<LabelHeader> {
+    /// The labeling header this session validates queries against.
+    pub fn header(&self) -> LabelHeader {
         self.header
     }
 
@@ -491,7 +446,7 @@ impl QuerySession {
         S: VertexLabelRead,
         T: VertexLabelRead,
     {
-        if s.header() != t.header() || self.header.is_some_and(|h| h != s.header()) {
+        if s.header() != t.header() || s.header() != self.header {
             return Err(QueryError::MismatchedLabels);
         }
         Ok(self.certified_anc(s.anc(), t.anc()))
@@ -537,43 +492,10 @@ impl QuerySession {
     }
 }
 
-/// Adapter making `Borrow<EdgeLabel<V>>` items usable as fault inputs.
-struct BorrowedFault<B, V>(B, PhantomData<fn() -> V>);
-
-impl<B: Borrow<EdgeLabel<V>>, V: OutdetectVector> EdgeLabelRead for BorrowedFault<B, V> {
-    type Vector = V;
-
-    fn header(&self) -> LabelHeader {
-        self.0.borrow().header
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        self.0.borrow().anc_upper
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        self.0.borrow().anc_lower
-    }
-
-    fn slab_words(&self) -> usize {
-        self.0.borrow().vec.slab_words()
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        self.0.borrow().vec.accumulate_slab(dst);
-    }
-
-    fn configure_detector(&self, det: &mut V::Detector) {
-        let label = self.0.borrow();
-        label.vec.configure_detector(det, label.header.aux_n);
-    }
-}
-
 impl<V: OutdetectVector> LabelSet<V> {
     /// Opens a [`QuerySession`] over this labeling for the given fault
-    /// set. Accepts owned labels, references, or anything else borrowing
-    /// an [`EdgeLabel`] — no more hand-built `&[&EdgeLabel]` slices. An
-    /// empty fault set is valid.
+    /// set: owned labels, references, or any other [`EdgeLabelRead`] of
+    /// this labeling's vector type. An empty fault set is valid.
     ///
     /// # Errors
     ///
@@ -581,7 +503,7 @@ impl<V: OutdetectVector> LabelSet<V> {
     pub fn session<I>(&self, faults: I) -> Result<QuerySession, QueryError>
     where
         I: IntoIterator,
-        I::Item: Borrow<EdgeLabel<V>>,
+        I::Item: EdgeLabelRead<Vector = V>,
     {
         self.session_in(faults, &mut SessionScratch::default())
     }
@@ -600,15 +522,9 @@ impl<V: OutdetectVector> LabelSet<V> {
     ) -> Result<QuerySession, QueryError>
     where
         I: IntoIterator,
-        I::Item: Borrow<EdgeLabel<V>>,
+        I::Item: EdgeLabelRead<Vector = V>,
     {
-        QuerySession::build_in(
-            Some(self.header()),
-            faults
-                .into_iter()
-                .map(|b| BorrowedFault(b, PhantomData::<fn() -> V>)),
-            scratch,
-        )
+        QuerySession::new_in(self.header(), faults, scratch)
     }
 }
 
@@ -927,9 +843,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
         let l = scheme.labels();
-        let session = l
-            .session([] as [&EdgeLabel<crate::labels::RsVector>; 0])
-            .unwrap();
+        let session = l.session([] as [&crate::EdgeLabel<RsVector>; 0]).unwrap();
         assert_eq!(session.num_faults(), 0);
         assert!(session
             .connected(l.vertex_label(0), l.vertex_label(2))
@@ -986,7 +900,7 @@ mod tests {
         let e1 = s1.labels().edge_label_by_id(0);
         let e2 = s2.labels().edge_label_by_id(1);
         assert_eq!(
-            QuerySession::from_faults([e1, e2]).unwrap_err(),
+            QuerySession::new(s1.labels().header(), [e1, e2]).unwrap_err(),
             QueryError::MismatchedLabels
         );
         let f1 = s1.labels().edge_label_by_id(0);

@@ -10,7 +10,7 @@
 //! validates it **once**, and then serves
 //!
 //! * [`LabelStore::vertex`] — O(1) zero-copy [`VertexLabelView`]s,
-//! * [`LabelStore::edge_by_id`] — O(1) zero-copy [`ArchivedEdgeView`]s
+//! * [`LabelStore::edge_by_id`] — O(1) zero-copy [`EdgeLabelView`]s
 //!   (the full and the compact half-width encoding alike, read as the
 //!   archive's encoding tag says),
 //! * [`LabelStore::edge_id`] — O(log m) endpoint-pair lookups,
@@ -81,14 +81,14 @@
 //! ```
 
 use crate::ancestry::AncestryLabel;
-use crate::compressed::{CompressedStore, SectionKind};
+use crate::compressed::SectionKind;
 use crate::error::QueryError;
-use crate::labels::{EdgeLabel, EdgeLabelRead, LabelHeader, LabelSet, RsVector};
+use crate::labels::{EdgeLabelRead, LabelHeader, LabelSet, RsVector};
 use crate::mmap::ArchiveBytes;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{
-    self, SerialError, SerialErrorKind, VertexLabelView, VertexRecords, ANC_BYTES,
-    EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
+    self, EdgeLabelView, EdgeRows, SerialError, SerialErrorKind, VertexLabelView, VertexRecords,
+    ANC_BYTES, EDGE_PREFIX_BYTES, VERTEX_RECORD_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
@@ -110,13 +110,11 @@ pub(crate) const TRAILING_CHECKSUM_BYTES: usize = 8;
 /// How edge labels are encoded in an archive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EdgeEncoding {
-    /// Full `2k`-element Reed–Solomon syndromes per level
-    /// ([`crate::serial::edge_to_bytes`] layout).
+    /// Full `2k`-element Reed–Solomon syndromes per level.
     Full,
     /// Half-width characteristic-two compression: only the `k` odd power
-    /// sums per level ([`crate::serial::edge_to_bytes_compact`] layout);
-    /// even ones are
-    /// reconstructed as `s_{2j} = s_j²` on read.
+    /// sums per level; even ones are reconstructed as `s_{2j} = s_j²` on
+    /// read.
     Compact,
 }
 
@@ -354,9 +352,7 @@ impl ArchiveMeta {
         let header = crate::serial::read_header_at(bytes, 8);
         let field = |at: usize| u32_at(bytes, at) as usize;
         let (n, m, k, levels, idx_count) = (field(24), field(28), field(32), field(36), field(40));
-        // A zero threshold has no levels: a detector configured so would
-        // ignore every stored word.
-        if k == 0 && levels != 0 {
+        if !valid_geometry(k, levels) {
             return Err(inconsistent(36));
         }
         if m == 0 && k != 0 {
@@ -383,6 +379,13 @@ impl ArchiveMeta {
             _ => unreachable!("v1 interleaves {kind:?} into the edge records"),
         }
     }
+}
+
+/// The codec-geometry rule of every edge reader, loose label or archive
+/// header: a zero threshold has no levels — a detector configured so
+/// would ignore every stored word.
+pub(crate) fn valid_geometry(k: usize, levels: usize) -> bool {
+    k != 0 || levels == 0
 }
 
 pub(crate) fn u32_at(buf: &[u8], at: usize) -> u32 {
@@ -459,7 +462,7 @@ pub(crate) fn pair_session<'a>(
     header: LabelHeader,
     faults: impl IntoIterator<Item = (usize, usize)>,
     edge_id: impl Fn(usize, usize) -> Result<Option<usize>, SerialError>,
-    edge_by_id: impl Fn(usize) -> Result<Option<ArchivedEdgeView<'a>>, SerialError>,
+    edge_by_id: impl Fn(usize) -> Result<Option<EdgeLabelView<'a>>, SerialError>,
     scratch: &mut SessionScratch<RsVector>,
 ) -> Result<QuerySession, StoreError> {
     let lookup = |(u, v)| {
@@ -652,17 +655,13 @@ impl LabelStore {
 
     /// The label of the edge with original edge ID `e` as a zero-copy
     /// view — O(1); `None` when `e` is out of range.
-    pub fn edge_by_id(&self, e: usize) -> Option<ArchivedEdgeView<'_>> {
+    pub fn edge_by_id(&self, e: usize) -> Option<EdgeLabelView<'_>> {
         let meta = &self.meta;
         (e < meta.m).then(|| {
             let at = meta.edges_at + e * meta.record_len;
             let (anc, words) =
                 self.as_bytes()[at..at + meta.record_len].split_at(EDGE_PREFIX_BYTES);
-            ArchivedEdgeView {
-                meta,
-                anc,
-                rows: EdgeRows::Record(words.as_chunks().0),
-            }
+            EdgeLabelView::archived(meta, anc, EdgeRows::Record(words.as_chunks().0))
         })
     }
 
@@ -715,90 +714,35 @@ impl LabelStore {
     }
 }
 
-/// An edge label read in place from an archive of either format: the
-/// header, codec geometry and encoding from the archive header, the
-/// 24-byte ancestry pair, and the syndrome rows — a v1 record's payload
-/// words, or edge `e`'s row in each of a v2 archive's decoded level
-/// sections. Implements [`EdgeLabelRead`], so it feeds
-/// [`QuerySession`]s directly; nothing is copied per fault.
-#[derive(Clone, Copy, Debug)]
-pub struct ArchivedEdgeView<'a> {
-    pub(crate) meta: &'a ArchiveMeta,
-    /// The ancestry pair (upper, lower).
-    pub(crate) anc: &'a [u8],
-    pub(crate) rows: EdgeRows<'a>,
-}
-
-/// Where an archived edge's syndrome rows are stored.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum EdgeRows<'a> {
-    /// A v1 record's payload words, level-major, little-endian.
-    Record(&'a [[u8; 8]]),
-    /// Edge `e` of a v2 archive, whose level sections are decoded.
-    Sections(&'a CompressedStore, usize),
-}
-
-impl ArchivedEdgeView<'_> {
-    /// Copies the view out into an owned label.
-    pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        serial::owned_label(self, self.meta.k)
-    }
-}
-
-impl EdgeLabelRead for ArchivedEdgeView<'_> {
-    type Vector = RsVector;
-
-    fn header(&self) -> LabelHeader {
-        self.meta.header
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        serial::read_anc_at(self.anc, 0)
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        serial::read_anc_at(self.anc, ANC_BYTES)
-    }
-
-    fn slab_words(&self) -> usize {
-        2 * self.meta.k * self.meta.levels
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        let ArchiveMeta { encoding, k, .. } = *self.meta;
-        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
-        let row_words = self.meta.row_words();
-        for (level, out) in dst.chunks_exact_mut(2 * k.max(1)).enumerate() {
-            match self.rows {
-                EdgeRows::Record(words) => xor_row(
-                    encoding,
-                    &words[level * row_words..(level + 1) * row_words],
-                    u64::from_le_bytes,
-                    out,
-                ),
-                EdgeRows::Sections(store, e) => {
-                    xor_row(encoding, store.level_row(level, e), |w| w, out)
-                }
-            }
-        }
-    }
-
-    fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        det.configure(self.meta.k, self.meta.levels, self.meta.header.aux_n);
-    }
-}
-
-/// XORs one stored level row into its full `2k`-word slab slice `out`:
-/// a full row word for word, a compact row expanded from its `k` odd
-/// power sums. `word` reads one stored word.
-fn xor_row<W: Copy>(encoding: EdgeEncoding, row: &[W], word: impl Fn(W) -> u64, out: &mut [u64]) {
+/// XORs one stored level row into its full `2k`-word slab slice `out` —
+/// the one row reader of every edge view: a full row word for word, a
+/// compact row expanded from its `k` odd power sums, `row[j] =
+/// s_{2j+1}`. Entry `i` (1-based power-sum index) is `s_o^(2^t)` for `i =
+/// o·2^t` with `o` odd, since `s_{2j} = s_j²` in characteristic two.
+/// `word` reads one stored word.
+pub(crate) fn xor_row<W: Copy>(
+    encoding: EdgeEncoding,
+    row: &[W],
+    word: impl Fn(W) -> u64,
+    out: &mut [u64],
+) {
     match encoding {
         EdgeEncoding::Full => {
             for (d, &w) in out.iter_mut().zip(row) {
                 *d ^= word(w);
             }
         }
-        EdgeEncoding::Compact => serial::xor_expanded_row(|j| word(row[j]), out),
+        EdgeEncoding::Compact => {
+            for (idx, slot) in out.iter_mut().enumerate() {
+                let i = idx + 1;
+                let t = i.trailing_zeros();
+                let mut v = Gf64::new(word(row[(i >> t) / 2]));
+                for _ in 0..t {
+                    v = v.square();
+                }
+                *slot ^= v.to_bits();
+            }
+        }
     }
 }
 
@@ -1001,7 +945,7 @@ impl EdgeRecords<'_> {
 /// Writes a v1 archive — the one v1 writer, behind every producer: owned
 /// labels ([`LabelStore::archive`]), the streaming build, dynamic
 /// commits (`ftc-dyn`) and the v2 decompressor
-/// ([`CompressedStore::to_v1_vec`]).
+/// ([`crate::CompressedStore::to_v1_vec`]).
 ///
 /// It lays out `meta`'s header, the endpoint index from `entries`
 /// (sorted `(u, v, edge id)` triples, `meta.idx_count` of them), every
@@ -1137,7 +1081,7 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::scheme::FtcScheme;
-    use crate::serial::{self, EdgeLabelView};
+    use crate::serial;
     use ftc_graph::Graph;
 
     fn open(blob: &[u8]) -> Result<LabelStore, SerialError> {
@@ -1207,10 +1151,7 @@ mod tests {
             for e in 0..streamed.m() {
                 let at = meta.edges_at + e * meta.record_len;
                 let rec = &blob[at..at + meta.record_len];
-                let loose = match encoding {
-                    EdgeEncoding::Full => serial::edge_to_bytes(l.edge_label_by_id(e)),
-                    EdgeEncoding::Compact => serial::edge_to_bytes_compact(l.edge_label_by_id(e)),
-                };
+                let loose = serial::edge_to_bytes(l.edge_label_by_id(e), encoding);
                 assert_eq!(
                     &loose[18..42],
                     &rec[..EDGE_PREFIX_BYTES],
@@ -1302,17 +1243,27 @@ mod tests {
     fn zero_threshold_records_with_words_rejected() {
         // A label claiming k = 0 but carrying syndrome levels would
         // configure a zero-level detector that ignores every stored word.
+        // One geometry rule holds for both loose magics and the archive
+        // header.
         let g = Graph::cycle(5);
         let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
         let l = scheme.labels();
 
-        // Loose bytes, rejected at the word-count field: the zero-copy
-        // view and the owned parser.
-        let mut loose = serial::edge_to_bytes(l.edge_label_by_id(0));
-        put_u32(&mut loose, 42, 0);
+        // Loose bytes, rejected at the geometry field: the zero-copy view
+        // and the owned parser. A full label claims k = 0 beside its
+        // stored words; a compact one claims k = 0 and three levels of
+        // k = 0 words, so its length alone is consistent.
+        let mut full = serial::edge_to_bytes(l.edge_label_by_id(0), EdgeEncoding::Full);
+        put_u32(&mut full, 42, 0);
+        let mut compact = serial::edge_to_bytes(l.edge_label_by_id(0), EdgeEncoding::Compact);
+        compact.truncate(50);
+        put_u32(&mut compact, 42, 0);
+        put_u32(&mut compact, 46, 3);
         let want = SerialError::new(SerialErrorKind::Inconsistent, 46);
-        assert_eq!(EdgeLabelView::new(&loose).unwrap_err(), want);
-        assert_eq!(serial::edge_from_bytes(&loose).unwrap_err(), want);
+        for loose in [full, compact] {
+            assert_eq!(EdgeLabelView::new(&loose).unwrap_err(), want);
+            assert_eq!(serial::edge_from_bytes(&loose).unwrap_err(), want);
+        }
 
         // A resealed archive whose header claims k = 0, rejected at the
         // level-count field.
@@ -1463,7 +1414,7 @@ mod tests {
     }
 
     #[test]
-    fn into_shared_view_skips_revalidation_but_matches() {
+    fn built_store_skips_revalidation_but_matches_open() {
         // `build_store` hands out its handle without a second `open`; it
         // must match a validating `open` of its own bytes.
         let g = Graph::torus(3, 4);
@@ -1485,7 +1436,7 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_validates() {
+    fn open_validates() {
         let (_, blob) = archive(EdgeEncoding::Compact);
         let store = open(&blob).unwrap();
         assert_eq!(store.as_bytes(), &blob[..]);

@@ -160,7 +160,7 @@ fn pair_anc(
 /// archive once stands for the per-pair header compares of
 /// [`QuerySession::certified`].
 fn check_header(archive: &AnyArchive, session: &QuerySession) -> Result<(), ServeError> {
-    if session.header().is_some_and(|h| h != archive.header()) {
+    if session.header() != archive.header() {
         return Err(QueryError::MismatchedLabels.into());
     }
     Ok(())

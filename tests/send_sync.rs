@@ -10,8 +10,8 @@
 use ftc::codes::{DecodeScratch, ThresholdCodec};
 use ftc::core::compressed::{AnyArchive, CompressedStore};
 use ftc::core::fragments::Fragments;
-use ftc::core::serial::{CompactEdgeLabelView, EdgeLabelView, VertexLabelView};
-use ftc::core::store::{ArchivedEdgeView, EdgeEncoding, LabelStore, StoreError};
+use ftc::core::serial::{EdgeLabelView, VertexLabelView};
+use ftc::core::store::{EdgeEncoding, LabelStore, StoreError};
 use ftc::core::{
     EdgeLabel, LabelHeader, LabelSet, QueryError, QuerySession, RsDetector, RsVector,
     SessionScratch, VertexLabel,
@@ -39,13 +39,11 @@ fn serving_layer_types_are_send_sync() {
     assert_send_sync::<LabelStore>();
     assert_send_sync::<CompressedStore>();
     assert_send_sync::<AnyArchive>();
-    // The one archived edge view of both formats: it borrows the archive
-    // header and a v1 record, or — in its v2 case — the CompressedStore
-    // whose decoded level sections it reads.
-    assert_send_sync::<ArchivedEdgeView<'static>>();
-    assert_send_sync::<VertexLabelView<'static>>();
+    // The one edge view of loose labels and both archive formats: it
+    // borrows a loose label's or a v1 record's words, or — in its v2
+    // case — the CompressedStore whose decoded level sections it reads.
     assert_send_sync::<EdgeLabelView<'static>>();
-    assert_send_sync::<CompactEdgeLabelView<'static>>();
+    assert_send_sync::<VertexLabelView<'static>>();
     assert_send_sync::<EdgeEncoding>();
     assert_send_sync::<StoreError>();
     assert_clone::<LabelStore>();

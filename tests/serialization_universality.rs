@@ -7,8 +7,8 @@
 //! rejection of both the per-label layouts and the archive format.
 
 use ftc::core::serial::{
-    compact_edge_from_bytes, edge_from_bytes, edge_to_bytes, edge_to_bytes_compact,
-    vertex_from_bytes, vertex_to_bytes, CompactEdgeLabelView, EdgeLabelView, VertexLabelView,
+    edge_from_bytes, edge_to_bytes, vertex_from_bytes, vertex_to_bytes, EdgeLabelView,
+    VertexLabelView,
 };
 use ftc::core::store::{EdgeEncoding, LabelStore};
 use ftc::core::{FtcScheme, Params, QuerySession, VertexLabelRead};
@@ -45,7 +45,7 @@ fn queries_from_bytes_alone() {
             .map(|v| vertex_to_bytes(l.vertex_label(v)))
             .collect();
         let eb: Vec<Vec<u8>> = (0..g.m())
-            .map(|e| edge_to_bytes(l.edge_label_by_id(e)))
+            .map(|e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full))
             .collect();
         (vb, eb)
     };
@@ -87,7 +87,7 @@ fn serialized_sizes_match_reported_bits() {
     // reported bit widths exactly.
     let vb = vertex_to_bytes(l.vertex_label(0));
     assert_eq!((vb.len() - 2) * 8, size.vertex_bits);
-    let eb = edge_to_bytes(l.edge_label_by_id(0));
+    let eb = edge_to_bytes(l.edge_label_by_id(0), EdgeEncoding::Full);
     // Edge encoding adds magic (2) + k (4) + len (4) bytes of framing.
     assert_eq!((eb.len() - 2 - 8) * 8, size.edge_bits);
 }
@@ -111,31 +111,31 @@ proptest! {
         let l = scheme.labels();
         for e in 0..g.m() {
             let label = l.edge_label_by_id(e);
-            let compact = edge_to_bytes_compact(label);
-            let full = edge_to_bytes(label);
+            let compact = edge_to_bytes(label, EdgeEncoding::Compact);
+            let full = edge_to_bytes(label, EdgeEncoding::Full);
             prop_assert!(compact.len() <= full.len());
             // Owned parser and zero-copy view agree with the original.
-            prop_assert_eq!(&compact_edge_from_bytes(&compact).unwrap(), label);
-            let view = CompactEdgeLabelView::new(&compact).unwrap();
+            prop_assert_eq!(&edge_from_bytes(&compact).unwrap(), label);
+            let view = EdgeLabelView::new(&compact).unwrap();
             prop_assert_eq!(&view.to_label(), label);
             // The compact encoding must agree with the full one after
             // expansion, bit for bit.
             prop_assert_eq!(
-                &compact_edge_from_bytes(&compact).unwrap(),
+                &edge_from_bytes(&compact).unwrap(),
                 &edge_from_bytes(&full).unwrap()
             );
             // Every strict prefix is rejected; the reported offset never
             // exceeds the input length.
             for cut in 0..compact.len() {
-                let owned_err = compact_edge_from_bytes(&compact[..cut]).unwrap_err();
+                let owned_err = edge_from_bytes(&compact[..cut]).unwrap_err();
                 prop_assert!(owned_err.offset <= cut);
-                prop_assert!(CompactEdgeLabelView::new(&compact[..cut]).is_err());
+                prop_assert!(EdgeLabelView::new(&compact[..cut]).is_err());
             }
             // Trailing garbage is rejected too.
             let mut ext = compact.clone();
             ext.push(0);
-            prop_assert!(compact_edge_from_bytes(&ext).is_err());
-            prop_assert!(CompactEdgeLabelView::new(&ext).is_err());
+            prop_assert!(edge_from_bytes(&ext).is_err());
+            prop_assert!(EdgeLabelView::new(&ext).is_err());
         }
     }
 
@@ -373,7 +373,7 @@ fn tampered_bytes_do_not_panic() {
     let g = Graph::cycle(5);
     let scheme = FtcScheme::build(&g, &Params::deterministic(1)).unwrap();
     let l = scheme.labels();
-    let mut eb = edge_to_bytes(l.edge_label_by_id(0));
+    let mut eb = edge_to_bytes(l.edge_label_by_id(0), EdgeEncoding::Full);
     // Flip a payload byte: either parses to a harmless different label or
     // fails to parse — never panics.
     let idx = eb.len() - 3;
@@ -407,14 +407,9 @@ fn crafted_geometry_is_truncated_not_allocated() {
     let full = label([0x45, 0x46], 1, u32::MAX - 1);
     let truncated = |e: ftc::core::SerialError| (e.kind, e.offset);
     let want = (ftc::core::SerialErrorKind::Truncated, 50);
+    assert_eq!(edge_from_bytes(&compact).map_err(truncated), Err(want));
     assert_eq!(
-        compact_edge_from_bytes(&compact).map_err(truncated),
-        Err(want)
-    );
-    assert_eq!(
-        CompactEdgeLabelView::new(&compact)
-            .map(|_| ())
-            .map_err(truncated),
+        EdgeLabelView::new(&compact).map(|_| ()).map_err(truncated),
         Err(want)
     );
     assert_eq!(edge_from_bytes(&full).map_err(truncated), Err(want));
@@ -437,8 +432,8 @@ fn loose_label_bytes_are_pinned() {
         all.extend(vertex_to_bytes(l.vertex_label(v)));
     }
     for e in 0..g.m() {
-        all.extend(edge_to_bytes(l.edge_label_by_id(e)));
-        all.extend(edge_to_bytes_compact(l.edge_label_by_id(e)));
+        all.extend(edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full));
+        all.extend(edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Compact));
     }
     assert_eq!(
         (all.len(), ftc::compress::checksum64(&all)),

@@ -5,7 +5,7 @@
 //! agree with owned-label decoding bit-for-bit.
 
 use ftc::core::serial::{edge_to_bytes, vertex_to_bytes, EdgeLabelView, VertexLabelView};
-use ftc::core::{FtcScheme, Params, QuerySession};
+use ftc::core::{EdgeEncoding, FtcScheme, Params, QuerySession};
 use ftc::graph::{connectivity, generators};
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ proptest! {
 
         // Views must reproduce the owned labels exactly.
         let edge_bytes: Vec<Vec<u8>> =
-            (0..g.m()).map(|e| edge_to_bytes(l.edge_label_by_id(e))).collect();
+            (0..g.m()).map(|e| edge_to_bytes(l.edge_label_by_id(e), EdgeEncoding::Full)).collect();
         let vertex_bytes: Vec<Vec<u8>> =
             (0..g.n()).map(|v| vertex_to_bytes(l.vertex_label(v))).collect();
         for (e, bytes) in edge_bytes.iter().enumerate() {

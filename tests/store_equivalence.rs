@@ -10,6 +10,7 @@
 
 use ftc::core::ancestry::AncestryLabel;
 use ftc::core::compressed::{compress_archive, AnyArchive};
+use ftc::core::serial::{edge_to_bytes, EdgeLabelView};
 use ftc::core::store::{EdgeEncoding, LabelStore, StoreError};
 use ftc::core::{EdgeLabelRead, FtcScheme, Params, SessionScratch};
 use ftc::graph::{connectivity, generators, Graph};
@@ -100,9 +101,10 @@ fn edge_reads(label: &impl EdgeLabelRead) -> (AncestryLabel, AncestryLabel, usiz
 }
 
 /// Every edge of a seeded labeling with several components reads through
-/// the v1 and the v2 archive's `ArchivedEdgeView`, under both encodings,
-/// exactly as its owned `EdgeLabel`; and both formats refuse the first
-/// out-of-range edge ID with the same typed error.
+/// the one `EdgeLabelView` — over its loose label bytes, its v1 record
+/// and its v2 sections, under both encodings — exactly as its owned
+/// `EdgeLabel`; and both archive formats refuse the first out-of-range
+/// edge ID with the same typed error.
 #[test]
 fn archived_edge_views_read_like_owned_labels_in_both_formats() {
     // Three seeded components and an isolated vertex; the largest has
@@ -119,6 +121,14 @@ fn archived_edge_views_read_like_owned_labels_in_both_formats() {
     let l = scheme.labels();
     let m = g.m();
     for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+        for e in 0..m {
+            let loose = edge_to_bytes(l.edge_label_by_id(e), encoding);
+            assert_eq!(
+                edge_reads(&EdgeLabelView::new(&loose).unwrap()),
+                edge_reads(l.edge_label_by_id(e)),
+                "{encoding:?} loose edge {e}"
+            );
+        }
         let v1 = LabelStore::to_vec(l, encoding);
         let v2 = compress_archive(&LabelStore::open(v1.clone()).unwrap()).into_vec();
         let mut refusals = Vec::new();
